@@ -48,7 +48,10 @@ def _load_config(args) -> cfgmod.RunConfig:
 def _threads(cfg) -> int:
     env = os.environ.get("SUBFLOW_THREADS")
     if env is not None:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise CliError(f"SUBFLOW_THREADS must be an integer, got {env!r}") from None
     return max(1, cfg["threads"])
 
 

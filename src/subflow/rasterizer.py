@@ -7,21 +7,34 @@ center, cov2d = J W Sigma W^T J^T, plus a 0.3 px^2 low-pass diagonal.
 Compositing is front-to-back over view depth:
 
     alpha_i = min(0.99, opacity_i * exp(-0.5 d^T cov2d^{-1} d))
-    out     = sum_i alpha_i * attr_i * prod_{j<i} (1 - alpha_j)
+    w_i     = alpha_i * T_i,   T_i = prod_{j<i} (1 - alpha_j)
+    out     = sum_i w_i * attr_i
 
 A splat contributes only inside its 3-sigma ellipse (d^T cov2d^{-1} d <= 9),
-which makes the 16x16-tile bounding-box assignment exact rather than an
-approximation, and accumulation stops once transmittance drops under 1e-4.
-The same contribution weights composite colors and the D-channel embedding
-maps, so rendering any per-Gaussian attribute is linear in that attribute;
-`attribute_weights` exposes the weight matrix for gradient-based training.
+which makes binning the depth-sorted splats into 16x16 tiles by their
+3-sigma bounding box exact rather than an approximation. A pixel takes no
+more contributions once T_i < 1e-4.
 
-Depth is the view-space z of the splat that first lifts accumulated opacity
-to 0.5 (+inf where never reached).
+One kernel, `_tile_weights`, computes the weights w_i for a tile, CHUNK
+splats at a time: the (pixels x chunk) alpha block, then T_i as the
+exclusive running product (`np.multiply.accumulate`) of (1 - alpha) seeded
+with the transmittance carried out of the previous chunk, with w_i zeroed
+where T_i < 1e-4. The running product multiplies the same factors in the
+same order as a splat-by-splat loop, and because T only falls, a pixel whose
+T dropped under 1e-4 never contributes again; so masking after the fact
+gives the loop's weights bit for bit, and a tile stops as soon as every
+pixel in it is saturated.
+
+`render` builds everything from those weights: colors and the D-channel
+embedding maps as w @ attrs (so rendering any per-Gaussian attribute is
+linear in it), coverage as the running sum of w, and depth as the view-space
+z of the splat that first lifts that sum to 0.5 (+inf where never reached).
+`attribute_weights` scatters the same weights into a dense matrix for
+gradient-based training.
 """
-
 from __future__ import annotations
 
+import re
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -31,9 +44,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import FormatError, ShapeError
-from .scene import Camera, GaussianPrimitive, GaussianScene, quat_to_matrix
+from .scene import Camera, GaussianScene, quat_to_matrix
 
 TILE = 16
+CHUNK = 64                       # splats per vectorized compositing step
 ALPHA_CLAMP = 0.99
 CUTOFF_MAHALANOBIS_SQ = 9.0      # 3-sigma support
 MIN_TRANSMITTANCE = 1e-4
@@ -41,14 +55,7 @@ LOWPASS = 0.3                    # px^2 added to cov2d diagonal
 DEPTH_ALPHA = 0.5
 
 FMAP_MAGIC = b"FMAP"
-
-
-@dataclass
-class Splat2D:
-    mean2d: np.ndarray       # (2,) pixels
-    cov2d: np.ndarray        # (2,2) symmetric, positive definite
-    view_depth: float
-    source_index: int
+_PPM_FIELD = re.compile(rb"(?:\s|#[^\n]*\n)+(\d+)")   # separator or comment lines, then digits
 
 
 @dataclass
@@ -106,19 +113,6 @@ def _project_all(scene: GaussianScene, cam: Camera):
     return idx[order], mean2d[order], cov2d[order], z[order]
 
 
-def project_gaussian(g: GaussianPrimitive, cam: Camera) -> Optional[Splat2D]:
-    """EWA projection of one Gaussian; None when outside [near, far]."""
-    scene = GaussianScene(
-        g.position[None], g.rotation[None], g.scale[None],
-        np.array([g.opacity]), g.color[None], g.embedding[None])
-    idx, mean2d, cov2d, z = _project_all(scene, cam)
-    if idx.size == 0:
-        return None
-    return Splat2D(mean2d=mean2d[0].astype(np.float32),
-                   cov2d=cov2d[0].astype(np.float32),
-                   view_depth=float(z[0]), source_index=0)
-
-
 def _conics_and_radii(cov2d: np.ndarray):
     a, b, c = cov2d[:, 0, 0], cov2d[:, 0, 1], cov2d[:, 1, 1]
     det = a * c - b * b
@@ -129,42 +123,67 @@ def _conics_and_radii(cov2d: np.ndarray):
     return conic, radius
 
 
-def _composite_tile(px, py, splats, attrs, want_depth):
-    """Sequential front-to-back compositing for one tile's pixel block.
+def _tile_weights(px, py, means, conics, opac):
+    """Yield (chunk, weights) over one tile's depth-sorted splats, CHUNK at a time.
 
-    px, py: flat pixel sample coordinates; splats: (mean2d, conic, depth, opacity)
-    already depth-sorted; attrs: (S, C) per-splat attribute rows.
+    weights[p, j] = alpha_j(p) * T_j(p), where T_j is the transmittance left
+    before splat j: the exclusive running product of (1 - alpha) seeded with
+    the transmittance carried out of the previous chunk. Weights are zero
+    where T_j < MIN_TRANSMITTANCE, and the tile stops once every pixel is.
     """
-    means, conics, depths, opac = splats
-    npix = px.size
-    out = np.zeros((npix, attrs.shape[1]))
-    trans = np.ones(npix)
-    alpha_acc = np.zeros(npix)
-    depth_map = np.full(npix, np.inf)
-    active = trans >= MIN_TRANSMITTANCE
-    for s in range(means.shape[0]):
-        dx = px - means[s, 0]
-        dy = py - means[s, 1]
-        power = 0.5 * (conics[s, 0] * dx * dx + 2.0 * conics[s, 1] * dx * dy
-                       + conics[s, 2] * dy * dy)
-        hit = active & (power <= 0.5 * CUTOFF_MAHALANOBIS_SQ)
-        if not hit.any():
-            continue
-        alpha = np.where(hit, np.minimum(ALPHA_CLAMP, opac[s] * np.exp(-power)), 0.0)
-        contrib = alpha * trans
-        out += contrib[:, None] * attrs[s]
-        if want_depth:
-            new_acc = alpha_acc + contrib
-            crossed = (alpha_acc < DEPTH_ALPHA) & (new_acc >= DEPTH_ALPHA)
-            depth_map[crossed] = depths[s]
-            alpha_acc = new_acc
-        else:
-            alpha_acc += contrib
-        trans = trans * (1.0 - alpha)
-        active = trans >= MIN_TRANSMITTANCE
-        if not active.any():
-            break
-    return out, alpha_acc, depth_map
+    trans = np.ones(px.size)
+    for lo in range(0, opac.size, CHUNK):
+        chunk = slice(lo, lo + CHUNK)
+        dx = px[:, None] - means[chunk, 0]
+        dy = py[:, None] - means[chunk, 1]
+        a, b, c = conics[chunk].T
+        power = 0.5 * (a * dx * dx + 2.0 * b * dx * dy + c * dy * dy)
+        alpha = np.where(power <= 0.5 * CUTOFF_MAHALANOBIS_SQ,
+                         np.minimum(ALPHA_CLAMP, opac[chunk] * np.exp(-power)), 0.0)
+        t = np.empty((px.size, alpha.shape[1] + 1))
+        t[:, 0] = trans
+        np.subtract(1.0, alpha, out=t[:, 1:])
+        np.multiply.accumulate(t, axis=1, out=t)
+        before = t[:, :-1]
+        yield chunk, np.where(before >= MIN_TRANSMITTANCE, alpha * before, 0.0)
+        trans = t[:, -1]
+        if not (trans >= MIN_TRANSMITTANCE).any():
+            return
+
+
+def _tiles(scene: GaussianScene, cam: Camera):
+    """Project, depth-sort and bin the visible splats into TILE x TILE tiles.
+
+    Returns (idx, z, tiles): source indices and view depths of the visible
+    splats in depth order, and for each tile whose pixels some splat's 3-sigma
+    box overlaps, (rows, cols, sel, chunks): the tile's pixel slices, the
+    positions into idx of its splats (still depth-sorted), and the
+    `_tile_weights` generator over them.
+    """
+    h, w = cam.height, cam.width
+    idx, mean2d, cov2d, z = _project_all(scene, cam)
+    if idx.size == 0:
+        return idx, z, []
+    conic, radius = _conics_and_radii(cov2d)
+    opac = scene.opacities[idx].astype(np.float64)
+    box_lo = mean2d - radius[:, None]
+    box_hi = mean2d + radius[:, None]
+    inside = ((box_hi >= 0) & (box_lo < (w, h))).all(axis=1)
+    x0, y0 = (box_lo // TILE).T
+    x1, y1 = (box_hi // TILE).T
+    tiles = []
+    for ty in range((h + TILE - 1) // TILE):
+        for tx in range((w + TILE - 1) // TILE):
+            sel = np.flatnonzero(inside & (x0 <= tx) & (tx <= x1) & (y0 <= ty) & (ty <= y1))
+            if sel.size == 0:
+                continue
+            rows = slice(ty * TILE, min((ty + 1) * TILE, h))
+            cols = slice(tx * TILE, min((tx + 1) * TILE, w))
+            gy, gx = np.mgrid[rows, cols]
+            chunks = _tile_weights(gx.ravel() + 0.5, gy.ravel() + 0.5,
+                                   mean2d[sel], conic[sel], opac[sel])
+            tiles.append((rows, cols, sel, chunks))
+    return idx, z, tiles
 
 
 def render(scene: GaussianScene, cam: Camera, threads: int = 1) -> RenderOutput:
@@ -178,55 +197,34 @@ def render(scene: GaussianScene, cam: Camera, threads: int = 1) -> RenderOutput:
     depth = np.full((h, w), np.inf, dtype=np.float32)
     alpha = np.zeros((h, w), dtype=np.float32)
 
-    idx, mean2d, cov2d, z = _project_all(scene, cam)
-    if idx.size == 0:
-        return RenderOutput(rgb, feats, depth, alpha)
-    conic, radius = _conics_and_radii(cov2d)
-    opac = scene.opacities[idx].astype(np.float64)
+    idx, z, tiles = _tiles(scene, cam)
     attrs = np.concatenate([scene.colors[idx], scene.embeddings[idx]], axis=1).astype(np.float64)
 
-    tiles_x = (w + TILE - 1) // TILE
-    tiles_y = (h + TILE - 1) // TILE
-    tile_lists: list[list[int]] = [[] for _ in range(tiles_x * tiles_y)]
-    x0 = np.clip(((mean2d[:, 0] - radius) // TILE).astype(int), 0, tiles_x - 1)
-    x1 = np.clip(((mean2d[:, 0] + radius) // TILE).astype(int), 0, tiles_x - 1)
-    y0 = np.clip(((mean2d[:, 1] - radius) // TILE).astype(int), 0, tiles_y - 1)
-    y1 = np.clip(((mean2d[:, 1] + radius) // TILE).astype(int), 0, tiles_y - 1)
-    inside = ((mean2d[:, 0] + radius) >= 0) & ((mean2d[:, 0] - radius) < w) & \
-             ((mean2d[:, 1] + radius) >= 0) & ((mean2d[:, 1] - radius) < h)
-    for s in np.nonzero(inside)[0]:
-        for ty in range(y0[s], y1[s] + 1):
-            base = ty * tiles_x
-            for tx in range(x0[s], x1[s] + 1):
-                tile_lists[base + tx].append(s)
+    def run_tile(tile):
+        rows, cols, sel, chunks = tile
+        shape = (rows.stop - rows.start, cols.stop - cols.start)
+        out = np.zeros((shape[0] * shape[1], attrs.shape[1]))
+        acc = np.zeros(out.shape[0])
+        dep = np.full(out.shape[0], np.inf)
+        for chunk, wts in chunks:
+            s = sel[chunk]
+            out += wts @ attrs[s]
+            run = np.add.accumulate(np.concatenate([acc[:, None], wts], axis=1), axis=1)
+            crossed = (acc < DEPTH_ALPHA) & (run[:, -1] >= DEPTH_ALPHA)
+            first = np.argmax(run[crossed, 1:] >= DEPTH_ALPHA, axis=1)
+            dep[crossed] = z[s][first]
+            acc = run[:, -1]
+        rgb[rows, cols] = out[:, :3].reshape(*shape, 3)
+        feats[rows, cols] = out[:, 3:].reshape(*shape, d)
+        alpha[rows, cols] = acc.reshape(shape)
+        depth[rows, cols] = dep.reshape(shape)
 
-    def run_tile(t):
-        sel = tile_lists[t]
-        if not sel:
-            return
-        ty, tx = divmod(t, tiles_x)
-        ys = np.arange(ty * TILE, min((ty + 1) * TILE, h))
-        xs = np.arange(tx * TILE, min((tx + 1) * TILE, w))
-        gy, gx = np.meshgrid(ys, xs, indexing="ij")
-        px = gx.ravel() + 0.5
-        py = gy.ravel() + 0.5
-        sel = np.asarray(sel)
-        splats = (mean2d[sel], conic[sel], z[sel], opac[sel])
-        out, acc, dep = _composite_tile(px, py, splats, attrs[sel], want_depth=True)
-        block = (slice(ys[0], ys[-1] + 1), slice(xs[0], xs[-1] + 1))
-        shape2 = (ys.size, xs.size)
-        rgb[block] = out[:, :3].reshape(*shape2, 3)
-        feats[block] = out[:, 3:].reshape(*shape2, d)
-        alpha[block] = acc.reshape(shape2)
-        depth[block] = dep.reshape(shape2)
-
-    tile_ids = [t for t in range(tiles_x * tiles_y) if tile_lists[t]]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_tile, tile_ids))
+            list(pool.map(run_tile, tiles))
     else:
-        for t in tile_ids:
-            run_tile(t)
+        for tile in tiles:
+            run_tile(tile)
     return RenderOutput(rgb, feats, depth, alpha)
 
 
@@ -238,31 +236,12 @@ def attribute_weights(scene: GaussianScene, cam: Camera) -> np.ndarray:
     """
     h, w = cam.height, cam.width
     weights = np.zeros((h * w, scene.count), dtype=np.float32)
-    idx, mean2d, cov2d, z = _project_all(scene, cam)
-    if idx.size == 0:
-        return weights
-    conic, radius = _conics_and_radii(cov2d)
-    opac = scene.opacities[idx].astype(np.float64)
-
-    gy, gx = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    px = gx.ravel() + 0.5
-    py = gy.ravel() + 0.5
-    trans = np.ones(h * w)
-    active = trans >= MIN_TRANSMITTANCE
-    for s in range(idx.size):
-        dx = px - mean2d[s, 0]
-        dy = py - mean2d[s, 1]
-        power = 0.5 * (conic[s, 0] * dx * dx + 2.0 * conic[s, 1] * dx * dy
-                       + conic[s, 2] * dy * dy)
-        hit = active & (power <= 0.5 * CUTOFF_MAHALANOBIS_SQ)
-        if not hit.any():
-            continue
-        alpha = np.where(hit, np.minimum(ALPHA_CLAMP, opac[s] * np.exp(-power)), 0.0)
-        weights[:, idx[s]] = (alpha * trans).astype(np.float32)
-        trans = trans * (1.0 - alpha)
-        active = trans >= MIN_TRANSMITTANCE
-        if not active.any():
-            break
+    idx, _, tiles = _tiles(scene, cam)
+    for rows, cols, sel, chunks in tiles:
+        pix = (np.arange(rows.start, rows.stop)[:, None] * w
+               + np.arange(cols.start, cols.stop)).ravel()
+        for chunk, wts in chunks:
+            weights[pix[:, None], idx[sel[chunk]]] = wts
     return weights
 
 
@@ -360,13 +339,28 @@ def write_ppm(path, rgb: np.ndarray) -> None:
 
 
 def read_ppm(path) -> np.ndarray:
+    """Binary PPM (P6, maxval <= 255); `#` comments may sit in the header."""
     raw = Path(path).read_bytes()
     if not raw.startswith(b"P6"):
         raise FormatError(f"{path}: not a binary PPM")
-    parts = raw.split(b"\n", 3)
-    w, h = (int(t) for t in parts[1].split())
-    data = np.frombuffer(parts[3], dtype=np.uint8, count=h * w * 3)
-    return data.reshape(h, w, 3).astype(np.float32) / 255.0
+    fields, pos = [], 2
+    for name in ("width", "height", "maxval"):
+        m = _PPM_FIELD.match(raw, pos)
+        if m is None:
+            raise FormatError(f"{path}: PPM header has no {name}")
+        fields.append(int(m.group(1)))
+        pos = m.end()
+    w, h, maxval = fields
+    if w < 1 or h < 1 or not 1 <= maxval <= 255:
+        raise FormatError(f"{path}: unsupported PPM size {w}x{h} or maxval {maxval}")
+    if not raw[pos:pos + 1].isspace():
+        raise FormatError(f"{path}: PPM header does not end in whitespace")
+    want = h * w * 3
+    if len(raw) - pos - 1 < want:
+        raise FormatError(f"{path}: PPM payload has {len(raw) - pos - 1} bytes, "
+                          f"expected {want}")
+    data = np.frombuffer(raw, dtype=np.uint8, count=want, offset=pos + 1)
+    return data.reshape(h, w, 3).astype(np.float32) / maxval
 
 
 def write_fmap(path, array: np.ndarray) -> None:
@@ -387,6 +381,8 @@ def read_fmap(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if raw[:4] != FMAP_MAGIC:
         raise FormatError(f"{path}: bad magic {raw[:4]!r}, expected {FMAP_MAGIC!r}")
+    if len(raw) < 16:
+        raise FormatError(f"{path}: FMAP header needs 16 bytes, found {len(raw)}")
     h, w, c = struct.unpack_from("<III", raw, 4)
     want = 16 + 4 * h * w * c
     if len(raw) != want:

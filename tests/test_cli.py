@@ -223,3 +223,22 @@ def test_threads_env_controls_render(pipeline_artifacts, tmp_path, monkeypatch):
     a = (out / "view_03.ppm").read_bytes()
     b = (root / "views" / "view_03.ppm").read_bytes()
     assert a == b
+
+
+def test_threads_env_non_integer_exits_2(pipeline_artifacts, tmp_path, monkeypatch, capsys):
+    root = pipeline_artifacts
+    monkeypatch.setenv("SUBFLOW_THREADS", "two")
+    assert run("render", "--config", root / "small.cfg",
+               "--scene", root / "stylized.gscn", "--out", tmp_path / "views") == 2
+    assert "SUBFLOW_THREADS" in capsys.readouterr().err
+
+
+def test_stylize_malformed_ppm_exits_2(pipeline_artifacts, tmp_path, capsys):
+    root = pipeline_artifacts
+    bad = tmp_path / "cut.ppm"
+    bad.write_bytes(b"P6\n32 32\n255\n" + bytes(100))
+    rc = run("stylize", "--config", root / "small.cfg", "--scene", root / "sd.gscn",
+             "--decoder", root / "styled" / "decoder.prms", "--pipeline", root / "pipe",
+             "--image", bad, "--out", tmp_path / "o.gscn")
+    assert rc == 2
+    assert "cut.ppm" in capsys.readouterr().err

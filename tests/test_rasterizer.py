@@ -25,20 +25,27 @@ def one_gaussian_scene(position, scale=0.3, opacity=1.0, color=(1.0, 0.5, 0.25),
         np.zeros((1, d), dtype=np.float32))
 
 
+def project_one(scene, cam):
+    """(mean2d, cov2d) of a one-Gaussian scene, or None when it is culled."""
+    idx, mean2d, cov2d, _ = ras._project_all(scene, cam)
+    return None if idx.size == 0 else (mean2d[0], cov2d[0])
+
+
 def test_on_axis_gaussian_projects_to_image_center():
     cam = front_camera()
-    splat = ras.project_gaussian(one_gaussian_scene((0, 0, 1.0)).primitive(0), cam)
+    splat = project_one(one_gaussian_scene((0, 0, 1.0)), cam)
     assert splat is not None
-    assert splat.mean2d[0] == pytest.approx(cam.cx, abs=1e-4)
-    assert splat.mean2d[1] == pytest.approx(cam.cy, abs=1e-4)
+    mean2d, _ = splat
+    assert mean2d[0] == pytest.approx(cam.cx, abs=1e-4)
+    assert mean2d[1] == pytest.approx(cam.cy, abs=1e-4)
 
 
 def test_on_axis_cov2d_matches_jacobian_formula():
     cam = front_camera(focal=80.0)
     s, z = 0.2, 5.0
-    splat = ras.project_gaussian(one_gaussian_scene((0, 0, 1.0), scale=s).primitive(0), cam)
+    _, cov2d = project_one(one_gaussian_scene((0, 0, 1.0), scale=s), cam)
     want = (cam.focal * s / z) ** 2
-    cov = splat.cov2d - ras.LOWPASS * np.eye(2)
+    cov = cov2d - ras.LOWPASS * np.eye(2)
     assert cov[0, 0] == pytest.approx(want, rel=1e-4)
     assert cov[1, 1] == pytest.approx(want, rel=1e-4)
     assert abs(cov[0, 1]) < 1e-5 * want
@@ -46,7 +53,7 @@ def test_on_axis_cov2d_matches_jacobian_formula():
 
 def test_gaussian_behind_camera_is_culled():
     cam = front_camera()
-    assert ras.project_gaussian(one_gaussian_scene((0, 0, -6.0)).primitive(0), cam) is None
+    assert project_one(one_gaussian_scene((0, 0, -6.0)), cam) is None
 
 
 def test_single_opaque_gaussian_center_pixel_is_alpha_clamped_color():
@@ -77,9 +84,9 @@ def test_two_overlapping_gaussians_hand_composite():
     import math
     alphas = []
     for scene in (g1, g2):
-        splat = ras.project_gaussian(scene.primitive(0), cam)
-        d = np.array([16.5, 16.5]) - splat.mean2d
-        m2 = float(d @ np.linalg.inv(splat.cov2d.astype(np.float64)) @ d)
+        mean2d, cov2d = project_one(scene, cam)
+        d = np.array([16.5, 16.5]) - mean2d
+        m2 = float(d @ np.linalg.inv(cov2d) @ d)
         alphas.append(min(0.99, float(scene.opacities[0]) * math.exp(-0.5 * m2)))
     a1, a2 = alphas
     assert out.rgb[16, 16, 0] == pytest.approx(a1, abs=1e-5)
@@ -153,6 +160,46 @@ def test_attribute_weights_reproduce_render():
     assert np.allclose(rgb_from_weights, out.rgb, atol=1e-5)
     assert np.allclose(weights.sum(axis=1).reshape(32, 32), out.alpha_mask, atol=1e-5)
 
+    # a denser scene puts more splats in one tile than one compositing chunk
+    dense = sc.generate_toy_scene("textured_slab", 600, 4, embed_dim=8)
+    _, _, tiles = ras._tiles(dense, cam)
+    assert max(sel.size for _, _, sel, _ in tiles) > 2 * ras.CHUNK
+    weights = ras.attribute_weights(dense, cam)
+    out = ras.render(dense, cam)
+    assert np.allclose((weights @ dense.embeddings).reshape(32, 32, 8), out.features, atol=1e-5)
+    assert np.allclose((weights @ dense.colors).reshape(32, 32, 3), out.rgb, atol=1e-5)
+
+
+def test_kernel_carries_transmittance_and_depth_across_chunks():
+    # huge on-axis Gaussians one behind another, 0.01 apart in depth. Chunk 1:
+    # faint splats keep accumulated opacity just under 0.5; the first splat of
+    # chunk 2 lifts it over 0.5 and the next ones saturate every pixel, so the
+    # tile stops inside chunk 2 and never composites chunk 3
+    c = ras.CHUNK
+    opac = [0.01] * c + [0.9] + [0.99] * (2 * c)
+    n = len(opac)
+    rng = sc.named_stream(3, "stack")
+    scene = sc.GaussianScene(
+        np.stack([np.zeros(n), np.zeros(n), 0.01 * np.arange(n)], axis=1).astype(np.float32),
+        np.tile(np.array([1, 0, 0, 0], dtype=np.float32), (n, 1)),
+        np.full((n, 3), 40.0, dtype=np.float32),
+        np.asarray(opac, dtype=np.float32),
+        rng.uniform(0, 1, (n, 3)).astype(np.float32),
+        rng.standard_normal((n, 4)).astype(np.float32))
+    cam = front_camera(width=16, height=16, focal=20.0)
+    (_, _, sel, chunks), = ras._tiles(scene, cam)[2]
+    assert sel.size == n > 2 * c
+    assert len(list(chunks)) == 2
+
+    out = ras.render(scene, cam)
+    ref_rgb, ref_feats, _, ref_alpha = reference_render(scene, cam)
+    assert np.allclose(out.rgb, ref_rgb, atol=1e-6)
+    assert np.allclose(out.features, ref_feats, atol=1e-6)
+    assert np.allclose(out.alpha_mask, ref_alpha, atol=1e-6)
+    assert (out.alpha_mask > 1 - ras.MIN_TRANSMITTANCE).all()
+    # view depth of splat `c`: camera at z=-4, splat at z = 0.01 * c
+    assert np.allclose(out.depth, 4.0 + 0.01 * c, atol=1e-5)
+
 
 def test_warp_identity_is_identity_on_finite_pixels():
     scene = sc.generate_toy_scene("textured_slab", 64, 6, embed_dim=8)
@@ -213,6 +260,34 @@ def test_fmap_round_trip(tmp_path):
         bad = tmp_path / "bad.fmap"
         bad.write_bytes(b"XXXX" + b"\x00" * 12)
         ras.read_fmap(bad)
+
+
+def test_fmap_short_header_names_file(tmp_path):
+    bad = tmp_path / "short.fmap"
+    bad.write_bytes(b"FMAP" + b"\x01\x00\x00\x00")
+    with pytest.raises(FormatError, match="short.fmap"):
+        ras.read_fmap(bad)
+
+
+def test_ppm_header_comments_are_skipped(tmp_path):
+    path = tmp_path / "c.ppm"
+    pixels = bytes(range(12))
+    path.write_bytes(b"P6\n# CREATOR: an editor\n2 2\n# depth\n255\n" + pixels)
+    plain = tmp_path / "p.ppm"
+    plain.write_bytes(b"P6\n2 2\n255\n" + pixels)
+    assert np.array_equal(ras.read_ppm(path), ras.read_ppm(plain))
+
+
+@pytest.mark.parametrize("raw", [
+    b"P6\n2 2\n# no newline ends this comment",   # unterminated header comment
+    b"P6\n2 2",                                     # header cut before maxval
+    b"P6\n2 2\n255\n" + bytes(11),                # payload one byte short
+], ids=["comment", "truncated-header", "short-payload"])
+def test_malformed_ppm_names_file(tmp_path, raw):
+    path = tmp_path / "bad.ppm"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match="bad.ppm"):
+        ras.read_ppm(path)
 
 
 def test_threaded_render_matches_serial():
