@@ -23,7 +23,8 @@ from . import rasterizer as ras
 from . import scene as sc
 from . import transfer as tr
 from .diffcore.checkpoint import load_params, restore_params, save_params
-from .encoders import FeatureEncoders, export_features, import_features, procedural_texture
+from .encoders import (FeatureEncoders, FeatureSet, export_features, import_features,
+                       procedural_texture)
 from .errors import FormatError, NumericsError, ShapeError, StateError, SubflowError
 
 
@@ -174,7 +175,6 @@ def cmd_train_flow(args) -> int:
     out = Path(args.out)
     pipe.save(out)
     fa.reports_to_csv(reports, out / "rounds.csv")
-    from .encoders import FeatureSet
     export_features(out / "aligned.feat",
                     FeatureSet("vgg_like", aligned.vectors, provenance=aligned.provenance))
     for r in reports:
@@ -270,15 +270,11 @@ def cmd_eval_align(args) -> int:
         corpus = _style_corpus(cfg)
         clip_fs = encoders.encode_clip_like(corpus)
         vgg_fs = encoders.encode_vgg_like(corpus)
-    from .encoders import FeatureSet
-    current = pipe.mapping.apply(clip_fs.vectors)
-    rows = [("sim", "mapped", mt.cosine_sim(FeatureSet("clip_mapped", current), vgg_fs)),
-            ("fid", "mapped", mt.frechet_distance(FeatureSet("clip_mapped", current), vgg_fs))]
-    for k, vf in enumerate(pipe.fields, start=1):
-        current = fa.euler_integrate(vf, current, pipe.cfg.euler_steps)[-1].astype(np.float32)
-        fs_cur = FeatureSet("clip_mapped", current)
-        rows.append(("sim", f"round{k}", mt.cosine_sim(fs_cur, vgg_fs)))
-        rows.append(("fid", f"round{k}", mt.frechet_distance(fs_cur, vgg_fs)))
+    rows = []
+    for k, stage in enumerate(pipe.trajectory(clip_fs.vectors)):
+        fs, tag = FeatureSet("clip_mapped", stage), (f"round{k}" if k else "mapped")
+        rows += [("sim", tag, mt.cosine_sim(fs, vgg_fs)),
+                 ("fid", tag, mt.frechet_distance(fs, vgg_fs))]
     text = mt.metrics_csv_rows(rows)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     Path(args.out).write_text(text, encoding="ascii")

@@ -2,17 +2,21 @@
 
 Every key is declared below with its type and default; unknown keys are
 rejected. `dump()` emits a canonical text form that parses back to the same
-config byte-for-byte.
+config byte-for-byte. `read_key_values` is the one `key = value` reader; the
+flow pipeline's manifest goes through it too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .errors import FormatError
 
 _SCENE_KINDS = ("lattice", "two_clusters", "textured_slab")
+
+REQUIRED = object()  # schema default of a key that must appear in the text
 
 # key -> (type, default); declaration order is the dump order
 SCHEMA: dict[str, tuple[type, object]] = {
@@ -20,7 +24,6 @@ SCHEMA: dict[str, tuple[type, object]] = {
     "embed_dim": (int, 32),
     "clip_dim": (int, 64),
     "style_dim": (int, 64),
-    "out": (str, "runs/default"),
     "threads": (int, 1),
     "scene.kind": (str, "textured_slab"),
     "scene.n": (int, 400),
@@ -88,25 +91,50 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
-def parse_config(text: str) -> RunConfig:
+def read_key_values(text: str, schema: dict[str, tuple[Callable, object]],
+                    source: str) -> dict:
+    """Values of `key = value` lines checked against `schema` (key -> (type, default)).
+
+    `#` starts a comment and blank lines are skipped. Keys the text leaves
+    out take their default. Errors raise `FormatError` naming `source` and
+    the key: a line without `=`, an unknown key, a value the type rejects,
+    and a missing key whose default is `REQUIRED`.
+    """
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise FormatError(f"config line {lineno}: expected key = value, got '{raw}'")
+            raise FormatError(f"{source} line {lineno}: expected key = value, got '{raw}'")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in SCHEMA:
-            raise FormatError(f"config line {lineno}: unknown key '{key}'")
-        typ = SCHEMA[key][0]
+        if key not in schema:
+            raise FormatError(f"{source} line {lineno}: unknown key '{key}'")
         try:
-            values[key] = typ(val)
+            values[key] = schema[key][0](val)
         except ValueError as exc:
-            raise FormatError(f"config line {lineno}: bad value for '{key}': {val}") from exc
-    return RunConfig(values)
+            raise FormatError(f"{source} line {lineno}: bad value for '{key}': {val}") from exc
+    for key, (_, default) in schema.items():
+        if key not in values:
+            if default is REQUIRED:
+                raise FormatError(f"{source}: missing key '{key}'")
+            values[key] = default
+    return values
+
+
+def read_key_value_file(path, schema: dict[str, tuple[Callable, object]]) -> dict:
+    """`read_key_values` over a UTF-8 text file; errors name the file."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    return read_key_values(text, schema, str(path))
+
+
+def parse_config(text: str) -> RunConfig:
+    return RunConfig(read_key_values(text, SCHEMA, "config"))
 
 
 def load_config(path) -> RunConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    return RunConfig(read_key_value_file(path, SCHEMA))

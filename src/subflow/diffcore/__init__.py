@@ -2,7 +2,7 @@
 
 from .checkpoint import load_params, restore_params, save_params
 from .gradcheck import finite_diff_check, finite_diff_max_rel_error
-from .nets import Conv2dLayer, ConvStack, DenseNet, DenseNetSpec
+from .nets import Conv2dLayer, DenseNet, DenseNetSpec
 from .optim import Adam, AdamState
 from .rng import glorot_uniform, named_stream
 from .tensor import (Tensor, add, as_tensor, avg_pool2d, clamp, concat, conv2d, div,
@@ -10,7 +10,7 @@ from .tensor import (Tensor, add, as_tensor, avg_pool2d, clamp, concat, conv2d, 
                      sub, tanh, tmean, transpose, tsum, upsample2x)
 
 __all__ = [
-    "Adam", "AdamState", "Conv2dLayer", "ConvStack", "DenseNet", "DenseNetSpec",
+    "Adam", "AdamState", "Conv2dLayer", "DenseNet", "DenseNetSpec",
     "Tensor", "add", "as_tensor", "avg_pool2d", "clamp", "concat", "conv2d", "div",
     "exp", "finite_diff_check", "finite_diff_max_rel_error", "glorot_uniform",
     "load_params", "log", "matmul", "mul", "named_stream", "relu", "reshape",

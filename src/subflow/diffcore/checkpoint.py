@@ -35,6 +35,8 @@ def load_params(path) -> list[np.ndarray]:
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise FormatError(f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r}")
+    if len(raw) < 12:
+        raise FormatError(f"{path}: truncated header at byte {len(raw)}")
     off = 4
     version, count = struct.unpack_from("<II", raw, off)
     off += 8

@@ -8,7 +8,7 @@ counter-based streams).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -96,29 +96,3 @@ class Conv2dLayer:
 
     def __call__(self, x) -> Tensor:
         return T.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
-
-
-class ConvStack:
-    """Sequential conv layers with a shared activation between them."""
-
-    def __init__(self, layers: Sequence[Conv2dLayer], activation: str = "relu",
-                 activate_last: bool = True):
-        self.layers = list(layers)
-        self.activation = activation
-        self.activate_last = activate_last
-
-    def parameters(self) -> list[Tensor]:
-        out = []
-        for layer in self.layers:
-            out.extend(layer.parameters())
-        return out
-
-    def __call__(self, x) -> Tensor:
-        act = _ACTIVATIONS[self.activation]
-        h = T.as_tensor(x)
-        last = len(self.layers) - 1
-        for i, layer in enumerate(self.layers):
-            h = layer(h)
-            if self.activate_last or i != last:
-                h = act(h)
-        return h

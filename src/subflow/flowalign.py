@@ -20,19 +20,32 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
+from .config import REQUIRED, read_key_value_file
 from .diffcore import Adam, DenseNet, DenseNetSpec, Tensor
 from .diffcore import tensor as dt
 from .diffcore.checkpoint import load_params, restore_params, save_params
 from .diffcore.rng import named_stream
 from .encoders import FeatureSet
-from .errors import NumericsError, ShapeError, StateError
+from .errors import FormatError, NumericsError, ShapeError, StateError
 from .metrics import cosine_sim, frechet_distance
 
 TIME_FEATURES = 8  # four sin/cos pairs
+
+
+def _widths(text: str) -> tuple[int, ...]:
+    return tuple(int(w) for w in text.split(",") if w)
+
+
+# `FlowPipeline.save` writes every key; the FlowConfig fields keep their names
+MANIFEST_SCHEMA = {key: (typ, REQUIRED) for key, typ in (
+    ("clip_dim", int), ("style_dim", int), ("euler_steps", int), ("rounds", int),
+    ("train_steps", int), ("batch_size", int), ("learning_rate", float), ("seed", int),
+    ("velocity_hidden", _widths), ("mapping_hidden", _widths), ("mapping_steps", int),
+    ("flow_loss", float))}
 
 
 @dataclass(frozen=True)
@@ -205,6 +218,16 @@ def euler_integrate(v: Union[VelocityField, Callable], x0: np.ndarray, steps: in
     return out[:, 0, :] if single else out
 
 
+def _restore(net, path):
+    """`net` with its parameters read from the PRMS file at `path`."""
+    arrays = load_params(path)
+    try:
+        restore_params(net.parameters(), arrays)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    return net
+
+
 class FlowPipeline:
     """Trained mapping plus one velocity field per round."""
 
@@ -221,19 +244,27 @@ class FlowPipeline:
     def flow_loss(self) -> float:
         return self.fields[-1].final_loss if self.fields else float("nan")
 
+    def trajectory(self, rows: np.ndarray) -> Iterator[np.ndarray]:
+        """Yield the mapped rows, then each round's Euler endpoints (float64).
+
+        Every round starts from the float32 rows of the stage before it, as
+        the next round's training does. `self.fields` is read as the rounds
+        go, so a field appended during iteration is the next round.
+        """
+        cur = self.mapping.apply(np.asarray(rows, dtype=np.float32))
+        yield cur
+        for vf in self.fields:
+            end = euler_integrate(vf, cur, self.cfg.euler_steps)[-1]
+            yield end
+            cur = end.astype(np.float32)
+
     def align(self, x: np.ndarray) -> np.ndarray:
         """Map one embedding-domain vector (or batch) into the style domain."""
         if not self.trained:
             raise StateError("alignment pipeline is not trained")
-        single = np.asarray(x).ndim == 1
-        rows = np.atleast_2d(np.asarray(x, dtype=np.float32))
-        if rows.shape[1] != self.mapping.clip_dim:
-            raise ShapeError(
-                f"align: expected dim {self.mapping.clip_dim}, got {rows.shape[1]}")
-        cur = self.mapping.apply(rows)
-        for vf in self.fields:
-            cur = euler_integrate(vf, cur, self.cfg.euler_steps)[-1]
-        return cur[0] if single else cur
+        *_, last = self.trajectory(x)
+        out = last.astype(np.float32)
+        return out[0] if np.asarray(x).ndim == 1 else out
 
     def save(self, out_dir) -> None:
         out = Path(out_dir)
@@ -260,34 +291,22 @@ class FlowPipeline:
     @staticmethod
     def load(in_dir) -> "FlowPipeline":
         src = Path(in_dir)
-        kv = {}
-        for line in (src / "manifest.txt").read_text(encoding="ascii").splitlines():
-            if line.strip():
-                key, _, val = line.partition("=")
-                kv[key] = val
-
-        def widths(key):
-            return tuple(int(w) for w in kv[key].split(",") if w)
-
-        cfg = FlowConfig(
-            euler_steps=int(kv["euler_steps"]), rounds=int(kv["rounds"]),
-            train_steps=int(kv["train_steps"]), batch_size=int(kv["batch_size"]),
-            learning_rate=float(kv["learning_rate"]), seed=int(kv["seed"]),
-            velocity_hidden=widths("velocity_hidden"), mapping_hidden=widths("mapping_hidden"),
-            mapping_steps=int(kv["mapping_steps"]))
-        mapping = MappingNet(int(kv["clip_dim"]), int(kv["style_dim"]),
-                             hidden=cfg.mapping_hidden, seed=cfg.seed)
-        restore_params(mapping.parameters(), load_params(src / "mapping.prms"))
+        manifest = src / "manifest.txt"
+        kv = read_key_value_file(manifest, MANIFEST_SCHEMA)
+        clip_dim, style_dim = kv.pop("clip_dim"), kv.pop("style_dim")
+        flow_loss = kv.pop("flow_loss")
+        try:
+            cfg = FlowConfig(**kv)
+            mapping = _restore(MappingNet(clip_dim, style_dim, hidden=cfg.mapping_hidden,
+                                          seed=cfg.seed), src / "mapping.prms")
+            fields = [_restore(VelocityField(style_dim, hidden=cfg.velocity_hidden,
+                                             seed=cfg.seed + i, name=f"velocity.r{i}"),
+                               src / f"velocity_{i}.prms") for i in range(1, cfg.rounds + 1)]
+        except ShapeError as exc:
+            raise FormatError(f"{manifest}: {exc}") from None
         mapping.trained = True
-        fields = []
-        for i in range(1, int(kv["rounds"]) + 1):
-            vf = VelocityField(int(kv["style_dim"]), hidden=cfg.velocity_hidden,
-                               seed=cfg.seed + i, name=f"velocity.r{i}")
-            restore_params(vf.parameters(), load_params(src / f"velocity_{i}.prms"))
-            fields.append(vf)
-        pipe = FlowPipeline(mapping, fields, cfg)
-        pipe.fields[-1].final_loss = float(kv.get("flow_loss", "nan"))
-        return pipe
+        fields[-1].final_loss = flow_loss
+        return FlowPipeline(mapping, fields, cfg)
 
 
 def run_subdivisive_flow(clip: FeatureSet, vgg: FeatureSet, cfg: FlowConfig,
@@ -295,38 +314,28 @@ def run_subdivisive_flow(clip: FeatureSet, vgg: FeatureSet, cfg: FlowConfig,
     """Full multi-round alignment on paired sets.
 
     Returns (aligned endpoints as a FeatureSet, per-round reports, pipeline).
-    Round 1 starts from the mapped rows; later rounds restart from the
-    previous round's endpoints.
+    Each round's field is trained on the rows the pipeline's trajectory
+    starts that round from, then the trajectory advances through it.
     """
     if mapping is None:
         mapping = train_mapping(clip, vgg, cfg)
-    current = mapping.apply(clip.vectors)
-    fields: list[VelocityField] = []
+    pipe = FlowPipeline(mapping, [], cfg)
+    stages = pipe.trajectory(clip.vectors)
+    start = FeatureSet("clip_mapped", next(stages), provenance=clip.provenance)
+    sim, fid = cosine_sim(start, vgg), frechet_distance(start, vgg)
     reports: list[FlowRoundReport] = []
     for k in range(1, cfg.rounds + 1):
-        cur_fs = FeatureSet("clip_mapped", current, provenance=clip.provenance)
-        sim_before = cosine_sim(cur_fs, vgg)
-        fid_before = frechet_distance(cur_fs, vgg)
-        vf = train_velocity(cur_fs, vgg, cfg, round_index=k)
-        endpoints = euler_integrate(vf, current, cfg.euler_steps)[-1]
-        end_fs = FeatureSet("clip_mapped", endpoints, provenance=clip.provenance)
+        pipe.fields.append(train_velocity(start, vgg, cfg, round_index=k))
+        endpoints = next(stages)
+        end = FeatureSet("clip_mapped", endpoints, provenance=clip.provenance)
+        sim_after, fid_after = cosine_sim(end, vgg), frechet_distance(end, vgg)
         reports.append(FlowRoundReport(
-            round_index=k,
-            sim_before=sim_before,
-            sim_after=cosine_sim(end_fs, vgg),
-            fid_before=fid_before,
-            fid_after=frechet_distance(end_fs, vgg),
-            displacement=float(np.linalg.norm(endpoints - current, axis=1).mean()),
+            round_index=k, sim_before=sim, sim_after=sim_after,
+            fid_before=fid, fid_after=fid_after,
+            displacement=float(np.linalg.norm(endpoints - start.vectors, axis=1).mean()),
         ))
-        fields.append(vf)
-        current = endpoints.astype(np.float32)
-    aligned = FeatureSet("clip_mapped", current, provenance=clip.provenance)
-    return aligned, reports, FlowPipeline(mapping, fields, cfg)
-
-
-def align_feature(x: np.ndarray, pipeline: FlowPipeline) -> np.ndarray:
-    """Inference path: embedding-domain vector -> style-domain vector."""
-    return pipeline.align(x)
+        start, sim, fid = end, sim_after, fid_after
+    return start, reports, pipe
 
 
 def reports_to_csv(reports: Sequence[FlowRoundReport], path) -> None:

@@ -342,7 +342,8 @@ def train_stylization(scene: GaussianScene, cams: Sequence[Camera], style_img: n
         zero_all()
 
         if use_suppression:
-            disc_loss, _ = suppression_loss(i_g, Tensor(i_f.data), disc)
+            # the decoder step left disc_loss's graph untouched: it saw I_f
+            # detached and the discriminator as it still is
             disc_loss.backward()
             opt_disc.step()
             zero_all()

@@ -44,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FormatError, ShapeError
-from .scene import Camera, GaussianScene, quat_to_matrix
+from .scene import Camera, GaussianScene, quat_matrices, quat_to_matrix
 
 TILE = 16
 CHUNK = 64                       # splats per vectorized compositing step
@@ -68,18 +68,7 @@ class RenderOutput:
 
 def _scene_covariances(scene: GaussianScene) -> np.ndarray:
     """(N,3,3) world covariances from the quaternion/scale factorization."""
-    q = scene.rotations.astype(np.float64)
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    r = np.empty((scene.count, 3, 3))
-    r[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    r[:, 0, 1] = 2 * (x * y - w * z)
-    r[:, 0, 2] = 2 * (x * z + w * y)
-    r[:, 1, 0] = 2 * (x * y + w * z)
-    r[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    r[:, 1, 2] = 2 * (y * z - w * x)
-    r[:, 2, 0] = 2 * (x * z - w * y)
-    r[:, 2, 1] = 2 * (y * z + w * x)
-    r[:, 2, 2] = 1 - 2 * (x * x + y * y)
+    r = quat_matrices(scene.rotations)
     s2 = scene.scales.astype(np.float64) ** 2
     return np.einsum("nij,nj,nkj->nik", r, s2, r)
 

@@ -36,14 +36,20 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     return q / np.linalg.norm(q)
 
 
-def quat_to_matrix(q) -> np.ndarray:
-    """Rotation matrix of a unit quaternion (w, x, y, z)."""
-    w, x, y, z = (float(v) for v in q)
-    return np.array([
+def quat_matrices(q) -> np.ndarray:
+    """float64 rotation matrices (..., 3, 3) of unit quaternions (..., 4) as (w, x, y, z)."""
+    w, x, y, z = np.moveaxis(np.asarray(q, dtype=np.float64), -1, 0)
+    rows = [
         [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
         [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ], dtype=np.float32)
+    ]
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+
+def quat_to_matrix(q) -> np.ndarray:
+    """float32 rotation matrix of one unit quaternion (w, x, y, z)."""
+    return quat_matrices(q).astype(np.float32)
 
 
 def matrix_to_quat(m: np.ndarray) -> np.ndarray:
@@ -66,20 +72,6 @@ def matrix_to_quat(m: np.ndarray) -> np.ndarray:
 
 
 # -- domain types -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GaussianPrimitive:
-    position: np.ndarray      # (3,)
-    rotation: np.ndarray      # unit quaternion (4,)
-    scale: np.ndarray         # (3,) positive std-devs
-    opacity: float            # [0, 1]
-    color: np.ndarray         # (3,) linear RGB in [0, 1]
-    embedding: np.ndarray     # (D,)
-
-    def covariance(self) -> np.ndarray:
-        r = quat_to_matrix(self.rotation)
-        return r @ np.diag(self.scale.astype(np.float64) ** 2) @ r.T
-
 
 class GaussianScene:
     """Array-of-structs Gaussian set; all per-Gaussian data as float32 arrays."""
@@ -118,6 +110,9 @@ class GaussianScene:
                 raise ShapeError(f"scene field {name} has shape {got}, expected {want}")
         if self.embeddings.ndim != 2 or self.embeddings.shape[0] != n:
             raise ShapeError(f"embeddings shape {self.embeddings.shape} does not match N={n}")
+        for name in (*shapes, "embeddings"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ShapeError(f"scene field {name} holds non-finite values")
         norms = np.linalg.norm(self.rotations, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-5):
             raise ShapeError("rotation quaternions must be unit norm")
@@ -127,15 +122,6 @@ class GaussianScene:
             raise ShapeError("opacities must lie in [0, 1]")
         if np.any(self.colors < 0) or np.any(self.colors > 1):
             raise ShapeError("colors must lie in [0, 1]")
-
-    def primitive(self, i: int) -> GaussianPrimitive:
-        return GaussianPrimitive(
-            position=self.positions[i].copy(), rotation=self.rotations[i].copy(),
-            scale=self.scales[i].copy(), opacity=float(self.opacities[i]),
-            color=self.colors[i].copy(), embedding=self.embeddings[i].copy())
-
-    def gaussians(self) -> list[GaussianPrimitive]:
-        return [self.primitive(i) for i in range(self.count)]
 
     def with_colors(self, colors: np.ndarray, source_tag: str | None = None) -> "GaussianScene":
         """New scene sharing geometry byte-for-byte, colors replaced."""
@@ -267,10 +253,13 @@ def load_scene(path) -> GaussianScene:
             f"(N={n}, D={d}, record={4 * rec_len} bytes)")
     rec = np.frombuffer(raw, dtype="<f4", count=rec_len * n, offset=16).reshape(n, rec_len)
     opacities = np.clip(rec[:, 10], 0.0, 1.0)  # compositing needs [0, 1]
-    return GaussianScene(
-        positions=rec[:, 0:3], rotations=rec[:, 3:7], scales=rec[:, 7:10],
-        opacities=opacities, colors=rec[:, 11:14], embeddings=rec[:, 14:],
-        source_tag=str(path))
+    try:
+        return GaussianScene(
+            positions=rec[:, 0:3], rotations=rec[:, 3:7], scales=rec[:, 7:10],
+            opacities=opacities, colors=rec[:, 11:14], embeddings=rec[:, 14:],
+            source_tag=str(path))
+    except ShapeError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 # -- toy scene generation --------------------------------------------------------

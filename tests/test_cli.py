@@ -93,7 +93,7 @@ def pipeline_artifacts(tmp_path_factory):
     """Run the full command pipeline once into a shared directory."""
     root = tmp_path_factory.mktemp("cli-pipe")
     cfg = root / "small.cfg"
-    cfg.write_text(SMALL_CFG + f"out = {root}/runs\n")
+    cfg.write_text(SMALL_CFG)
     steps = [
         ("gen-scene", "--config", cfg, "--out", root / "s.gscn"),
         ("embed", "--config", cfg, "--scene", root / "s.gscn",
@@ -242,3 +242,28 @@ def test_stylize_malformed_ppm_exits_2(pipeline_artifacts, tmp_path, capsys):
              "--image", bad, "--out", tmp_path / "o.gscn")
     assert rc == 2
     assert "cut.ppm" in capsys.readouterr().err
+
+
+def test_config_out_key_is_rejected():
+    with pytest.raises(FormatError, match="unknown key 'out'"):
+        cfgmod.parse_config("out = runs/default\n")
+
+
+@pytest.mark.parametrize("mode", ["drop", "garble"])
+def test_stylize_broken_manifest_exits_2(pipeline_artifacts, tmp_path, capsys, mode):
+    root = pipeline_artifacts
+    pipe = tmp_path / "pipe"
+    pipe.mkdir()
+    for f in (root / "pipe").iterdir():
+        (pipe / f.name).write_bytes(f.read_bytes())
+    lines = (pipe / "manifest.txt").read_text().splitlines()
+    lines = [ln for ln in lines if not ln.startswith("euler_steps=")] if mode == "drop" \
+        else [ln.replace("euler_steps=", "euler_steps=x") for ln in lines]
+    (pipe / "manifest.txt").write_text("\n".join(lines) + "\n")
+    rc = run("stylize", "--config", root / "small.cfg", "--scene", root / "sd.gscn",
+             "--decoder", root / "styled" / "decoder.prms", "--pipeline", pipe,
+             "--text", "anything", "--out", tmp_path / "o.gscn")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "manifest.txt" in err and "'euler_steps'" in err
+    assert not (tmp_path / "o.gscn").exists()

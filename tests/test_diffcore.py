@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from subflow import diffcore as dc
-from subflow.errors import NumericsError, ShapeError, StateError
+from subflow.errors import FormatError, NumericsError, ShapeError, StateError
 
 
 def test_matmul_hand_value():
@@ -94,9 +94,10 @@ def test_conv_stack_gradients_match_finite_differences():
         dc.Conv2dLayer(2, 3, 3, stride=2, padding=1, seed=9, name="c0"),
         dc.Conv2dLayer(3, 2, 2, stride=1, padding=0, seed=9, name="c1"),
     ]
-    net = dc.ConvStack(layers, "relu")
-    x = dc.named_stream(2, "gc-conv").uniform(0.1, 1.0, size=(2, 6, 6))
-    assert dc.finite_diff_check(net, x, 1e-3) < 1e-3
+    x = dc.Tensor(dc.named_stream(2, "gc-conv").uniform(0.1, 1.0, size=(2, 6, 6)))
+    params = layers[0].parameters() + layers[1].parameters()
+    loss_fn = lambda: dc.tsum(dc.relu(layers[1](dc.relu(layers[0](x)))))
+    assert dc.finite_diff_max_rel_error(params, loss_fn, 1e-3) < 1e-3
 
 
 def test_conv2d_input_gradient():
@@ -223,6 +224,14 @@ def test_prms_truncated(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
     with pytest.raises(Exception, match="truncated"):
+        dc.load_params(path)
+
+
+@pytest.mark.parametrize("size", [4, 8, 11])
+def test_prms_short_header_names_file(tmp_path, size):
+    path = tmp_path / "short.prms"
+    path.write_bytes((b"PRMS" + b"\x01" * 8)[:size])
+    with pytest.raises(FormatError, match="short.prms.*truncated header"):
         dc.load_params(path)
 
 

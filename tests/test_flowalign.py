@@ -4,7 +4,7 @@ import pytest
 from subflow import flowalign as fa
 from subflow.diffcore.rng import named_stream
 from subflow.encoders import FeatureSet, MixtureSpec, PairedDistributionSpec, sample_paired
-from subflow.errors import NumericsError, ShapeError, StateError
+from subflow.errors import FormatError, NumericsError, ShapeError, StateError
 
 
 def fs(domain, rows):
@@ -231,7 +231,7 @@ def test_align_feature_identity_pipeline_close_to_input():
     _, _, pipe = fa.run_subdivisive_flow(
         fs("clip_like", rows), fs("vgg_like", rows), cfg, mapping=identity_mapping(4))
     x = rows[0]
-    out = fa.align_feature(x, pipe)
+    out = pipe.align(x)
     assert np.linalg.norm(out - x) < 0.05 * np.linalg.norm(x) + 0.05 * rows.std()
 
 
@@ -255,7 +255,7 @@ def test_aligned_text_and_image_features_stay_close(slab_run, session_encoders):
 def test_align_feature_untrained_pipeline_rejected():
     pipe = fa.FlowPipeline(fa.MappingNet(4, 4), [], fa.FlowConfig())
     with pytest.raises(StateError, match="not trained"):
-        fa.align_feature(np.zeros(4), pipe)
+        pipe.align(np.zeros(4))
 
 
 def test_align_feature_dim_mismatch():
@@ -263,7 +263,7 @@ def test_align_feature_dim_mismatch():
     vf = fa.VelocityField(4, hidden=(8,), seed=0)
     pipe = fa.FlowPipeline(m, [vf], fa.FlowConfig(rounds=1))
     with pytest.raises(ShapeError, match="dim"):
-        fa.align_feature(np.zeros(6), pipe)
+        pipe.align(np.zeros(6))
 
 
 def test_pipeline_save_load_round_trip(tmp_path):
@@ -276,6 +276,84 @@ def test_pipeline_save_load_round_trip(tmp_path):
     back = fa.FlowPipeline.load(tmp_path / "pipe")
     probe = g.standard_normal((5, 3)).astype(np.float32)
     assert np.allclose(pipe.align(probe), back.align(probe), atol=1e-6)
+
+
+def test_align_reproduces_training_endpoints():
+    # every round restarts from float32 rows in training; align must too
+    g = named_stream(19, "repro-task")
+    x = g.standard_normal((96, 3)).astype(np.float32)
+    y = (np.tanh(x) * 2.0 + 0.5).astype(np.float32)
+    cfg = fa.FlowConfig(rounds=3, train_steps=150, batch_size=64, mapping_steps=100, seed=13)
+    clip = fs("clip_like", x)
+    aligned, _, pipe = fa.run_subdivisive_flow(clip, fs("vgg_like", y), cfg)
+    out = pipe.align(clip.vectors)
+    assert out.dtype == aligned.vectors.dtype == np.float32
+    assert out.tobytes() == aligned.vectors.tobytes()
+    # one row takes another matmul kernel than the batch: equal only to rounding
+    assert np.allclose(pipe.align(clip.vectors[7]), aligned.vectors[7], rtol=1e-5, atol=1e-6)
+
+
+def test_trajectory_yields_mapped_rows_then_each_round():
+    g = named_stream(20, "traj-task")
+    x = g.standard_normal((32, 3)).astype(np.float32)
+    cfg = fa.FlowConfig(rounds=2, train_steps=50, batch_size=32, mapping_steps=50, seed=14)
+    _, _, pipe = fa.run_subdivisive_flow(fs("clip_like", x), fs("vgg_like", x + 1.0), cfg)
+    stages = list(pipe.trajectory(x))
+    assert len(stages) == 3
+    assert np.array_equal(stages[0], pipe.mapping.apply(x))
+    for vf, start, end in zip(pipe.fields, stages, stages[1:]):
+        want = fa.euler_integrate(vf, start.astype(np.float32), cfg.euler_steps)[-1]
+        assert np.array_equal(end, want)
+
+
+@pytest.fixture(scope="module")
+def saved_pipeline(tmp_path_factory):
+    g = named_stream(21, "manifest-task")
+    x = g.standard_normal((32, 3)).astype(np.float32)
+    cfg = fa.FlowConfig(rounds=2, train_steps=20, batch_size=16, mapping_steps=20, seed=15)
+    _, _, pipe = fa.run_subdivisive_flow(fs("clip_like", x), fs("vgg_like", x + 1.0), cfg)
+    root = tmp_path_factory.mktemp("manifest") / "pipe"
+    pipe.save(root)
+    return root
+
+
+def _broken_copy(src, dst, edit):
+    dst.mkdir()
+    for f in src.iterdir():
+        (dst / f.name).write_bytes(f.read_bytes())
+    lines = (src / "manifest.txt").read_text().splitlines()
+    (dst / "manifest.txt").write_text("\n".join(edit(lines)) + "\n")
+    return dst
+
+
+@pytest.mark.parametrize("mode", ["drop", "garble"])
+@pytest.mark.parametrize("key", list(fa.MANIFEST_SCHEMA))
+def test_broken_manifest_names_file_and_key(saved_pipeline, tmp_path, key, mode):
+    def edit(lines):
+        if mode == "drop":
+            return [ln for ln in lines if ln.partition("=")[0] != key]
+        return [f"{key}=garbled!" if ln.partition("=")[0] == key else ln for ln in lines]
+
+    bad = _broken_copy(saved_pipeline, tmp_path / "pipe", edit)
+    with pytest.raises(FormatError) as info:
+        fa.FlowPipeline.load(bad)
+    assert "manifest.txt" in str(info.value) and f"'{key}'" in str(info.value)
+
+
+def test_manifest_round_trips_byte_identical(saved_pipeline, tmp_path):
+    fa.FlowPipeline.load(saved_pipeline).save(tmp_path / "again")
+    for name in ("manifest.txt", "mapping.prms", "velocity_1.prms", "velocity_2.prms"):
+        assert (tmp_path / "again" / name).read_bytes() == (saved_pipeline / name).read_bytes()
+
+
+@pytest.mark.parametrize("line, where", [("rounds=0", "manifest.txt.*rounds"),
+                                         ("clip_dim=5", "mapping.prms.*shape")])
+def test_manifest_inconsistent_value_names_file(saved_pipeline, tmp_path, line, where):
+    key = line.partition("=")[0]
+    edit = lambda lines: [line if ln.partition("=")[0] == key else ln for ln in lines]
+    bad = _broken_copy(saved_pipeline, tmp_path / "pipe", edit)
+    with pytest.raises(FormatError, match=where):
+        fa.FlowPipeline.load(bad)
 
 
 def test_reports_csv_layout(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from subflow import rasterizer as ras
 from subflow import scene as sc
 from subflow.errors import FormatError, ShapeError
 
@@ -80,19 +81,49 @@ def test_toy_scene_invariants_and_color_range(kind):
 
 def test_covariance_eigenvalues_equal_scale_squared():
     scene = sc.generate_toy_scene("lattice", 10, 9)
-    for i in range(scene.count):
-        g = scene.primitive(i)
-        eig = np.sort(np.linalg.eigvalsh(g.covariance()))
-        want = np.sort(g.scale.astype(np.float64) ** 2)
+    covs = ras._scene_covariances(scene)
+    for cov, scale in zip(covs, scene.scales):
+        eig = np.sort(np.linalg.eigvalsh(cov))
+        want = np.sort(scale.astype(np.float64) ** 2)
         assert np.allclose(eig, want, atol=1e-5)
 
 
 def test_covariance_is_spd():
     scene = sc.generate_toy_scene("two_clusters", 12, 2)
-    for i in range(scene.count):
-        cov = scene.primitive(i).covariance()
+    for cov in ras._scene_covariances(scene):
         assert np.allclose(cov, cov.T, atol=1e-6)
         assert np.all(np.linalg.eigvalsh(cov) > 0)
+
+
+def test_quat_matrices_match_per_quaternion_matrices():
+    q = sc.generate_toy_scene("lattice", 10, 9).rotations
+    stacked = sc.quat_matrices(q)
+    assert stacked.shape == (10, 3, 3) and stacked.dtype == np.float64
+    for qi, r in zip(q, stacked):
+        assert np.array_equal(sc.quat_to_matrix(qi), r.astype(np.float32))
+        assert np.allclose(r @ r.T, np.eye(3), atol=1e-6)
+
+
+@pytest.mark.parametrize("field", ["positions", "rotations", "scales", "opacities",
+                                   "colors", "embeddings"])
+def test_validate_rejects_non_finite_fields(field):
+    scene = small_scene(n=3, d=8)
+    arrays = {name: getattr(scene, name).copy() for name in
+              ("positions", "rotations", "scales", "opacities", "colors", "embeddings")}
+    arrays[field].reshape(-1)[1] = np.nan
+    with pytest.raises(ShapeError, match=f"{field} holds non-finite"):
+        sc.GaussianScene(**arrays)
+
+
+def test_gscn_with_nan_position_names_file(tmp_path):
+    scene = small_scene(n=2, d=8)
+    path = tmp_path / "nan.gscn"
+    sc.save_scene(scene, path)
+    raw = bytearray(path.read_bytes())
+    raw[16:20] = np.float32(np.nan).tobytes()   # first record, position x
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="nan.gscn.*positions"):
+        sc.load_scene(path)
 
 
 def test_camera_ring_count_and_distance():
