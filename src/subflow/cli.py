@@ -9,7 +9,6 @@ exit codes: 0 success, 2 validation error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -46,16 +45,6 @@ def _load_config(args) -> cfgmod.RunConfig:
     return cfg.with_overrides(**overrides)
 
 
-def _threads(cfg) -> int:
-    env = os.environ.get("SUBFLOW_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise CliError(f"SUBFLOW_THREADS must be an integer, got {env!r}") from None
-    return max(1, cfg["threads"])
-
-
 def _encoders(cfg) -> FeatureEncoders:
     return FeatureEncoders(seed=cfg["seed"], clip_dim=cfg["clip_dim"],
                            style_dim=cfg["style_dim"])
@@ -88,9 +77,29 @@ def _require(path, kind: str) -> Path:
     return p
 
 
-def _style_corpus(cfg) -> list[np.ndarray]:
+def _paired_features(args, cfg) -> tuple[FeatureSet, FeatureSet]:
+    """Clip- and style-domain rows: the `--feat-clip`/`--feat-vgg` pair, else
+    the encoded procedural style corpus."""
+    if args.feat_clip or args.feat_vgg:
+        if not (args.feat_clip and args.feat_vgg):
+            raise CliError("--feat-clip and --feat-vgg must be given together")
+        return (import_features(_require(args.feat_clip, "clip features")),
+                import_features(_require(args.feat_vgg, "style features")))
     size = cfg["camera.width"]
-    return [procedural_texture(cfg["seed"], i, size=size) for i in range(cfg["flow.corpus"])]
+    corpus = [procedural_texture(cfg["seed"], i, size=size) for i in range(cfg["flow.corpus"])]
+    encoders = _encoders(cfg)
+    return encoders.encode_clip_like(corpus), encoders.encode_vgg_like(corpus)
+
+
+def _load_distilled(path) -> sc.GaussianScene:
+    """A scene written by `embed`. A raw scene's embeddings are all equal, so
+    its decoded colors would be one flat color; it is rejected instead."""
+    scene = sc.load_scene(_require(path, "scene"))
+    if np.all(scene.embeddings == scene.embeddings[0]):
+        raise CliError(f"{path}: every Gaussian has the same embedding; "
+                       "run `embed` on the scene first")
+    scene.distilled = True
+    return scene
 
 
 def _load_decoder(path, cfg) -> tr.DecoderNet:
@@ -161,16 +170,7 @@ def cmd_embed(args) -> int:
 
 def cmd_train_flow(args) -> int:
     cfg = _load_config(args)
-    encoders = _encoders(cfg)
-    if args.feat_clip or args.feat_vgg:
-        if not (args.feat_clip and args.feat_vgg):
-            raise CliError("--feat-clip and --feat-vgg must be given together")
-        clip_fs = import_features(_require(args.feat_clip, "clip features"))
-        vgg_fs = import_features(_require(args.feat_vgg, "style features"))
-    else:
-        corpus = _style_corpus(cfg)
-        clip_fs = encoders.encode_clip_like(corpus)
-        vgg_fs = encoders.encode_vgg_like(corpus)
+    clip_fs, vgg_fs = _paired_features(args, cfg)
     aligned, reports, pipe = fa.run_subdivisive_flow(clip_fs, vgg_fs, _flow_cfg(cfg))
     out = Path(args.out)
     pipe.save(out)
@@ -187,8 +187,7 @@ def cmd_train_flow(args) -> int:
 def cmd_train_style(args) -> int:
     cfg = _load_config(args)
     encoders = _encoders(cfg)
-    scene = sc.load_scene(_require(args.scene, "scene"))
-    scene.distilled = True  # embed artifacts are distilled by construction
+    scene = _load_distilled(args.scene)
     decoder = _load_decoder(args.decoder, cfg)
     pipe = fa.FlowPipeline.load(_require(args.pipeline, "pipeline"))
     style_img = _style_image(args, cfg)
@@ -215,8 +214,7 @@ def cmd_stylize(args) -> int:
     if len(sources) != 1:
         raise CliError("stylize needs exactly one of --image, --text, --feat")
     encoders = _encoders(cfg)
-    scene = sc.load_scene(_require(args.scene, "scene"))
-    scene.distilled = True
+    scene = _load_distilled(args.scene)
     decoder = _load_decoder(args.decoder, cfg)
     pipe = fa.FlowPipeline.load(_require(args.pipeline, "pipeline"))
     if args.image:
@@ -246,9 +244,8 @@ def cmd_render(args) -> int:
     cams = _ring(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    threads = _threads(cfg)
     for i, cam in enumerate(cams):
-        res = ras.render(scene, cam, threads=threads)
+        res = ras.render(scene, cam)
         ras.write_ppm(out / f"view_{i:02d}.ppm", res.rgb)
         if args.depth:
             ras.write_fmap(out / f"depth_{i:02d}.fmap", np.where(
@@ -261,15 +258,8 @@ def cmd_render(args) -> int:
 
 def cmd_eval_align(args) -> int:
     cfg = _load_config(args)
-    encoders = _encoders(cfg)
     pipe = fa.FlowPipeline.load(_require(args.pipeline, "pipeline"))
-    if args.feat_clip and args.feat_vgg:
-        clip_fs = import_features(args.feat_clip)
-        vgg_fs = import_features(args.feat_vgg)
-    else:
-        corpus = _style_corpus(cfg)
-        clip_fs = encoders.encode_clip_like(corpus)
-        vgg_fs = encoders.encode_vgg_like(corpus)
+    clip_fs, vgg_fs = _paired_features(args, cfg)
     rows = []
     for k, stage in enumerate(pipe.trajectory(clip_fs.vectors)):
         fs, tag = FeatureSet("clip_mapped", stage), (f"round{k}" if k else "mapped")
@@ -286,9 +276,7 @@ def cmd_eval_consistency(args) -> int:
     cfg = _load_config(args)
     scene = sc.load_scene(_require(args.scene, "scene"))
     cams = _ring(cfg)
-    threads = _threads(cfg)
-    reports = mt.eval_consistency(scene, cams,
-                                  lambda s, c: ras.render(s, c, threads=threads))
+    reports = mt.eval_consistency(scene, cams, ras.render)
     summary = mt.consistency_summary(reports)
     rows = [("masked_rmse", tag, val) for tag, val in summary.items()]
     rows += [("valid_fraction", r.range, r.valid_pixel_fraction) for r in reports]
@@ -389,7 +377,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (CliError, FormatError, ShapeError, StateError, FileNotFoundError) as exc:
+    except (CliError, FormatError, ShapeError, StateError, FileNotFoundError,
+            IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:

@@ -24,7 +24,6 @@ SCHEMA: dict[str, tuple[type, object]] = {
     "embed_dim": (int, 32),
     "clip_dim": (int, 64),
     "style_dim": (int, 64),
-    "threads": (int, 1),
     "scene.kind": (str, "textured_slab"),
     "scene.n": (int, 400),
     "scene.seed": (int, 11),

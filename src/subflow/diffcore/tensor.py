@@ -1,9 +1,14 @@
 """Reverse-mode autodiff on dense numpy arrays.
 
-A `Tensor` wraps a float array plus an optional gradient buffer. Forward
-ops build a closure graph (the tape); `backward()` on a scalar walks it in
-reverse topological order and accumulates into `.grad`. Repeated backward
-calls accumulate; callers zero grads between steps.
+A `Tensor` wraps a float array. An op's output records its tape as
+`_vjps`: one `(operand, vjp)` pair per operand that requires a gradient,
+where `vjp(g)` maps the output's gradient to that operand's. A constant
+operand gets no pair, so its gradient is never formed. `backward()` on a
+scalar walks the pairs in reverse topological order and accumulates into
+`.grad` of the leaves that require a gradient; intermediate nodes keep no
+gradient buffer. Repeated backward calls accumulate; callers zero grads
+between steps. A vjp reads operand `.data` when it runs, so a graph
+backpropagated after an optimizer step sees the updated parameters.
 
 Forward values are checked finite after every op: NaN/Inf raises
 `NumericsError` instead of propagating silently. Shape violations raise
@@ -19,12 +24,13 @@ import numpy as np
 from ..errors import NumericsError, ShapeError
 
 Arrayish = Union["Tensor", np.ndarray, float, int, list]
+Vjp = Callable[[np.ndarray], np.ndarray]
 
 
 class Tensor:
     """Dense float tensor with optional participation in the gradient tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
+    __slots__ = ("data", "requires_grad", "grad", "_vjps", "_op")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -35,11 +41,8 @@ class Tensor:
         self.data: np.ndarray = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        self._parents: tuple = ()
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
+        self._vjps: tuple[tuple[Tensor, Vjp], ...] = ()
         self._op = "leaf"
-
-    # -- bookkeeping ------------------------------------------------------
 
     @property
     def shape(self) -> tuple:
@@ -58,19 +61,6 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g.astype(self.data.dtype, copy=False)
-
-    # -- tape -------------------------------------------------------------
-
     def backward(self) -> None:
         """Backprop from this scalar through the recorded graph."""
         if self.data.size != 1:
@@ -88,39 +78,25 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
+            for operand, _ in node._vjps:
+                if id(operand) not in seen:
+                    stack.append((operand, False))
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         for node in reversed(topo):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if node.requires_grad:
-                node.accumulate_grad(g)
-            if node._backward is not None:
-                for parent, pg in node._backward(g):
-                    if id(parent) in grads:
-                        grads[id(parent)] += pg
-                    else:
-                        grads[id(parent)] = np.array(pg, copy=True)
-
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other): return add(self, other)
-    def __radd__(self, other): return add(other, self)
-    def __sub__(self, other): return sub(self, other)
-    def __rsub__(self, other): return sub(other, self)
-    def __mul__(self, other): return mul(self, other)
-    def __rmul__(self, other): return mul(other, self)
-    def __truediv__(self, other): return div(self, other)
-    def __rtruediv__(self, other): return div(other, self)
-    def __neg__(self): return mul(self, -1.0)
-    def __matmul__(self, other): return matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False): return tsum(self, axis, keepdims)
-    def mean(self, axis=None, keepdims=False): return tmean(self, axis, keepdims)
-    def reshape(self, *shape): return reshape(self, shape)
+            g = grads.pop(id(node))     # set by its consumers, which come first
+            if not node._vjps and node.requires_grad:
+                if node.grad is None:
+                    node.grad = np.zeros_like(node.data)
+                node.grad += g.astype(node.data.dtype, copy=False)
+            for operand, vjp in node._vjps:
+                pg = vjp(g)
+                acc = grads.get(id(operand))
+                if acc is None:
+                    # views are copied so every gradient a vjp sees is dense
+                    grads[id(operand)] = pg if pg.base is None else np.array(pg)
+                else:
+                    # never in place: `acc` may be shared with another operand
+                    grads[id(operand)] = np.add(acc, pg, out=np.empty_like(acc))
 
 
 def as_tensor(x: Arrayish) -> Tensor:
@@ -136,21 +112,15 @@ def _quiet():
     return np.errstate(divide="ignore", invalid="ignore", over="ignore")
 
 
-def _make(op: str, data: np.ndarray, parents: Sequence[Tensor],
-          backward: Optional[Callable]) -> Tensor:
+def _make(op: str, data: np.ndarray, *pairs: tuple[Tensor, Vjp]) -> Tensor:
+    """Output of `op`, taping the `(operand, vjp)` pairs that need a gradient."""
     _finite_or_raise(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out._op = op
-    needs = any(p.requires_grad for p in parents)
-    out.requires_grad = needs
-    if needs:
-        out._parents = tuple(parents)
-        out._backward = backward
-    else:
-        out._parents = ()
-        out._backward = None
+    out._vjps = tuple(pair for pair in pairs if pair[0].requires_grad)
+    out.requires_grad = bool(out._vjps)
     return out
 
 
@@ -170,41 +140,23 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a: Arrayish, b: Arrayish) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data + b.data
-
-    def bw(g):
-        return ((a, _unbroadcast(g, a.data.shape)), (b, _unbroadcast(g, b.data.shape)))
-    return _make("add", data, (a, b), bw)
+    return _make("add", a.data + b.data,
+                 (a, lambda g: _unbroadcast(g, a.data.shape)),
+                 (b, lambda g: _unbroadcast(g, b.data.shape)))
 
 
 def sub(a: Arrayish, b: Arrayish) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data - b.data
-
-    def bw(g):
-        return ((a, _unbroadcast(g, a.data.shape)), (b, _unbroadcast(-g, b.data.shape)))
-    return _make("sub", data, (a, b), bw)
+    return _make("sub", a.data - b.data,
+                 (a, lambda g: _unbroadcast(g, a.data.shape)),
+                 (b, lambda g: _unbroadcast(-g, b.data.shape)))
 
 
 def mul(a: Arrayish, b: Arrayish) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    data = a.data * b.data
-
-    def bw(g):
-        return ((a, _unbroadcast(g * b.data, a.data.shape)),
-                (b, _unbroadcast(g * a.data, b.data.shape)))
-    return _make("mul", data, (a, b), bw)
-
-
-def div(a: Arrayish, b: Arrayish) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    with _quiet():
-        data = a.data / b.data
-
-    def bw(g):
-        return ((a, _unbroadcast(g / b.data, a.data.shape)),
-                (b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
-    return _make("div", data, (a, b), bw)
+    return _make("mul", a.data * b.data,
+                 (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
+                 (b, lambda g: _unbroadcast(g * a.data, b.data.shape)))
 
 
 # -- linear algebra ----------------------------------------------------------
@@ -215,101 +167,57 @@ def matmul(a: Arrayish, b: Arrayish) -> Tensor:
         raise ShapeError(f"matmul expects 2-D operands, got {a.data.shape} @ {b.data.shape}")
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul inner dims disagree: {a.data.shape} @ {b.data.shape}")
-    data = a.data @ b.data
-
-    def bw(g):
-        return ((a, g @ b.data.T), (b, a.data.T @ g))
-    return _make("matmul", data, (a, b), bw)
+    return _make("matmul", a.data @ b.data,
+                 (a, lambda g: g @ b.data.T),
+                 (b, lambda g: a.data.T @ g))
 
 
 def transpose(a: Arrayish) -> Tensor:
     a = as_tensor(a)
     if a.data.ndim != 2:
         raise ShapeError(f"transpose expects 2-D, got {a.data.shape}")
-    def bw(g):
-        return ((a, g.T),)
-    return _make("transpose", a.data.T.copy(), (a,), bw)
+    return _make("transpose", a.data.T.copy(), (a, lambda g: g.T))
 
 
 # -- nonlinearities ----------------------------------------------------------
 
 def relu(a: Arrayish) -> Tensor:
     a = as_tensor(a)
-    data = np.maximum(a.data, 0)
-
-    def bw(g):
-        # subgradient at 0 is 0
-        return ((a, g * (a.data > 0)),)
-    return _make("relu", data, (a,), bw)
+    # subgradient at 0 is 0
+    return _make("relu", np.maximum(a.data, 0), (a, lambda g: g * (a.data > 0)))
 
 
 def tanh(a: Arrayish) -> Tensor:
     a = as_tensor(a)
     data = np.tanh(a.data)
-
-    def bw(g):
-        return ((a, g * (1.0 - data * data)),)
-    return _make("tanh", data, (a,), bw)
+    return _make("tanh", data, (a, lambda g: g * (1.0 - data * data)))
 
 
 def sigmoid(a: Arrayish) -> Tensor:
     a = as_tensor(a)
     data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def bw(g):
-        return ((a, g * data * (1.0 - data)),)
-    return _make("sigmoid", data, (a,), bw)
-
-
-def softplus(a: Arrayish) -> Tensor:
-    a = as_tensor(a)
-    # log(1 + e^x), stabilized for large |x|
-    data = np.logaddexp(0.0, a.data)
-
-    def bw(g):
-        return ((a, g / (1.0 + np.exp(-a.data))),)
-    return _make("softplus", data, (a,), bw)
-
-
-def exp(a: Arrayish) -> Tensor:
-    a = as_tensor(a)
-    with _quiet():
-        data = np.exp(a.data)
-
-    def bw(g):
-        return ((a, g * data),)
-    return _make("exp", data, (a,), bw)
+    return _make("sigmoid", data, (a, lambda g: g * data * (1.0 - data)))
 
 
 def log(a: Arrayish) -> Tensor:
     a = as_tensor(a)
     with _quiet():
         data = np.log(a.data)
-
-    def bw(g):
-        return ((a, g / a.data),)
-    return _make("log", data, (a,), bw)
+    return _make("log", data, (a, lambda g: g / a.data))
 
 
 def sqrt(a: Arrayish) -> Tensor:
     a = as_tensor(a)
     with _quiet():
         data = np.sqrt(a.data)
-
-    def bw(g):
-        return ((a, g * 0.5 / data),)
-    return _make("sqrt", data, (a,), bw)
+    return _make("sqrt", data, (a, lambda g: g * 0.5 / data))
 
 
 def clamp(a: Arrayish, lo: float, hi: float) -> Tensor:
     """Clip to [lo, hi]; gradient passes only where the value was interior."""
     a = as_tensor(a)
-    data = np.clip(a.data, lo, hi)
-
-    def bw(g):
-        inside = (a.data >= lo) & (a.data <= hi)
-        return ((a, g * inside),)
-    return _make("clamp", data, (a,), bw)
+    return _make("clamp", np.clip(a.data, lo, hi),
+                 (a, lambda g: g * ((a.data >= lo) & (a.data <= hi))))
 
 
 # -- reductions / shape ops ---------------------------------------------------
@@ -318,56 +226,43 @@ def tsum(a: Arrayish, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
-    def bw(g):
-        if axis is None:
-            return ((a, np.broadcast_to(g, a.data.shape).copy()),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return ((a, np.broadcast_to(gg, a.data.shape).copy()),)
-    return _make("sum", np.asarray(data), (a,), bw)
+    def vjp(g):
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return np.broadcast_to(gg, a.data.shape).copy()
+    return _make("sum", np.asarray(data), (a, vjp))
 
 
 def tmean(a: Arrayish, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    if axis is None:
-        n = a.data.size
-    else:
-        n = a.data.shape[axis]
+    n = a.data.size if axis is None else a.data.shape[axis]
     data = a.data.mean(axis=axis, keepdims=keepdims)
 
-    def bw(g):
-        if axis is None:
-            return ((a, np.broadcast_to(g / n, a.data.shape).copy()),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return ((a, np.broadcast_to(gg / n, a.data.shape).copy()),)
-    return _make("mean", np.asarray(data), (a,), bw)
+    def vjp(g):
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return np.broadcast_to(gg / n, a.data.shape).copy()
+    return _make("mean", np.asarray(data), (a, vjp))
 
 
 def reshape(a: Arrayish, shape) -> Tensor:
     a = as_tensor(a)
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
         shape = tuple(shape[0])
-    data = a.data.reshape(shape)
-
-    def bw(g):
-        return ((a, g.reshape(a.data.shape)),)
-    return _make("reshape", data, (a,), bw)
+    return _make("reshape", a.data.reshape(shape), (a, lambda g: g.reshape(a.data.shape)))
 
 
 def concat(tensors: Sequence[Arrayish], axis: int = 0) -> Tensor:
     ts = [as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.data.shape[axis] for t in ts]
+    bounds = np.cumsum([0] + [t.data.shape[axis] for t in ts])
 
-    def bw(g):
-        outs = []
-        offset = 0
-        for t, s in zip(ts, sizes):
+    def piece(lo, hi):
+        def vjp(g):
             idx = [slice(None)] * g.ndim
-            idx[axis] = slice(offset, offset + s)
-            outs.append((t, g[tuple(idx)]))
-            offset += s
-        return tuple(outs)
-    return _make("concat", data, ts, bw)
+            idx[axis] = slice(lo, hi)
+            return g[tuple(idx)]
+        return vjp
+    return _make("concat", data, *((t, piece(lo, hi))
+                                   for t, lo, hi in zip(ts, bounds[:-1], bounds[1:])))
 
 
 # -- image ops (C, H, W layout) ----------------------------------------------
@@ -396,30 +291,27 @@ def conv2d(x: Arrayish, weight: Arrayish, bias: Optional[Arrayish] = None,
     col = windows.transpose(1, 2, 0, 3, 4).reshape(hout * wout, cin * kh * kw)
     wmat = weight.data.reshape(cout, cin * kh * kw)
     out = np.ascontiguousarray((col @ wmat.T).T).reshape(cout, hout, wout)
-    parents = [x, weight]
-    b = None
-    if bias is not None:
-        b = as_tensor(bias)
-        if b.data.shape != (cout,):
-            raise ShapeError(f"conv2d bias shape {b.data.shape} != ({cout},)")
-        out = out + b.data[:, None, None]
-        parents.append(b)
 
-    def bw(g):
-        gmat = g.reshape(cout, hout * wout)
-        dw = (gmat @ col).reshape(weight.data.shape)
-        dcol = gmat.T @ wmat                 # (hout*wout, cin*kh*kw)
+    def dx(g):
+        dcol = g.reshape(cout, hout * wout).T @ wmat      # (hout*wout, cin*kh*kw)
         dxp = np.zeros((cin, hp, wp), dtype=g.dtype)
         dcol = dcol.reshape(hout, wout, cin, kh, kw).transpose(2, 0, 1, 3, 4)
         for i in range(kh):
             for j in range(kw):
                 dxp[:, i:i + stride * hout:stride, j:j + stride * wout:stride] += dcol[:, :, :, i, j]
-        dx = dxp[:, padding:hp - padding, padding:wp - padding] if padding else dxp
-        grads = [(x, dx), (weight, dw)]
-        if b is not None:
-            grads.append((b, g.sum(axis=(1, 2))))
-        return tuple(grads)
-    return _make("conv2d", out, parents, bw)
+        return dxp[:, padding:hp - padding, padding:wp - padding] if padding else dxp
+
+    def dw(g):
+        return (g.reshape(cout, hout * wout) @ col).reshape(weight.data.shape)
+
+    pairs = [(x, dx), (weight, dw)]
+    if bias is not None:
+        b = as_tensor(bias)
+        if b.data.shape != (cout,):
+            raise ShapeError(f"conv2d bias shape {b.data.shape} != ({cout},)")
+        out = out + b.data[:, None, None]
+        pairs.append((b, lambda g: g.sum(axis=(1, 2))))
+    return _make("conv2d", out, *pairs)
 
 
 def avg_pool2d(x: Arrayish, k: int) -> Tensor:
@@ -429,11 +321,8 @@ def avg_pool2d(x: Arrayish, k: int) -> Tensor:
     if h % k or w % k:
         raise ShapeError(f"avg_pool2d: {h}x{w} not divisible by {k}")
     data = x.data.reshape(c, h // k, k, w // k, k).mean(axis=(2, 4))
-
-    def bw(g):
-        gx = np.repeat(np.repeat(g, k, axis=1), k, axis=2) / (k * k)
-        return ((x, gx),)
-    return _make("avg_pool2d", data, (x,), bw)
+    return _make("avg_pool2d", data,
+                 (x, lambda g: np.repeat(np.repeat(g, k, axis=1), k, axis=2) / (k * k)))
 
 
 def upsample2x(x: Arrayish) -> Tensor:
@@ -441,7 +330,4 @@ def upsample2x(x: Arrayish) -> Tensor:
     x = as_tensor(x)
     c, h, w = x.data.shape
     data = np.repeat(np.repeat(x.data, 2, axis=1), 2, axis=2)
-
-    def bw(g):
-        return ((x, g.reshape(c, h, 2, w, 2).sum(axis=(2, 4))),)
-    return _make("upsample2x", data, (x,), bw)
+    return _make("upsample2x", data, (x, lambda g: g.reshape(c, h, 2, w, 2).sum(axis=(2, 4))))

@@ -214,25 +214,6 @@ def test_render_features_flag(pipeline_artifacts, tmp_path):
     assert fmap.shape == (32, 32, 32)
 
 
-def test_threads_env_controls_render(pipeline_artifacts, tmp_path, monkeypatch):
-    root = pipeline_artifacts
-    monkeypatch.setenv("SUBFLOW_THREADS", "4")
-    out = tmp_path / "views4"
-    assert run("render", "--config", root / "small.cfg",
-               "--scene", root / "stylized.gscn", "--out", out) == 0
-    a = (out / "view_03.ppm").read_bytes()
-    b = (root / "views" / "view_03.ppm").read_bytes()
-    assert a == b
-
-
-def test_threads_env_non_integer_exits_2(pipeline_artifacts, tmp_path, monkeypatch, capsys):
-    root = pipeline_artifacts
-    monkeypatch.setenv("SUBFLOW_THREADS", "two")
-    assert run("render", "--config", root / "small.cfg",
-               "--scene", root / "stylized.gscn", "--out", tmp_path / "views") == 2
-    assert "SUBFLOW_THREADS" in capsys.readouterr().err
-
-
 def test_stylize_malformed_ppm_exits_2(pipeline_artifacts, tmp_path, capsys):
     root = pipeline_artifacts
     bad = tmp_path / "cut.ppm"
@@ -244,9 +225,50 @@ def test_stylize_malformed_ppm_exits_2(pipeline_artifacts, tmp_path, capsys):
     assert "cut.ppm" in capsys.readouterr().err
 
 
-def test_config_out_key_is_rejected():
-    with pytest.raises(FormatError, match="unknown key 'out'"):
-        cfgmod.parse_config("out = runs/default\n")
+@pytest.mark.parametrize("key", ["out", "threads"])
+def test_config_out_key_is_rejected(key):
+    with pytest.raises(FormatError, match=f"unknown key '{key}'"):
+        cfgmod.parse_config(f"{key} = 1\n")
+
+
+@pytest.mark.parametrize("command", ["dump-config", "eval-align"])
+def test_os_path_error_exits_2(tmp_path, capsys, command):
+    # a directory where a file is expected, a file where a directory is
+    if command == "dump-config":
+        path = tmp_path / "cfg_dir"
+        path.mkdir()
+        argv = ("dump-config", "--config", path)
+    else:
+        path = tmp_path / "s.gscn"
+        path.write_bytes(b"GSCN")
+        argv = ("eval-align", "--pipeline", path, "--out", tmp_path / "align.csv")
+    assert run(*argv) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--feat-clip", "--feat-vgg"])
+def test_eval_align_feat_flags_must_pair(pipeline_artifacts, tmp_path, capsys, flag):
+    root = pipeline_artifacts
+    rc = run("eval-align", "--config", root / "small.cfg", "--pipeline", root / "pipe",
+             "--out", tmp_path / "align.csv", flag, root / "pipe" / "aligned.feat")
+    assert rc == 2
+    assert "--feat-clip and --feat-vgg" in capsys.readouterr().err
+    assert not (tmp_path / "align.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["train-style", "stylize"])
+def test_raw_scene_is_rejected(pipeline_artifacts, tmp_path, capsys, command):
+    # a gen-scene GSCN has equal embeddings: stylizing it would paint one color
+    root = pipeline_artifacts
+    argv = [command, "--config", root / "small.cfg", "--scene", root / "s.gscn",
+            "--pipeline", root / "pipe", "--out", tmp_path / "out"]
+    if command == "train-style":
+        argv += ["--decoder", root / "dec.prms"]
+    else:
+        argv += ["--decoder", root / "styled" / "decoder.prms", "--text", "anything"]
+    assert run(*argv) == 2
+    assert str(root / "s.gscn") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("mode", ["drop", "garble"])

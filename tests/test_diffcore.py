@@ -263,3 +263,67 @@ def test_pool_and_upsample_shapes_and_values():
     up = dc.upsample2x(pooled)
     assert up.data.shape == (1, 4, 4)
     assert np.all(up.data[0, :2, :2] == pooled.data[0, 0, 0])
+
+
+def test_constant_operand_gradient_is_never_formed():
+    # the tape skips the (4096, 2000) gradient of the constant weight matrix
+    import tracemalloc
+    w = dc.Tensor(np.ones((4096, 2000), dtype=np.float32))
+    x = dc.Tensor(np.ones((2000, 3), dtype=np.float32), requires_grad=True)
+    out = dc.matmul(w, x)
+    loss = dc.tsum(out)
+    tracemalloc.start()
+    try:
+        loss.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert w.grad is None and out.grad is None and loss.grad is None
+    assert np.array_equal(x.grad, np.full((2000, 3), 4096.0, dtype=np.float32))
+
+
+def _uniform(seed, shape, lo=-1.0, hi=1.0):
+    return dc.named_stream(seed, "op-grad").uniform(lo, hi, size=shape)
+
+
+# op name -> (op over tensors, operand arrays)
+_OPS = {
+    "add": (dc.add, lambda: [_uniform(1, (3, 4)), _uniform(2, (1, 4))]),
+    "sub": (dc.sub, lambda: [_uniform(1, (3, 4)), _uniform(2, (4,))]),
+    "mul": (dc.mul, lambda: [_uniform(1, (2, 3, 4)), _uniform(2, (3, 1))]),
+    "matmul": (dc.matmul, lambda: [_uniform(1, (3, 4)), _uniform(2, (4, 2))]),
+    "transpose": (dc.transpose, lambda: [_uniform(1, (3, 4))]),
+    "relu": (dc.relu, lambda: [_uniform(1, (3, 4), 0.1, 1.0) * [1, -1, -1, 1]]),
+    "tanh": (dc.tanh, lambda: [_uniform(1, (3, 4))]),
+    "sigmoid": (dc.sigmoid, lambda: [_uniform(1, (3, 4), -3.0, 3.0)]),
+    "log": (dc.log, lambda: [_uniform(1, (3, 4), 0.5, 2.0)]),
+    "sqrt": (dc.sqrt, lambda: [_uniform(1, (3, 4), 0.5, 2.0)]),
+    "clamp": (lambda a: dc.clamp(a, -0.5, 0.5),   # two interior columns, two clipped
+              lambda: [_uniform(1, (3, 4), 0.3, 0.45) * [1, -1, 2, -2]]),
+    "tsum": (lambda a: dc.tsum(a, axis=1), lambda: [_uniform(1, (3, 4))]),
+    "tmean": (lambda a: dc.tmean(a, axis=0, keepdims=True), lambda: [_uniform(1, (3, 4))]),
+    "reshape": (lambda a: dc.reshape(a, (4, 3)), lambda: [_uniform(1, (3, 4))]),
+    "concat": (lambda *ts: dc.concat(ts, axis=1),
+               lambda: [_uniform(1, (3, 2)), _uniform(2, (3, 1)), _uniform(3, (3, 2))]),
+    "conv2d": (lambda x, w, b: dc.conv2d(x, w, b, stride=2, padding=1),
+               lambda: [_uniform(1, (2, 5, 5)), _uniform(2, (3, 2, 3, 3)), _uniform(3, (3,))]),
+    "conv2d-nobias": (dc.conv2d, lambda: [_uniform(1, (2, 4, 4)), _uniform(2, (3, 2, 2, 2))]),
+    "avg_pool2d": (lambda x: dc.avg_pool2d(x, 2), lambda: [_uniform(1, (2, 4, 4))]),
+    "upsample2x": (dc.upsample2x, lambda: [_uniform(1, (2, 3, 3))]),
+}
+_OP_CASES = [(name, k) for name, (_, make) in _OPS.items()
+             for n in [len(make())] for k in (range(n) if n > 1 else [None])]
+
+
+@pytest.mark.parametrize("name, const", _OP_CASES,
+                         ids=[n if k is None else f"{n}-const{k}" for n, k in _OP_CASES])
+def test_op_gradients_with_each_operand_constant(name, const):
+    op, make = _OPS[name]
+    operands = [dc.Tensor(a, requires_grad=i != const) for i, a in enumerate(make())]
+    weight = dc.Tensor(_uniform(9, op(*operands).shape))
+    params = [t for t in operands if t.requires_grad]
+    err = dc.finite_diff_max_rel_error(params, lambda: dc.tsum(dc.mul(op(*operands), weight)),
+                                       1e-4)
+    assert err < 1e-5
+    assert all(t.grad is None for t in operands)
