@@ -32,17 +32,10 @@ class CliError(SubflowError):
 
 
 def _load_config(args) -> cfgmod.RunConfig:
-    cfg = cfgmod.load_config(args.config) if args.config else cfgmod.RunConfig()
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "rounds", None) is not None:
-        overrides["flow.rounds"] = args.rounds
-    if getattr(args, "steps", None) is not None:
-        overrides["style.steps"] = args.steps
-        overrides["flow.train_steps"] = args.steps
-        overrides["distill.steps"] = args.steps
-    return cfg.with_overrides(**overrides)
+    values = cfgmod.load_config(args.config).values if args.config else {}
+    if args.seed is not None:
+        values = {**values, "seed": args.seed}
+    return cfgmod.RunConfig(values)
 
 
 def _encoders(cfg) -> FeatureEncoders:
@@ -175,8 +168,7 @@ def cmd_train_flow(args) -> int:
     out = Path(args.out)
     pipe.save(out)
     fa.reports_to_csv(reports, out / "rounds.csv")
-    export_features(out / "aligned.feat",
-                    FeatureSet("vgg_like", aligned.vectors, provenance=aligned.provenance))
+    export_features(out / "aligned.feat", FeatureSet("vgg_like", aligned.vectors))
     for r in reports:
         print(f"round {r.round_index}: SIM {r.sim_before:.4f}->{r.sim_after:.4f} "
               f"FID {r.fid_before:.4f}->{r.fid_after:.4f}")
@@ -299,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--seed", type=int)
-        p.add_argument("--rounds", type=int)
-        p.add_argument("--steps", type=int)
 
     p = sub.add_parser("dump-config", help="print the effective configuration")
     common(p)

@@ -1,13 +1,14 @@
 """Run configuration: a flat key=value schema shared by all CLI commands.
 
-Every key is declared below with its type and default; unknown keys are
-rejected. `dump()` emits a canonical text form that parses back to the same
+Every key is declared below with its type, its bound and its default;
+unknown keys and values out of bounds are rejected. `dump()` emits a canonical text form that parses back to the same
 config byte-for-byte. `read_key_values` is the one `key = value` reader; the
 flow pipeline's manifest goes through it too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -18,39 +19,54 @@ _SCENE_KINDS = ("lattice", "two_clusters", "textured_slab")
 
 REQUIRED = object()  # schema default of a key that must appear in the text
 
-# key -> (type, default); declaration order is the dump order
-SCHEMA: dict[str, tuple[type, object]] = {
+
+def _bounded(typ: type, lo, strict: bool = False) -> Callable[[object], object]:
+    """Converter to `typ` rejecting NaN/Inf and values below `lo` (or at it, if `strict`)."""
+    def convert(text):
+        val = typ(text)
+        if not math.isfinite(val) or val < lo or (strict and val == lo):
+            raise ValueError(f"must be {'>' if strict else '>='} {lo}")
+        return val
+    return convert
+
+
+_COUNT, _STEPS = _bounded(int, 1), _bounded(int, 0)
+_WEIGHT, _POSITIVE = _bounded(float, 0.0), _bounded(float, 0.0, strict=True)
+
+# key -> (converter, default); declaration order is the dump order. Each
+# bound is the least value the key's consumer can run with.
+SCHEMA: dict[str, tuple[Callable, object]] = {
     "seed": (int, 0),
-    "embed_dim": (int, 32),
-    "clip_dim": (int, 64),
-    "style_dim": (int, 64),
+    "embed_dim": (_bounded(int, 8), 32),            # scene.MIN_EMBED_DIM
+    "clip_dim": (_COUNT, 64),
+    "style_dim": (_COUNT, 64),
     "scene.kind": (str, "textured_slab"),
-    "scene.n": (int, 400),
+    "scene.n": (_COUNT, 400),
     "scene.seed": (int, 11),
-    "camera.count": (int, 8),
-    "camera.radius": (float, 2.6),
+    "camera.count": (_bounded(int, 2), 8),          # a ring has view pairs
+    "camera.radius": (_POSITIVE, 2.6),
     "camera.elevation": (float, 1.2),
-    "camera.focal": (float, 90.0),
-    "camera.width": (int, 48),
-    "camera.height": (int, 48),
-    "flow.euler_steps": (int, 8),
-    "flow.rounds": (int, 3),
-    "flow.train_steps": (int, 3000),
-    "flow.batch_size": (int, 256),
-    "flow.learning_rate": (float, 1e-3),
-    "flow.mapping_steps": (int, 2000),
-    "flow.corpus": (int, 48),
-    "distill.steps": (int, 600),
-    "distill.learning_rate": (float, 5e-3),
-    "distill.hidden": (int, 64),
-    "style.steps": (int, 250),
-    "style.learning_rate": (float, 2e-3),
-    "weights.style": (float, 10.0),
-    "weights.obs": (float, 0.5),
-    "weights.flow": (float, 1.0),
-    "weights.suppression": (float, 0.05),
-    "gen2d.corpus": (int, 200),
-    "gen2d.steps": (int, 2000),
+    "camera.focal": (_POSITIVE, 90.0),
+    "camera.width": (_COUNT, 48),
+    "camera.height": (_COUNT, 48),
+    "flow.euler_steps": (_COUNT, 8),
+    "flow.rounds": (_COUNT, 3),
+    "flow.train_steps": (_STEPS, 3000),
+    "flow.batch_size": (_COUNT, 256),
+    "flow.learning_rate": (_POSITIVE, 1e-3),
+    "flow.mapping_steps": (_STEPS, 2000),
+    "flow.corpus": (_COUNT, 48),
+    "distill.steps": (_STEPS, 600),
+    "distill.learning_rate": (_POSITIVE, 5e-3),
+    "distill.hidden": (_COUNT, 64),
+    "style.steps": (_STEPS, 250),
+    "style.learning_rate": (_POSITIVE, 2e-3),
+    "weights.style": (_WEIGHT, 10.0),
+    "weights.obs": (_WEIGHT, 0.5),
+    "weights.flow": (_WEIGHT, 1.0),
+    "weights.suppression": (_WEIGHT, 0.05),
+    "gen2d.corpus": (_COUNT, 200),
+    "gen2d.steps": (_STEPS, 2000),
 }
 
 
@@ -74,29 +90,17 @@ class RunConfig:
             raise FormatError(f"unknown config key '{key}'")
         return self.values[key]
 
-    def with_overrides(self, **overrides) -> "RunConfig":
-        vals = dict(self.values)
-        for key, val in overrides.items():
-            if val is not None:
-                vals[key] = val
-        return RunConfig(vals)
-
     def dump(self) -> str:
-        lines = []
-        for key, (typ, _) in SCHEMA.items():
-            val = self.values[key]
-            text = repr(float(val)) if typ is float else str(val)
-            lines.append(f"{key} = {text}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{key} = {val}\n" for key, val in self.values.items())
 
 
 def read_key_values(text: str, schema: dict[str, tuple[Callable, object]],
                     source: str) -> dict:
-    """Values of `key = value` lines checked against `schema` (key -> (type, default)).
+    """Values of `key = value` lines checked against `schema` (key -> (converter, default)).
 
     `#` starts a comment and blank lines are skipped. Keys the text leaves
     out take their default. Errors raise `FormatError` naming `source` and
-    the key: a line without `=`, an unknown key, a value the type rejects,
+    the key: a line without `=`, an unknown key, a value the converter rejects,
     and a missing key whose default is `REQUIRED`.
     """
     values = {}
@@ -113,7 +117,8 @@ def read_key_values(text: str, schema: dict[str, tuple[Callable, object]],
         try:
             values[key] = schema[key][0](val)
         except ValueError as exc:
-            raise FormatError(f"{source} line {lineno}: bad value for '{key}': {val}") from exc
+            raise FormatError(
+                f"{source} line {lineno}: bad value for '{key}': {val} ({exc})") from None
     for key, (_, default) in schema.items():
         if key not in values:
             if default is REQUIRED:

@@ -6,6 +6,7 @@ u32 rank, u32 dims..., f32 little-endian data.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 from typing import Sequence, Union
@@ -51,14 +52,20 @@ def load_params(path) -> list[np.ndarray]:
         if off + 4 * rank > len(raw):
             raise FormatError(f"{path}: truncated at byte {off} (tensor {i} dims)")
         dims = struct.unpack_from(f"<{rank}I", raw, off)
+        if 0 in dims:
+            raise FormatError(f"{path}: tensor {i} has a zero dim in {dims} (byte {off})")
         off += 4 * rank
-        n = int(np.prod(dims, dtype=np.int64)) if rank else 1
+        n = math.prod(dims)
         nbytes = 4 * n
         if off + nbytes > len(raw):
             raise FormatError(f"{path}: truncated at byte {off} (tensor {i} data)")
         data = np.frombuffer(raw, dtype="<f4", count=n, offset=off).reshape(dims)
+        if not np.all(np.isfinite(data)):
+            raise FormatError(f"{path}: tensor {i} holds non-finite values (byte {off})")
         off += nbytes
         out.append(data.astype(np.float32))
+    if off != len(raw):
+        raise FormatError(f"{path}: {len(raw) - off} bytes follow the last tensor at byte {off}")
     return out
 
 

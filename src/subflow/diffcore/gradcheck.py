@@ -6,7 +6,7 @@ quotient is meaningful at h=1e-3; production training stays float32.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -53,9 +53,7 @@ def finite_diff_max_rel_error(params: Sequence[Tensor],
             p.grad = None
 
 
-def finite_diff_check(net, x, h: float, loss_fn: Optional[Callable[[], Tensor]] = None) -> float:
+def finite_diff_check(net, x, h: float) -> float:
     """Gradient check of sum(net(x)) against central differences."""
     x_arr = np.asarray(x, dtype=np.float64)
-    if loss_fn is None:
-        loss_fn = lambda: T.tsum(net(Tensor(x_arr)))
-    return finite_diff_max_rel_error(net.parameters(), loss_fn, h)
+    return finite_diff_max_rel_error(net.parameters(), lambda: T.tsum(net(Tensor(x_arr))), h)

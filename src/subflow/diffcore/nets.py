@@ -1,13 +1,11 @@
 """Small trainable network builders: dense stacks and conv layers.
 
-Architectures are described by plain dataclass specs; a spec plus its seed
-fully determines the initial parameters (Glorot-uniform from the named
-counter-based streams).
+A builder's shape arguments plus its seed and name fully determine the
+initial parameters (Glorot-uniform from the named counter-based streams).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,36 +22,27 @@ _ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
 }
 
 
-@dataclass(frozen=True)
-class DenseNetSpec:
-    """Fully connected stack: widths[0] inputs -> widths[-1] outputs.
+class DenseNet:
+    """MLP over row-major batches: forward maps (M, widths[0]) -> (M, widths[-1]).
 
     `activation` applies to every hidden layer; the output layer is linear
     unless wrapped by the caller (e.g. a sigmoid head).
     """
-    layer_widths: tuple[int, ...]
-    activation: str = "relu"
-    seed: int = 0
 
-    def __post_init__(self):
-        if len(self.layer_widths) < 2:
-            raise ShapeError("DenseNetSpec needs at least input and output widths")
-        if any(w < 1 for w in self.layer_widths):
-            raise ShapeError(f"non-positive layer width in {self.layer_widths}")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation '{self.activation}'")
-
-
-class DenseNet:
-    """MLP over row-major batches: forward maps (M, in) -> (M, out)."""
-
-    def __init__(self, spec: DenseNetSpec, name: str = "dense"):
-        self.spec = spec
+    def __init__(self, widths: tuple[int, ...], activation: str = "relu", seed: int = 0,
+                 name: str = "dense"):
+        if len(widths) < 2:
+            raise ShapeError("DenseNet needs at least input and output widths")
+        if any(w < 1 for w in widths):
+            raise ShapeError(f"non-positive layer width in {widths}")
+        if activation not in _ACTIVATIONS:
+            raise ValueError(f"unknown activation '{activation}'")
+        self.in_width = widths[0]
+        self.activation = _ACTIVATIONS[activation]
         self.weights: list[Tensor] = []
         self.biases: list[Tensor] = []
-        widths = spec.layer_widths
         for i, (nin, nout) in enumerate(zip(widths[:-1], widths[1:])):
-            w = glorot_uniform(spec.seed, f"{name}.{i}.w", nin, nout, (nin, nout))
+            w = glorot_uniform(seed, f"{name}.{i}.w", nin, nout, (nin, nout))
             self.weights.append(Tensor(w, requires_grad=True))
             self.biases.append(Tensor(np.zeros(nout, dtype=np.float32), requires_grad=True))
 
@@ -66,15 +55,13 @@ class DenseNet:
 
     def __call__(self, x) -> Tensor:
         h = T.as_tensor(x)
-        if h.data.ndim != 2 or h.data.shape[1] != self.spec.layer_widths[0]:
-            raise ShapeError(
-                f"dense net expects (M, {self.spec.layer_widths[0]}), got {h.data.shape}")
-        act = _ACTIVATIONS[self.spec.activation]
+        if h.data.ndim != 2 or h.data.shape[1] != self.in_width:
+            raise ShapeError(f"dense net expects (M, {self.in_width}), got {h.data.shape}")
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             h = T.add(T.matmul(h, w), b)
             if i != last:
-                h = act(h)
+                h = self.activation(h)
         return h
 
 

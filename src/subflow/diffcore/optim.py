@@ -2,53 +2,42 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..errors import StateError
 from .tensor import Tensor
 
-
-@dataclass
-class AdamState:
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    step_count: int = 0
-    first_moment: list = field(default_factory=list)
-    second_moment: list = field(default_factory=list)
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 
 class Adam:
-    def __init__(self, params: list[Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[Tensor], lr: float = 1e-3):
         self.params = list(params)
-        self.state = AdamState(
-            learning_rate=lr, beta1=beta1, beta2=beta2, epsilon=eps,
-            first_moment=[np.zeros_like(p.data) for p in self.params],
-            second_moment=[np.zeros_like(p.data) for p in self.params],
-        )
+        self.learning_rate = lr
+        self.step_count = 0
+        self.first_moment = [np.zeros_like(p.data) for p in self.params]
+        self.second_moment = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
         """One Adam update; grads are left in place for the caller to zero."""
-        s = self.state
         for p in self.params:
             if p.grad is None:
                 raise StateError("adam_step: parameter has no gradient")
-        s.step_count += 1
-        t = s.step_count
-        bc1 = 1.0 - s.beta1 ** t
-        bc2 = 1.0 - s.beta2 ** t
+        self.step_count += 1
+        t = self.step_count
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
+        m, v = self.first_moment, self.second_moment
         for i, p in enumerate(self.params):
             g = p.grad
-            s.first_moment[i] = s.beta1 * s.first_moment[i] + (1.0 - s.beta1) * g
-            s.second_moment[i] = s.beta2 * s.second_moment[i] + (1.0 - s.beta2) * (g * g)
-            m_hat = s.first_moment[i] / bc1
-            v_hat = s.second_moment[i] / bc2
+            m[i] = BETA1 * m[i] + (1.0 - BETA1) * g
+            v[i] = BETA2 * v[i] + (1.0 - BETA2) * (g * g)
+            m_hat = m[i] / bc1
+            v_hat = v[i] / bc2
             # rebind rather than mutate: forward closures may hold views of p.data
-            p.data = p.data - (s.learning_rate * m_hat / (np.sqrt(v_hat) + s.epsilon)).astype(p.data.dtype)
+            p.data = p.data - (self.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)).astype(p.data.dtype)
 
     def zero_grad(self) -> None:
         for p in self.params:

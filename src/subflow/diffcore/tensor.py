@@ -32,12 +32,10 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_vjps", "_op")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float32 if dtype is None else dtype)
-        elif dtype is not None:
-            arr = arr.astype(dtype)
+            arr = arr.astype(np.float32)
         self.data: np.ndarray = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
@@ -103,6 +101,19 @@ def as_tensor(x: Arrayish) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _operands(a: Arrayish, b: Arrayish) -> tuple[Tensor, Tensor]:
+    """Both operands as tensors. A Python number takes the dtype of the tensor
+    it meets, so a float32 graph stays float32 (numpy 2 promotes float32 with
+    a 0-d float64 array to float64)."""
+    if isinstance(a, (int, float)) and not isinstance(b, (int, float)):
+        b = as_tensor(b)
+        a = np.asarray(a, dtype=b.data.dtype)
+    elif isinstance(b, (int, float)):
+        a = as_tensor(a)
+        b = np.asarray(b, dtype=a.data.dtype)
+    return as_tensor(a), as_tensor(b)
+
+
 def _finite_or_raise(arr: np.ndarray, op: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise NumericsError(f"op '{op}' produced non-finite values")
@@ -139,21 +150,21 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # -- elementwise arithmetic -------------------------------------------------
 
 def add(a: Arrayish, b: Arrayish) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     return _make("add", a.data + b.data,
                  (a, lambda g: _unbroadcast(g, a.data.shape)),
                  (b, lambda g: _unbroadcast(g, b.data.shape)))
 
 
 def sub(a: Arrayish, b: Arrayish) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     return _make("sub", a.data - b.data,
                  (a, lambda g: _unbroadcast(g, a.data.shape)),
                  (b, lambda g: _unbroadcast(-g, b.data.shape)))
 
 
 def mul(a: Arrayish, b: Arrayish) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     return _make("mul", a.data * b.data,
                  (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
                  (b, lambda g: _unbroadcast(g * a.data, b.data.shape)))

@@ -30,7 +30,6 @@ FEAT_MAGIC = b"FEAT"
 FEAT_VERSION = 1
 
 DOMAINS = ("clip_like", "clip_mapped", "vgg_like")
-PROVENANCES = ("pseudo_encoder", "synthetic_pair", "imported")
 
 _DOMAIN_TAGS = {"clip_like": 0, "vgg_like": 1}
 _TAG_DOMAINS = {0: "clip_like", 1: "vgg_like"}
@@ -47,7 +46,6 @@ _CLIP_REFINE_SCALE = 0.5
 class FeatureSet:
     domain: str
     vectors: np.ndarray              # (M, dim) float32
-    provenance: str = "pseudo_encoder"
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.float32)
@@ -55,8 +53,6 @@ class FeatureSet:
             raise ShapeError(f"feature set needs (M>=1, dim) rows, got {self.vectors.shape}")
         if self.domain not in DOMAINS:
             raise ValueError(f"unknown feature domain '{self.domain}'")
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance '{self.provenance}'")
         if not np.all(np.isfinite(self.vectors)):
             raise NumericsError("feature set contains non-finite values")
 
@@ -368,8 +364,8 @@ def sample_paired(spec: PairedDistributionSpec, m: int, return_components: bool 
             order[i] = np.argmin(((vgg_pool - clip_rows[i]) ** 2).sum(axis=1))
         vgg_rows = vgg_pool[order]
 
-    clip_fs = FeatureSet("clip_like", clip_rows, provenance="synthetic_pair")
-    vgg_fs = FeatureSet("vgg_like", vgg_rows, provenance="synthetic_pair")
+    clip_fs = FeatureSet("clip_like", clip_rows)
+    vgg_fs = FeatureSet("vgg_like", vgg_rows)
     if return_components:
         return clip_fs, vgg_fs, comps
     return clip_fs, vgg_fs
@@ -397,8 +393,8 @@ def import_features(path) -> FeatureSet:
     (tag,) = struct.unpack_from("<B", raw, 16)
     if version != FEAT_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    if count < 1:
-        raise FormatError(f"{path}: vector count must be >= 1, got {count}")
+    if count < 1 or dim < 1:
+        raise FormatError(f"{path}: vector count and dim must be >= 1, got {count}, {dim}")
     if tag not in _TAG_DOMAINS:
         raise FormatError(f"{path}: unknown domain tag {tag}")
     want = 17 + 4 * count * dim
@@ -406,4 +402,6 @@ def import_features(path) -> FeatureSet:
         raise FormatError(
             f"{path}: payload is {len(raw)} bytes, header (M={count}, dim={dim}) implies {want}")
     rows = np.frombuffer(raw, dtype="<f4", offset=17).reshape(count, dim)
-    return FeatureSet(_TAG_DOMAINS[tag], rows.astype(np.float32), provenance="imported")
+    if not np.all(np.isfinite(rows)):
+        raise FormatError(f"{path}: feature rows hold non-finite values")
+    return FeatureSet(_TAG_DOMAINS[tag], rows.astype(np.float32))

@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Sequence, Union
 import numpy as np
 
 from .config import REQUIRED, read_key_value_file
-from .diffcore import Adam, DenseNet, DenseNetSpec, Tensor
+from .diffcore import Adam, DenseNet, Tensor
 from .diffcore import tensor as dt
 from .diffcore.checkpoint import load_params, restore_params, save_params
 from .diffcore.rng import named_stream
@@ -99,7 +99,7 @@ class MappingNet:
     def __init__(self, clip_dim: int, style_dim: int, hidden: tuple[int, ...] = (96,),
                  seed: int = 0):
         widths = (clip_dim, *hidden, style_dim)
-        self.net = DenseNet(DenseNetSpec(widths, "relu", seed), name="mapping")
+        self.net = DenseNet(widths, "relu", seed, name="mapping")
         self.clip_dim = clip_dim
         self.style_dim = style_dim
         self.trained = False
@@ -123,7 +123,7 @@ class VelocityField:
     def __init__(self, style_dim: int, hidden: tuple[int, ...] = (64, 64), seed: int = 0,
                  name: str = "velocity"):
         widths = (style_dim + TIME_FEATURES, *hidden, style_dim)
-        self.net = DenseNet(DenseNetSpec(widths, "tanh", seed), name=name)
+        self.net = DenseNet(widths, "tanh", seed, name=name)
         self.style_dim = style_dim
         self.final_loss = float("nan")
 
@@ -218,13 +218,20 @@ def euler_integrate(v: Union[VelocityField, Callable], x0: np.ndarray, steps: in
     return out[:, 0, :] if single else out
 
 
-def _restore(net, path):
-    """`net` with its parameters read from the PRMS file at `path`."""
-    arrays = load_params(path)
+def _restore(path, widths: tuple[int, ...], build: Callable[[], object]):
+    """`build()`, a dense net of `widths`, with its parameters read from the
+    PRMS file at `path`. The file's shapes are checked before the net is
+    built, so a manifest's dims never size an allocation."""
     try:
-        restore_params(net.parameters(), arrays)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+        arrays = load_params(path)
+    except FileNotFoundError:
+        raise FormatError(f"{path}: missing from the pipeline directory") from None
+    want = [s for nin, nout in zip(widths[:-1], widths[1:]) for s in ((nin, nout), (nout,))]
+    got = [a.shape for a in arrays]
+    if got != want:
+        raise FormatError(f"{path}: tensor shapes {got} do not fit the manifest's {want}")
+    net = build()
+    restore_params(net.parameters(), arrays)
     return net
 
 
@@ -297,13 +304,17 @@ class FlowPipeline:
         flow_loss = kv.pop("flow_loss")
         try:
             cfg = FlowConfig(**kv)
-            mapping = _restore(MappingNet(clip_dim, style_dim, hidden=cfg.mapping_hidden,
-                                          seed=cfg.seed), src / "mapping.prms")
-            fields = [_restore(VelocityField(style_dim, hidden=cfg.velocity_hidden,
-                                             seed=cfg.seed + i, name=f"velocity.r{i}"),
-                               src / f"velocity_{i}.prms") for i in range(1, cfg.rounds + 1)]
         except ShapeError as exc:
             raise FormatError(f"{manifest}: {exc}") from None
+        mapping = _restore(
+            src / "mapping.prms", (clip_dim, *cfg.mapping_hidden, style_dim),
+            lambda: MappingNet(clip_dim, style_dim, hidden=cfg.mapping_hidden, seed=cfg.seed))
+        fields = [_restore(
+            src / f"velocity_{i}.prms",
+            (style_dim + TIME_FEATURES, *cfg.velocity_hidden, style_dim),
+            lambda i=i: VelocityField(style_dim, hidden=cfg.velocity_hidden, seed=cfg.seed + i,
+                                      name=f"velocity.r{i}"))
+            for i in range(1, cfg.rounds + 1)]
         mapping.trained = True
         fields[-1].final_loss = flow_loss
         return FlowPipeline(mapping, fields, cfg)
@@ -321,13 +332,13 @@ def run_subdivisive_flow(clip: FeatureSet, vgg: FeatureSet, cfg: FlowConfig,
         mapping = train_mapping(clip, vgg, cfg)
     pipe = FlowPipeline(mapping, [], cfg)
     stages = pipe.trajectory(clip.vectors)
-    start = FeatureSet("clip_mapped", next(stages), provenance=clip.provenance)
+    start = FeatureSet("clip_mapped", next(stages))
     sim, fid = cosine_sim(start, vgg), frechet_distance(start, vgg)
     reports: list[FlowRoundReport] = []
     for k in range(1, cfg.rounds + 1):
         pipe.fields.append(train_velocity(start, vgg, cfg, round_index=k))
         endpoints = next(stages)
-        end = FeatureSet("clip_mapped", endpoints, provenance=clip.provenance)
+        end = FeatureSet("clip_mapped", endpoints)
         sim_after, fid_after = cosine_sim(end, vgg), frechet_distance(end, vgg)
         reports.append(FlowRoundReport(
             round_index=k, sim_before=sim, sim_after=sim_after,

@@ -35,6 +35,8 @@ from .transfer import DecoderNet, StyleStats, adain, stats_from_feature
 
 LOG_CLAMP = 1e-7
 GENERATOR_TAP = 1   # AdaIN space of the 2D prior: second tap (half resolution)
+DISC_SCALES = 3     # discriminator image scales, each half the previous
+DISC_WIDTH = 16     # discriminator hidden channels
 
 
 @dataclass(frozen=True)
@@ -179,14 +181,12 @@ def generator_2d(content_img: np.ndarray, style_img: np.ndarray,
 class DiscriminatorNet:
     """Shared conv stack scored at several image scales (sigmoid scalars)."""
 
-    def __init__(self, scales: int = 3, width: int = 16, seed: int = 0):
-        if scales < 2:
-            raise ShapeError(f"discriminator needs >= 2 scales, got {scales}")
-        self.scales = scales
+    def __init__(self, seed: int = 0):
+        w = DISC_WIDTH
         self.layers = [
-            Conv2dLayer(3, width, k=3, stride=2, padding=1, seed=seed, name="disc.c0"),
-            Conv2dLayer(width, width, k=3, stride=2, padding=1, seed=seed, name="disc.c1"),
-            Conv2dLayer(width, 1, k=3, stride=1, padding=1, seed=seed, name="disc.c2"),
+            Conv2dLayer(3, w, k=3, stride=2, padding=1, seed=seed, name="disc.c0"),
+            Conv2dLayer(w, w, k=3, stride=2, padding=1, seed=seed, name="disc.c1"),
+            Conv2dLayer(w, 1, k=3, stride=1, padding=1, seed=seed, name="disc.c2"),
         ]
 
     def parameters(self):
@@ -199,14 +199,14 @@ class DiscriminatorNet:
         """One sigmoid scalar per scale, strictly inside (0, 1)."""
         h = _chw(image)
         scores = []
-        for s in range(self.scales):
+        for s in range(DISC_SCALES):
             f = h
             for i, layer in enumerate(self.layers):
                 f = layer(f)
                 if i < len(self.layers) - 1:
                     f = dt.relu(f)
             scores.append(dt.sigmoid(dt.tmean(f)))
-            if s < self.scales - 1:
+            if s < DISC_SCALES - 1:
                 h = dt.avg_pool2d(h, 2)
         return scores
 

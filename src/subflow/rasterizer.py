@@ -53,6 +53,7 @@ CUTOFF_MAHALANOBIS_SQ = 9.0      # 3-sigma support
 MIN_TRANSMITTANCE = 1e-4
 LOWPASS = 0.3                    # px^2 added to cov2d diagonal
 DEPTH_ALPHA = 0.5
+DEPTH_REL_TOL = 0.02             # warp_map occlusion test: relative depth gap
 
 FMAP_MAGIC = b"FMAP"
 _PPM_FIELD = re.compile(rb"(?:\s|#[^\n]*\n)+(\d+)")   # separator or comment lines, then digits
@@ -266,15 +267,14 @@ def bilinear_sample(img: np.ndarray, u: np.ndarray, v: np.ndarray,
 
 
 def warp_map(src_cam: Camera, dst_cam: Camera, depth_src: np.ndarray,
-             depth_dst: Optional[np.ndarray] = None,
-             depth_rel_tol: float = 0.02):
+             depth_dst: Optional[np.ndarray] = None):
     """Pixel correspondences src -> dst through the rendered src depth.
 
     Each finite-depth src pixel is unprojected at its sample center, moved to
     world space, and reprojected into dst. Pixels are invalid where the src
     depth is +inf, the reprojection leaves the dst frame or frustum, or (when
     depth_dst is given) the reprojected depth disagrees with the dst render
-    by more than depth_rel_tol (occlusion).
+    by more than DEPTH_REL_TOL relative (occlusion).
 
     Returns ((H, W, 2) dst pixel coords, (H, W) validity mask).
     """
@@ -307,7 +307,7 @@ def warp_map(src_cam: Camera, dst_cam: Camera, depth_src: np.ndarray,
     if depth_dst is not None:
         sampled = bilinear_sample(np.where(np.isfinite(depth_dst), depth_dst, -1.0),
                                   ud, vd, fill=-1.0)
-        agree = (sampled > 0) & (np.abs(sampled - zd_safe) <= depth_rel_tol * zd_safe)
+        agree = (sampled > 0) & (np.abs(sampled - zd_safe) <= DEPTH_REL_TOL * zd_safe)
         valid = valid & agree
 
     coords = np.stack([ud, vd], axis=-1).astype(np.float32)
@@ -337,6 +337,8 @@ def read_ppm(path) -> np.ndarray:
         m = _PPM_FIELD.match(raw, pos)
         if m is None:
             raise FormatError(f"{path}: PPM header has no {name}")
+        if len(m.group(1)) > 9:     # no payload is that large; int() refuses > 4300 digits
+            raise FormatError(f"{path}: PPM {name} has {len(m.group(1))} digits")
         fields.append(int(m.group(1)))
         pos = m.end()
     w, h, maxval = fields
@@ -349,6 +351,8 @@ def read_ppm(path) -> np.ndarray:
         raise FormatError(f"{path}: PPM payload has {len(raw) - pos - 1} bytes, "
                           f"expected {want}")
     data = np.frombuffer(raw, dtype=np.uint8, count=want, offset=pos + 1)
+    if data.max() > maxval:
+        raise FormatError(f"{path}: PPM sample {data.max()} exceeds maxval {maxval}")
     return data.reshape(h, w, 3).astype(np.float32) / maxval
 
 

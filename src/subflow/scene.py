@@ -77,14 +77,13 @@ class GaussianScene:
     """Array-of-structs Gaussian set; all per-Gaussian data as float32 arrays."""
 
     def __init__(self, positions, rotations, scales, opacities, colors, embeddings,
-                 source_tag: str = "", distilled: bool = False):
+                 distilled: bool = False):
         self.positions = np.ascontiguousarray(positions, dtype=np.float32)
         self.rotations = np.ascontiguousarray(rotations, dtype=np.float32)
         self.scales = np.ascontiguousarray(scales, dtype=np.float32)
         self.opacities = np.ascontiguousarray(opacities, dtype=np.float32)
         self.colors = np.ascontiguousarray(colors, dtype=np.float32)
         self.embeddings = np.ascontiguousarray(embeddings, dtype=np.float32)
-        self.source_tag = source_tag
         self.distilled = distilled
         self.validate()
 
@@ -123,18 +122,16 @@ class GaussianScene:
         if np.any(self.colors < 0) or np.any(self.colors > 1):
             raise ShapeError("colors must lie in [0, 1]")
 
-    def with_colors(self, colors: np.ndarray, source_tag: str | None = None) -> "GaussianScene":
+    def with_colors(self, colors: np.ndarray) -> "GaussianScene":
         """New scene sharing geometry byte-for-byte, colors replaced."""
         return GaussianScene(
             self.positions, self.rotations, self.scales, self.opacities,
-            colors, self.embeddings,
-            source_tag=self.source_tag if source_tag is None else source_tag,
-            distilled=self.distilled)
+            colors, self.embeddings, distilled=self.distilled)
 
     def with_embeddings(self, embeddings: np.ndarray, distilled: bool) -> "GaussianScene":
         return GaussianScene(
             self.positions, self.rotations, self.scales, self.opacities,
-            self.colors, embeddings, source_tag=self.source_tag, distilled=distilled)
+            self.colors, embeddings, distilled=distilled)
 
 
 @dataclass(frozen=True)
@@ -175,11 +172,13 @@ class Camera:
 
 
 def look_at_camera(position, target, focal: float, width: int, height: int,
-                   near: float = 0.05, far: float = 100.0, up=(0.0, 0.0, 1.0)) -> Camera:
+                   near: float = 0.05, far: float = 100.0) -> Camera:
+    """Camera at `position` looking at `target` with world +z up (+y for a
+    vertical view)."""
     position = np.asarray(position, dtype=np.float64)
     forward = np.asarray(target, dtype=np.float64) - position
     forward = forward / np.linalg.norm(forward)
-    up = np.asarray(up, dtype=np.float64)
+    up = np.array([0.0, 0.0, 1.0])
     if abs(np.dot(up, forward)) > 0.999:
         up = np.array([0.0, 1.0, 0.0])
     right = np.cross(up, forward)
@@ -256,8 +255,7 @@ def load_scene(path) -> GaussianScene:
     try:
         return GaussianScene(
             positions=rec[:, 0:3], rotations=rec[:, 3:7], scales=rec[:, 7:10],
-            opacities=opacities, colors=rec[:, 11:14], embeddings=rec[:, 14:],
-            source_tag=str(path))
+            opacities=opacities, colors=rec[:, 11:14], embeddings=rec[:, 14:])
     except ShapeError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
@@ -322,5 +320,4 @@ def generate_toy_scene(spec_kind: str, n: int, seed: int,
 
     colors = np.clip(_smooth_colors(positions), 0.0, 1.0)
     embeddings = np.zeros((n, embed_dim), dtype=np.float32)
-    return GaussianScene(positions, rotations, scales, opacities, colors, embeddings,
-                         source_tag=f"toy:{spec_kind}:n={n}:seed={seed}")
+    return GaussianScene(positions, rotations, scales, opacities, colors, embeddings)

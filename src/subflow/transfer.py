@@ -18,7 +18,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .diffcore import Adam, DenseNet, DenseNetSpec, Tensor
+from .diffcore import Adam, DenseNet, Tensor
 from .diffcore import tensor as dt
 from .diffcore.rng import named_stream
 from .encoders import FeatureEncoders, FeatureSet
@@ -94,8 +94,7 @@ class DecoderNet:
     """Shared per-Gaussian decoder: embedding rows -> RGB in [0,1] via sigmoid."""
 
     def __init__(self, embed_dim: int, hidden: tuple[int, ...] = (64,), seed: int = 0):
-        self.net = DenseNet(DenseNetSpec((embed_dim, *hidden, 3), "relu", seed),
-                            name="decoder")
+        self.net = DenseNet((embed_dim, *hidden, 3), "relu", seed, name="decoder")
         self.embed_dim = embed_dim
         self.trained = False
 
@@ -201,4 +200,4 @@ def stylize_scene(scene: GaussianScene, style: StyleStats,
         raise StateError("stylize_scene requires a trained decoder")
     transferred = adain(scene.embeddings, style)
     colors = decoder.decode(transferred.values)
-    return scene.with_colors(colors, source_tag=f"stylized:{scene.source_tag}")
+    return scene.with_colors(colors)

@@ -2,8 +2,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# every tier-1 run draws the same examples; no example is timed
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

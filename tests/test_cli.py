@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -192,16 +194,17 @@ def test_train_flow_feat_flags_must_pair(pipeline_artifacts, tmp_path):
 
 
 def test_numeric_failure_exits_3(pipeline_artifacts, tmp_path):
-    # poisoned decoder checkpoint: NaN parameters surface as a numerics error
+    # poisoned decoder checkpoint: huge parameters surface as a numerics error
     from subflow.diffcore import load_params, save_params
     root = pipeline_artifacts
     arrays = load_params(root / "styled" / "decoder.prms")
-    arrays[0] = np.full_like(arrays[0], np.nan)
+    arrays[0] = np.full_like(arrays[0], 3e38)   # finite, but the first matmul overflows
     bad = tmp_path / "bad_decoder.prms"
     save_params(bad, arrays)
-    rc = run("stylize", "--config", root / "small.cfg", "--scene", root / "sd.gscn",
-             "--decoder", bad, "--pipeline", root / "pipe",
-             "--text", "anything", "--out", tmp_path / "o.gscn")
+    with np.errstate(over="ignore"):
+        rc = run("stylize", "--config", root / "small.cfg", "--scene", root / "sd.gscn",
+                 "--decoder", bad, "--pipeline", root / "pipe",
+                 "--text", "anything", "--out", tmp_path / "o.gscn")
     assert rc == 3
 
 
@@ -289,3 +292,79 @@ def test_stylize_broken_manifest_exits_2(pipeline_artifacts, tmp_path, capsys, m
     assert rc == 2
     assert "manifest.txt" in err and "'euler_steps'" in err
     assert not (tmp_path / "o.gscn").exists()
+
+
+def _feat_bytes(rows, tag):
+    rows = np.asarray(rows, dtype="<f4")
+    return b"FEAT" + struct.pack("<IIIB", 1, *rows.shape, tag) + rows.tobytes()
+
+
+@pytest.mark.parametrize("case", ["stylize-feat-nan", "stylize-feat-dim0", "train-flow-clip-nan",
+                                  "train-flow-vgg-nan", "stylize-decoder-nan"])
+def test_bad_payload_names_file(pipeline_artifacts, tmp_path, capsys, case):
+    from subflow.diffcore import load_params, save_params
+    from subflow.encoders import import_features
+    root = pipeline_artifacts
+    rows = import_features(root / "pipe" / "aligned.feat").vectors
+    nan_rows = rows.copy()
+    nan_rows[1, 3] = np.nan
+    bad = tmp_path / "bad.feat"
+    stylize = ["stylize", "--config", root / "small.cfg", "--scene", root / "sd.gscn",
+               "--pipeline", root / "pipe", "--out", tmp_path / "out"]
+    decoder = root / "styled" / "decoder.prms"
+    if case == "stylize-feat-nan":
+        bad.write_bytes(_feat_bytes(nan_rows, 0))
+        argv = stylize + ["--decoder", decoder, "--feat", bad]
+    elif case == "stylize-feat-dim0":
+        bad.write_bytes(_feat_bytes(np.zeros((1, 0)), 0))
+        argv = stylize + ["--decoder", decoder, "--feat", bad]
+    elif case.startswith("train-flow"):
+        good = tmp_path / "good.feat"
+        clip_nan = case == "train-flow-clip-nan"
+        bad.write_bytes(_feat_bytes(nan_rows, 0 if clip_nan else 1))
+        good.write_bytes(_feat_bytes(rows, 1 if clip_nan else 0))
+        clip, vgg = (bad, good) if clip_nan else (good, bad)
+        argv = ["train-flow", "--config", root / "small.cfg", "--out", tmp_path / "out",
+                "--feat-clip", clip, "--feat-vgg", vgg]
+    else:
+        arrays = load_params(decoder)
+        arrays[2][0] = np.nan
+        bad = tmp_path / "bad.prms"
+        save_params(bad, arrays)
+        argv = stylize + ["--decoder", bad, "--text", "anything"]
+    assert run(*argv) == 2
+    assert str(bad) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# every bounded key at a value below its bound; the confirmed failures run
+# the command that used to crash or write garbage
+@pytest.mark.parametrize("key, value, command", [
+    ("embed_dim", 7, "dump-config"), ("clip_dim", 0, "dump-config"),
+    ("style_dim", 0, "dump-config"), ("scene.n", 0, "gen-scene"),
+    ("camera.count", 1, "dump-config"), ("camera.radius", 0, "dump-config"),
+    ("camera.focal", -1, "dump-config"), ("camera.width", 0, "dump-config"),
+    ("camera.height", 0, "dump-config"), ("flow.euler_steps", 0, "dump-config"),
+    ("flow.rounds", 0, "dump-config"), ("flow.train_steps", -1, "train-flow"),
+    ("flow.batch_size", 0, "dump-config"), ("flow.learning_rate", 0, "dump-config"),
+    ("flow.mapping_steps", -1, "dump-config"), ("flow.corpus", 0, "train-flow"),
+    ("distill.steps", -1, "dump-config"), ("distill.learning_rate", "nan", "dump-config"),
+    ("distill.hidden", 0, "dump-config"), ("style.steps", -2, "train-style"),
+    ("style.learning_rate", "inf", "dump-config"), ("weights.style", -1, "dump-config"),
+    ("weights.obs", "nan", "dump-config"), ("weights.flow", -0.5, "dump-config"),
+    ("weights.suppression", -1, "dump-config"), ("gen2d.corpus", 0, "train-style"),
+    ("gen2d.steps", -1, "dump-config"),
+])
+def test_config_value_below_bound_exits_2(tmp_path, capsys, key, value, command):
+    path = tmp_path / "run.cfg"
+    path.write_text(SMALL_CFG + f"{key} = {value}\n")
+    out = tmp_path / "out"
+    argv = {"dump-config": [],
+            "gen-scene": ["--out", out],
+            "train-flow": ["--out", out],
+            "train-style": ["--scene", tmp_path / "sd.gscn", "--decoder", tmp_path / "d.prms",
+                            "--pipeline", tmp_path / "pipe", "--out", out]}[command]
+    assert run(command, "--config", path, *argv) == 2
+    captured = capsys.readouterr()
+    assert str(path) in captured.err and f"'{key}'" in captured.err
+    assert captured.out == "" and not out.exists()

@@ -83,8 +83,7 @@ def test_backward_accumulates_without_zeroing():
 
 
 def test_dense_net_gradients_match_finite_differences():
-    spec = dc.DenseNetSpec((3, 8, 8, 8, 2), "tanh", seed=5)
-    net = dc.DenseNet(spec)
+    net = dc.DenseNet((3, 8, 8, 8, 2), "tanh", seed=5)
     x = dc.named_stream(1, "gc-input").standard_normal((4, 3))
     assert dc.finite_diff_check(net, x, 1e-3) < 1e-3
 
@@ -142,7 +141,7 @@ def test_adam_step_count_increments():
         p.grad = np.array(1.0, dtype=np.float32)
         opt.step()
         opt.zero_grad()
-    assert opt.state.step_count == 2
+    assert opt.step_count == 2
 
 
 def test_adam_missing_grad_raises():
@@ -159,21 +158,20 @@ def test_adam_leaves_grads_untouched():
 
 
 def test_finite_diff_linear_net_is_exact():
-    spec = dc.DenseNetSpec((1, 1), "none", seed=0)
-    net = dc.DenseNet(spec)
+    net = dc.DenseNet((1, 1), "none", seed=0)
     net.weights[0].data = np.array([[2.0]], dtype=np.float32)
     assert dc.finite_diff_check(net, np.array([[3.0]]), 1e-3) < 1e-6
 
 
 def test_finite_diff_rejects_nonpositive_h():
-    net = dc.DenseNet(dc.DenseNetSpec((1, 1), "none", seed=0))
+    net = dc.DenseNet((1, 1), "none", seed=0)
     with pytest.raises(ValueError, match="positive"):
         dc.finite_diff_check(net, np.array([[1.0]]), 0.0)
 
 
 def test_training_determinism_bit_identical():
     def run():
-        net = dc.DenseNet(dc.DenseNetSpec((4, 6, 2), "relu", seed=11))
+        net = dc.DenseNet((4, 6, 2), "relu", seed=11)
         opt = dc.Adam(net.parameters(), lr=1e-2)
         x = dc.named_stream(11, "train-x").standard_normal((8, 4)).astype(np.float32)
         y = dc.named_stream(11, "train-y").standard_normal((8, 2)).astype(np.float32)
@@ -281,6 +279,25 @@ def test_constant_operand_gradient_is_never_formed():
     assert peak < 1 << 20
     assert w.grad is None and out.grad is None and loss.grad is None
     assert np.array_equal(x.grad, np.full((2000, 3), 4096.0, dtype=np.float32))
+
+
+def test_python_number_keeps_a_float32_graph_float32():
+    # at float64 the weight matmul's vjp would cast the constant (4096, 2000)
+    # float32 matrix to float64 (62.6 MiB) to multiply it by the gradient
+    import tracemalloc
+    w = dc.Tensor(np.ones((4096, 2000), dtype=np.float32))
+    x = dc.Tensor(np.ones((2000, 3), dtype=np.float32), requires_grad=True)
+    loss = dc.mul(dc.tmean(dc.matmul(w, x)), 0.2)
+    assert loss.data.dtype == np.float32
+    tracemalloc.start()
+    try:
+        loss.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert dc.sub(1.0, x).data.dtype == np.float32
+    assert dc.add(dc.Tensor(np.ones(2)), 1e-12).data.dtype == np.float64
 
 
 def _uniform(seed, shape, lo=-1.0, hi=1.0):

@@ -152,7 +152,6 @@ def test_feat_round_trip(tmp_path, encoders):
     enc.export_features(path, fs)
     back = enc.import_features(path)
     assert back.domain == "clip_like"
-    assert back.provenance == "imported"
     assert np.array_equal(back.vectors, fs.vectors)
 
 

@@ -282,7 +282,9 @@ def test_ppm_header_comments_are_skipped(tmp_path):
     b"P6\n2 2\n# no newline ends this comment",   # unterminated header comment
     b"P6\n2 2",                                     # header cut before maxval
     b"P6\n2 2\n255\n" + bytes(11),                # payload one byte short
-], ids=["comment", "truncated-header", "short-payload"])
+    b"P6\n2 2\n7\n" + bytes(range(12)),            # samples above maxval
+    b"P6\n" + b"9" * 5000 + b" 2\n255\n" + bytes(12),  # width too long for int()
+], ids=["comment", "truncated-header", "short-payload", "sample-above-maxval", "long-width"])
 def test_malformed_ppm_names_file(tmp_path, raw):
     path = tmp_path / "bad.ppm"
     path.write_bytes(raw)

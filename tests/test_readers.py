@@ -1,0 +1,156 @@
+"""Every artifact reader returns a valid object or raises FormatError.
+
+Each property starts from a valid file and truncates it, flips bytes in it,
+or overwrites one header field (a little-endian u32 in the binary formats,
+one value's text in the text formats).
+"""
+
+import re
+import shutil
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from subflow import config as cfgmod
+from subflow import flowalign as fa
+from subflow import rasterizer as ras
+from subflow import scene as sc
+from subflow.diffcore import DenseNet, load_params, save_params
+from subflow.encoders import FeatureSet, export_features, import_features
+from subflow.errors import FormatError
+
+
+def _mutated(valid: bytes, field):
+    """Truncations of `valid`, up to four byte flips in it, and `field`."""
+    flips = st.lists(st.tuples(st.integers(0, len(valid) - 1), st.integers(1, 255)),
+                     min_size=1, max_size=4)
+
+    def flip(pairs):
+        out = bytearray(valid)
+        for i, mask in pairs:
+            out[i] ^= mask
+        return bytes(out)
+    return st.one_of(st.integers(0, len(valid) - 1).map(lambda n: valid[:n]),
+                     flips.map(flip), field)
+
+
+def _binary(valid: bytes, offsets):
+    """Mutations of a binary file whose header holds u32 fields at `offsets`."""
+    def put(pair):
+        off, val = pair
+        return valid[:off] + struct.pack("<I", val) + valid[off + 4:]
+    return _mutated(valid, st.tuples(st.sampled_from(offsets),
+                                     st.integers(0, 2 ** 32 - 1)).map(put))
+
+
+def _text(valid: bytes, spans):
+    """Mutations of a text file whose field values sit at `spans`."""
+    value = st.one_of(st.integers().map(str), st.text(max_size=12)).map(str.encode)
+
+    def put(pair):
+        (lo, hi), val = pair
+        return valid[:lo] + val + valid[hi:]
+    return _mutated(valid, st.tuples(st.sampled_from(spans), value).map(put))
+
+
+def _values(text: bytes):
+    """Spans of the values of `key = value` lines."""
+    return [m.span(1) for m in re.finditer(rb"=[ ]*([^\n]*)", text)]
+
+
+@pytest.fixture(scope="module")
+def valid(tmp_path_factory):
+    """Directory of valid files, one per format, plus a saved flow pipeline."""
+    root = tmp_path_factory.mktemp("readers")
+    sc.save_scene(sc.generate_toy_scene("lattice", 6, 1, embed_dim=8), root / "v.gscn")
+    save_params(root / "v.prms", DenseNet((3, 4, 2), seed=1).parameters())
+    rows = np.arange(12, dtype=np.float32).reshape(3, 4) / 7.0
+    export_features(root / "v.feat", FeatureSet("clip_like", rows))
+    ras.write_fmap(root / "v.fmap", np.linspace(-1.0, 1.0, 12).reshape(3, 2, 2))
+    ras.write_ppm(root / "v.ppm", np.linspace(0.0, 1.0, 36).reshape(4, 3, 3))
+    (root / "v.cfg").write_text("seed = 3\nscene.n = 100\ncamera.focal = 60.0\n"
+                                "flow.rounds = 2\nweights.obs = 0.25\n")
+    x = np.linspace(-1.0, 1.0, 24, dtype=np.float32).reshape(8, 3)
+    cfg = fa.FlowConfig(rounds=2, train_steps=2, batch_size=4, mapping_steps=2, seed=4,
+                        velocity_hidden=(5,), mapping_hidden=(4,))
+    _, _, pipe = fa.run_subdivisive_flow(FeatureSet("clip_like", x),
+                                         FeatureSet("vgg_like", x + 1.0), cfg)
+    pipe.save(root / "pipe")
+    return root
+
+
+def _read(reader, path, data: bytes):
+    """`reader(path)` after writing `data` there, or None on FormatError."""
+    path.write_bytes(data)
+    try:
+        return reader(path)
+    except FormatError:
+        return None
+
+
+@given(st.data())
+def test_load_scene_property(valid, data):
+    blob = data.draw(_binary((valid / "v.gscn").read_bytes(), [4, 8, 12]))
+    scene = _read(sc.load_scene, valid / "x.gscn", blob)
+    if scene is not None:
+        scene.validate()
+
+
+@given(st.data())
+def test_load_params_property(valid, data):
+    blob = data.draw(_binary((valid / "v.prms").read_bytes(), [4, 8, 12, 16, 20]))
+    arrays = _read(load_params, valid / "x.prms", blob)
+    if arrays is not None:
+        for a in arrays:
+            assert a.dtype == np.float32 and a.size >= 1 and np.all(np.isfinite(a))
+
+
+@given(st.data())
+def test_import_features_property(valid, data):
+    blob = data.draw(_binary((valid / "v.feat").read_bytes(), [4, 8, 12]))
+    fs = _read(import_features, valid / "x.feat", blob)
+    if fs is not None:
+        assert fs.count >= 1 and fs.dim >= 1 and np.all(np.isfinite(fs.vectors))
+
+
+@given(st.data())
+def test_read_fmap_property(valid, data):
+    blob = data.draw(_binary((valid / "v.fmap").read_bytes(), [4, 8, 12]))
+    fmap = _read(ras.read_fmap, valid / "x.fmap", blob)
+    if fmap is not None:
+        assert fmap.dtype == np.float32 and fmap.shape == struct.unpack_from("<III", blob, 4)
+
+
+@given(st.data())
+def test_read_ppm_property(valid, data):
+    raw = (valid / "v.ppm").read_bytes()
+    header = raw[:len(b"P6\n3 4\n255\n")]
+    fields = [m.span() for m in re.finditer(rb"\d+", header)][1:]   # width, height, maxval
+    blob = data.draw(_text(raw, fields))
+    img = _read(ras.read_ppm, valid / "x.ppm", blob)
+    if img is not None:
+        assert img.ndim == 3 and img.shape[2] == 3
+        assert img.dtype == np.float32 and np.all((img >= 0) & (img <= 1))
+
+
+@given(st.data())
+def test_load_config_property(valid, data):
+    raw = (valid / "v.cfg").read_bytes()
+    cfg = _read(cfgmod.load_config, valid / "x.cfg", data.draw(_text(raw, _values(raw))))
+    if cfg is not None:
+        assert cfgmod.parse_config(cfg.dump()).dump() == cfg.dump()
+
+
+@given(st.data())
+def test_pipeline_load_property(valid, data):
+    pipe_dir = valid / "x_pipe"
+    if not pipe_dir.exists():
+        shutil.copytree(valid / "pipe", pipe_dir)
+    raw = (valid / "pipe" / "manifest.txt").read_bytes()
+    blob = data.draw(_text(raw, _values(raw)))
+    pipe = _read(lambda path: fa.FlowPipeline.load(path.parent), pipe_dir / "manifest.txt", blob)
+    if pipe is not None:
+        assert pipe.trained and len(pipe.fields) == pipe.cfg.rounds
