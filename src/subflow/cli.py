@@ -98,7 +98,8 @@ def _load_distilled(path) -> sc.GaussianScene:
 def _load_decoder(path, cfg) -> tr.DecoderNet:
     decoder = tr.DecoderNet(cfg["embed_dim"], hidden=(cfg["distill.hidden"],),
                             seed=cfg["seed"])
-    restore_params(decoder.parameters(), load_params(_require(path, "decoder checkpoint")))
+    path = _require(path, "decoder checkpoint")
+    restore_params(decoder.parameters(), load_params(path), path)
     decoder.trained = True
     return decoder
 
@@ -114,7 +115,7 @@ def _decoder2d(cfg, encoders, out_dir: Path) -> ls.Decoder2D:
     ck = out_dir / f"decoder2d_seed{cfg['seed']}.prms"
     dec = ls.Decoder2D(channels=encoders.tap_widths[ls.GENERATOR_TAP], seed=cfg["seed"])
     if ck.exists():
-        restore_params(dec.parameters(), load_params(ck))
+        restore_params(dec.parameters(), load_params(ck), ck)
         dec.trained = True
         return dec
     dec = ls.train_decoder2d(encoders, corpus=cfg["gen2d.corpus"], steps=cfg["gen2d.steps"],

@@ -6,13 +6,13 @@ from .nets import Conv2dLayer, DenseNet
 from .optim import Adam
 from .rng import glorot_uniform, named_stream
 from .tensor import (Tensor, add, as_tensor, avg_pool2d, clamp, concat, conv2d, log,
-                     matmul, mul, relu, reshape, sigmoid, sqrt, sub, tanh, tmean,
-                     transpose, tsum, upsample2x)
+                     matmul, mul, relu, reshape, sigmoid, sqrt, sub, tanh, tile_matmul,
+                     tmean, transpose, tsum, upsample2x)
 
 __all__ = [
     "Adam", "Conv2dLayer", "DenseNet", "Tensor", "add", "as_tensor", "avg_pool2d",
     "clamp", "concat", "conv2d", "finite_diff_check", "finite_diff_max_rel_error",
     "glorot_uniform", "load_params", "log", "matmul", "mul", "named_stream", "relu",
-    "reshape", "restore_params", "save_params", "sigmoid", "sqrt", "sub", "tanh", "tmean",
-    "transpose", "tsum", "upsample2x",
+    "reshape", "restore_params", "save_params", "sigmoid", "sqrt", "sub", "tanh",
+    "tile_matmul", "tmean", "transpose", "tsum", "upsample2x",
 ]

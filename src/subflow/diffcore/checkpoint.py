@@ -69,11 +69,11 @@ def load_params(path) -> list[np.ndarray]:
     return out
 
 
-def restore_params(params: Sequence[Tensor], arrays: Sequence[np.ndarray]) -> None:
-    """Copy loaded arrays into existing parameter tensors, checking shapes."""
+def restore_params(params: Sequence[Tensor], arrays: Sequence[np.ndarray], path) -> None:
+    """Copy arrays loaded from `path` into existing parameter tensors, checking shapes."""
     if len(params) != len(arrays):
-        raise FormatError(f"checkpoint holds {len(arrays)} tensors, model has {len(params)}")
+        raise FormatError(f"{path}: holds {len(arrays)} tensors, model has {len(params)}")
     for p, a in zip(params, arrays):
         if p.data.shape != a.shape:
-            raise FormatError(f"checkpoint tensor shape {a.shape} != model {p.data.shape}")
+            raise FormatError(f"{path}: checkpoint tensor shape {a.shape} != model {p.data.shape}")
         p.data = a.astype(p.data.dtype)

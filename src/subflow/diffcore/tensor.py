@@ -183,6 +183,25 @@ def matmul(a: Arrayish, b: Arrayish) -> Tensor:
                  (b, lambda g: a.data.T @ g))
 
 
+def tile_matmul(blocks: Sequence[tuple], rows: int, x: Arrayish) -> Tensor:
+    """W @ x for a constant (rows, M) matrix W held as (pix, cols, b) blocks:
+    out[pix] = b @ x[cols], zero in rows no block has. No two blocks share a
+    row and no block repeats a column, so the vjp's fancy-index `+=` is exact."""
+    x = as_tensor(x)
+    if x.data.ndim != 2:
+        raise ShapeError(f"tile_matmul expects a 2-D operand, got {x.data.shape}")
+    data = np.zeros((rows, x.data.shape[1]), dtype=x.data.dtype)
+    for pix, cols, b in blocks:
+        data[pix] = b @ x.data[cols]
+
+    def vjp(g):
+        dx = np.zeros(x.data.shape, dtype=g.dtype)
+        for pix, cols, b in blocks:
+            dx[cols] += b.T @ g[pix]
+        return dx
+    return _make("tile_matmul", data, (x, vjp))
+
+
 def transpose(a: Arrayish) -> Tensor:
     a = as_tensor(a)
     if a.data.ndim != 2:

@@ -80,11 +80,12 @@ class FlowRoundReport:
 
 
 def time_embedding(t: np.ndarray) -> np.ndarray:
-    """Fourier features of t in [0,1]: sin/cos at frequencies pi * 2^k."""
+    """Fourier features of t in [0,1]: sin/cos at frequencies pi * 2^k, in
+    float32 so that float32 rows make a float32 velocity graph."""
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     freqs = np.pi * (2.0 ** np.arange(TIME_FEATURES // 2))
     ang = t[:, None] * freqs[None, :]
-    return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+    return np.concatenate([np.sin(ang), np.cos(ang)], axis=1).astype(np.float32)
 
 
 def interpolate(x0: np.ndarray, x1: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -231,7 +232,7 @@ def _restore(path, widths: tuple[int, ...], build: Callable[[], object]):
     if got != want:
         raise FormatError(f"{path}: tensor shapes {got} do not fit the manifest's {want}")
     net = build()
-    restore_params(net.parameters(), arrays)
+    restore_params(net.parameters(), arrays, path)
     return net
 
 

@@ -1,8 +1,9 @@
 """Training objective stack for scene stylization.
 
 Rendered views of the stylized scene are produced through the frozen
-compositing weights of each camera, so every loss below is differentiable
-with respect to the decoder parameters without touching the rasterizer:
+per-tile compositing weight blocks of each camera (`tile_matmul`), so every
+loss below is differentiable with respect to the decoder parameters without
+touching the rasterizer:
 
   content      MSE of deepest encoder-tap features vs the content render
   style        sum over taps of squared channel mean/std gaps to the style
@@ -29,7 +30,7 @@ from .diffcore.rng import named_stream
 from .encoders import FeatureEncoders, procedural_texture
 from .errors import NumericsError, ShapeError, StateError
 from .flowalign import FlowPipeline
-from .rasterizer import attribute_weights, render
+from .rasterizer import attribute_weights, render  # noqa: F401  render: wrapped by perfbench
 from .scene import Camera, GaussianScene
 from .transfer import DecoderNet, StyleStats, adain, stats_from_feature
 
@@ -300,11 +301,10 @@ def train_stylization(scene: GaussianScene, cams: Sequence[Camera], style_img: n
     for cam in cams:
         if (cam.height, cam.width) != (h, w):
             raise ShapeError("training cameras must share one resolution")
-        content_rgb = render(scene, cam).rgb
-        wmat = Tensor(attribute_weights(scene, cam))
-        i_g = generator_2d(content_rgb, style_img, encoders, decoder2d) \
+        tiles = attribute_weights(scene, cam)
+        i_g = generator_2d(tiles.rgb, style_img, encoders, decoder2d) \
             if (use_observation or use_suppression) else None
-        cam_data.append((wmat, content_rgb, i_g))
+        cam_data.append((tiles.blocks, tiles.rgb, i_g))
 
     disc = DiscriminatorNet(seed=seed) if use_suppression else None
     opt_dec = Adam(decoder.parameters(), lr=lr)
@@ -318,9 +318,9 @@ def train_stylization(scene: GaussianScene, cams: Sequence[Camera], style_img: n
             opt_disc.zero_grad()
 
     for step in range(steps):
-        wmat, content_rgb, i_g = cam_data[int(g.integers(0, len(cam_data)))]
+        blocks, content_rgb, i_g = cam_data[int(g.integers(0, len(cam_data)))]
         colors = decoder.forward(moved)                       # (N, 3)
-        i_f = dt.reshape(dt.transpose(dt.matmul(wmat, colors)), (3, h, w))
+        i_f = dt.reshape(dt.transpose(dt.tile_matmul(blocks, h * w, colors)), (3, h, w))
 
         c_loss = content_loss(i_f, content_rgb, encoders)
         s_loss = style_loss(i_f, ref_tap_stats, encoders)

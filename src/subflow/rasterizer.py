@@ -25,12 +25,15 @@ T dropped under 1e-4 never contributes again; so masking after the fact
 gives the loop's weights bit for bit, and a tile stops as soon as every
 pixel in it is saturated.
 
-`render` builds everything from those weights: colors and the D-channel
-embedding maps as w @ attrs (so rendering any per-Gaussian attribute is
-linear in it), coverage as the running sum of w, and depth as the view-space
-z of the splat that first lifts that sum to 0.5 (+inf where never reached).
-`attribute_weights` scatters the same weights into a dense matrix for
-gradient-based training.
+One compositing pass builds everything from those weights: colors and the
+D-channel embedding maps as w @ attrs (so rendering any per-Gaussian
+attribute is linear in it), coverage as the running sum of w, and depth as
+the view-space z of the splat that first lifts that sum to 0.5 (+inf where
+never reached). `render` returns those maps. `attribute_weights`, the pass
+gradient-based training runs once per camera, also keeps each tile's
+weights as one dense float32 block of (tile pixels) x (tile splats with a
+nonzero weight), like the per-tile splat lists of 3D Gaussian Splatting
+(Kerbl et al. 2023): about 1% of a dense (H*W, N) matrix's entries.
 """
 from __future__ import annotations
 
@@ -176,8 +179,9 @@ def _tiles(scene: GaussianScene, cam: Camera):
     return idx, z, tiles
 
 
-def render(scene: GaussianScene, cam: Camera, threads: int = 1) -> RenderOutput:
-    """Rasterize colors, embeddings, depth, and coverage for one camera."""
+def _composite(scene: GaussianScene, cam: Camera, keep_blocks: bool, threads: int = 1):
+    """(RenderOutput, blocks) of one camera; blocks, as in TileWeights, only
+    with keep_blocks."""
     if scene.count < 1:
         raise ShapeError("render: scene is empty")
     h, w = cam.height, cam.width
@@ -196,6 +200,7 @@ def render(scene: GaussianScene, cam: Camera, threads: int = 1) -> RenderOutput:
         out = np.zeros((shape[0] * shape[1], attrs.shape[1]))
         acc = np.zeros(out.shape[0])
         dep = np.full(out.shape[0], np.inf)
+        splats, blocks = [], []
         for chunk, wts in chunks:
             s = sel[chunk]
             out += wts @ attrs[s]
@@ -204,35 +209,75 @@ def render(scene: GaussianScene, cam: Camera, threads: int = 1) -> RenderOutput:
             first = np.argmax(run[crossed, 1:] >= DEPTH_ALPHA, axis=1)
             dep[crossed] = z[s][first]
             acc = run[:, -1]
+            if keep_blocks:
+                block = wts.astype(np.float32)
+                nonzero = block.any(axis=0)
+                splats.append(idx[s[nonzero]])
+                blocks.append(block[:, nonzero])
         rgb[rows, cols] = out[:, :3].reshape(*shape, 3)
         feats[rows, cols] = out[:, 3:].reshape(*shape, d)
         alpha[rows, cols] = acc.reshape(shape)
         depth[rows, cols] = dep.reshape(shape)
+        if keep_blocks:
+            splats = np.concatenate(splats)
+            if splats.size:
+                pix = (np.arange(rows.start, rows.stop)[:, None] * w
+                       + np.arange(cols.start, cols.stop)).ravel()
+                return pix, splats, np.hstack(blocks)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_tile, tiles))
+            blocks = list(pool.map(run_tile, tiles))
     else:
-        for tile in tiles:
-            run_tile(tile)
-    return RenderOutput(rgb, feats, depth, alpha)
+        blocks = [run_tile(tile) for tile in tiles]
+    return RenderOutput(rgb, feats, depth, alpha), [b for b in blocks if b is not None]
 
 
-def attribute_weights(scene: GaussianScene, cam: Camera) -> np.ndarray:
-    """(H*W, N) compositing weights: render(attr) == weights @ attr rows.
+def render(scene: GaussianScene, cam: Camera, threads: int = 1) -> RenderOutput:
+    """Rasterize colors, embeddings, depth, and coverage for one camera."""
+    return _composite(scene, cam, False, threads)[0]
 
-    Depends only on geometry and opacity, so with those frozen any loss on a
-    rendered attribute map is differentiable through a single matmul.
+
+@dataclass
+class TileWeights:
+    """One camera's compositing weights as per-tile (pix, splats, weights)
+    blocks, render(attr)[pix] == weights @ attr[splats] in float32, with its
+    content image and coverage (equal to render's). A block holds a tile's
+    flat pixel indices and its splats with a nonzero weight, each once.
+    `nbytes`, `size` and `np.count_nonzero` count the blocks, never densified.
     """
-    h, w = cam.height, cam.width
-    weights = np.zeros((h * w, scene.count), dtype=np.float32)
-    idx, _, tiles = _tiles(scene, cam)
-    for rows, cols, sel, chunks in tiles:
-        pix = (np.arange(rows.start, rows.stop)[:, None] * w
-               + np.arange(cols.start, cols.stop)).ravel()
-        for chunk, wts in chunks:
-            weights[pix[:, None], idx[sel[chunk]]] = wts
-    return weights
+    blocks: list
+    rows: int                # H * W
+    rgb: np.ndarray          # (H, W, 3)
+    alpha_mask: np.ndarray   # (H, W)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(pix.nbytes + splats.nbytes + wts.nbytes for pix, splats, wts in self.blocks)
+
+    @property
+    def size(self) -> int:
+        return sum(wts.size for _, _, wts in self.blocks)
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func is not np.count_nonzero or len(args) != 1 or kwargs:
+            return NotImplemented
+        return sum(int(np.count_nonzero(wts)) for _, _, wts in self.blocks)
+
+    def select_rows(self, mask: np.ndarray) -> list:
+        """Blocks cut to the flat pixels where `mask` holds, renumbered to
+        count those pixels in raster order."""
+        position = np.cumsum(mask) - 1
+        return [(position[pix[mask[pix]]], splats, wts[mask[pix]])
+                for pix, splats, wts in self.blocks if mask[pix].any()]
+
+
+def attribute_weights(scene: GaussianScene, cam: Camera) -> TileWeights:
+    """The one compositing pass training runs per camera. The weights depend
+    only on geometry and opacity, so with those frozen a loss on a rendered
+    attribute map is differentiable through `diffcore.tile_matmul`."""
+    out, blocks = _composite(scene, cam, True)
+    return TileWeights(blocks, cam.height * cam.width, out.rgb, out.alpha_mask)
 
 
 # -- depth reprojection ---------------------------------------------------------

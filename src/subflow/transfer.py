@@ -23,7 +23,7 @@ from .diffcore import tensor as dt
 from .diffcore.rng import named_stream
 from .encoders import FeatureEncoders, FeatureSet
 from .errors import ShapeError, StateError
-from .rasterizer import attribute_weights, render
+from .rasterizer import attribute_weights, render  # noqa: F401  render: wrapped by perfbench
 from .scene import Camera, GaussianScene
 
 EPSILON_STD = 1e-6
@@ -134,8 +134,9 @@ def distill_embeddings(scene: GaussianScene, cams: Sequence[Camera],
 
     Two objectives: (a) the decoder reproduces each Gaussian's own color from
     its embedding; (b) rendered embedding maps track a fixed projection of
-    the first encoder tap of the rendered content image, computed through the
-    frozen compositing weights of each camera.
+    the first encoder tap of the rendered content image on well-covered
+    pixels, rendered through the frozen weight blocks cut to those rows. One
+    `attribute_weights` pass per camera gives the blocks and content image.
     """
     if len(cams) < 1:
         raise ShapeError("distill_embeddings needs at least one camera")
@@ -150,18 +151,18 @@ def distill_embeddings(scene: GaussianScene, cams: Sequence[Camera],
 
     cam_data = []
     for cam in cams:
-        out = render(scene, cam)
         weights = attribute_weights(scene, cam)
-        covered = out.alpha_mask.reshape(-1) > 0.6
+        coverage = weights.alpha_mask.reshape(-1)
+        covered = coverage > 0.6
         if covered.sum() < 16:
-            covered = out.alpha_mask.reshape(-1) > 0.0
+            covered = coverage > 0.0
         if covered.sum() == 0:
             cam_data.append(None)  # camera sees nothing; no projection target
             continue
-        tap0 = encoders.tap_features(out.rgb)[0].data          # (C, H, W)
+        tap0 = encoders.tap_features(weights.rgb)[0].data      # (C, H, W)
         target = tap0.reshape(tap0.shape[0], -1).T @ proj.T    # (H*W, D)
         scale = max(float(target[covered].std()), 1e-6)
-        cam_data.append((Tensor(weights[covered]), Tensor(target[covered] / scale)))
+        cam_data.append((weights.select_rows(covered), Tensor(target[covered] / scale)))
 
     opt = Adam([embed] + decoder.parameters(), lr=lr)
     g = named_stream(seed, "distill.cams")
@@ -171,8 +172,8 @@ def distill_embeddings(scene: GaussianScene, cams: Sequence[Camera],
         recon = dt.sub(decoder.forward(embed), colors_t)
         loss = dt.tmean(dt.mul(recon, recon))
         if pick is not None:
-            w_cov, target = pick
-            pdiff = dt.sub(dt.matmul(w_cov, embed), target)
+            blocks, target = pick
+            pdiff = dt.sub(dt.tile_matmul(blocks, target.data.shape[0], embed), target)
             loss_b = dt.tmean(dt.mul(pdiff, pdiff))
             loss = dt.add(loss, dt.mul(loss_b, projection_weight))
             if np.isnan(proj_first):

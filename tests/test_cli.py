@@ -208,6 +208,19 @@ def test_numeric_failure_exits_3(pipeline_artifacts, tmp_path):
     assert rc == 3
 
 
+def test_decoder_that_does_not_fit_config_names_file(pipeline_artifacts, tmp_path, capsys):
+    # the decoder was trained with distill.hidden = 64 (the default)
+    root = pipeline_artifacts
+    cfg = tmp_path / "hidden32.cfg"
+    cfg.write_text(SMALL_CFG + "distill.hidden = 32\n")
+    decoder = root / "styled" / "decoder.prms"
+    rc = run("stylize", "--config", cfg, "--scene", root / "sd.gscn", "--decoder", decoder,
+             "--pipeline", root / "pipe", "--text", "anything", "--out", tmp_path / "o.gscn")
+    assert rc == 2
+    assert str(decoder) in capsys.readouterr().err
+    assert not (tmp_path / "o.gscn").exists()
+
+
 def test_render_features_flag(pipeline_artifacts, tmp_path):
     root = pipeline_artifacts
     out = tmp_path / "feat_views"

@@ -328,6 +328,11 @@ _OPS = {
     "conv2d-nobias": (dc.conv2d, lambda: [_uniform(1, (2, 4, 4)), _uniform(2, (3, 2, 2, 2))]),
     "avg_pool2d": (lambda x: dc.avg_pool2d(x, 2), lambda: [_uniform(1, (2, 4, 4))]),
     "upsample2x": (dc.upsample2x, lambda: [_uniform(1, (2, 3, 3))]),
+    # rows 1 and 3 of the (5, 4) weight matrix are empty; column 2 is unused
+    "tile_matmul": (lambda x: dc.tile_matmul(
+        [(np.array([0, 2]), np.array([3, 1, 0]), _uniform(4, (2, 3)).astype(np.float32)),
+         (np.array([4]), np.array([1]), np.full((1, 1), 0.5, dtype=np.float32))], 5, x),
+        lambda: [_uniform(1, (4, 2))]),
 }
 _OP_CASES = [(name, k) for name, (_, make) in _OPS.items()
              for n in [len(make())] for k in (range(n) if n > 1 else [None])]

@@ -137,6 +137,24 @@ def test_velocity_zero_drift_task():
     assert speeds.mean() < 0.05 * rows.std() * np.sqrt(rows.shape[1])
 
 
+def test_velocity_training_step_is_float32(monkeypatch):
+    # float32 rows and the float32 time embedding keep every op of a
+    # velocity training step, the loss included, in float32
+    from subflow.diffcore import tensor as dt
+    seen = []
+    make = dt._make
+
+    def recording(op, data, *pairs):
+        seen.append((op, data.dtype))
+        return make(op, data, *pairs)
+    monkeypatch.setattr(dt, "_make", recording)
+    rows = named_stream(12, "f32-step").standard_normal((32, 6))
+    cfg = fa.FlowConfig(train_steps=1, batch_size=16, seed=4)
+    fa.train_velocity(fs("clip_mapped", rows), fs("vgg_like", rows + 1.0), cfg)
+    assert len(seen) > 5
+    assert all(dtype == np.float32 for _, dtype in seen), seen
+
+
 def test_velocity_point_mass_constant_drift():
     a = np.array([0.5, -1.0, 2.0])
     b = np.array([2.5, 1.0, -1.0])

@@ -293,15 +293,16 @@ def test_stylized_objective_gradients_match_finite_differences(session_encoders,
     cam = sc.look_at_camera((0, -2.5, 1), (0, 0, 0), 30.0, 16, 16)
     decoder = tr.DecoderNet(8, hidden=(12,), seed=5)
     embed = tr.initial_embeddings(scene.colors, 8)
-    wmat = Tensor(ras.attribute_weights(scene, cam))
-    content = ras.render(scene, cam).rgb
+    tiles = ras.attribute_weights(scene, cam)
+    content = tiles.rgb
     style_ref = session_encoders.tap_stats(procedural_texture(3, 7, size=16))
     i_g = rand_img(24, 16)
     weights = ls.LossWeights()
 
     def loss_fn():
         colors = decoder.forward(Tensor(embed))
-        i_f = dt.reshape(dt.transpose(dt.matmul(wmat, colors)), (3, 16, 16))
+        i_f = dt.reshape(dt.transpose(dt.tile_matmul(tiles.blocks, tiles.rows, colors)),
+                         (3, 16, 16))
         total = ls.content_loss(i_f, content, session_encoders)
         total = dt.add(total, dt.mul(ls.style_loss(i_f, style_ref, session_encoders),
                                      weights.lambda_style))

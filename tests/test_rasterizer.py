@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from subflow import diffcore as dc
 from subflow import rasterizer as ras
 from subflow import scene as sc
 from subflow.errors import FormatError, ShapeError
@@ -151,14 +152,22 @@ def test_render_empty_scene_rejected():
         ras.render(scene, cam)
 
 
+def tile_product(weights, attrs):
+    return dc.tile_matmul(weights.blocks, weights.rows, attrs).data
+
+
 def test_attribute_weights_reproduce_render():
     scene = sc.generate_toy_scene("textured_slab", 49, 4, embed_dim=8)
     cam = sc.look_at_camera((0, -2.5, 2.5), (0, 0, 0), 45.0, 32, 32)
     weights = ras.attribute_weights(scene, cam)
     out = ras.render(scene, cam)
-    rgb_from_weights = (weights @ scene.colors).reshape(32, 32, 3)
+    rgb_from_weights = tile_product(weights, scene.colors).reshape(32, 32, 3)
     assert np.allclose(rgb_from_weights, out.rgb, atol=1e-5)
-    assert np.allclose(weights.sum(axis=1).reshape(32, 32), out.alpha_mask, atol=1e-5)
+    coverage = tile_product(weights, np.ones((scene.count, 1)))
+    assert np.allclose(coverage.reshape(32, 32), out.alpha_mask, atol=1e-5)
+    # the content image and coverage come from the same compositing pass
+    assert np.array_equal(weights.rgb, out.rgb)
+    assert np.array_equal(weights.alpha_mask, out.alpha_mask)
 
     # a denser scene puts more splats in one tile than one compositing chunk
     dense = sc.generate_toy_scene("textured_slab", 600, 4, embed_dim=8)
@@ -166,15 +175,17 @@ def test_attribute_weights_reproduce_render():
     assert max(sel.size for _, _, sel, _ in tiles) > 2 * ras.CHUNK
     weights = ras.attribute_weights(dense, cam)
     out = ras.render(dense, cam)
-    assert np.allclose((weights @ dense.embeddings).reshape(32, 32, 8), out.features, atol=1e-5)
-    assert np.allclose((weights @ dense.colors).reshape(32, 32, 3), out.rgb, atol=1e-5)
+    assert np.allclose(tile_product(weights, dense.embeddings).reshape(32, 32, 8), out.features,
+                       atol=1e-5)
+    assert np.allclose(tile_product(weights, dense.colors).reshape(32, 32, 3), out.rgb, atol=1e-5)
 
 
-def test_kernel_carries_transmittance_and_depth_across_chunks():
-    # huge on-axis Gaussians one behind another, 0.01 apart in depth. Chunk 1:
-    # faint splats keep accumulated opacity just under 0.5; the first splat of
-    # chunk 2 lifts it over 0.5 and the next ones saturate every pixel, so the
-    # tile stops inside chunk 2 and never composites chunk 3
+def stacked_scene():
+    """Huge on-axis Gaussians one behind another, 0.01 apart in depth, seen by
+    a 16x16 camera (one tile). Chunk 1: faint splats keep accumulated opacity
+    just under 0.5; the first splat of chunk 2 lifts it over 0.5 and the next
+    ones saturate every pixel, so the tile stops inside chunk 2 and never
+    composites chunk 3."""
     c = ras.CHUNK
     opac = [0.01] * c + [0.9] + [0.99] * (2 * c)
     n = len(opac)
@@ -186,7 +197,13 @@ def test_kernel_carries_transmittance_and_depth_across_chunks():
         np.asarray(opac, dtype=np.float32),
         rng.uniform(0, 1, (n, 3)).astype(np.float32),
         rng.standard_normal((n, 4)).astype(np.float32))
-    cam = front_camera(width=16, height=16, focal=20.0)
+    return scene, front_camera(width=16, height=16, focal=20.0)
+
+
+def test_kernel_carries_transmittance_and_depth_across_chunks():
+    c = ras.CHUNK
+    scene, cam = stacked_scene()
+    n = scene.count
     (_, _, sel, chunks), = ras._tiles(scene, cam)[2]
     assert sel.size == n > 2 * c
     assert len(list(chunks)) == 2
@@ -199,6 +216,97 @@ def test_kernel_carries_transmittance_and_depth_across_chunks():
     assert (out.alpha_mask > 1 - ras.MIN_TRANSMITTANCE).all()
     # view depth of splat `c`: camera at z=-4, splat at z = 0.01 * c
     assert np.allclose(out.depth, 4.0 + 0.01 * c, atol=1e-5)
+
+
+def dense_weights(scene, cam):
+    """Reference (H*W, N) float64 matrix: each tile's kernel weights scattered
+    densely, one chunk at a time."""
+    w = cam.width
+    dense = np.zeros((cam.height * w, scene.count))
+    idx, _, tiles = ras._tiles(scene, cam)
+    for rows, cols, sel, chunks in tiles:
+        pix = (np.arange(rows.start, rows.stop)[:, None] * w
+               + np.arange(cols.start, cols.stop)).ravel()
+        for chunk, wts in chunks:
+            dense[pix[:, None], idx[sel[chunk]]] = wts
+    return dense
+
+
+def _case(name):
+    if name == "slab-600":
+        scene = sc.generate_toy_scene("textured_slab", 600, 4, embed_dim=8)
+        return scene, sc.look_at_camera((0, -2.5, 2.5), (0, 0, 0), 45.0, 32, 32)
+    if name == "saturated-stack":
+        return stacked_scene()
+    # a camera that sees nothing: the scene is behind it
+    return one_gaussian_scene((0, 0, -6.0)), front_camera()
+
+
+@pytest.mark.parametrize("name", ["slab-600", "saturated-stack", "blind"])
+def test_tile_matmul_matches_dense_weights(name):
+    scene, cam = _case(name)
+    weights = ras.attribute_weights(scene, cam)
+    dense = dense_weights(scene, cam)
+    rng = sc.named_stream(5, "tile-matmul")
+    x = rng.standard_normal((scene.count, 5)).astype(np.float32)
+    g = rng.standard_normal((weights.rows, 5)).astype(np.float32)
+    xt = dc.Tensor(x, requires_grad=True)
+    out = dc.tile_matmul(weights.blocks, weights.rows, xt)
+    assert out.data.dtype == np.float32
+    assert np.allclose(out.data, dense @ x, rtol=1e-5, atol=1e-6)
+    dc.tsum(dc.mul(out, dc.Tensor(g))).backward()
+    assert xt.grad.dtype == np.float32
+    assert np.allclose(xt.grad, dense.T @ g, rtol=1e-5, atol=1e-5)
+
+    # one block per tile that has weight; within it every splat column is
+    # nonzero and no splat repeats, and no two blocks share a pixel
+    pixels = np.concatenate([pix for pix, _, _ in weights.blocks] or [np.zeros(0, int)])
+    assert np.unique(pixels).size == pixels.size
+    for pix, splats, wts in weights.blocks:
+        assert np.unique(splats).size == splats.size
+        assert wts.shape == (pix.size, splats.size) and wts.dtype == np.float32
+        assert wts.any(axis=0).all()
+    nonzero = np.count_nonzero(dense.astype(np.float32))
+    assert np.count_nonzero(weights) == nonzero
+    assert nonzero <= weights.size <= dense.size
+    assert weights.nbytes == sum(p.nbytes + s.nbytes + w.nbytes for p, s, w in weights.blocks)
+    if name == "saturated-stack":
+        # splats behind the point where every pixel saturated get no weight,
+        # so they are not in the block
+        (_, splats, _), = weights.blocks
+        assert splats.size <= 2 * ras.CHUNK < scene.count
+        assert not dense[:, 2 * ras.CHUNK:].any()
+    if name == "blind":
+        assert weights.blocks == [] and weights.nbytes == 0
+        assert not out.data.any() and not xt.grad.any()
+
+
+def test_tile_weights_select_rows_renumbers_pixels():
+    scene, cam = _case("slab-600")
+    weights = ras.attribute_weights(scene, cam)
+    mask = weights.alpha_mask.reshape(-1) > 0.6
+    assert 0 < mask.sum() < mask.size
+    x = sc.named_stream(6, "select").standard_normal((scene.count, 3)).astype(np.float32)
+    picked = dc.tile_matmul(weights.select_rows(mask), int(mask.sum()), x).data
+    assert np.allclose(picked, tile_product(weights, x)[mask], rtol=1e-6, atol=1e-7)
+
+
+def test_attribute_weights_memory_is_block_sparse():
+    # the train_wide shape: N=2000 at 96x96, where the dense (H*W, N) float32
+    # matrix takes 73.7 MB
+    import tracemalloc
+    scene = sc.generate_toy_scene("textured_slab", 2000, 11, embed_dim=32)
+    cam = sc.camera_ring((0, 0, 0), 2.6, 8, elevation=1.2, focal=180.0,
+                         width=96, height=96)[0]
+    tracemalloc.start()
+    try:
+        weights = ras.attribute_weights(scene, cam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 << 20
+    assert 0 < weights.nbytes < 10 << 20
+    assert 0 < np.count_nonzero(weights) <= weights.size
 
 
 def test_warp_identity_is_identity_on_finite_pixels():

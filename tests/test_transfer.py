@@ -134,6 +134,16 @@ def test_distill_equal_colors_equal_embeddings_recon_only(encoders):
     assert np.array_equal(ds.embeddings[4], ds.embeddings[5])
 
 
+def test_distill_camera_that_sees_nothing_has_no_projection_term(encoders):
+    scene = sc.generate_toy_scene("lattice", 27, 5, embed_dim=8)
+    away = sc.look_at_camera((0, -4, 1), (0, -8, 1), 50.0, 32, 32)   # the scene is behind it
+    _, _, blind = tr.distill_embeddings(scene, [away], encoders, steps=3, seed=2)
+    assert np.isnan(blind.projection_mse_first) and np.isnan(blind.projection_mse_last)
+    seeing = sc.look_at_camera((0, -4, 1), (0, 0, 0), 50.0, 32, 32)
+    _, _, mixed = tr.distill_embeddings(scene, [away, seeing], encoders, steps=6, seed=2)
+    assert np.isfinite(mixed.projection_mse_last)
+
+
 def test_distill_requires_cameras(encoders):
     scene = sc.generate_toy_scene("lattice", 8, 1, embed_dim=8)
     with pytest.raises(ShapeError):
