@@ -32,10 +32,11 @@ class CliError(SubflowError):
 
 
 def _load_config(args) -> cfgmod.RunConfig:
-    values = cfgmod.load_config(args.config).values if args.config else {}
+    cfg = (cfgmod.load_config(args.config) if args.config
+           else cfgmod.RunConfig(cfgmod.read_key_values("", cfgmod.SCHEMA, "defaults")))
     if args.seed is not None:
-        values = {**values, "seed": args.seed}
-    return cfgmod.RunConfig(values)
+        cfg.values["seed"] = args.seed
+    return cfg
 
 
 def _encoders(cfg) -> FeatureEncoders:
@@ -269,7 +270,7 @@ def cmd_eval_consistency(args) -> int:
     cfg = _load_config(args)
     scene = sc.load_scene(_require(args.scene, "scene"))
     cams = _ring(cfg)
-    reports = mt.eval_consistency(scene, cams, ras.render)
+    reports = mt.eval_consistency(scene, cams)
     summary = mt.consistency_summary(reports)
     rows = [("masked_rmse", tag, val) for tag, val in summary.items()]
     rows += [("valid_fraction", r.range, r.valid_pixel_fraction) for r in reports]

@@ -1,21 +1,22 @@
 """Run configuration: a flat key=value schema shared by all CLI commands.
 
-Every key is declared below with its type, its bound and its default;
-unknown keys and values out of bounds are rejected. `dump()` emits a canonical text form that parses back to the same
-config byte-for-byte. `read_key_values` is the one `key = value` reader; the
-flow pipeline's manifest goes through it too.
+Every key is declared below with its type, its bound and its default.
+`read_key_values` is the one `key = value` reader and the one check: it
+converts every value, rejects unknown keys and values out of bounds, and
+fills defaults; the flow pipeline's manifest goes through it too. `dump()`
+emits a canonical text form that parses back to the same config
+byte-for-byte.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 from .errors import FormatError
-
-_SCENE_KINDS = ("lattice", "two_clusters", "textured_slab")
+from .scene import MIN_EMBED_DIM, TOY_SCENE_KINDS
 
 REQUIRED = object()  # schema default of a key that must appear in the text
 
@@ -30,6 +31,15 @@ def _bounded(typ: type, lo, strict: bool = False) -> Callable[[object], object]:
     return convert
 
 
+def _one_of(choices: tuple[str, ...]) -> Callable[[str], str]:
+    """Converter accepting only the strings in `choices`."""
+    def convert(text):
+        if text not in choices:
+            raise ValueError(f"must be one of {choices}")
+        return text
+    return convert
+
+
 _COUNT, _STEPS = _bounded(int, 1), _bounded(int, 0)
 _WEIGHT, _POSITIVE = _bounded(float, 0.0), _bounded(float, 0.0, strict=True)
 
@@ -37,10 +47,10 @@ _WEIGHT, _POSITIVE = _bounded(float, 0.0), _bounded(float, 0.0, strict=True)
 # bound is the least value the key's consumer can run with.
 SCHEMA: dict[str, tuple[Callable, object]] = {
     "seed": (int, 0),
-    "embed_dim": (_bounded(int, 8), 32),            # scene.MIN_EMBED_DIM
+    "embed_dim": (_bounded(int, MIN_EMBED_DIM), 32),
     "clip_dim": (_COUNT, 64),
     "style_dim": (_COUNT, 64),
-    "scene.kind": (str, "textured_slab"),
+    "scene.kind": (_one_of(TOY_SCENE_KINDS), "textured_slab"),
     "scene.n": (_COUNT, 400),
     "scene.seed": (int, 11),
     "camera.count": (_bounded(int, 2), 8),          # a ring has view pairs
@@ -72,22 +82,9 @@ SCHEMA: dict[str, tuple[Callable, object]] = {
 
 @dataclass
 class RunConfig:
-    values: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        merged = {k: default for k, (_, default) in SCHEMA.items()}
-        for key, val in self.values.items():
-            if key not in SCHEMA:
-                raise FormatError(f"unknown config key '{key}'")
-            merged[key] = SCHEMA[key][0](val)
-        if merged["scene.kind"] not in _SCENE_KINDS:
-            raise FormatError(f"scene.kind must be one of {_SCENE_KINDS}, "
-                              f"got '{merged['scene.kind']}'")
-        self.values = merged
+    values: dict    # every SCHEMA key, in SCHEMA order, as `read_key_values` returns it
 
     def __getitem__(self, key: str):
-        if key not in SCHEMA:
-            raise FormatError(f"unknown config key '{key}'")
         return self.values[key]
 
     def dump(self) -> str:
@@ -99,9 +96,10 @@ def read_key_values(text: str, schema: dict[str, tuple[Callable, object]],
     """Values of `key = value` lines checked against `schema` (key -> (converter, default)).
 
     `#` starts a comment and blank lines are skipped. Keys the text leaves
-    out take their default. Errors raise `FormatError` naming `source` and
-    the key: a line without `=`, an unknown key, a value the converter rejects,
-    and a missing key whose default is `REQUIRED`.
+    out take their default; the result holds every key in schema order.
+    Errors raise `FormatError` naming `source` and the key: a line without
+    `=`, an unknown key, a value the converter rejects, and a missing key
+    whose default is `REQUIRED`.
     """
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -120,11 +118,9 @@ def read_key_values(text: str, schema: dict[str, tuple[Callable, object]],
             raise FormatError(
                 f"{source} line {lineno}: bad value for '{key}': {val} ({exc})") from None
     for key, (_, default) in schema.items():
-        if key not in values:
-            if default is REQUIRED:
-                raise FormatError(f"{source}: missing key '{key}'")
-            values[key] = default
-    return values
+        if key not in values and default is REQUIRED:
+            raise FormatError(f"{source}: missing key '{key}'")
+    return {key: values.get(key, default) for key, (_, default) in schema.items()}
 
 
 def read_key_value_file(path, schema: dict[str, tuple[Callable, object]]) -> dict:
@@ -134,10 +130,6 @@ def read_key_value_file(path, schema: dict[str, tuple[Callable, object]]) -> dic
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     return read_key_values(text, schema, str(path))
-
-
-def parse_config(text: str) -> RunConfig:
-    return RunConfig(read_key_values(text, SCHEMA, "config"))
 
 
 def load_config(path) -> RunConfig:

@@ -275,8 +275,6 @@ def tmean(a: Arrayish, axis=None, keepdims: bool = False) -> Tensor:
 
 def reshape(a: Arrayish, shape) -> Tensor:
     a = as_tensor(a)
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
     return _make("reshape", a.data.reshape(shape), (a, lambda g: g.reshape(a.data.shape)))
 
 

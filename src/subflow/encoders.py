@@ -1,15 +1,12 @@
 """Feature domains: style-statistics (VGG-like), image/text embedding
-(CLIP-like), synthetic paired distributions, and the FEAT import bridge.
+(CLIP-like), and the FEAT import bridge.
 
 Both pseudo encoders are frozen seeded conv stacks; they stand in for the
 heavyweight pretrained networks so the whole pipeline runs in seconds. Real
 features computed externally enter through `import_features`.
 
 The CLIP-like encoder is deliberately dominated by a linear functional of an
-8x8 block-mean grid plus a small bounded conv refinement. That makes the
-image/caption pair generator constructive: given a caption embedding it can
-solve for an image whose encoding lands near it, which is what real CLIP's
-shared text-image space provides and what alignment tests rely on.
+8x8 block-mean grid plus a small bounded conv refinement.
 """
 
 from __future__ import annotations
@@ -233,142 +230,6 @@ class FeatureEncoders:
             raise NumericsError("degenerate text embedding")
         row = (mean / norm) * self.text_norm
         return FeatureSet("clip_like", row[None, :])
-
-
-# -- synthetic (image, caption) concept pairs ------------------------------------------
-
-class ConceptPairGenerator:
-    """Emits (image, caption) pairs sharing a latent concept embedding.
-
-    The caption is a single synthetic token; the image is solved from the
-    caption's embedding through the encoder's dominant linear path, so
-    cosine(encode_text(caption), encode_clip_like(image)) is high by
-    construction.
-    """
-
-    def __init__(self, encoders: FeatureEncoders, image_size: int = 64):
-        self.enc = encoders
-        self.size = image_size
-        a = encoders._clip_proj.astype(np.float64)
-        self._pinv = np.linalg.pinv(a)
-        self._a = a
-
-    def pair(self, index: int) -> tuple[np.ndarray, str]:
-        caption = f"concept{index:04d}"
-        target = self.enc.encode_text([caption]).vectors[0].astype(np.float64)
-        base = np.full(3 * _CLIP_GRID * _CLIP_GRID, 0.5)
-        grid = base.copy()
-        img = self._grid_image(grid)
-        for _ in range(2):
-            # aim the linear path at the target, correcting for the bounded
-            # refinement term measured on the previous iterate
-            residual = (target + self.enc._clip_center
-                        - self.enc._clip_refine_vec(img) - self._a @ base)
-            delta = self._pinv @ residual
-            scale = min(1.0, 0.45 / max(np.abs(delta).max(), 1e-9))
-            grid = np.clip(base + delta * scale, 0.0, 1.0)
-            img = self._grid_image(grid)
-        return img, caption
-
-    def _grid_image(self, grid_flat: np.ndarray) -> np.ndarray:
-        grid = grid_flat.reshape(_CLIP_GRID, _CLIP_GRID, 3)
-        reps = self.size // _CLIP_GRID
-        img = np.repeat(np.repeat(grid, reps, axis=0), reps, axis=1)
-        return np.clip(img, 0.0, 1.0).astype(np.float32)
-
-
-# -- paired synthetic distributions -----------------------------------------------------
-
-@dataclass
-class MixtureSpec:
-    means: np.ndarray          # (K, dim)
-    covariances: np.ndarray    # (K, dim, dim) SPD
-    weights: np.ndarray        # (K,) sums to 1
-
-    def __post_init__(self):
-        self.means = np.atleast_2d(np.asarray(self.means, dtype=np.float64))
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.covariances = np.asarray(self.covariances, dtype=np.float64)
-        if self.covariances.ndim == 2:
-            self.covariances = self.covariances[None]
-        k, dim = self.means.shape
-        if self.covariances.shape != (k, dim, dim):
-            raise ShapeError(f"covariances shape {self.covariances.shape} != ({k},{dim},{dim})")
-        if self.weights.shape != (k,):
-            raise ShapeError(f"weights shape {self.weights.shape} != ({k},)")
-        if abs(self.weights.sum() - 1.0) > 1e-9 or np.any(self.weights < 0):
-            raise ShapeError("mixture weights must be non-negative and sum to 1")
-        for c in self.covariances:
-            if np.any(np.linalg.eigvalsh((c + c.T) / 2) <= 0):
-                raise ShapeError("mixture covariances must be SPD")
-
-    @property
-    def dim(self) -> int:
-        return self.means.shape[1]
-
-    @staticmethod
-    def isotropic(means, sigma: float, weights=None) -> "MixtureSpec":
-        means = np.atleast_2d(np.asarray(means, dtype=np.float64))
-        k, dim = means.shape
-        covs = np.tile((sigma ** 2) * np.eye(dim), (k, 1, 1))
-        w = np.full(k, 1.0 / k) if weights is None else np.asarray(weights, dtype=np.float64)
-        return MixtureSpec(means, covs, w)
-
-
-@dataclass
-class PairedDistributionSpec:
-    clip_side: MixtureSpec
-    vgg_side: MixtureSpec
-    pairing: str = "index"          # index: shared latent; nearest: matched draws
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.pairing not in ("index", "nearest"):
-            raise ValueError(f"unknown pairing '{self.pairing}'")
-        if self.clip_side.dim != self.vgg_side.dim:
-            raise ShapeError("paired sides must share dimension")
-
-
-def _cholesky_all(spec: MixtureSpec) -> np.ndarray:
-    return np.stack([np.linalg.cholesky(c) for c in spec.covariances])
-
-
-def sample_paired(spec: PairedDistributionSpec, m: int, return_components: bool = False):
-    """Draw m paired rows (clip-side, vgg-side).
-
-    Index pairing pushes one shared (component, normal) latent through both
-    sides, so identical side specs give identical rows. Nearest pairing draws
-    the sides independently and re-pairs each clip row with its closest vgg
-    row.
-    """
-    if m < 1:
-        raise ShapeError(f"sample_paired needs m >= 1, got {m}")
-    g = named_stream(spec.seed, "paired-sampler")
-    kc = spec.clip_side.weights.shape[0]
-    comps = g.choice(kc, size=m, p=spec.clip_side.weights)
-    z = g.standard_normal((m, spec.clip_side.dim))
-    lc = _cholesky_all(spec.clip_side)
-    lv = _cholesky_all(spec.vgg_side)
-    kv = spec.vgg_side.means.shape[0]
-
-    clip_rows = spec.clip_side.means[comps] + np.einsum("mij,mj->mi", lc[comps], z)
-    if spec.pairing == "index":
-        vcomp = comps % kv
-        vgg_rows = spec.vgg_side.means[vcomp] + np.einsum("mij,mj->mi", lv[vcomp], z)
-    else:
-        vcomp = g.choice(kv, size=m, p=spec.vgg_side.weights)
-        z2 = g.standard_normal((m, spec.vgg_side.dim))
-        vgg_pool = spec.vgg_side.means[vcomp] + np.einsum("mij,mj->mi", lv[vcomp], z2)
-        order = np.empty(m, dtype=int)
-        for i in range(m):
-            order[i] = np.argmin(((vgg_pool - clip_rows[i]) ** 2).sum(axis=1))
-        vgg_rows = vgg_pool[order]
-
-    clip_fs = FeatureSet("clip_like", clip_rows)
-    vgg_fs = FeatureSet("vgg_like", vgg_rows)
-    if return_components:
-        return clip_fs, vgg_fs, comps
-    return clip_fs, vgg_fs
 
 
 # -- FEAT import/export ----------------------------------------------------------------------

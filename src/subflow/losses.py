@@ -27,7 +27,7 @@ import numpy as np
 from .diffcore import Adam, Conv2dLayer, Tensor
 from .diffcore import tensor as dt
 from .diffcore.rng import named_stream
-from .encoders import FeatureEncoders, procedural_texture
+from .encoders import FeatureEncoders, _to_chw, procedural_texture
 from .errors import NumericsError, ShapeError, StateError
 from .flowalign import FlowPipeline
 from .rasterizer import attribute_weights, render  # noqa: F401  render: wrapped by perfbench
@@ -54,12 +54,7 @@ class LossWeights:
 
 
 def _chw(image) -> Tensor:
-    if isinstance(image, Tensor):
-        return image
-    img = np.asarray(image, dtype=np.float32)
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise ShapeError(f"expected (H, W, 3) image, got {img.shape}")
-    return Tensor(np.transpose(img, (2, 0, 1)))
+    return image if isinstance(image, Tensor) else Tensor(_to_chw(image))
 
 
 def _spatial_mean_std(tap: Tensor) -> tuple[Tensor, Tensor]:

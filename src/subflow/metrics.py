@@ -4,10 +4,11 @@ feature sets, and depth-warp masked RMSE for multi-view consistency."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from . import rasterizer
 from .encoders import FeatureSet
 from .errors import NumericsError, ShapeError
 from .rasterizer import bilinear_sample, warp_map
@@ -104,13 +105,15 @@ def masked_rmse(img_a: np.ndarray, img_b: np.ndarray, correspondences: np.ndarra
     return ConsistencyReport(range=range_tag, masked_rmse=rmse, valid_pixel_fraction=fraction)
 
 
-def eval_consistency(scene: GaussianScene, cams: Sequence[Camera],
-                     render_fn: Callable) -> list[ConsistencyReport]:
-    """Short-range = consecutive ring pairs (cyclic), long-range = half-ring pairs."""
+def eval_consistency(scene: GaussianScene, cams: Sequence[Camera]) -> list[ConsistencyReport]:
+    """Short-range = consecutive ring pairs (cyclic), long-range = half-ring pairs.
+
+    Renders through the `rasterizer.render` attribute, looked up at call time.
+    """
     n = len(cams)
     if n < 4:
         raise ShapeError(f"consistency protocol needs >= 4 ring cameras, got {n}")
-    renders = [render_fn(scene, cam) for cam in cams]
+    renders = [rasterizer.render(scene, cam) for cam in cams]
     reports = []
     pairs = [("short", i, (i + 1) % n) for i in range(n)]
     pairs += [("long", i, (i + n // 2) % n) for i in range(n // 2)]

@@ -14,14 +14,14 @@ mean, softplus of the second half is the (floored) standard deviation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .diffcore import Adam, DenseNet, Tensor
 from .diffcore import tensor as dt
 from .diffcore.rng import named_stream
-from .encoders import FeatureEncoders, FeatureSet
+from .encoders import FeatureEncoders
 from .errors import ShapeError, StateError
 from .rasterizer import attribute_weights, render  # noqa: F401  render: wrapped by perfbench
 from .scene import Camera, GaussianScene
@@ -73,15 +73,9 @@ def adain(embeddings: np.ndarray, style: StyleStats) -> AdainResult:
     return AdainResult(values=out.astype(np.float32), degenerate=degenerate)
 
 
-def stats_from_feature(x: Union[FeatureSet, np.ndarray]) -> StyleStats:
-    """Style statistics from either a feature set or one style-domain vector.
-
-    Sets: per-channel mean and population std over rows. Single vector: split
-    into halves, second half through softplus for positivity.
-    """
-    if isinstance(x, FeatureSet):
-        rows = x.vectors.astype(np.float64)
-        return StyleStats(rows.mean(axis=0), rows.std(axis=0))
+def stats_from_feature(x: np.ndarray) -> StyleStats:
+    """Style statistics from one style-domain vector: split into halves, the
+    second half through softplus for positivity."""
     vec = np.asarray(x, dtype=np.float64).reshape(-1)
     if vec.size % 2:
         raise ShapeError(f"style-domain vector length {vec.size} must be even to split")

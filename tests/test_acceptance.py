@@ -20,10 +20,10 @@ from subflow import transfer as tr
 from subflow.diffcore import Tensor, finite_diff_check, finite_diff_max_rel_error
 from subflow.diffcore import tensor as dt
 from subflow.diffcore.rng import named_stream
-from subflow.encoders import (FeatureEncoders, FeatureSet, MixtureSpec,
-                              PairedDistributionSpec, sample_paired)
+from subflow.encoders import FeatureEncoders, FeatureSet
 
 from oracle_render import reference_render
+from synthetic import MixtureSpec, PairedDistributionSpec, sample_paired
 
 
 def check(name: str, condition: bool, detail: str) -> None:
@@ -235,8 +235,7 @@ def test_ac05_flow_segmentation_trend_default_config():
              + g.normal(0, 4.0 / 3.0, (3, dim)))
     spec = PairedDistributionSpec(
         MixtureSpec.isotropic(means, sigma=1.2, weights=[0.4, 0.35, 0.25]),
-        MixtureSpec.isotropic([np.linspace(-2, 2, dim)], sigma=1.0),
-        pairing="index", seed=21)
+        MixtureSpec.isotropic([np.linspace(-2, 2, dim)], sigma=1.0), seed=21)
     clip, vgg = sample_paired(spec, 1024)
     cfg = fa.FlowConfig(seed=5)  # defaults: H=8, r=3
     _, reports, _ = fa.run_subdivisive_flow(clip, vgg, cfg)
@@ -316,7 +315,7 @@ def styled_runs(slab_run, session_encoders, session_decoder2d):
             steps=250, decoder2d=session_decoder2d, seed=3, lr=2e-3, **kw)
         styled = tr.stylize_scene(slab_run["distilled"], slab_run["style_stats"], decoder)
         summary = mt.consistency_summary(
-            mt.eval_consistency(styled, slab_run["cams"], ras.render))
+            mt.eval_consistency(styled, slab_run["cams"]))
         runs[name] = {
             "style_first": float(np.mean([r["style"] for r in log.rows[:10]])),
             "style_final": float(np.mean([r["style"] for r in log.rows[-10:]])),
@@ -329,7 +328,7 @@ def styled_runs(slab_run, session_encoders, session_decoder2d):
 
 def test_ac08_consistency_protocol(slab_run, styled_runs):
     content_summary = mt.consistency_summary(
-        mt.eval_consistency(slab_run["distilled"], slab_run["cams"], ras.render))
+        mt.eval_consistency(slab_run["distilled"], slab_run["cams"]))
     content_short = content_summary["short"]
     styled_short = styled_runs["full"]["short_rmse"]
     ok = (styled_short <= content_short + 0.02

@@ -40,13 +40,13 @@ def run(*argv):
 def test_dump_config_round_trips_byte_identical(capsys):
     assert run("dump-config") == 0
     dumped = capsys.readouterr().out
-    reparsed = cfgmod.parse_config(dumped)
+    reparsed = cfgmod.RunConfig(cfgmod.read_key_values(dumped, cfgmod.SCHEMA, "config"))
     assert reparsed.dump() == dumped
 
 
 def test_config_rejects_unknown_key():
     with pytest.raises(FormatError, match="unknown"):
-        cfgmod.parse_config("nonsense.key = 3\n")
+        cfgmod.read_key_values("nonsense.key = 3\n", cfgmod.SCHEMA, "config")
 
 
 def test_config_override_precedence(tmp_path, capsys):
@@ -84,10 +84,13 @@ def test_missing_input_file_exits_2(tmp_path, small_cfg):
     assert rc == 2
 
 
-def test_bad_config_file_exits_2(tmp_path):
+def test_bad_config_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("whatever = 3\n")
-    assert run("dump-config", "--config", bad) == 2
+    for line, key in (("whatever = 3", "whatever"), ("scene.kind = blob", "scene.kind")):
+        bad.write_text(line + "\n")
+        assert run("dump-config", "--config", bad) == 2
+        err = capsys.readouterr().err
+        assert f"{bad} line 1" in err and f"'{key}'" in err
 
 
 @pytest.fixture(scope="module")
@@ -244,7 +247,7 @@ def test_stylize_malformed_ppm_exits_2(pipeline_artifacts, tmp_path, capsys):
 @pytest.mark.parametrize("key", ["out", "threads"])
 def test_config_out_key_is_rejected(key):
     with pytest.raises(FormatError, match=f"unknown key '{key}'"):
-        cfgmod.parse_config(f"{key} = 1\n")
+        cfgmod.read_key_values(f"{key} = 1\n", cfgmod.SCHEMA, "config")
 
 
 @pytest.mark.parametrize("command", ["dump-config", "eval-align"])

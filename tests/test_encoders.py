@@ -5,6 +5,8 @@ from subflow import encoders as enc
 from subflow.diffcore.rng import named_stream
 from subflow.errors import FormatError, NumericsError, ShapeError
 
+from synthetic import ConceptPairGenerator, MixtureSpec, PairedDistributionSpec, sample_paired
+
 
 @pytest.fixture(scope="module")
 def encoders():
@@ -71,7 +73,7 @@ def test_text_dim_and_norm_match_clip_space(encoders):
 
 
 def test_concept_pairs_text_image_cosine(encoders):
-    gen = enc.ConceptPairGenerator(encoders)
+    gen = ConceptPairGenerator(encoders)
     cosines = []
     for i in range(100):
         img, caption = gen.pair(i)
@@ -93,11 +95,10 @@ def test_domain_separation_on_default_seeds(encoders):
 
 def test_sample_paired_single_component_moments():
     dim = 4
-    spec = enc.PairedDistributionSpec(
-        enc.MixtureSpec.isotropic([[1.0, -2.0, 0.5, 3.0]], sigma=1.0),
-        enc.MixtureSpec.isotropic([[0.0, 0.0, 0.0, 0.0]], sigma=2.0),
-        pairing="index", seed=7)
-    clip, vgg = enc.sample_paired(spec, 10000)
+    spec = PairedDistributionSpec(
+        MixtureSpec.isotropic([[1.0, -2.0, 0.5, 3.0]], sigma=1.0),
+        MixtureSpec.isotropic([[0.0, 0.0, 0.0, 0.0]], sigma=2.0), seed=7)
+    clip, vgg = sample_paired(spec, 10000)
     bound_c = 5.0 * 1.0 / np.sqrt(10000)
     bound_v = 5.0 * 2.0 / np.sqrt(10000)
     assert np.all(np.abs(clip.vectors.mean(axis=0) - [1.0, -2.0, 0.5, 3.0]) < bound_c)
@@ -107,42 +108,34 @@ def test_sample_paired_single_component_moments():
 
 
 def test_sample_paired_identical_sides_index_pairing_equal_rows():
-    side = enc.MixtureSpec.isotropic([[0.0, 1.0], [2.0, -1.0]], sigma=0.7)
-    spec = enc.PairedDistributionSpec(side, side, pairing="index", seed=3)
-    clip, vgg = enc.sample_paired(spec, 64)
+    side = MixtureSpec.isotropic([[0.0, 1.0], [2.0, -1.0]], sigma=0.7)
+    spec = PairedDistributionSpec(side, side, seed=3)
+    clip, vgg = sample_paired(spec, 64)
     assert np.allclose(clip.vectors, vgg.vectors, atol=1e-6)
 
 
 def test_sample_paired_component_occupancy():
-    side = enc.MixtureSpec.isotropic([[-10.0, 0.0], [10.0, 0.0]], sigma=0.5,
+    side = MixtureSpec.isotropic([[-10.0, 0.0], [10.0, 0.0]], sigma=0.5,
                                      weights=[0.5, 0.5])
-    spec = enc.PairedDistributionSpec(side, side, pairing="index", seed=11)
-    _, _, comps = enc.sample_paired(spec, 10000, return_components=True)
-    count0 = int((comps == 0).sum())
+    spec = PairedDistributionSpec(side, side, seed=11)
+    clip, _ = sample_paired(spec, 10000)
+    # the means sit 20 sigma apart, so a row's side of x = 0 names its component
+    count0 = int((clip.vectors[:, 0] < 0).sum())
     assert abs(count0 - 5000) <= 300   # binomial 5 sigma ~ 250
 
 
-def test_sample_paired_nearest_pairs_are_close():
-    side = enc.MixtureSpec.isotropic([[0.0, 0.0]], sigma=1.0)
-    spec = enc.PairedDistributionSpec(side, side, pairing="nearest", seed=5)
-    clip, vgg = enc.sample_paired(spec, 400)
-    d_paired = np.linalg.norm(clip.vectors - vgg.vectors, axis=1).mean()
-    d_index = np.linalg.norm(clip.vectors - np.roll(vgg.vectors, 1, axis=0), axis=1).mean()
-    assert d_paired < d_index
-
-
 def test_sample_paired_rejects_zero():
-    side = enc.MixtureSpec.isotropic([[0.0]], sigma=1.0)
-    spec = enc.PairedDistributionSpec(side, side)
+    side = MixtureSpec.isotropic([[0.0]], sigma=1.0)
+    spec = PairedDistributionSpec(side, side)
     with pytest.raises(ShapeError):
-        enc.sample_paired(spec, 0)
+        sample_paired(spec, 0)
 
 
 def test_mixture_spec_validation():
     with pytest.raises(ShapeError, match="weights"):
-        enc.MixtureSpec(np.zeros((2, 3)), np.tile(np.eye(3), (2, 1, 1)), [0.7, 0.7])
+        MixtureSpec(np.zeros((2, 3)), np.tile(np.eye(3), (2, 1, 1)), [0.7, 0.7])
     with pytest.raises(ShapeError, match="SPD"):
-        enc.MixtureSpec(np.zeros((1, 2)), -np.eye(2)[None], [1.0])
+        MixtureSpec(np.zeros((1, 2)), -np.eye(2)[None], [1.0])
 
 
 def test_feat_round_trip(tmp_path, encoders):

@@ -3,8 +3,10 @@ import pytest
 
 from subflow import flowalign as fa
 from subflow.diffcore.rng import named_stream
-from subflow.encoders import FeatureSet, MixtureSpec, PairedDistributionSpec, sample_paired
+from subflow.encoders import FeatureSet
 from subflow.errors import FormatError, NumericsError, ShapeError, StateError
+
+from synthetic import ConceptPairGenerator, MixtureSpec, PairedDistributionSpec, sample_paired
 
 
 def fs(domain, rows):
@@ -216,8 +218,7 @@ def test_mixture_to_gaussian_fid_decreases():
     means = np.array([[3.0, 3.0, -2.0], [-3.0, 0.0, 2.0], [0.0, -3.0, 0.0]])
     spec = PairedDistributionSpec(
         MixtureSpec.isotropic(means, sigma=0.6, weights=[0.4, 0.35, 0.25]),
-        MixtureSpec.isotropic([[0.5, -0.5, 1.0]], sigma=1.0),
-        pairing="index", seed=15)
+        MixtureSpec.isotropic([[0.5, -0.5, 1.0]], sigma=1.0), seed=15)
     clip, vgg = sample_paired(spec, 512)
     cfg = fa.FlowConfig(rounds=3, train_steps=1200, batch_size=256,
                         mapping_steps=1200, seed=9)
@@ -256,8 +257,6 @@ def test_align_feature_identity_pipeline_close_to_input():
 def test_aligned_text_and_image_features_stay_close(slab_run, session_encoders):
     # captions and their constructed images share a latent; after alignment
     # through the trained pipeline the pair should still point the same way
-    from subflow.encoders import ConceptPairGenerator
-
     gen = ConceptPairGenerator(session_encoders)
     pipe = slab_run["pipe"]
     cosines = []

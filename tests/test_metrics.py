@@ -146,7 +146,7 @@ def test_eval_consistency_report_count_and_ranges():
     scene = sc.generate_toy_scene("textured_slab", 400, 23, embed_dim=8)
     cams = sc.camera_ring((0, 0, 0), 3.5, 8, elevation=0.9, focal=55.0,
                           width=48, height=48)
-    reports = mt.eval_consistency(scene, cams, ras.render)
+    reports = mt.eval_consistency(scene, cams)
     shorts = [r for r in reports if r.range == "short"]
     longs = [r for r in reports if r.range == "long"]
     assert len(shorts) == 8
@@ -204,7 +204,7 @@ def test_eval_consistency_needs_four_cameras():
     scene = sc.generate_toy_scene("lattice", 8, 1, embed_dim=8)
     cams = sc.camera_ring((0, 0, 0), 3.0, 2)
     with pytest.raises(ShapeError):
-        mt.eval_consistency(scene, cams, ras.render)
+        mt.eval_consistency(scene, cams)
 
 
 def test_metrics_csv_rows():

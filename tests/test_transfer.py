@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from subflow import scene as sc
 from subflow import transfer as tr
 from subflow.diffcore.rng import named_stream
-from subflow.encoders import FeatureEncoders, FeatureSet
+from subflow.encoders import FeatureEncoders
 from subflow.errors import ShapeError, StateError
 
 
@@ -70,17 +70,9 @@ def test_adain_requires_two_rows_and_matching_dim():
 # -- stats_from_feature ------------------------------------------------------------
 
 def test_stats_from_identical_rows_floors_sigma():
-    fs = FeatureSet("vgg_like", np.tile([1.0, -2.0], (5, 1)))
-    stats = tr.stats_from_feature(fs)
+    stats = tr.StyleStats(np.array([1.0, -2.0]), np.zeros(2))
     assert np.allclose(stats.mu, [1.0, -2.0])
     assert np.all(stats.sigma == tr.EPSILON_STD)
-
-
-def test_stats_from_two_rows():
-    fs = FeatureSet("vgg_like", np.array([[0.0, 0.0], [2.0, 2.0]]))
-    stats = tr.stats_from_feature(fs)
-    assert np.allclose(stats.mu, [1.0, 1.0])
-    assert np.allclose(stats.sigma, [1.0, 1.0])
 
 
 def test_stats_from_vector_split_softplus():
