@@ -22,8 +22,8 @@ from . import rasterizer as ras
 from . import scene as sc
 from . import transfer as tr
 from .diffcore.checkpoint import load_params, restore_params, save_params
-from .encoders import (FeatureEncoders, FeatureSet, export_features, import_features,
-                       procedural_texture)
+from .encoders import (_CLIP_GRID, FeatureEncoders, FeatureSet, export_features,
+                       import_features, procedural_texture)
 from .errors import FormatError, NumericsError, ShapeError, StateError, SubflowError
 
 
@@ -71,14 +71,28 @@ def _require(path, kind: str) -> Path:
     return p
 
 
+def _read_image(path, kind: str) -> np.ndarray:
+    """A PPM reference whose sides the clip-like encoder's block grid divides."""
+    path = _require(path, kind)
+    img = ras.read_ppm(path)
+    h, w = img.shape[:2]
+    if h % _CLIP_GRID or w % _CLIP_GRID:
+        raise CliError(f"{path}: image size {h}x{w} must be divisible by {_CLIP_GRID}")
+    return img
+
+
 def _paired_features(args, cfg) -> tuple[FeatureSet, FeatureSet]:
     """Clip- and style-domain rows: the `--feat-clip`/`--feat-vgg` pair, else
     the encoded procedural style corpus."""
     if args.feat_clip or args.feat_vgg:
         if not (args.feat_clip and args.feat_vgg):
             raise CliError("--feat-clip and --feat-vgg must be given together")
-        return (import_features(_require(args.feat_clip, "clip features")),
-                import_features(_require(args.feat_vgg, "style features")))
+        clip = import_features(_require(args.feat_clip, "clip features"))
+        vgg = import_features(_require(args.feat_vgg, "style features"))
+        if clip.count != vgg.count:
+            raise CliError(f"{args.feat_vgg}: {vgg.count} rows do not pair with the "
+                           f"{clip.count} rows of {args.feat_clip}")
+        return clip, vgg
     size = cfg["camera.width"]
     corpus = [procedural_texture(cfg["seed"], i, size=size) for i in range(cfg["flow.corpus"])]
     encoders = _encoders(cfg)
@@ -107,7 +121,7 @@ def _load_decoder(path, cfg) -> tr.DecoderNet:
 
 def _style_image(args, cfg) -> np.ndarray:
     if getattr(args, "style_image", None):
-        return ras.read_ppm(_require(args.style_image, "style image"))
+        return _read_image(args.style_image, "style image")
     return procedural_texture(cfg["seed"] + 7, 100, size=cfg["camera.width"])
 
 
@@ -212,7 +226,7 @@ def cmd_stylize(args) -> int:
     decoder = _load_decoder(args.decoder, cfg)
     pipe = fa.FlowPipeline.load(_require(args.pipeline, "pipeline"))
     if args.image:
-        img = ras.read_ppm(_require(args.image, "reference image"))
+        img = _read_image(args.image, "reference image")
         vec = encoders.encode_clip_like(img).vectors[0]
         aligned = pipe.align(vec)
     elif args.text:
@@ -221,8 +235,9 @@ def cmd_stylize(args) -> int:
         aligned = pipe.align(vec)
     else:
         fs = import_features(_require(args.feat, "feature file"))
-        if fs.domain != "clip_like":
-            raise CliError(f"--feat expects clip-domain rows, got '{fs.domain}'")
+        if fs.domain != "clip_like" or fs.dim != pipe.mapping.clip_dim:
+            raise CliError(f"{args.feat}: --feat expects clip-domain rows of dim "
+                           f"{pipe.mapping.clip_dim}, got '{fs.domain}' rows of dim {fs.dim}")
         aligned = pipe.align(fs.vectors).mean(axis=0)
     stats = tr.stats_from_feature(aligned)
     styled = tr.stylize_scene(scene, stats, decoder)

@@ -31,7 +31,7 @@ def finite_diff_max_rel_error(params: Sequence[Tensor],
         p.grad = None
     try:
         loss = loss_fn()
-        loss.backward()
+        loss.backward(params)
         analytic = [np.array(p.grad, copy=True) for p in params]
         worst = 0.0
         for p, ana in zip(params, analytic):

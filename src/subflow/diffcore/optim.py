@@ -20,8 +20,10 @@ class Adam:
         self.first_moment = [np.zeros_like(p.data) for p in self.params]
         self.second_moment = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self) -> None:
-        """One Adam update; grads are left in place for the caller to zero."""
+    def step(self, loss: Tensor) -> None:
+        """Backprop `loss` into the parameters, apply one Adam update and
+        clear the grads it applied."""
+        loss.backward(self.params)
         for p in self.params:
             if p.grad is None:
                 raise StateError("adam_step: parameter has no gradient")
@@ -38,7 +40,4 @@ class Adam:
             v_hat = v[i] / bc2
             # rebind rather than mutate: forward closures may hold views of p.data
             p.data = p.data - (self.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)).astype(p.data.dtype)
-
-    def zero_grad(self) -> None:
-        for p in self.params:
             p.grad = None

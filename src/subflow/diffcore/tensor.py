@@ -3,12 +3,14 @@
 A `Tensor` wraps a float array. An op's output records its tape as
 `_vjps`: one `(operand, vjp)` pair per operand that requires a gradient,
 where `vjp(g)` maps the output's gradient to that operand's. A constant
-operand gets no pair, so its gradient is never formed. `backward()` on a
-scalar walks the pairs in reverse topological order and accumulates into
-`.grad` of the leaves that require a gradient; intermediate nodes keep no
-gradient buffer. Repeated backward calls accumulate; callers zero grads
-between steps. A vjp reads operand `.data` when it runs, so a graph
-backpropagated after an optimizer step sees the updated parameters.
+operand gets no pair, so its gradient is never formed. `backward(wrt)` on a
+scalar walks the pairs in reverse topological order, runs a vjp only where
+its operand leads to one of the leaves in `wrt`, and accumulates into those
+leaves' `.grad`; other leaves keep `.grad` unchanged and intermediate nodes
+keep no gradient buffer. `Adam.step(loss)` backprops into its own parameters
+and clears the grads it applied. A vjp reads operand `.data` when it runs,
+so a graph backpropagated after an optimizer step sees the updated
+parameters.
 
 Forward values are checked finite after every op: NaN/Inf raises
 `NumericsError` instead of propagating silently. Shape violations raise
@@ -59,11 +61,12 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def backward(self) -> None:
-        """Backprop from this scalar through the recorded graph."""
+    def backward(self, wrt: Sequence[Tensor]) -> None:
+        """Backprop from this scalar into the `.grad` of the leaves in `wrt`."""
         if self.data.size != 1:
             raise ShapeError(
                 f"backward() requires a scalar loss, got shape {self.data.shape}")
+        wanted = {id(leaf) for leaf in wrt}
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -79,14 +82,23 @@ class Tensor:
             for operand, _ in node._vjps:
                 if id(operand) not in seen:
                     stack.append((operand, False))
+        # operands come before their consumers in `topo`
+        reaches = set(wanted)
+        for node in topo:
+            if any(id(operand) in reaches for operand, _ in node._vjps):
+                reaches.add(id(node))
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         for node in reversed(topo):
+            if id(node) not in reaches:
+                continue
             g = grads.pop(id(node))     # set by its consumers, which come first
-            if not node._vjps and node.requires_grad:
+            if id(node) in wanted:
                 if node.grad is None:
                     node.grad = np.zeros_like(node.data)
                 node.grad += g.astype(node.data.dtype, copy=False)
             for operand, vjp in node._vjps:
+                if id(operand) not in reaches:
+                    continue
                 pg = vjp(g)
                 acc = grads.get(id(operand))
                 if acc is None:

@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .config import REQUIRED, read_key_value_file
+from .config import _COUNT, _POSITIVE, _STEPS, REQUIRED, read_key_value_file
 from .diffcore import Adam, DenseNet, Tensor
 from .diffcore import tensor as dt
 from .diffcore.checkpoint import load_params, restore_params, save_params
@@ -42,10 +42,10 @@ def _widths(text: str) -> tuple[int, ...]:
 
 # `FlowPipeline.save` writes every key; the FlowConfig fields keep their names
 MANIFEST_SCHEMA = {key: (typ, REQUIRED) for key, typ in (
-    ("clip_dim", int), ("style_dim", int), ("euler_steps", int), ("rounds", int),
-    ("train_steps", int), ("batch_size", int), ("learning_rate", float), ("seed", int),
-    ("velocity_hidden", _widths), ("mapping_hidden", _widths), ("mapping_steps", int),
-    ("flow_loss", float))}
+    ("clip_dim", _COUNT), ("style_dim", _COUNT), ("euler_steps", _COUNT), ("rounds", _COUNT),
+    ("train_steps", _STEPS), ("batch_size", _COUNT), ("learning_rate", _POSITIVE),
+    ("seed", int), ("velocity_hidden", _widths), ("mapping_hidden", _widths),
+    ("mapping_steps", _STEPS), ("flow_loss", float))}
 
 
 @dataclass(frozen=True)
@@ -59,14 +59,6 @@ class FlowConfig:
     velocity_hidden: tuple[int, ...] = (64, 64)
     mapping_hidden: tuple[int, ...] = (96,)
     mapping_steps: int = 2000
-
-    def __post_init__(self):
-        if self.euler_steps < 1:
-            raise ShapeError(f"euler_steps must be >= 1, got {self.euler_steps}")
-        if self.rounds < 1:
-            raise ShapeError(f"rounds must be >= 1, got {self.rounds}")
-        if self.batch_size < 1 or self.train_steps < 0 or self.mapping_steps < 0:
-            raise ShapeError("invalid flow config sizes")
 
 
 @dataclass
@@ -162,9 +154,7 @@ def train_mapping(clip: FeatureSet, vgg: FeatureSet, cfg: FlowConfig) -> Mapping
         pred = net(Tensor(x_all[idx]))
         diff = dt.sub(pred, Tensor(y_all[idx]))
         loss = dt.tmean(dt.mul(diff, diff))
-        loss.backward()
-        opt.step()
-        opt.zero_grad()
+        opt.step(loss)
     net.trained = True
     return net
 
@@ -189,9 +179,7 @@ def train_velocity(start: FeatureSet, target: FeatureSet, cfg: FlowConfig,
         pred = vf.forward(xt.astype(np.float32), t)
         diff = dt.sub(pred, Tensor(drift_all[idx].astype(np.float32)))
         loss = dt.tmean(dt.mul(diff, diff))
-        loss.backward()
-        opt.step()
-        opt.zero_grad()
+        opt.step(loss)
         loss_val = loss.item()
     vf.final_loss = loss_val
     return vf
@@ -299,14 +287,10 @@ class FlowPipeline:
     @staticmethod
     def load(in_dir) -> "FlowPipeline":
         src = Path(in_dir)
-        manifest = src / "manifest.txt"
-        kv = read_key_value_file(manifest, MANIFEST_SCHEMA)
+        kv = read_key_value_file(src / "manifest.txt", MANIFEST_SCHEMA)
         clip_dim, style_dim = kv.pop("clip_dim"), kv.pop("style_dim")
         flow_loss = kv.pop("flow_loss")
-        try:
-            cfg = FlowConfig(**kv)
-        except ShapeError as exc:
-            raise FormatError(f"{manifest}: {exc}") from None
+        cfg = FlowConfig(**kv)
         mapping = _restore(
             src / "mapping.prms", (clip_dim, *cfg.mapping_hidden, style_dim),
             lambda: MappingNet(clip_dim, style_dim, hidden=cfg.mapping_hidden, seed=cfg.seed))

@@ -150,9 +150,7 @@ def train_decoder2d(encoders: FeatureEncoders, corpus: int = 200, steps: int = 2
         out = dec.forward(Tensor(feats[i]))
         diff = dt.sub(out, Tensor(targets[i]))
         loss = dt.tmean(dt.mul(diff, diff))
-        loss.backward()
-        opt.step()
-        opt.zero_grad()
+        opt.step(loss)
     dec.trained = True
     return dec
 
@@ -211,19 +209,18 @@ def suppression_loss(i_g, i_f, disc: DiscriminatorNet) -> tuple[Tensor, Tensor]:
     """(discriminator loss, generator signal) from the prior/render pair.
 
     disc_loss = -mean_scales[ log eta(I_g) + log(1 - eta(I_f)) ]  (ascent as
-    descent; I_f is detached). gen_signal = -mean_scales log eta(I_f), the
-    non-saturating form that pushes the decoder toward the prior's verdict.
+    descent). gen_signal = -mean_scales log eta(I_f), the non-saturating form
+    that pushes the decoder toward the prior's verdict. Both read one scoring
+    of I_f; each optimizer backprops only into its own parameters.
     """
     scores_g = disc.score_scales(i_g)
-    i_f_t = _chw(i_f)
-    scores_f_detached = disc.score_scales(Tensor(i_f_t.data))
-    scores_f = disc.score_scales(i_f_t)
+    scores_f = disc.score_scales(_chw(i_f))
 
     def clamped_log(t: Tensor) -> Tensor:
         return dt.log(dt.clamp(t, LOG_CLAMP, 1.0 - LOG_CLAMP))
 
     terms = []
-    for sg, sf in zip(scores_g, scores_f_detached):
+    for sg, sf in zip(scores_g, scores_f):
         terms.append(dt.add(clamped_log(sg), clamped_log(dt.sub(1.0, sf))))
     stacked = dt.concat([dt.reshape(t, (1,)) for t in terms], axis=0)
     disc_loss = dt.mul(dt.tmean(stacked), -1.0)
@@ -307,11 +304,6 @@ def train_stylization(scene: GaussianScene, cams: Sequence[Camera], style_img: n
     g = named_stream(seed, "styletrain.cams")
     log = StyleTrainLog()
 
-    def zero_all():
-        opt_dec.zero_grad()
-        if opt_disc:
-            opt_disc.zero_grad()
-
     for step in range(steps):
         blocks, content_rgb, i_g = cam_data[int(g.integers(0, len(cam_data)))]
         colors = decoder.forward(moved)                       # (N, 3)
@@ -332,16 +324,9 @@ def train_stylization(scene: GaussianScene, cams: Sequence[Camera], style_img: n
             disc_loss, gen_signal = suppression_loss(i_g, i_f, disc)
             sup_disc_val, sup_gen_val = disc_loss.item(), gen_signal.item()
             objective = dt.add(objective, dt.mul(gen_signal, weights.suppression_weight))
-        objective.backward()
-        opt_dec.step()
-        zero_all()
-
+        opt_dec.step(objective)
         if use_suppression:
-            # the decoder step left disc_loss's graph untouched: it saw I_f
-            # detached and the discriminator as it still is
-            disc_loss.backward()
-            opt_disc.step()
-            zero_all()
+            opt_disc.step(disc_loss)
 
         log.rows.append({
             "step": step, "content": parts["content"], "style": parts["style"],

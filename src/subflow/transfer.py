@@ -173,9 +173,7 @@ def distill_embeddings(scene: GaussianScene, cams: Sequence[Camera],
             if np.isnan(proj_first):
                 proj_first = loss_b.item()
             proj_last = loss_b.item()
-        loss.backward()
-        opt.step()
-        opt.zero_grad()
+        opt.step(loss)
 
     final_embed = embed.data.copy()
     recon_mse = float(((decoder.decode(final_embed) - scene.colors) ** 2).mean())

@@ -7,6 +7,7 @@ from subflow import cli
 from subflow import config as cfgmod
 from subflow import rasterizer as ras
 from subflow import scene as sc
+from subflow.diffcore.rng import named_stream
 from subflow.errors import FormatError
 
 SMALL_CFG = """\
@@ -350,6 +351,40 @@ def test_bad_payload_names_file(pipeline_artifacts, tmp_path, capsys, case):
         argv = stylize + ["--decoder", bad, "--text", "anything"]
     assert run(*argv) == 2
     assert str(bad) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["stylize-image", "train-style-image", "stylize-feat-dim",
+                                  "train-flow-rows", "eval-align-rows"])
+def test_input_that_does_not_fit_names_file(pipeline_artifacts, tmp_path, capsys, case):
+    # each input parses, but its size does not fit the encoder or the pipeline
+    root = pipeline_artifacts
+    rows = named_stream(3, "unfit").standard_normal((4, 64))
+    styled = ["--scene", root / "sd.gscn", "--pipeline", root / "pipe"]
+    if case == "stylize-image":
+        named = [tmp_path / "small.ppm"]
+        argv = ["stylize", "--image", named[0],
+                "--decoder", root / "styled" / "decoder.prms"] + styled
+    elif case == "train-style-image":
+        named = [tmp_path / "small.ppm"]
+        argv = ["train-style", "--style-image", named[0], "--decoder", root / "dec.prms"] + styled
+    elif case == "stylize-feat-dim":
+        named = [tmp_path / "narrow.feat"]
+        named[0].write_bytes(_feat_bytes(rows[:, :32], 0))
+        argv = ["stylize", "--feat", named[0],
+                "--decoder", root / "styled" / "decoder.prms"] + styled
+    else:
+        named = [tmp_path / "clip.feat", tmp_path / "vgg.feat"]
+        named[0].write_bytes(_feat_bytes(rows[:3], 0))
+        named[1].write_bytes(_feat_bytes(rows, 1))
+        argv = [case.removesuffix("-rows"), "--feat-clip", named[0], "--feat-vgg", named[1]]
+        if case == "eval-align-rows":
+            argv += ["--pipeline", root / "pipe"]
+    if case.endswith("image"):
+        ras.write_ppm(named[0], np.full((30, 30, 3), 0.5))
+    assert run(*argv, "--config", root / "small.cfg", "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert all(str(path) in err for path in named), err
     assert not (tmp_path / "out").exists()
 
 

@@ -45,23 +45,23 @@ def test_nonfinite_forward_raises():
 
 def test_backward_square():
     x = dc.Tensor(3.0, requires_grad=True)
-    dc.mul(x, x).backward()
+    dc.mul(x, x).backward([x])
     assert x.grad == pytest.approx(6.0)
 
 
 def test_backward_relu_subgradient_zero_at_zero():
     x = dc.Tensor([-1.0, 2.0], requires_grad=True)
-    dc.tsum(dc.relu(x)).backward()
+    dc.tsum(dc.relu(x)).backward([x])
     assert np.array_equal(x.grad, [0.0, 1.0])
     z = dc.Tensor([0.0], requires_grad=True)
-    dc.tsum(dc.relu(z)).backward()
+    dc.tsum(dc.relu(z)).backward([z])
     assert z.grad[0] == 0.0
 
 
 def test_backward_requires_scalar():
     x = dc.Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ShapeError, match="scalar"):
-        dc.mul(x, x).backward()
+        dc.mul(x, x).backward([x])
 
 
 def test_backward_terminates_on_deep_chains():
@@ -70,15 +70,15 @@ def test_backward_terminates_on_deep_chains():
     y = x
     for _ in range(5000):
         y = dc.mul(y, 1.0001)
-    y.backward()
+    y.backward([x])
     assert x.grad is not None and np.isfinite(x.grad)
 
 
 def test_backward_accumulates_without_zeroing():
     x = dc.Tensor(2.0, requires_grad=True)
-    dc.mul(x, x).backward()
+    dc.mul(x, x).backward([x])
     first = float(x.grad)
-    dc.mul(x, x).backward()
+    dc.mul(x, x).backward([x])
     assert float(x.grad) == pytest.approx(2 * first)
 
 
@@ -104,7 +104,7 @@ def test_conv2d_input_gradient():
     layer = dc.Conv2dLayer(1, 2, 3, stride=2, padding=1, seed=4, name="cx")
     x0 = dc.named_stream(7, "gc-dx").standard_normal((1, 5, 5))
     xt = dc.Tensor(x0.astype(np.float64), requires_grad=True)
-    dc.tsum(layer(xt)).backward()
+    dc.tsum(layer(xt)).backward([xt])
     analytic = xt.grad.copy()
     h = 1e-4
     for idx in [(0, 0, 0), (0, 2, 3), (0, 4, 4), (0, 1, 2)]:
@@ -119,18 +119,16 @@ def test_conv2d_input_gradient():
 
 def test_adam_first_step_hand_value():
     p = dc.Tensor(1.0, requires_grad=True)
-    p.grad = np.array(1.0, dtype=np.float32)
     opt = dc.Adam([p], lr=0.1)
-    opt.step()
+    opt.step(dc.mul(p, 1.0))    # gradient 1
     # bias correction at step 1 gives m_hat = g, v_hat = g^2, update = lr * g/(|g|+eps)
     assert float(p.data) == pytest.approx(0.9, abs=1e-6)
 
 
 def test_adam_zero_grad_leaves_params_unchanged():
     p = dc.Tensor([1.0, -2.0], requires_grad=True)
-    p.grad = np.zeros(2, dtype=np.float32)
     before = p.data.copy()
-    dc.Adam([p], lr=0.5).step()
+    dc.Adam([p], lr=0.5).step(dc.tsum(dc.mul(p, 0.0)))    # gradient 0
     assert np.array_equal(p.data, before)
 
 
@@ -138,23 +136,24 @@ def test_adam_step_count_increments():
     p = dc.Tensor(1.0, requires_grad=True)
     opt = dc.Adam([p], lr=0.1)
     for _ in range(2):
-        p.grad = np.array(1.0, dtype=np.float32)
-        opt.step()
-        opt.zero_grad()
+        opt.step(dc.mul(p, 1.0))
     assert opt.step_count == 2
 
 
 def test_adam_missing_grad_raises():
     p = dc.Tensor(1.0, requires_grad=True)
+    q = dc.Tensor(1.0, requires_grad=True)
     with pytest.raises(StateError, match="grad"):
-        dc.Adam([p]).step()
+        dc.Adam([p, q]).step(dc.mul(p, 2.0))    # the loss does not reach q
 
 
-def test_adam_leaves_grads_untouched():
+def test_adam_clears_grads_it_applied():
     p = dc.Tensor(1.0, requires_grad=True)
-    p.grad = np.array(2.0, dtype=np.float32)
-    dc.Adam([p], lr=0.1).step()
-    assert float(p.grad) == pytest.approx(2.0)
+    q = dc.Tensor(3.0, requires_grad=True)
+    q.grad = np.array(2.0)
+    dc.Adam([p], lr=0.1).step(dc.mul(p, q))
+    assert p.grad is None
+    assert float(q.grad) == 2.0     # a leaf the optimizer does not own is left alone
 
 
 def test_finite_diff_linear_net_is_exact():
@@ -177,9 +176,7 @@ def test_training_determinism_bit_identical():
         y = dc.named_stream(11, "train-y").standard_normal((8, 2)).astype(np.float32)
         for _ in range(25):
             d = dc.sub(net(dc.Tensor(x)), dc.Tensor(y))
-            dc.tmean(dc.mul(d, d)).backward()
-            opt.step()
-            opt.zero_grad()
+            opt.step(dc.tmean(dc.mul(d, d)))
         return [p.data.copy() for p in net.parameters()]
 
     a, b = run(), run()
@@ -272,13 +269,47 @@ def test_constant_operand_gradient_is_never_formed():
     loss = dc.tsum(out)
     tracemalloc.start()
     try:
-        loss.backward()
+        loss.backward([x])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
     assert w.grad is None and out.grad is None and loss.grad is None
     assert np.array_equal(x.grad, np.full((2000, 3), 4096.0, dtype=np.float32))
+
+
+def test_backward_forms_only_the_requested_gradients():
+    # one graph reaches groups A (a1, a2) and B (b1, b2); B's (2048, 2000)
+    # weight gradient is never formed when only A is requested
+    import tracemalloc
+    rng = dc.named_stream(4, "wrt")
+    a1 = dc.Tensor(rng.standard_normal((3, 4)).astype(np.float32), requires_grad=True)
+    a2 = dc.Tensor(rng.standard_normal((4, 3)).astype(np.float32), requires_grad=True)
+    b1 = dc.Tensor(np.ones((2048, 2000), dtype=np.float32), requires_grad=True)
+    b2 = dc.Tensor(np.ones((2048, 1), dtype=np.float32), requires_grad=True)
+    x = dc.Tensor(np.ones((2000, 3), dtype=np.float32))
+
+    def loss():
+        a = dc.tsum(dc.tanh(dc.matmul(a1, a2)))
+        b = dc.tmean(dc.add(dc.matmul(b1, x), b2))
+        return dc.add(dc.mul(a, b), a)
+
+    full = loss()
+    full.backward([a1, a2, b1, b2])
+    want = [a1.grad, a2.grad]
+    assert b1.grad is not None and b2.grad is not None
+    for t in (a1, a2, b1, b2):
+        t.grad = None
+    part = loss()
+    tracemalloc.start()
+    try:
+        part.backward([a1, a2])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert b1.grad is None and b2.grad is None
+    assert np.array_equal(a1.grad, want[0]) and np.array_equal(a2.grad, want[1])
 
 
 def test_python_number_keeps_a_float32_graph_float32():
@@ -291,7 +322,7 @@ def test_python_number_keeps_a_float32_graph_float32():
     assert loss.data.dtype == np.float32
     tracemalloc.start()
     try:
-        loss.backward()
+        loss.backward([x])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

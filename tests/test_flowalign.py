@@ -364,6 +364,8 @@ def test_manifest_round_trips_byte_identical(saved_pipeline, tmp_path):
 
 
 @pytest.mark.parametrize("line, where", [("rounds=0", "manifest.txt.*rounds"),
+                                         ("batch_size=0", "manifest.txt.*batch_size"),
+                                         ("learning_rate=0", "manifest.txt.*learning_rate"),
                                          ("clip_dim=5", "mapping.prms.*shape")])
 def test_manifest_inconsistent_value_names_file(saved_pipeline, tmp_path, line, where):
     key = line.partition("=")[0]

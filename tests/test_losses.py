@@ -275,6 +275,25 @@ def test_train_stylization_log_csv_layout(slab_run, session_encoders, session_de
     assert len(lines) == 4
 
 
+def test_train_stylization_scores_each_image_once_per_step(slab_run, session_encoders,
+                                                          session_decoder2d, monkeypatch):
+    # one discriminator pass over I_g and one over I_f serve both updates
+    calls = []
+    score_scales = ls.DiscriminatorNet.score_scales
+
+    def counted(self, image):
+        calls.append(1)
+        return score_scales(self, image)
+
+    monkeypatch.setattr(ls.DiscriminatorNet, "score_scales", counted)
+    decoder = copy.deepcopy(slab_run["decoder0"])
+    ls.train_stylization(
+        slab_run["distilled"], slab_run["cams"][:4], slab_run["style_img"], slab_run["pipe"],
+        decoder, session_encoders, ls.LossWeights(), steps=1,
+        decoder2d=session_decoder2d, seed=3)
+    assert len(calls) == 2
+
+
 def test_train_stylization_requires_distilled(slab_run, session_encoders, session_decoder2d):
     decoder = copy.deepcopy(slab_run["decoder0"])
     with pytest.raises(StateError, match="distilled"):

@@ -254,7 +254,7 @@ def test_tile_matmul_matches_dense_weights(name):
     out = dc.tile_matmul(weights.blocks, weights.rows, xt)
     assert out.data.dtype == np.float32
     assert np.allclose(out.data, dense @ x, rtol=1e-5, atol=1e-6)
-    dc.tsum(dc.mul(out, dc.Tensor(g))).backward()
+    dc.tsum(dc.mul(out, dc.Tensor(g))).backward([xt])
     assert xt.grad.dtype == np.float32
     assert np.allclose(xt.grad, dense.T @ g, rtol=1e-5, atol=1e-5)
 
