@@ -89,6 +89,10 @@ def _paired_features(args, cfg) -> tuple[FeatureSet, FeatureSet]:
             raise CliError("--feat-clip and --feat-vgg must be given together")
         clip = import_features(_require(args.feat_clip, "clip features"))
         vgg = import_features(_require(args.feat_vgg, "style features"))
+        for fs, path, domain in ((clip, args.feat_clip, "clip_like"),
+                                 (vgg, args.feat_vgg, "vgg_like")):
+            if fs.domain != domain:
+                raise CliError(f"{path}: expected '{domain}' rows, got '{fs.domain}' rows")
         if clip.count != vgg.count:
             raise CliError(f"{args.feat_vgg}: {vgg.count} rows do not pair with the "
                            f"{clip.count} rows of {args.feat_clip}")
@@ -221,17 +225,16 @@ def cmd_stylize(args) -> int:
     sources = [s for s in (args.image, args.text, args.feat) if s]
     if len(sources) != 1:
         raise CliError("stylize needs exactly one of --image, --text, --feat")
-    encoders = _encoders(cfg)
     scene = _load_distilled(args.scene)
     decoder = _load_decoder(args.decoder, cfg)
     pipe = fa.FlowPipeline.load(_require(args.pipeline, "pipeline"))
     if args.image:
         img = _read_image(args.image, "reference image")
-        vec = encoders.encode_clip_like(img).vectors[0]
+        vec = _encoders(cfg).encode_clip_like(img).vectors[0]
         aligned = pipe.align(vec)
     elif args.text:
         tokens = args.text.split()
-        vec = encoders.encode_text(tokens).vectors[0]
+        vec = _encoders(cfg).encode_text(tokens).vectors[0]
         aligned = pipe.align(vec)
     else:
         fs = import_features(_require(args.feat, "feature file"))
@@ -269,6 +272,11 @@ def cmd_eval_align(args) -> int:
     cfg = _load_config(args)
     pipe = fa.FlowPipeline.load(_require(args.pipeline, "pipeline"))
     clip_fs, vgg_fs = _paired_features(args, cfg)
+    for fs, dim, path in ((clip_fs, pipe.mapping.clip_dim, args.feat_clip),
+                          (vgg_fs, pipe.mapping.style_dim, args.feat_vgg)):
+        if fs.dim != dim:
+            raise CliError(f"{path or 'encoded procedural corpus'}: '{fs.domain}' rows of "
+                           f"dim {fs.dim} do not fit the dim-{dim} pipeline {args.pipeline}")
     rows = []
     for k, stage in enumerate(pipe.trajectory(clip_fs.vectors)):
         fs, tag = FeatureSet("clip_mapped", stage), (f"round{k}" if k else "mapped")

@@ -325,21 +325,36 @@ def conv2d(x: Arrayish, weight: Arrayish, bias: Optional[Arrayish] = None,
     hout = (hp - kh) // stride + 1
     wout = (wp - kw) // stride + 1
 
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding))) if padding else x.data
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride]           # (C, hout, wout, kh, kw)
-    col = windows.transpose(1, 2, 0, 3, 4).reshape(hout * wout, cin * kh * kw)
+    xp = x.data
+    if padding:
+        xp = np.zeros((cin, hp, wp), dtype=x.data.dtype)
+        xp[:, padding:padding + h, padding:padding + w] = x.data
+    # im2col: one strided plane per kernel offset into a C-ordered
+    # (hout, wout, cin, kh, kw) buffer
+    col = np.empty((hout, wout, cin, kh, kw), dtype=xp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            col[:, :, :, i, j] = xp[:, i:i + stride * hout:stride,
+                                    j:j + stride * wout:stride].transpose(1, 2, 0)
+    col = col.reshape(hout * wout, cin * kh * kw)
     wmat = weight.data.reshape(cout, cin * kh * kw)
     out = np.ascontiguousarray((col @ wmat.T).T).reshape(cout, hout, wout)
 
     def dx(g):
-        dcol = g.reshape(cout, hout * wout).T @ wmat      # (hout*wout, cin*kh*kw)
-        dxp = np.zeros((cin, hp, wp), dtype=g.dtype)
-        dcol = dcol.reshape(hout, wout, cin, kh, kw).transpose(2, 0, 1, 3, 4)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, i:i + stride * hout:stride, j:j + stride * wout:stride] += dcol[:, :, :, i, j]
-        return dxp[:, padding:hp - padding, padding:wp - padding] if padding else dxp
+        dcol = (g.reshape(cout, hout * wout).T @ wmat).reshape(hout, wout, cin, kh, kw)
+        if stride == kh == kw and (hp, wp) == (hout * kh, wout * kw):
+            # the windows tile the padded input, so each pixel takes one entry
+            dxp = np.zeros((cin, hp, wp), dtype=g.dtype)
+            tiles = dxp.reshape(cin, hout, kh, wout, kw)
+            tiles += dcol.transpose(2, 0, 3, 1, 4)
+        else:
+            # channels last, so each slice-add reads dcol's planes in memory order
+            dxp = np.zeros((hp, wp, cin), dtype=g.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[i:i + stride * hout:stride, j:j + stride * wout:stride] += dcol[:, :, :, i, j]
+            dxp = dxp.transpose(2, 0, 1)
+        return np.ascontiguousarray(dxp[:, padding:hp - padding, padding:wp - padding])
 
     def dw(g):
         return (g.reshape(cout, hout * wout) @ col).reshape(weight.data.shape)

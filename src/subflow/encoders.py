@@ -5,6 +5,11 @@ Both pseudo encoders are frozen seeded conv stacks; they stand in for the
 heavyweight pretrained networks so the whole pipeline runs in seconds. Real
 features computed externally enter through `import_features`.
 
+Each domain is centered on a fixed batch of procedural textures. That
+calibration runs the first time the domain encodes, from the weights at that
+moment, so a command pays only for the domains it uses. The pipeline's
+encoders are frozen, so the moment does not matter to it.
+
 The CLIP-like encoder is deliberately dominated by a linear functional of an
 8x8 block-mean grid plus a small bounded conv refinement.
 """
@@ -13,6 +18,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -96,6 +102,11 @@ class FeatureEncoders:
     channel statistics are invariant to pixel permutations; the remaining
     blocks halve resolution with 2x2 valid convolutions, which keeps constant
     images exactly constant at every tap.
+
+    Construction builds the layers and projections only. The CLIP-like domain
+    (`_clip_center`, `text_norm`) calibrates on its first encode, the VGG-like
+    domain (`_vgg_center`) on its first `encode_vgg_like`, each from the
+    weights at that moment.
     """
 
     def __init__(self, seed: int = 0, clip_dim: int = DEFAULT_CLIP_DIM,
@@ -134,16 +145,31 @@ class FeatureEncoders:
             for p in layer.parameters():
                 p.requires_grad = False
 
-        # calibration on a fixed procedural batch: centers both domains and
-        # sets the text-embedding norm target
-        calib = [procedural_texture(seed, i) for i in range(16)]
-        self._clip_center = np.zeros(clip_dim, dtype=np.float32)
-        self._vgg_center = np.zeros(style_dim, dtype=np.float32)
-        clip_raw = np.stack([self._clip_raw(img) for img in calib])
-        vgg_raw = np.stack([self._vgg_raw(img) for img in calib])
-        self._clip_center = clip_raw.mean(axis=0).astype(np.float32)
-        self._vgg_center = vgg_raw.mean(axis=0).astype(np.float32)
-        self.text_norm = float(np.linalg.norm(clip_raw - self._clip_center, axis=1).mean())
+    # -- calibration on a fixed procedural batch, one domain at a time ---------------
+
+    @cached_property
+    def _calibration_images(self) -> list[np.ndarray]:
+        return [procedural_texture(self.seed, i) for i in range(16)]
+
+    @cached_property
+    def _clip_calibration(self) -> tuple[np.ndarray, float]:
+        """The CLIP-like center and the text-embedding norm target."""
+        clip_raw = np.stack([self._clip_raw(img) for img in self._calibration_images])
+        center = clip_raw.mean(axis=0).astype(np.float32)
+        return center, float(np.linalg.norm(clip_raw - center, axis=1).mean())
+
+    @property
+    def _clip_center(self) -> np.ndarray:
+        return self._clip_calibration[0]
+
+    @property
+    def text_norm(self) -> float:
+        return self._clip_calibration[1]
+
+    @cached_property
+    def _vgg_center(self) -> np.ndarray:
+        vgg_raw = np.stack([self._vgg_raw(img) for img in self._calibration_images])
+        return vgg_raw.mean(axis=0).astype(np.float32)
 
     # -- style (VGG-like) domain ------------------------------------------------
 

@@ -225,6 +225,43 @@ def test_decoder_that_does_not_fit_config_names_file(pipeline_artifacts, tmp_pat
     assert not (tmp_path / "o.gscn").exists()
 
 
+@pytest.mark.parametrize("command, textures, taps", [
+    ("stylize-feat", 0, 0), ("stylize-text", 16, 0), ("embed", 0, 4)])
+def test_commands_calibrate_only_the_domains_they_use(pipeline_artifacts, tmp_path, monkeypatch,
+                                                      command, textures, taps):
+    # calibrating a domain encodes the 16 procedural textures (the VGG-like
+    # domain through `tap_features`); embed taps only its 4 training cameras
+    from subflow import encoders as enc
+    calls = {"textures": 0, "taps": 0}
+    texture, tap_features = enc.procedural_texture, enc.FeatureEncoders.tap_features
+
+    def counted_texture(*args, **kwargs):
+        calls["textures"] += 1
+        return texture(*args, **kwargs)
+
+    def counted_taps(self, image):
+        calls["taps"] += 1
+        return tap_features(self, image)
+
+    monkeypatch.setattr(enc, "procedural_texture", counted_texture)
+    monkeypatch.setattr(enc.FeatureEncoders, "tap_features", counted_taps)
+    root = pipeline_artifacts
+    if command == "embed":
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(SMALL_CFG.replace("distill.steps = 200", "distill.steps = 2"))
+        argv = ["embed", "--config", cfg, "--scene", root / "s.gscn",
+                "--out-scene", tmp_path / "sd.gscn", "--out-decoder", tmp_path / "dec.prms"]
+    else:
+        feat = tmp_path / "ref.feat"
+        feat.write_bytes(_feat_bytes(named_stream(5, "calibration").standard_normal((2, 64)), 0))
+        source = ["--feat", feat] if command == "stylize-feat" else ["--text", "molten glass"]
+        argv = ["stylize", "--config", root / "small.cfg", "--scene", root / "sd.gscn",
+                "--decoder", root / "styled" / "decoder.prms", "--pipeline", root / "pipe",
+                *source, "--out", tmp_path / "o.gscn"]
+    assert run(*argv) == 0
+    assert calls == {"textures": textures, "taps": taps}
+
+
 def test_render_features_flag(pipeline_artifacts, tmp_path):
     root = pipeline_artifacts
     out = tmp_path / "feat_views"
@@ -355,9 +392,12 @@ def test_bad_payload_names_file(pipeline_artifacts, tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("case", ["stylize-image", "train-style-image", "stylize-feat-dim",
-                                  "train-flow-rows", "eval-align-rows"])
+                                  "train-flow-rows", "eval-align-rows", "train-flow-swapped",
+                                  "eval-align-swapped", "eval-align-clip-dim",
+                                  "eval-align-vgg-dim"])
 def test_input_that_does_not_fit_names_file(pipeline_artifacts, tmp_path, capsys, case):
-    # each input parses, but its size does not fit the encoder or the pipeline
+    # each input parses, but its size or domain does not fit its flag, the
+    # encoder or the pipeline
     root = pipeline_artifacts
     rows = named_stream(3, "unfit").standard_normal((4, 64))
     styled = ["--scene", root / "sd.gscn", "--pipeline", root / "pipe"]
@@ -374,11 +414,23 @@ def test_input_that_does_not_fit_names_file(pipeline_artifacts, tmp_path, capsys
         argv = ["stylize", "--feat", named[0],
                 "--decoder", root / "styled" / "decoder.prms"] + styled
     else:
-        named = [tmp_path / "clip.feat", tmp_path / "vgg.feat"]
-        named[0].write_bytes(_feat_bytes(rows[:3], 0))
-        named[1].write_bytes(_feat_bytes(rows, 1))
-        argv = [case.removesuffix("-rows"), "--feat-clip", named[0], "--feat-vgg", named[1]]
-        if case == "eval-align-rows":
+        command = "train-flow" if case.startswith("train-flow") else "eval-align"
+        kind = case.removeprefix(command + "-")
+        clip, vgg = tmp_path / "clip.feat", tmp_path / "vgg.feat"
+        clip_rows, clip_tag, vgg_rows, vgg_tag = rows, 0, rows, 1
+        named = [clip]
+        if kind == "rows":
+            clip_rows, named = rows[:3], [clip, vgg]
+        elif kind == "swapped":
+            clip_tag, vgg_tag = 1, 0
+        elif kind == "clip-dim":
+            clip_rows = rows[:, :32]
+        else:
+            vgg_rows, named = rows[:, :32], [vgg]
+        clip.write_bytes(_feat_bytes(clip_rows, clip_tag))
+        vgg.write_bytes(_feat_bytes(vgg_rows, vgg_tag))
+        argv = [command, "--feat-clip", clip, "--feat-vgg", vgg]
+        if command == "eval-align":
             argv += ["--pipeline", root / "pipe"]
     if case.endswith("image"):
         ras.write_ppm(named[0], np.full((30, 30, 3), 0.5))

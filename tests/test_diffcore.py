@@ -250,6 +250,51 @@ def test_conv2d_matches_naive_reference():
     assert np.allclose(out, ref, atol=1e-5)
 
 
+def _conv2d_reference(x, w, b, g, stride, padding):
+    """conv2d's earlier formula (np.pad, sliding_window_view, one slice-add
+    per kernel offset): out and the gradients dx, dw, db for output grad g."""
+    cout, cin, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding))) if padding else x
+    hp, wp = xp.shape[1:]
+    hout, wout = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    windows = windows[:, ::stride, ::stride]
+    col = windows.transpose(1, 2, 0, 3, 4).reshape(hout * wout, cin * kh * kw)
+    wmat = w.reshape(cout, cin * kh * kw)
+    out = np.ascontiguousarray((col @ wmat.T).T).reshape(cout, hout, wout) + b[:, None, None]
+    dcol = g.reshape(cout, hout * wout).T @ wmat
+    dxp = np.zeros((cin, hp, wp), dtype=g.dtype)
+    dcol = dcol.reshape(hout, wout, cin, kh, kw).transpose(2, 0, 1, 3, 4)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, i:i + stride * hout:stride, j:j + stride * wout:stride] += dcol[:, :, :, i, j]
+    dx = dxp[:, padding:hp - padding, padding:wp - padding] if padding else dxp
+    dw = (g.reshape(cout, hout * wout) @ col).reshape(w.shape)
+    return out, dx, dw, g.sum(axis=(1, 2))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_conv2d_bits_match_reference_formula(k, stride, padding, dtype):
+    # sides 8 and 7: with stride == k on the odd side the windows leave the
+    # last row and column uncovered
+    rng = dc.named_stream(17, f"conv-bits.{k}.{stride}.{padding}")
+    for side in (8, 7):
+        x = rng.standard_normal((3, side, side)).astype(dtype)
+        w = rng.standard_normal((4, 3, k, k)).astype(dtype)
+        b = rng.standard_normal(4).astype(dtype)
+        xt, wt, bt = (dc.Tensor(a, requires_grad=True) for a in (x, w, b))
+        out = dc.conv2d(xt, wt, bt, stride=stride, padding=padding)
+        g = rng.standard_normal(out.data.shape).astype(dtype)
+        dc.tsum(dc.mul(out, dc.Tensor(g))).backward([xt, wt, bt])
+        want = _conv2d_reference(x, w, b, g, stride, padding)
+        for got, ref in zip((out.data, xt.grad, wt.grad, bt.grad), want):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+
 def test_pool_and_upsample_shapes_and_values():
     x = dc.Tensor(np.arange(16, dtype=np.float32).reshape(1, 4, 4))
     pooled = dc.avg_pool2d(x, 2)

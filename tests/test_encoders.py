@@ -93,6 +93,23 @@ def test_domain_separation_on_default_seeds(encoders):
     assert abs(float(cos.mean())) < 0.2
 
 
+@pytest.mark.parametrize("seed, clip_first", [(0, True), (7, False)])
+def test_lazy_calibration_matches_eager_reference(seed, clip_first):
+    encoders = enc.FeatureEncoders(seed=seed)
+    img = enc.procedural_texture(seed, 99)
+    touches = [lambda: encoders.encode_text(["dusk"]), lambda: encoders.encode_vgg_like(img)]
+    for touch in (touches if clip_first else touches[::-1]):
+        touch()
+    # the calibration as computed eagerly at construction before it was lazy
+    calib = [enc.procedural_texture(seed, i) for i in range(16)]
+    clip_raw = np.stack([encoders._clip_raw(c) for c in calib])
+    vgg_raw = np.stack([encoders._vgg_raw(c) for c in calib])
+    clip_center = clip_raw.mean(axis=0).astype(np.float32)
+    assert np.array_equal(encoders._clip_center, clip_center)
+    assert np.array_equal(encoders._vgg_center, vgg_raw.mean(axis=0).astype(np.float32))
+    assert encoders.text_norm == float(np.linalg.norm(clip_raw - clip_center, axis=1).mean())
+
+
 def test_sample_paired_single_component_moments():
     dim = 4
     spec = PairedDistributionSpec(
