@@ -81,6 +81,14 @@ def _read_image(path, kind: str) -> np.ndarray:
     return img
 
 
+def _check_rows(fs: FeatureSet, path, domain: str, dim: int | None = None) -> FeatureSet:
+    """`fs`, read from `path`, must hold `domain` rows, `dim` wide when given."""
+    if fs.domain != domain or dim not in (None, fs.dim):
+        want = f"'{domain}' rows" + (f" of dim {dim}" if dim is not None else "")
+        raise CliError(f"{path}: expected {want}, got '{fs.domain}' rows of dim {fs.dim}")
+    return fs
+
+
 def _paired_features(args, cfg) -> tuple[FeatureSet, FeatureSet]:
     """Clip- and style-domain rows: the `--feat-clip`/`--feat-vgg` pair, else
     the encoded procedural style corpus."""
@@ -89,10 +97,8 @@ def _paired_features(args, cfg) -> tuple[FeatureSet, FeatureSet]:
             raise CliError("--feat-clip and --feat-vgg must be given together")
         clip = import_features(_require(args.feat_clip, "clip features"))
         vgg = import_features(_require(args.feat_vgg, "style features"))
-        for fs, path, domain in ((clip, args.feat_clip, "clip_like"),
-                                 (vgg, args.feat_vgg, "vgg_like")):
-            if fs.domain != domain:
-                raise CliError(f"{path}: expected '{domain}' rows, got '{fs.domain}' rows")
+        _check_rows(clip, args.feat_clip, "clip_like")
+        _check_rows(vgg, args.feat_vgg, "vgg_like")
         if clip.count != vgg.count:
             raise CliError(f"{args.feat_vgg}: {vgg.count} rows do not pair with the "
                            f"{clip.count} rows of {args.feat_clip}")
@@ -237,10 +243,8 @@ def cmd_stylize(args) -> int:
         vec = _encoders(cfg).encode_text(tokens).vectors[0]
         aligned = pipe.align(vec)
     else:
-        fs = import_features(_require(args.feat, "feature file"))
-        if fs.domain != "clip_like" or fs.dim != pipe.mapping.clip_dim:
-            raise CliError(f"{args.feat}: --feat expects clip-domain rows of dim "
-                           f"{pipe.mapping.clip_dim}, got '{fs.domain}' rows of dim {fs.dim}")
+        fs = _check_rows(import_features(_require(args.feat, "feature file")), args.feat,
+                         "clip_like", pipe.mapping.clip_dim)
         aligned = pipe.align(fs.vectors).mean(axis=0)
     stats = tr.stats_from_feature(aligned)
     styled = tr.stylize_scene(scene, stats, decoder)
@@ -272,11 +276,9 @@ def cmd_eval_align(args) -> int:
     cfg = _load_config(args)
     pipe = fa.FlowPipeline.load(_require(args.pipeline, "pipeline"))
     clip_fs, vgg_fs = _paired_features(args, cfg)
-    for fs, dim, path in ((clip_fs, pipe.mapping.clip_dim, args.feat_clip),
-                          (vgg_fs, pipe.mapping.style_dim, args.feat_vgg)):
-        if fs.dim != dim:
-            raise CliError(f"{path or 'encoded procedural corpus'}: '{fs.domain}' rows of "
-                           f"dim {fs.dim} do not fit the dim-{dim} pipeline {args.pipeline}")
+    corpus = "encoded procedural corpus"
+    _check_rows(clip_fs, args.feat_clip or corpus, "clip_like", pipe.mapping.clip_dim)
+    _check_rows(vgg_fs, args.feat_vgg or corpus, "vgg_like", pipe.mapping.style_dim)
     rows = []
     for k, stage in enumerate(pipe.trajectory(clip_fs.vectors)):
         fs, tag = FeatureSet("clip_mapped", stage), (f"round{k}" if k else "mapped")

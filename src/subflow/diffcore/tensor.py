@@ -342,19 +342,12 @@ def conv2d(x: Arrayish, weight: Arrayish, bias: Optional[Arrayish] = None,
 
     def dx(g):
         dcol = (g.reshape(cout, hout * wout).T @ wmat).reshape(hout, wout, cin, kh, kw)
-        if stride == kh == kw and (hp, wp) == (hout * kh, wout * kw):
-            # the windows tile the padded input, so each pixel takes one entry
-            dxp = np.zeros((cin, hp, wp), dtype=g.dtype)
-            tiles = dxp.reshape(cin, hout, kh, wout, kw)
-            tiles += dcol.transpose(2, 0, 3, 1, 4)
-        else:
-            # channels last, so each slice-add reads dcol's planes in memory order
-            dxp = np.zeros((hp, wp, cin), dtype=g.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[i:i + stride * hout:stride, j:j + stride * wout:stride] += dcol[:, :, :, i, j]
-            dxp = dxp.transpose(2, 0, 1)
-        return np.ascontiguousarray(dxp[:, padding:hp - padding, padding:wp - padding])
+        # channels last, so each slice-add reads dcol's planes in memory order
+        dxp = np.zeros((hp, wp, cin), dtype=g.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                dxp[i:i + stride * hout:stride, j:j + stride * wout:stride] += dcol[:, :, :, i, j]
+        return np.ascontiguousarray(dxp[padding:hp - padding, padding:wp - padding].transpose(2, 0, 1))
 
     def dw(g):
         return (g.reshape(cout, hout * wout) @ col).reshape(weight.data.shape)
