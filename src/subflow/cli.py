@@ -50,6 +50,12 @@ def _ring(cfg) -> list[sc.Camera]:
                           width=cfg["camera.width"], height=cfg["camera.height"])
 
 
+def _training_cams(cfg) -> list[sc.Camera]:
+    """The first half of the ring: the views `embed` and `train-style` fit."""
+    cams = _ring(cfg)
+    return cams[:max(1, len(cams) // 2)]
+
+
 def _flow_cfg(cfg) -> fa.FlowConfig:
     return fa.FlowConfig(
         euler_steps=cfg["flow.euler_steps"], rounds=cfg["flow.rounds"],
@@ -173,9 +179,8 @@ def cmd_embed(args) -> int:
     cfg = _load_config(args)
     scene = sc.load_scene(_require(args.scene, "scene"))
     encoders = _encoders(cfg)
-    cams = _ring(cfg)
     distilled, decoder, report = tr.distill_embeddings(
-        scene, cams[:max(1, len(cams) // 2)], encoders, steps=cfg["distill.steps"],
+        scene, _training_cams(cfg), encoders, steps=cfg["distill.steps"],
         seed=cfg["seed"], lr=cfg["distill.learning_rate"],
         decoder_hidden=(cfg["distill.hidden"],))
     out_scene = Path(args.out_scene)
@@ -212,9 +217,8 @@ def cmd_train_style(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dec2d = _decoder2d(cfg, encoders, out)
-    cams = _ring(cfg)
     decoder, disc, log = ls.train_stylization(
-        scene, cams[:max(1, len(cams) // 2)], style_img, pipe, decoder, encoders,
+        scene, _training_cams(cfg), style_img, pipe, decoder, encoders,
         _weights(cfg), steps=cfg["style.steps"], decoder2d=dec2d, seed=cfg["seed"],
         lr=cfg["style.learning_rate"])
     save_params(out / "decoder.prms", decoder.parameters())

@@ -136,8 +136,6 @@ class VelocityField:
 def _check_paired(a: FeatureSet, b: FeatureSet, op: str) -> None:
     if a.count != b.count:
         raise ShapeError(f"{op}: paired sets must have equal rows ({a.count} vs {b.count})")
-    if a.dim != b.dim and op != "train_mapping":
-        raise ShapeError(f"{op}: dims differ ({a.dim} vs {b.dim})")
 
 
 def train_mapping(clip: FeatureSet, vgg: FeatureSet, cfg: FlowConfig) -> MappingNet:
@@ -163,6 +161,8 @@ def train_velocity(start: FeatureSet, target: FeatureSet, cfg: FlowConfig,
                    round_index: int = 1) -> VelocityField:
     """Regress the drift on interpolants of the paired rows (fresh field)."""
     _check_paired(start, target, "train_velocity")
+    if start.dim != target.dim:
+        raise ShapeError(f"train_velocity: dims differ ({start.dim} vs {target.dim})")
     vf = VelocityField(start.dim, hidden=cfg.velocity_hidden,
                        seed=cfg.seed + round_index, name=f"velocity.r{round_index}")
     opt = Adam(vf.parameters(), lr=cfg.learning_rate)
@@ -268,20 +268,12 @@ class FlowPipeline:
         save_params(out / "mapping.prms", self.mapping.parameters())
         for i, vf in enumerate(self.fields, start=1):
             save_params(out / f"velocity_{i}.prms", vf.parameters())
-        lines = [
-            f"clip_dim={self.mapping.clip_dim}",
-            f"style_dim={self.mapping.style_dim}",
-            f"euler_steps={self.cfg.euler_steps}",
-            f"rounds={len(self.fields)}",
-            f"train_steps={self.cfg.train_steps}",
-            f"batch_size={self.cfg.batch_size}",
-            f"learning_rate={self.cfg.learning_rate!r}",
-            f"seed={self.cfg.seed}",
-            f"velocity_hidden={','.join(str(w) for w in self.cfg.velocity_hidden)}",
-            f"mapping_hidden={','.join(str(w) for w in self.cfg.mapping_hidden)}",
-            f"mapping_steps={self.cfg.mapping_steps}",
-            f"flow_loss={self.flow_loss!r}",
-        ]
+        values = {"clip_dim": self.mapping.clip_dim, "style_dim": self.mapping.style_dim,
+                  "rounds": len(self.fields), "flow_loss": self.flow_loss}
+        lines = []
+        for key in MANIFEST_SCHEMA:
+            v = values[key] if key in values else getattr(self.cfg, key)
+            lines.append(f"{key}={','.join(map(str, v)) if isinstance(v, tuple) else v}")
         (out / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
 
     @staticmethod

@@ -20,7 +20,7 @@ reconstruction on procedural textures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,6 +38,7 @@ LOG_CLAMP = 1e-7
 GENERATOR_TAP = 1   # AdaIN space of the 2D prior: second tap (half resolution)
 DISC_SCALES = 3     # discriminator image scales, each half the previous
 DISC_WIDTH = 16     # discriminator hidden channels
+DECODER2D_LR = 2e-3  # Adam step of the 2D decoder's reconstruction pre-training
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,7 @@ class Decoder2D:
 
 
 def train_decoder2d(encoders: FeatureEncoders, corpus: int = 200, steps: int = 2000,
-                    seed: int = 0, lr: float = 2e-3, size: int = 64) -> Decoder2D:
+                    seed: int = 0, size: int = 64) -> Decoder2D:
     """Pre-train the 2D decoder by reconstruction on procedural textures."""
     dec = Decoder2D(channels=encoders.tap_widths[GENERATOR_TAP], seed=seed)
     feats = []
@@ -143,7 +144,7 @@ def train_decoder2d(encoders: FeatureEncoders, corpus: int = 200, steps: int = 2
         img = procedural_texture(seed, i, size=size)
         feats.append(encoders.tap_features(img)[GENERATOR_TAP].data)
         targets.append(np.transpose(img, (2, 0, 1)))
-    opt = Adam(dec.parameters(), lr=lr)
+    opt = Adam(dec.parameters(), lr=DECODER2D_LR)
     g = named_stream(seed, "decoder2d.batches")
     for _ in range(steps):
         i = int(g.integers(0, corpus))
@@ -244,40 +245,38 @@ def total_stylized_loss(parts: dict[str, float], weights: LossWeights) -> float:
 
 # -- stylization training loop -----------------------------------------------------------------
 
+LOG_COLUMNS = ("step", "content", "style", "obs", "flow", "sup_disc", "sup_gen", "total")
+
+
 @dataclass
 class StyleTrainLog:
-    rows: list = field(default_factory=list)   # per-step dicts
+    rows: list = field(default_factory=list)   # per-step dicts keyed by LOG_COLUMNS
 
     def csv(self) -> str:
-        header = "step,content,style,obs,flow,sup_disc,sup_gen,total"
-        lines = [header]
+        lines = [",".join(LOG_COLUMNS)]
         for r in self.rows:
-            lines.append(",".join([str(r["step"])] + [f"{r[k]:.9g}" for k in
-                                                      ("content", "style", "obs", "flow",
-                                                       "sup_disc", "sup_gen", "total")]))
+            lines.append(",".join([str(r["step"])] + [f"{r[k]:.9g}" for k in LOG_COLUMNS[1:]]))
         return "\n".join(lines) + "\n"
 
 
 def train_stylization(scene: GaussianScene, cams: Sequence[Camera], style_img: np.ndarray,
                       pipeline: FlowPipeline, decoder: DecoderNet,
                       encoders: FeatureEncoders, weights: LossWeights,
-                      steps: int, decoder2d: Optional[Decoder2D] = None,
-                      seed: int = 0, lr: float = 1e-3,
-                      use_observation: bool = True, use_suppression: bool = True):
+                      steps: int, decoder2d: Decoder2D, seed: int = 0, lr: float = 1e-3):
     """Alternating decoder/discriminator updates on rendered views.
 
     Per step, one training camera is drawn; the stylized view is composed
     through that camera's frozen weights from the decoder's current colors.
-    The decoder descends content + style (+ observation + suppression
-    signal); the discriminator then descends its own separation loss.
-    Returns (decoder, discriminator, log).
+    The decoder descends content + style, plus the observation term when
+    `weights.lambda_obs > 0` and the suppression signal when
+    `weights.suppression_weight > 0`; only in that last case is there a
+    discriminator, which then descends its own separation loss. A skipped
+    term logs 0. Returns (decoder, discriminator or None, log).
     """
     if not scene.distilled:
         raise StateError("train_stylization requires a distilled scene")
     if not decoder.trained:
         raise StateError("train_stylization requires the distilled decoder")
-    if (use_observation or use_suppression) and decoder2d is None:
-        raise StateError("observation/suppression losses need the 2D generator decoder")
 
     h, w = cams[0].height, cams[0].width
     style_vec = pipeline.align(encoders.encode_clip_like(style_img).vectors[0])
@@ -294,13 +293,12 @@ def train_stylization(scene: GaussianScene, cams: Sequence[Camera], style_img: n
         if (cam.height, cam.width) != (h, w):
             raise ShapeError("training cameras must share one resolution")
         tiles = attribute_weights(scene, cam)
-        i_g = generator_2d(tiles.rgb, style_img, encoders, decoder2d) \
-            if (use_observation or use_suppression) else None
+        i_g = generator_2d(tiles.rgb, style_img, encoders, decoder2d)
         cam_data.append((tiles.blocks, tiles.rgb, i_g))
 
-    disc = DiscriminatorNet(seed=seed) if use_suppression else None
+    disc = DiscriminatorNet(seed=seed) if weights.suppression_weight > 0 else None
     opt_dec = Adam(decoder.parameters(), lr=lr)
-    opt_disc = Adam(disc.parameters(), lr=lr) if disc else None
+    opt_disc = Adam(disc.parameters(), lr=lr) if disc is not None else None
     g = named_stream(seed, "styletrain.cams")
     log = StyleTrainLog()
 
@@ -311,26 +309,20 @@ def train_stylization(scene: GaussianScene, cams: Sequence[Camera], style_img: n
 
         c_loss = content_loss(i_f, content_rgb, encoders)
         s_loss = style_loss(i_f, ref_tap_stats, encoders)
-        parts = {"content": c_loss.item(), "style": s_loss.item(), "flow": flow_part}
+        row = {"step": step, "content": c_loss.item(), "style": s_loss.item(), "obs": 0.0,
+               "flow": flow_part, "sup_disc": 0.0, "sup_gen": 0.0}
         objective = dt.add(c_loss, dt.mul(s_loss, weights.lambda_style))
-        if use_observation:
+        if weights.lambda_obs > 0:
             o_loss = observation_loss(i_g, i_f, encoders)
-            parts["obs"] = o_loss.item()
+            row["obs"] = o_loss.item()
             objective = dt.add(objective, dt.mul(o_loss, weights.lambda_obs))
-        else:
-            parts["obs"] = 0.0
-        sup_disc_val = sup_gen_val = 0.0
-        if use_suppression:
+        if disc is not None:
             disc_loss, gen_signal = suppression_loss(i_g, i_f, disc)
-            sup_disc_val, sup_gen_val = disc_loss.item(), gen_signal.item()
+            row["sup_disc"], row["sup_gen"] = disc_loss.item(), gen_signal.item()
             objective = dt.add(objective, dt.mul(gen_signal, weights.suppression_weight))
         opt_dec.step(objective)
-        if use_suppression:
+        if disc is not None:
             opt_disc.step(disc_loss)
-
-        log.rows.append({
-            "step": step, "content": parts["content"], "style": parts["style"],
-            "obs": parts["obs"], "flow": parts["flow"], "sup_disc": sup_disc_val,
-            "sup_gen": sup_gen_val, "total": total_stylized_loss(parts, weights),
-        })
+        row["total"] = total_stylized_loss(row, weights)
+        log.rows.append(row)
     return decoder, disc, log

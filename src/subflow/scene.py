@@ -171,8 +171,7 @@ class Camera:
         return self.height / 2.0
 
 
-def look_at_camera(position, target, focal: float, width: int, height: int,
-                   near: float = 0.05, far: float = 100.0) -> Camera:
+def look_at_camera(position, target, focal: float, width: int, height: int) -> Camera:
     """Camera at `position` looking at `target` with world +z up (+y for a
     vertical view)."""
     position = np.asarray(position, dtype=np.float64)
@@ -186,13 +185,11 @@ def look_at_camera(position, target, focal: float, width: int, height: int,
     down = np.cross(forward, right)
     r_cw = np.stack([right, down, forward], axis=1)  # columns: +x right, +y down, +z forward
     return Camera(position=position.astype(np.float32), orientation=matrix_to_quat(r_cw),
-                  focal=float(focal), width=int(width), height=int(height),
-                  near=near, far=far)
+                  focal=float(focal), width=int(width), height=int(height))
 
 
 def camera_ring(center, radius: float, count: int, elevation: float = 0.0,
-                focal: float = 70.0, width: int = 64, height: int = 64,
-                near: float = 0.05, far: float = 100.0) -> list[Camera]:
+                focal: float = 70.0, width: int = 64, height: int = 64) -> list[Camera]:
     """Cameras on a ring, all at distance `radius` from `center`, looking at it.
 
     Consecutive cameras are the short-range view pairs; cameras count/2 apart
@@ -213,7 +210,7 @@ def camera_ring(center, radius: float, count: int, elevation: float = 0.0,
             np.sin(theta) * np.cos(elevation),
             np.sin(elevation),
         ])
-        cams.append(look_at_camera(center + offset, center, focal, width, height, near, far))
+        cams.append(look_at_camera(center + offset, center, focal, width, height))
     return cams
 
 

@@ -27,6 +27,7 @@ from .rasterizer import attribute_weights, render  # noqa: F401  render: wrapped
 from .scene import Camera, GaussianScene
 
 EPSILON_STD = 1e-6
+PROJECTION_WEIGHT = 0.2   # weight of distillation objective (b) against (a)
 
 
 @dataclass
@@ -122,7 +123,6 @@ def initial_embeddings(colors: np.ndarray, embed_dim: int) -> np.ndarray:
 def distill_embeddings(scene: GaussianScene, cams: Sequence[Camera],
                        encoders: FeatureEncoders, steps: int = 800,
                        seed: int = 0, lr: float = 5e-3,
-                       projection_weight: float = 0.2,
                        decoder_hidden: tuple[int, ...] = (64,)):
     """Train per-Gaussian embeddings plus the decoder, then freeze embeddings.
 
@@ -169,7 +169,7 @@ def distill_embeddings(scene: GaussianScene, cams: Sequence[Camera],
             blocks, target = pick
             pdiff = dt.sub(dt.tile_matmul(blocks, target.data.shape[0], embed), target)
             loss_b = dt.tmean(dt.mul(pdiff, pdiff))
-            loss = dt.add(loss, dt.mul(loss_b, projection_weight))
+            loss = dt.add(loss, dt.mul(loss_b, PROJECTION_WEIGHT))
             if np.isnan(proj_first):
                 proj_first = loss_b.item()
             proj_last = loss_b.item()

@@ -306,13 +306,13 @@ def test_ac07_geometry_bytes_immutable_across_all_toy_scenes(session_encoders):
 def styled_runs(slab_run, session_encoders, session_decoder2d):
     """Full and ablated stylization training with identical seeds."""
     runs = {}
-    for name, kw in (("full", {}),
-                     ("ablated", dict(use_observation=False, use_suppression=False))):
+    for name, weights in (("full", ls.LossWeights()),
+                          ("ablated", ls.LossWeights(lambda_obs=0.0, suppression_weight=0.0))):
         decoder = copy.deepcopy(slab_run["decoder0"])
         decoder, _, log = ls.train_stylization(
             slab_run["distilled"], slab_run["cams"][:4], slab_run["style_img"],
-            slab_run["pipe"], decoder, session_encoders, ls.LossWeights(),
-            steps=250, decoder2d=session_decoder2d, seed=3, lr=2e-3, **kw)
+            slab_run["pipe"], decoder, session_encoders, weights,
+            steps=250, decoder2d=session_decoder2d, seed=3, lr=2e-3)
         styled = tr.stylize_scene(slab_run["distilled"], slab_run["style_stats"], decoder)
         summary = mt.consistency_summary(
             mt.eval_consistency(styled, slab_run["cams"]))

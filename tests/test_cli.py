@@ -1,3 +1,4 @@
+import csv
 import struct
 
 import numpy as np
@@ -130,6 +131,28 @@ def test_pipeline_produces_all_artifacts(pipeline_artifacts):
                 "styled/discriminator.prms", "styled/train_log.csv", "stylized.gscn",
                 "views/view_00.ppm", "views/depth_00.fmap", "align.csv", "cons.csv"):
         assert (root / rel).exists(), rel
+
+
+def test_train_style_zero_weights_switch_terms_off(pipeline_artifacts, tmp_path):
+    # weights.obs = 0 and weights.suppression = 0 skip both terms: no discriminator
+    # is trained or written, and the skipped log columns read 0
+    root = pipeline_artifacts
+    cfg = tmp_path / "ablated.cfg"
+    cfg.write_text(SMALL_CFG + "weights.obs = 0\nweights.suppression = 0\n")
+    out = tmp_path / "styled"
+    out.mkdir()
+    dec2d = "decoder2d_seed0.prms"      # reused, as train-style finds it in --out
+    (out / dec2d).write_bytes((root / "styled" / dec2d).read_bytes())
+    assert run("train-style", "--config", cfg, "--scene", root / "sd.gscn",
+               "--decoder", root / "dec.prms", "--pipeline", root / "pipe", "--out", out) == 0
+    assert (out / "decoder.prms").exists()
+    assert not (out / "discriminator.prms").exists()
+    with open(out / "train_log.csv", newline="", encoding="ascii") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 25
+    for row in rows:
+        assert float(row["obs"]) == float(row["sup_disc"]) == float(row["sup_gen"]) == 0.0
+        assert float(row["style"]) > 0.0
 
 
 def test_pipeline_stylize_changed_colors_not_geometry(pipeline_artifacts):

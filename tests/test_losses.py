@@ -240,12 +240,13 @@ def test_train_stylization_zero_steps_keeps_decoder(slab_run, session_encoders, 
         assert np.array_equal(p.data, b)
 
 
-def test_train_stylization_ablated_reduces_to_content_style(slab_run, session_encoders):
+def test_train_stylization_ablated_reduces_to_content_style(slab_run, session_encoders,
+                                                           session_decoder2d):
     decoder = copy.deepcopy(slab_run["decoder0"])
     _, disc, log = ls.train_stylization(
         slab_run["distilled"], slab_run["cams"][:4], slab_run["style_img"], slab_run["pipe"],
-        decoder, session_encoders, ls.LossWeights(), steps=5,
-        use_observation=False, use_suppression=False)
+        decoder, session_encoders, ls.LossWeights(lambda_obs=0.0, suppression_weight=0.0),
+        steps=5, decoder2d=session_decoder2d)
     assert disc is None
     for row in log.rows:
         assert row["obs"] == 0.0

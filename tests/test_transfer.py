@@ -113,15 +113,16 @@ def test_distill_zero_steps_keeps_init(encoders):
 
 
 def test_distill_equal_colors_equal_embeddings_recon_only(encoders):
-    # symmetric pair of Gaussians with identical colors, objective (b) off
+    # symmetric pair of Gaussians with identical colors; the camera faces away from
+    # the scene, so objective (b) has no target and only reconstruction trains
     base = sc.generate_toy_scene("lattice", 8, 7, embed_dim=8)
     colors = base.colors.copy()
     colors[1] = colors[0]
     colors[5] = colors[4]
     scene = base.with_colors(colors)
-    cams = [sc.look_at_camera((0, -4, 1), (0, 0, 0), 50.0, 32, 32)]
-    ds, _, _ = tr.distill_embeddings(scene, cams, encoders, steps=150, seed=3,
-                                     projection_weight=0.0)
+    cams = [sc.look_at_camera((0, -4, 1), (0, -8, 1), 50.0, 32, 32)]
+    ds, _, report = tr.distill_embeddings(scene, cams, encoders, steps=150, seed=3)
+    assert np.isnan(report.projection_mse_last)
     assert np.array_equal(ds.embeddings[0], ds.embeddings[1])
     assert np.array_equal(ds.embeddings[4], ds.embeddings[5])
 
