@@ -39,9 +39,24 @@ def _load_config(args) -> cfgmod.RunConfig:
     return cfg
 
 
-def _encoders(cfg) -> FeatureEncoders:
+def _encoders(cfg, pipe: fa.FlowPipeline | None = None) -> FeatureEncoders:
+    """The config's encoders. Given the pipeline they serve, they take its
+    CLIP-like calibration instead of computing it."""
     return FeatureEncoders(seed=cfg["seed"], clip_dim=cfg["clip_dim"],
-                           style_dim=cfg["style_dim"])
+                           style_dim=cfg["style_dim"],
+                           clip_calibration=pipe.clip_calibration if pipe else None)
+
+
+def _load_pipeline(path, cfg) -> fa.FlowPipeline:
+    """The pipeline at `path`. Its mapping and its CLIP-like calibration belong
+    to the encoders it was trained with, so the config must name the same
+    encoder `seed` and `clip_dim` as its manifest."""
+    pipe = fa.FlowPipeline.load(_require(path, "pipeline"))
+    for key, trained in (("seed", pipe.cfg.seed), ("clip_dim", pipe.mapping.clip_dim)):
+        if cfg[key] != trained:
+            raise CliError(f"{Path(path) / 'manifest.txt'}: '{key}' is {trained}, "
+                           f"the config's is {cfg[key]}")
+    return pipe
 
 
 def _ring(cfg) -> list[sc.Camera]:
@@ -95,9 +110,9 @@ def _check_rows(fs: FeatureSet, path, domain: str, dim: int | None = None) -> Fe
     return fs
 
 
-def _paired_features(args, cfg) -> tuple[FeatureSet, FeatureSet]:
+def _paired_features(args, cfg, encoders) -> tuple[FeatureSet, FeatureSet]:
     """Clip- and style-domain rows: the `--feat-clip`/`--feat-vgg` pair, else
-    the encoded procedural style corpus."""
+    the procedural style corpus as `encoders` encode it."""
     if args.feat_clip or args.feat_vgg:
         if not (args.feat_clip and args.feat_vgg):
             raise CliError("--feat-clip and --feat-vgg must be given together")
@@ -111,7 +126,6 @@ def _paired_features(args, cfg) -> tuple[FeatureSet, FeatureSet]:
         return clip, vgg
     size = cfg["camera.width"]
     corpus = [procedural_texture(cfg["seed"], i, size=size) for i in range(cfg["flow.corpus"])]
-    encoders = _encoders(cfg)
     return encoders.encode_clip_like(corpus), encoders.encode_vgg_like(corpus)
 
 
@@ -194,8 +208,12 @@ def cmd_embed(args) -> int:
 
 def cmd_train_flow(args) -> int:
     cfg = _load_config(args)
-    clip_fs, vgg_fs = _paired_features(args, cfg)
+    encoders = _encoders(cfg)
+    clip_fs, vgg_fs = _paired_features(args, cfg, encoders)
+    if args.feat_clip:      # the pipeline saves the config's encoders' calibration
+        _check_rows(clip_fs, args.feat_clip, "clip_like", cfg["clip_dim"])
     aligned, reports, pipe = fa.run_subdivisive_flow(clip_fs, vgg_fs, _flow_cfg(cfg))
+    pipe.clip_calibration = encoders.clip_calibration
     out = Path(args.out)
     pipe.save(out)
     fa.reports_to_csv(reports, out / "rounds.csv")
@@ -209,10 +227,10 @@ def cmd_train_flow(args) -> int:
 
 def cmd_train_style(args) -> int:
     cfg = _load_config(args)
-    encoders = _encoders(cfg)
     scene = _load_distilled(args.scene)
     decoder = _load_decoder(args.decoder, cfg)
-    pipe = fa.FlowPipeline.load(_require(args.pipeline, "pipeline"))
+    pipe = _load_pipeline(args.pipeline, cfg)
+    encoders = _encoders(cfg, pipe)
     style_img = _style_image(args, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -237,14 +255,14 @@ def cmd_stylize(args) -> int:
         raise CliError("stylize needs exactly one of --image, --text, --feat")
     scene = _load_distilled(args.scene)
     decoder = _load_decoder(args.decoder, cfg)
-    pipe = fa.FlowPipeline.load(_require(args.pipeline, "pipeline"))
+    pipe = _load_pipeline(args.pipeline, cfg)
     if args.image:
         img = _read_image(args.image, "reference image")
-        vec = _encoders(cfg).encode_clip_like(img).vectors[0]
+        vec = _encoders(cfg, pipe).encode_clip_like(img).vectors[0]
         aligned = pipe.align(vec)
     elif args.text:
         tokens = args.text.split()
-        vec = _encoders(cfg).encode_text(tokens).vectors[0]
+        vec = _encoders(cfg, pipe).encode_text(tokens).vectors[0]
         aligned = pipe.align(vec)
     else:
         fs = _check_rows(import_features(_require(args.feat, "feature file")), args.feat,
@@ -279,7 +297,7 @@ def cmd_render(args) -> int:
 def cmd_eval_align(args) -> int:
     cfg = _load_config(args)
     pipe = fa.FlowPipeline.load(_require(args.pipeline, "pipeline"))
-    clip_fs, vgg_fs = _paired_features(args, cfg)
+    clip_fs, vgg_fs = _paired_features(args, cfg, _encoders(cfg))
     corpus = "encoded procedural corpus"
     _check_rows(clip_fs, args.feat_clip or corpus, "clip_like", pipe.mapping.clip_dim)
     _check_rows(vgg_fs, args.feat_vgg or corpus, "vgg_like", pipe.mapping.style_dim)

@@ -10,6 +10,12 @@ calibration runs the first time the domain encodes, from the weights at that
 moment, so a command pays only for the domains it uses. The pipeline's
 encoders are frozen, so the moment does not matter to it.
 
+The CLIP-like calibration (the center and the text-embedding norm) depends
+only on the seed, `clip_dim` and the frozen weights. `train-flow` computes it
+and saves it with the pipeline (`clip_center.prms` and the manifest's
+`text_norm`); `stylize` and `train-style` read it from there and hand it to
+the constructor, so they never calibrate that domain.
+
 The CLIP-like encoder is deliberately dominated by a linear functional of an
 8x8 block-mean grid plus a small bounded conv refinement.
 """
@@ -106,11 +112,14 @@ class FeatureEncoders:
     Construction builds the layers and projections only. The CLIP-like domain
     (`_clip_center`, `text_norm`) calibrates on its first encode, the VGG-like
     domain (`_vgg_center`) on its first `encode_vgg_like`, each from the
-    weights at that moment.
+    weights at that moment. `train-flow` saves `clip_calibration` with the
+    pipeline; `stylize` and `train-style` pass the saved value back as
+    `clip_calibration=`, which stands in for the computed one.
     """
 
     def __init__(self, seed: int = 0, clip_dim: int = DEFAULT_CLIP_DIM,
-                 style_dim: int = DEFAULT_STYLE_DIM):
+                 style_dim: int = DEFAULT_STYLE_DIM,
+                 clip_calibration: tuple[np.ndarray, float] | None = None):
         self.seed = seed
         self.clip_dim = clip_dim
         self.style_dim = style_dim
@@ -144,6 +153,8 @@ class FeatureEncoders:
         for layer in self.vgg_layers + self.clip_refine:
             for p in layer.parameters():
                 p.requires_grad = False
+        if clip_calibration is not None:
+            self.clip_calibration = clip_calibration
 
     # -- calibration on a fixed procedural batch, one domain at a time ---------------
 
@@ -152,19 +163,19 @@ class FeatureEncoders:
         return [procedural_texture(self.seed, i) for i in range(16)]
 
     @cached_property
-    def _clip_calibration(self) -> tuple[np.ndarray, float]:
-        """The CLIP-like center and the text-embedding norm target."""
+    def clip_calibration(self) -> tuple[np.ndarray, float]:
+        """The CLIP-like center (float32) and the text-embedding norm target."""
         clip_raw = np.stack([self._clip_raw(img) for img in self._calibration_images])
         center = clip_raw.mean(axis=0).astype(np.float32)
         return center, float(np.linalg.norm(clip_raw - center, axis=1).mean())
 
     @property
     def _clip_center(self) -> np.ndarray:
-        return self._clip_calibration[0]
+        return self.clip_calibration[0]
 
     @property
     def text_norm(self) -> float:
-        return self._clip_calibration[1]
+        return self.clip_calibration[1]
 
     @cached_property
     def _vgg_center(self) -> np.ndarray:
@@ -177,12 +188,6 @@ class FeatureEncoders:
         for layer in self.vgg_layers + self.clip_refine:
             for p in layer.parameters():
                 p.requires_grad = flag
-
-    def parameters(self):
-        out = []
-        for layer in self.vgg_layers + self.clip_refine:
-            out.extend(layer.parameters())
-        return out
 
     def tap_features(self, image) -> list[Tensor]:
         """All tap feature maps (Tensor path; differentiable w.r.t. the image)."""

@@ -40,12 +40,14 @@ def _widths(text: str) -> tuple[int, ...]:
     return tuple(int(w) for w in text.split(",") if w)
 
 
-# `FlowPipeline.save` writes every key; the FlowConfig fields keep their names
+# `FlowPipeline.save` writes every key; the FlowConfig fields keep their names.
+# `text_norm` is float64, so it goes here as an exact repr, not into a PRMS file.
 MANIFEST_SCHEMA = {key: (typ, REQUIRED) for key, typ in (
     ("clip_dim", _COUNT), ("style_dim", _COUNT), ("euler_steps", _COUNT), ("rounds", _COUNT),
     ("train_steps", _STEPS), ("batch_size", _COUNT), ("learning_rate", _POSITIVE),
     ("seed", int), ("velocity_hidden", _widths), ("mapping_hidden", _widths),
-    ("mapping_steps", _STEPS), ("flow_loss", float))}
+    ("mapping_steps", _STEPS), ("flow_loss", float), ("text_norm", _POSITIVE))}
+CLIP_CENTER_FILE = "clip_center.prms"
 
 
 @dataclass(frozen=True)
@@ -207,30 +209,44 @@ def euler_integrate(v: Union[VelocityField, Callable], x0: np.ndarray, steps: in
     return out[:, 0, :] if single else out
 
 
-def _restore(path, widths: tuple[int, ...], build: Callable[[], object]):
-    """`build()`, a dense net of `widths`, with its parameters read from the
-    PRMS file at `path`. The file's shapes are checked before the net is
-    built, so a manifest's dims never size an allocation."""
+def _read_params(path, want: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """The arrays of the pipeline's PRMS file at `path`, which must have the
+    shapes `want`."""
     try:
         arrays = load_params(path)
     except FileNotFoundError:
         raise FormatError(f"{path}: missing from the pipeline directory") from None
-    want = [s for nin, nout in zip(widths[:-1], widths[1:]) for s in ((nin, nout), (nout,))]
     got = [a.shape for a in arrays]
     if got != want:
         raise FormatError(f"{path}: tensor shapes {got} do not fit the manifest's {want}")
+    return arrays
+
+
+def _restore(path, widths: tuple[int, ...], build: Callable[[], object]):
+    """`build()`, a dense net of `widths`, with its parameters read from the
+    PRMS file at `path`. The file's shapes are checked before the net is
+    built, so a manifest's dims never size an allocation."""
+    arrays = _read_params(path, [s for nin, nout in zip(widths[:-1], widths[1:])
+                                 for s in ((nin, nout), (nout,))])
     net = build()
     restore_params(net.parameters(), arrays, path)
     return net
 
 
 class FlowPipeline:
-    """Trained mapping plus one velocity field per round."""
+    """Trained mapping plus one velocity field per round.
 
-    def __init__(self, mapping: MappingNet, fields: list[VelocityField], cfg: FlowConfig):
+    `clip_calibration` is the CLIP-like center and text norm of the encoders
+    whose rows the mapping was fit to (`FeatureEncoders.clip_calibration`).
+    `train-flow` sets it before `save`; `load` reads it back.
+    """
+
+    def __init__(self, mapping: MappingNet, fields: list[VelocityField], cfg: FlowConfig,
+                 clip_calibration: tuple[np.ndarray, float] | None = None):
         self.mapping = mapping
         self.fields = fields
         self.cfg = cfg
+        self.clip_calibration = clip_calibration
 
     @property
     def trained(self) -> bool:
@@ -263,13 +279,18 @@ class FlowPipeline:
         return out[0] if np.asarray(x).ndim == 1 else out
 
     def save(self, out_dir) -> None:
+        if self.clip_calibration is None:
+            raise StateError("pipeline has no CLIP-like calibration to save")
+        center, text_norm = self.clip_calibration
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         save_params(out / "mapping.prms", self.mapping.parameters())
         for i, vf in enumerate(self.fields, start=1):
             save_params(out / f"velocity_{i}.prms", vf.parameters())
+        save_params(out / CLIP_CENTER_FILE, [center])
         values = {"clip_dim": self.mapping.clip_dim, "style_dim": self.mapping.style_dim,
-                  "rounds": len(self.fields), "flow_loss": self.flow_loss}
+                  "rounds": len(self.fields), "flow_loss": self.flow_loss,
+                  "text_norm": text_norm}
         lines = []
         for key in MANIFEST_SCHEMA:
             v = values[key] if key in values else getattr(self.cfg, key)
@@ -281,7 +302,7 @@ class FlowPipeline:
         src = Path(in_dir)
         kv = read_key_value_file(src / "manifest.txt", MANIFEST_SCHEMA)
         clip_dim, style_dim = kv.pop("clip_dim"), kv.pop("style_dim")
-        flow_loss = kv.pop("flow_loss")
+        flow_loss, text_norm = kv.pop("flow_loss"), kv.pop("text_norm")
         cfg = FlowConfig(**kv)
         mapping = _restore(
             src / "mapping.prms", (clip_dim, *cfg.mapping_hidden, style_dim),
@@ -292,9 +313,10 @@ class FlowPipeline:
             lambda i=i: VelocityField(style_dim, hidden=cfg.velocity_hidden, seed=cfg.seed + i,
                                       name=f"velocity.r{i}"))
             for i in range(1, cfg.rounds + 1)]
+        (center,) = _read_params(src / CLIP_CENTER_FILE, [(clip_dim,)])
         mapping.trained = True
         fields[-1].final_loss = flow_loss
-        return FlowPipeline(mapping, fields, cfg)
+        return FlowPipeline(mapping, fields, cfg, (center, text_norm))
 
 
 def run_subdivisive_flow(clip: FeatureSet, vgg: FeatureSet, cfg: FlowConfig,

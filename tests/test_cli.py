@@ -249,11 +249,14 @@ def test_decoder_that_does_not_fit_config_names_file(pipeline_artifacts, tmp_pat
 
 
 @pytest.mark.parametrize("command, textures, taps", [
-    ("stylize-feat", 0, 0), ("stylize-text", 16, 0), ("embed", 0, 4)])
+    ("stylize-feat", 0, 0), ("stylize-text", 0, 0), ("stylize-image", 0, 0),
+    ("train-style", 0, None), ("embed", 0, 4)])
 def test_commands_calibrate_only_the_domains_they_use(pipeline_artifacts, tmp_path, monkeypatch,
                                                       command, textures, taps):
     # calibrating a domain encodes the 16 procedural textures (the VGG-like
-    # domain through `tap_features`); embed taps only its 4 training cameras
+    # domain through `tap_features`); embed taps only its 4 training cameras.
+    # stylize and train-style take the CLIP-like calibration from the pipeline;
+    # train-style's own training taps are not counted (None)
     from subflow import encoders as enc
     calls = {"textures": 0, "taps": 0}
     texture, tap_features = enc.procedural_texture, enc.FeatureEncoders.tap_features
@@ -274,15 +277,87 @@ def test_commands_calibrate_only_the_domains_they_use(pipeline_artifacts, tmp_pa
         cfg.write_text(SMALL_CFG.replace("distill.steps = 200", "distill.steps = 2"))
         argv = ["embed", "--config", cfg, "--scene", root / "s.gscn",
                 "--out-scene", tmp_path / "sd.gscn", "--out-decoder", tmp_path / "dec.prms"]
+    elif command == "train-style":
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(SMALL_CFG.replace("style.steps = 25", "style.steps = 1"))
+        out = tmp_path / "styled"
+        out.mkdir()
+        dec2d = "decoder2d_seed0.prms"      # reused, as train-style finds it in --out
+        (out / dec2d).write_bytes((root / "styled" / dec2d).read_bytes())
+        argv = ["train-style", "--config", cfg, "--scene", root / "sd.gscn",
+                "--decoder", root / "dec.prms", "--pipeline", root / "pipe", "--out", out]
     else:
-        feat = tmp_path / "ref.feat"
-        feat.write_bytes(_feat_bytes(named_stream(5, "calibration").standard_normal((2, 64)), 0))
-        source = ["--feat", feat] if command == "stylize-feat" else ["--text", "molten glass"]
+        ref = tmp_path / "ref"
+        if command == "stylize-feat":
+            ref.write_bytes(_feat_bytes(named_stream(5, "calibration").standard_normal((2, 64)), 0))
+            source = ["--feat", ref]
+        elif command == "stylize-image":
+            ras.write_ppm(ref, np.full((32, 32, 3), 0.4))
+            source = ["--image", ref]
+        else:
+            source = ["--text", "molten glass"]
         argv = ["stylize", "--config", root / "small.cfg", "--scene", root / "sd.gscn",
                 "--decoder", root / "styled" / "decoder.prms", "--pipeline", root / "pipe",
                 *source, "--out", tmp_path / "o.gscn"]
     assert run(*argv) == 0
+    if taps is None:
+        calls["taps"] = None
     assert calls == {"textures": textures, "taps": taps}
+
+
+@pytest.mark.parametrize("source", ["corpus", "feat"])
+def test_train_flow_persists_clip_calibration(pipeline_artifacts, tmp_path, source):
+    # the saved center and text_norm are the seed's freshly computed ones, bit for bit
+    from subflow import flowalign as fa
+    from subflow.encoders import FeatureEncoders, export_features, procedural_texture
+    root = pipeline_artifacts
+    if source == "corpus":
+        pipe, seed = root / "pipe", 0
+    else:
+        other = FeatureEncoders(seed=9)      # the rows may come from any encoder
+        imgs = [procedural_texture(9, i, size=32) for i in range(12)]
+        export_features(tmp_path / "c.feat", other.encode_clip_like(imgs))
+        export_features(tmp_path / "v.feat", other.encode_vgg_like(imgs))
+        pipe, seed = tmp_path / "pipe", 3
+        assert run("train-flow", "--config", root / "small.cfg", "--seed", seed, "--out", pipe,
+                   "--feat-clip", tmp_path / "c.feat", "--feat-vgg", tmp_path / "v.feat") == 0
+    center, text_norm = fa.FlowPipeline.load(pipe).clip_calibration
+    want_center, want_norm = FeatureEncoders(seed=seed).clip_calibration
+    assert center.dtype == want_center.dtype and center.tobytes() == want_center.tobytes()
+    assert text_norm == want_norm
+    assert f"text_norm={want_norm!r}\n" in (pipe / "manifest.txt").read_text()
+
+
+@pytest.mark.parametrize("key", ["seed", "clip_dim"])
+@pytest.mark.parametrize("command", ["stylize-text", "stylize-image", "stylize-feat",
+                                     "train-style"])
+def test_encoder_identity_must_match_manifest(pipeline_artifacts, tmp_path, capsys, command,
+                                              key):
+    # the pipeline was trained with seed 0 and clip_dim 64: another seed's or
+    # width's encoders would feed its mapping rows it was never fit to
+    root = pipeline_artifacts
+    cfg = tmp_path / "other.cfg"
+    cfg.write_text(SMALL_CFG + ("clip_dim = 32\n" if key == "clip_dim" else ""))
+    seed = ["--seed", 2] if key == "seed" else []
+    common = ["--config", cfg, *seed, "--scene", root / "sd.gscn", "--pipeline", root / "pipe",
+              "--out", tmp_path / "out"]
+    if command == "train-style":
+        argv = ["train-style", *common, "--decoder", root / "dec.prms"]
+    else:
+        ref = tmp_path / "ref"
+        if command == "stylize-feat":
+            ref.write_bytes(_feat_bytes(named_stream(5, "identity").standard_normal((2, 64)), 0))
+            source = ["--feat", ref]
+        elif command == "stylize-image":
+            ras.write_ppm(ref, np.full((32, 32, 3), 0.4))
+            source = ["--image", ref]
+        else:
+            source = ["--text", "molten glass"]
+        argv = ["stylize", *common, "--decoder", root / "styled" / "decoder.prms", *source]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert str(root / "pipe" / "manifest.txt") in err and f"'{key}'" in err, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_render_features_flag(pipeline_artifacts, tmp_path):
@@ -371,6 +446,38 @@ def test_stylize_broken_manifest_exits_2(pipeline_artifacts, tmp_path, capsys, m
     assert not (tmp_path / "o.gscn").exists()
 
 
+@pytest.mark.parametrize("case", ["center-missing", "center-shape", "norm-missing", "norm-0",
+                                  "norm-nan", "norm-inf"])
+def test_stylize_broken_calibration_exits_2(pipeline_artifacts, tmp_path, capsys, case):
+    # no fallback recomputes a calibration the pipeline lacks
+    from subflow.diffcore import save_params
+    root = pipeline_artifacts
+    pipe = tmp_path / "pipe"
+    pipe.mkdir()
+    for f in (root / "pipe").iterdir():
+        (pipe / f.name).write_bytes(f.read_bytes())
+    lines = (pipe / "manifest.txt").read_text().splitlines()
+    if case == "center-missing":
+        (pipe / "clip_center.prms").unlink()
+    elif case == "center-shape":
+        save_params(pipe / "clip_center.prms", [np.zeros((1, 64), dtype=np.float32)])
+    elif case == "norm-missing":
+        lines = [ln for ln in lines if not ln.startswith("text_norm=")]
+    else:
+        value = case.removeprefix("norm-")
+        lines = [f"text_norm={value}" if ln.startswith("text_norm=") else ln for ln in lines]
+    (pipe / "manifest.txt").write_text("\n".join(lines) + "\n")
+    rc = run("stylize", "--config", root / "small.cfg", "--scene", root / "sd.gscn",
+             "--decoder", root / "styled" / "decoder.prms", "--pipeline", pipe,
+             "--text", "anything", "--out", tmp_path / "o.gscn")
+    err = capsys.readouterr().err
+    assert rc == 2
+    named = [str(pipe / "manifest.txt"), "'text_norm'"] if case.startswith("norm") \
+        else [str(pipe / "clip_center.prms")]
+    assert all(part in err for part in named), err
+    assert not (tmp_path / "o.gscn").exists()
+
+
 def _feat_bytes(rows, tag):
     rows = np.asarray(rows, dtype="<f4")
     return b"FEAT" + struct.pack("<IIIB", 1, *rows.shape, tag) + rows.tobytes()
@@ -416,8 +523,8 @@ def test_bad_payload_names_file(pipeline_artifacts, tmp_path, capsys, case):
 
 @pytest.mark.parametrize("case", ["stylize-image", "train-style-image", "stylize-feat-dim",
                                   "train-flow-rows", "eval-align-rows", "train-flow-swapped",
-                                  "eval-align-swapped", "eval-align-clip-dim",
-                                  "eval-align-vgg-dim"])
+                                  "eval-align-swapped", "train-flow-clip-dim",
+                                  "eval-align-clip-dim", "eval-align-vgg-dim"])
 def test_input_that_does_not_fit_names_file(pipeline_artifacts, tmp_path, capsys, case):
     # each input parses, but its size or domain does not fit its flag, the
     # encoder or the pipeline

@@ -13,6 +13,14 @@ def fs(domain, rows):
     return FeatureSet(domain, np.asarray(rows, dtype=np.float32))
 
 
+def with_calibration(pipe):
+    """`pipe` carrying a CLIP-like calibration for its clip dim, as `train-flow`
+    sets one before saving; the norm has no short decimal form."""
+    dim = pipe.mapping.clip_dim
+    pipe.clip_calibration = (np.linspace(-1.0, 1.0, dim, dtype=np.float32), 1.0 / 3.0 + 0.1)
+    return pipe
+
+
 def identity_mapping(dim):
     m = fa.MappingNet(dim, dim, hidden=(), seed=0)
     m.net.weights[0].data = np.eye(dim, dtype=np.float32)
@@ -289,10 +297,22 @@ def test_pipeline_save_load_round_trip(tmp_path):
     y = (x + 1.5).astype(np.float32)
     cfg = fa.FlowConfig(rounds=2, train_steps=200, batch_size=64, mapping_steps=100, seed=12)
     _, _, pipe = fa.run_subdivisive_flow(fs("clip_like", x), fs("vgg_like", y), cfg)
-    pipe.save(tmp_path / "pipe")
+    with_calibration(pipe).save(tmp_path / "pipe")
     back = fa.FlowPipeline.load(tmp_path / "pipe")
     probe = g.standard_normal((5, 3)).astype(np.float32)
     assert np.allclose(pipe.align(probe), back.align(probe), atol=1e-6)
+    # the calibration comes back bit for bit: f32 PRMS center, exact-repr norm
+    (center, norm), (center_back, norm_back) = pipe.clip_calibration, back.clip_calibration
+    assert center_back.dtype == np.float32 and center_back.tobytes() == center.tobytes()
+    assert norm_back == norm
+
+
+def test_pipeline_save_without_calibration_rejected(tmp_path):
+    pipe = fa.FlowPipeline(identity_mapping(4), [fa.VelocityField(4, hidden=(8,))],
+                           fa.FlowConfig(rounds=1))
+    with pytest.raises(StateError, match="calibration"):
+        pipe.save(tmp_path / "pipe")
+    assert not (tmp_path / "pipe").exists()
 
 
 def test_align_reproduces_training_endpoints():
@@ -330,7 +350,7 @@ def saved_pipeline(tmp_path_factory):
     cfg = fa.FlowConfig(rounds=2, train_steps=20, batch_size=16, mapping_steps=20, seed=15)
     _, _, pipe = fa.run_subdivisive_flow(fs("clip_like", x), fs("vgg_like", x + 1.0), cfg)
     root = tmp_path_factory.mktemp("manifest") / "pipe"
-    pipe.save(root)
+    with_calibration(pipe).save(root)
     return root
 
 
@@ -357,9 +377,31 @@ def test_broken_manifest_names_file_and_key(saved_pipeline, tmp_path, key, mode)
     assert "manifest.txt" in str(info.value) and f"'{key}'" in str(info.value)
 
 
+@pytest.mark.parametrize("case", ["missing", "wide", "two", "norm-0", "norm-nan", "norm-inf"])
+def test_broken_calibration_names_file_and_key(saved_pipeline, tmp_path, case):
+    # the center must be one (clip_dim,) tensor; text_norm positive and finite
+    from subflow.diffcore import save_params
+    value = case.removeprefix("norm-") if case.startswith("norm-") else None
+    where = {"missing": "clip_center.prms: missing", "wide": "clip_center.prms: tensor shapes",
+             "two": "clip_center.prms: tensor shapes"}.get(case, "manifest.txt.*'text_norm'")
+    edit = lambda lines: [f"text_norm={value}" if value and ln.startswith("text_norm=") else ln
+                          for ln in lines]
+    bad = _broken_copy(saved_pipeline, tmp_path / "pipe", edit)
+    center = bad / "clip_center.prms"
+    if case == "missing":
+        center.unlink()
+    elif case == "wide":
+        save_params(center, [np.zeros(4, dtype=np.float32)])
+    elif case == "two":
+        save_params(center, [np.zeros(3, dtype=np.float32)] * 2)
+    with pytest.raises(FormatError, match=where):
+        fa.FlowPipeline.load(bad)
+
+
 def test_manifest_round_trips_byte_identical(saved_pipeline, tmp_path):
     fa.FlowPipeline.load(saved_pipeline).save(tmp_path / "again")
-    for name in ("manifest.txt", "mapping.prms", "velocity_1.prms", "velocity_2.prms"):
+    for name in ("manifest.txt", "mapping.prms", "velocity_1.prms", "velocity_2.prms",
+                 "clip_center.prms"):
         assert (tmp_path / "again" / name).read_bytes() == (saved_pipeline / name).read_bytes()
 
 

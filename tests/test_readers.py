@@ -78,6 +78,7 @@ def valid(tmp_path_factory):
                         velocity_hidden=(5,), mapping_hidden=(4,))
     _, _, pipe = fa.run_subdivisive_flow(FeatureSet("clip_like", x),
                                          FeatureSet("vgg_like", x + 1.0), cfg)
+    pipe.clip_calibration = (x.mean(axis=0), 0.75)
     pipe.save(root / "pipe")
     return root
 
@@ -155,3 +156,4 @@ def test_pipeline_load_property(valid, data):
     pipe = _read(lambda path: fa.FlowPipeline.load(path.parent), pipe_dir / "manifest.txt", blob)
     if pipe is not None:
         assert pipe.trained and len(pipe.fields) == pipe.cfg.rounds
+        assert np.isfinite(pipe.clip_calibration[1]) and pipe.clip_calibration[1] > 0
