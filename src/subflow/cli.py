@@ -81,7 +81,6 @@ def _flow_cfg(cfg) -> fa.FlowConfig:
 
 def _weights(cfg) -> ls.LossWeights:
     return ls.LossWeights(lambda_style=cfg["weights.style"], lambda_obs=cfg["weights.obs"],
-                          lambda_flow=cfg["weights.flow"],
                           suppression_weight=cfg["weights.suppression"])
 
 
@@ -136,7 +135,6 @@ def _load_distilled(path) -> sc.GaussianScene:
     if np.all(scene.embeddings == scene.embeddings[0]):
         raise CliError(f"{path}: every Gaussian has the same embedding; "
                        "run `embed` on the scene first")
-    scene.distilled = True
     return scene
 
 
@@ -145,8 +143,21 @@ def _load_decoder(path, cfg) -> tr.DecoderNet:
                             seed=cfg["seed"])
     path = _require(path, "decoder checkpoint")
     restore_params(decoder.parameters(), load_params(path), path)
-    decoder.trained = True
     return decoder
+
+
+def _load_styling(args, cfg) -> tuple[sc.GaussianScene, tr.DecoderNet, fa.FlowPipeline]:
+    """The distilled scene, its decoder and the pipeline that styles it. An
+    aligned style row splits into a mean and a spread per embedding channel,
+    so the pipeline's `style_dim` must be twice the scene's embedding width."""
+    scene = _load_distilled(args.scene)
+    decoder = _load_decoder(args.decoder, cfg)
+    pipe = _load_pipeline(args.pipeline, cfg)
+    if pipe.mapping.style_dim != 2 * scene.embed_dim:
+        raise CliError(f"{Path(args.pipeline) / 'manifest.txt'}: 'style_dim' is "
+                       f"{pipe.mapping.style_dim}, but {args.scene} holds embeddings of dim "
+                       f"{scene.embed_dim}, which need {2 * scene.embed_dim}")
+    return scene, decoder, pipe
 
 
 def _style_image(args, cfg) -> np.ndarray:
@@ -161,7 +172,6 @@ def _decoder2d(cfg, encoders, out_dir: Path) -> ls.Decoder2D:
     dec = ls.Decoder2D(channels=encoders.tap_widths[ls.GENERATOR_TAP], seed=cfg["seed"])
     if ck.exists():
         restore_params(dec.parameters(), load_params(ck), ck)
-        dec.trained = True
         return dec
     dec = ls.train_decoder2d(encoders, corpus=cfg["gen2d.corpus"], steps=cfg["gen2d.steps"],
                              seed=cfg["seed"], size=cfg["camera.width"])
@@ -227,17 +237,16 @@ def cmd_train_flow(args) -> int:
 
 def cmd_train_style(args) -> int:
     cfg = _load_config(args)
-    scene = _load_distilled(args.scene)
-    decoder = _load_decoder(args.decoder, cfg)
-    pipe = _load_pipeline(args.pipeline, cfg)
+    scene, decoder, pipe = _load_styling(args, cfg)
     encoders = _encoders(cfg, pipe)
     style_img = _style_image(args, cfg)
+    weights = _weights(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dec2d = _decoder2d(cfg, encoders, out)
+    dec2d = _decoder2d(cfg, encoders, out) if weights.uses_prior else None
     decoder, disc, log = ls.train_stylization(
         scene, _training_cams(cfg), style_img, pipe, decoder, encoders,
-        _weights(cfg), steps=cfg["style.steps"], decoder2d=dec2d, seed=cfg["seed"],
+        weights, steps=cfg["style.steps"], decoder2d=dec2d, seed=cfg["seed"],
         lr=cfg["style.learning_rate"])
     save_params(out / "decoder.prms", decoder.parameters())
     if disc is not None:
@@ -253,9 +262,7 @@ def cmd_stylize(args) -> int:
     sources = [s for s in (args.image, args.text, args.feat) if s]
     if len(sources) != 1:
         raise CliError("stylize needs exactly one of --image, --text, --feat")
-    scene = _load_distilled(args.scene)
-    decoder = _load_decoder(args.decoder, cfg)
-    pipe = _load_pipeline(args.pipeline, cfg)
+    scene, decoder, pipe = _load_styling(args, cfg)
     if args.image:
         img = _read_image(args.image, "reference image")
         vec = _encoders(cfg, pipe).encode_clip_like(img).vectors[0]
@@ -296,7 +303,10 @@ def cmd_render(args) -> int:
 
 def cmd_eval_align(args) -> int:
     cfg = _load_config(args)
-    pipe = fa.FlowPipeline.load(_require(args.pipeline, "pipeline"))
+    if args.feat_clip or args.feat_vgg:     # rows from any encoder: the seed does not matter
+        pipe = fa.FlowPipeline.load(_require(args.pipeline, "pipeline"))
+    else:
+        pipe = _load_pipeline(args.pipeline, cfg)
     clip_fs, vgg_fs = _paired_features(args, cfg, _encoders(cfg))
     corpus = "encoded procedural corpus"
     _check_rows(clip_fs, args.feat_clip or corpus, "clip_like", pipe.mapping.clip_dim)

@@ -73,7 +73,6 @@ SCHEMA: dict[str, tuple[Callable, object]] = {
     "style.learning_rate": (_POSITIVE, 2e-3),
     "weights.style": (_WEIGHT, 10.0),
     "weights.obs": (_WEIGHT, 0.5),
-    "weights.flow": (_WEIGHT, 1.0),
     "weights.suppression": (_WEIGHT, 0.05),
     "gen2d.corpus": (_COUNT, 200),
     "gen2d.steps": (_STEPS, 2000),

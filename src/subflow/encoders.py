@@ -184,11 +184,6 @@ class FeatureEncoders:
 
     # -- style (VGG-like) domain ------------------------------------------------
 
-    def set_trainable(self, flag: bool) -> None:
-        for layer in self.vgg_layers + self.clip_refine:
-            for p in layer.parameters():
-                p.requires_grad = flag
-
     def tap_features(self, image) -> list[Tensor]:
         """All tap feature maps (Tensor path; differentiable w.r.t. the image)."""
         h = image if isinstance(image, Tensor) else Tensor(_to_chw(image))

@@ -97,7 +97,6 @@ class MappingNet:
         self.net = DenseNet(widths, "relu", seed, name="mapping")
         self.clip_dim = clip_dim
         self.style_dim = style_dim
-        self.trained = False
 
     def parameters(self):
         return self.net.parameters()
@@ -155,7 +154,6 @@ def train_mapping(clip: FeatureSet, vgg: FeatureSet, cfg: FlowConfig) -> Mapping
         diff = dt.sub(pred, Tensor(y_all[idx]))
         loss = dt.tmean(dt.mul(diff, diff))
         opt.step(loss)
-    net.trained = True
     return net
 
 
@@ -249,10 +247,6 @@ class FlowPipeline:
         self.clip_calibration = clip_calibration
 
     @property
-    def trained(self) -> bool:
-        return self.mapping.trained and len(self.fields) >= 1
-
-    @property
     def flow_loss(self) -> float:
         return self.fields[-1].final_loss if self.fields else float("nan")
 
@@ -272,8 +266,6 @@ class FlowPipeline:
 
     def align(self, x: np.ndarray) -> np.ndarray:
         """Map one embedding-domain vector (or batch) into the style domain."""
-        if not self.trained:
-            raise StateError("alignment pipeline is not trained")
         *_, last = self.trajectory(x)
         out = last.astype(np.float32)
         return out[0] if np.asarray(x).ndim == 1 else out
@@ -314,7 +306,6 @@ class FlowPipeline:
                                       name=f"velocity.r{i}"))
             for i in range(1, cfg.rounds + 1)]
         (center,) = _read_params(src / CLIP_CENTER_FILE, [(clip_dim,)])
-        mapping.trained = True
         fields[-1].final_loss = flow_loss
         return FlowPipeline(mapping, fields, cfg, (center, text_norm))
 

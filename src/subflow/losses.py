@@ -28,7 +28,7 @@ from .diffcore import Adam, Conv2dLayer, Tensor
 from .diffcore import tensor as dt
 from .diffcore.rng import named_stream
 from .encoders import FeatureEncoders, _to_chw, procedural_texture
-from .errors import NumericsError, ShapeError, StateError
+from .errors import ShapeError
 from .flowalign import FlowPipeline
 from .rasterizer import attribute_weights, render  # noqa: F401  render: wrapped by perfbench
 from .scene import Camera, GaussianScene
@@ -45,13 +45,17 @@ DECODER2D_LR = 2e-3  # Adam step of the 2D decoder's reconstruction pre-training
 class LossWeights:
     lambda_style: float = 10.0
     lambda_obs: float = 0.5
-    lambda_flow: float = 1.0
     suppression_weight: float = 0.05
 
     def __post_init__(self):
-        vals = (self.lambda_style, self.lambda_obs, self.lambda_flow, self.suppression_weight)
+        vals = (self.lambda_style, self.lambda_obs, self.suppression_weight)
         if any((not np.isfinite(v)) or v < 0 for v in vals):
             raise ShapeError(f"loss weights must be finite and >= 0, got {vals}")
+
+    @property
+    def uses_prior(self) -> bool:
+        """Whether a term reads the 2D prior image: observation or suppression."""
+        return self.lambda_obs > 0 or self.suppression_weight > 0
 
 
 def _chw(image) -> Tensor:
@@ -119,7 +123,6 @@ class Decoder2D:
                                  seed=seed, name="dec2d.c1")
         self.conv2 = Conv2dLayer(channels, 3, k=3, stride=1, padding=1,
                                  seed=seed, name="dec2d.c2")
-        self.trained = False
 
     def parameters(self):
         return self.conv1.parameters() + self.conv2.parameters()
@@ -152,7 +155,6 @@ def train_decoder2d(encoders: FeatureEncoders, corpus: int = 200, steps: int = 2
         diff = dt.sub(out, Tensor(targets[i]))
         loss = dt.tmean(dt.mul(diff, diff))
         opt.step(loss)
-    dec.trained = True
     return dec
 
 
@@ -160,8 +162,6 @@ def generator_2d(content_img: np.ndarray, style_img: np.ndarray,
                  encoders: FeatureEncoders, decoder2d: Decoder2D) -> np.ndarray:
     """2D AdaIN prior: re-normalize content tap features to the style's
     statistics and decode. Deterministic given the trained decoder."""
-    if not decoder2d.trained:
-        raise StateError("generator_2d requires a pre-trained 2D decoder")
     f = encoders.tap_features(content_img)[GENERATOR_TAP].data
     mu_s, sigma_s = encoders.tap_stats(style_img)[GENERATOR_TAP]
     c = f.shape[0]
@@ -232,20 +232,9 @@ def suppression_loss(i_g, i_f, disc: DiscriminatorNet) -> tuple[Tensor, Tensor]:
     return disc_loss, gen_signal
 
 
-def total_stylized_loss(parts: dict[str, float], weights: LossWeights) -> float:
-    """Weighted sum: content + l_style*style + l_obs*obs + l_flow*flow."""
-    for key in ("content", "style", "obs", "flow"):
-        if key not in parts:
-            raise ShapeError(f"total_stylized_loss: missing part '{key}'")
-        if not np.isfinite(parts[key]):
-            raise NumericsError(f"total_stylized_loss: part '{key}' is not finite")
-    return float(parts["content"] + weights.lambda_style * parts["style"]
-                 + weights.lambda_obs * parts["obs"] + weights.lambda_flow * parts["flow"])
-
-
 # -- stylization training loop -----------------------------------------------------------------
 
-LOG_COLUMNS = ("step", "content", "style", "obs", "flow", "sup_disc", "sup_gen", "total")
+LOG_COLUMNS = ("step", "content", "style", "obs", "sup_disc", "sup_gen", "total")
 
 
 @dataclass
@@ -262,7 +251,8 @@ class StyleTrainLog:
 def train_stylization(scene: GaussianScene, cams: Sequence[Camera], style_img: np.ndarray,
                       pipeline: FlowPipeline, decoder: DecoderNet,
                       encoders: FeatureEncoders, weights: LossWeights,
-                      steps: int, decoder2d: Decoder2D, seed: int = 0, lr: float = 1e-3):
+                      steps: int, decoder2d: Decoder2D | None, seed: int = 0,
+                      lr: float = 1e-3):
     """Alternating decoder/discriminator updates on rendered views.
 
     Per step, one training camera is drawn; the stylized view is composed
@@ -271,29 +261,23 @@ def train_stylization(scene: GaussianScene, cams: Sequence[Camera], style_img: n
     `weights.lambda_obs > 0` and the suppression signal when
     `weights.suppression_weight > 0`; only in that last case is there a
     discriminator, which then descends its own separation loss. A skipped
-    term logs 0. Returns (decoder, discriminator or None, log).
+    term logs 0, and `decoder2d` (None when `weights.uses_prior` is false)
+    renders the 2D prior only for the terms that read it. Each row's
+    `total` is content + lambda_style*style + lambda_obs*obs.
+    Returns (decoder, discriminator or None, log).
     """
-    if not scene.distilled:
-        raise StateError("train_stylization requires a distilled scene")
-    if not decoder.trained:
-        raise StateError("train_stylization requires the distilled decoder")
-
     h, w = cams[0].height, cams[0].width
     style_vec = pipeline.align(encoders.encode_clip_like(style_img).vectors[0])
-    style_stats = stats_from_feature(style_vec)
-    if style_stats.dim != scene.embed_dim:
-        raise ShapeError(f"aligned style stats dim {style_stats.dim} != scene embed dim "
-                         f"{scene.embed_dim}")
-    moved = Tensor(adain(scene.embeddings, style_stats).values)
+    moved = Tensor(adain(scene.embeddings, stats_from_feature(style_vec)).values)
     ref_tap_stats = encoders.tap_stats(style_img)
-    flow_part = float(pipeline.flow_loss) if np.isfinite(pipeline.flow_loss) else 0.0
 
     cam_data = []
     for cam in cams:
         if (cam.height, cam.width) != (h, w):
             raise ShapeError("training cameras must share one resolution")
         tiles = attribute_weights(scene, cam)
-        i_g = generator_2d(tiles.rgb, style_img, encoders, decoder2d)
+        i_g = (generator_2d(tiles.rgb, style_img, encoders, decoder2d)
+               if weights.uses_prior else None)
         cam_data.append((tiles.blocks, tiles.rgb, i_g))
 
     disc = DiscriminatorNet(seed=seed) if weights.suppression_weight > 0 else None
@@ -310,7 +294,7 @@ def train_stylization(scene: GaussianScene, cams: Sequence[Camera], style_img: n
         c_loss = content_loss(i_f, content_rgb, encoders)
         s_loss = style_loss(i_f, ref_tap_stats, encoders)
         row = {"step": step, "content": c_loss.item(), "style": s_loss.item(), "obs": 0.0,
-               "flow": flow_part, "sup_disc": 0.0, "sup_gen": 0.0}
+               "sup_disc": 0.0, "sup_gen": 0.0}
         objective = dt.add(c_loss, dt.mul(s_loss, weights.lambda_style))
         if weights.lambda_obs > 0:
             o_loss = observation_loss(i_g, i_f, encoders)
@@ -323,6 +307,7 @@ def train_stylization(scene: GaussianScene, cams: Sequence[Camera], style_img: n
         opt_dec.step(objective)
         if disc is not None:
             opt_disc.step(disc_loss)
-        row["total"] = total_stylized_loss(row, weights)
+        row["total"] = (row["content"] + weights.lambda_style * row["style"]
+                        + weights.lambda_obs * row["obs"])
         log.rows.append(row)
     return decoder, disc, log

@@ -76,15 +76,13 @@ def matrix_to_quat(m: np.ndarray) -> np.ndarray:
 class GaussianScene:
     """Array-of-structs Gaussian set; all per-Gaussian data as float32 arrays."""
 
-    def __init__(self, positions, rotations, scales, opacities, colors, embeddings,
-                 distilled: bool = False):
+    def __init__(self, positions, rotations, scales, opacities, colors, embeddings):
         self.positions = np.ascontiguousarray(positions, dtype=np.float32)
         self.rotations = np.ascontiguousarray(rotations, dtype=np.float32)
         self.scales = np.ascontiguousarray(scales, dtype=np.float32)
         self.opacities = np.ascontiguousarray(opacities, dtype=np.float32)
         self.colors = np.ascontiguousarray(colors, dtype=np.float32)
         self.embeddings = np.ascontiguousarray(embeddings, dtype=np.float32)
-        self.distilled = distilled
         self.validate()
 
     @property
@@ -126,12 +124,12 @@ class GaussianScene:
         """New scene sharing geometry byte-for-byte, colors replaced."""
         return GaussianScene(
             self.positions, self.rotations, self.scales, self.opacities,
-            colors, self.embeddings, distilled=self.distilled)
+            colors, self.embeddings)
 
-    def with_embeddings(self, embeddings: np.ndarray, distilled: bool) -> "GaussianScene":
+    def with_embeddings(self, embeddings: np.ndarray) -> "GaussianScene":
         return GaussianScene(
             self.positions, self.rotations, self.scales, self.opacities,
-            self.colors, embeddings, distilled=distilled)
+            self.colors, embeddings)
 
 
 @dataclass(frozen=True)

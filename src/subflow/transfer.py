@@ -22,7 +22,7 @@ from .diffcore import Adam, DenseNet, Tensor
 from .diffcore import tensor as dt
 from .diffcore.rng import named_stream
 from .encoders import FeatureEncoders
-from .errors import ShapeError, StateError
+from .errors import ShapeError
 from .rasterizer import attribute_weights, render  # noqa: F401  render: wrapped by perfbench
 from .scene import Camera, GaussianScene
 
@@ -91,7 +91,6 @@ class DecoderNet:
     def __init__(self, embed_dim: int, hidden: tuple[int, ...] = (64,), seed: int = 0):
         self.net = DenseNet((embed_dim, *hidden, 3), "relu", seed, name="decoder")
         self.embed_dim = embed_dim
-        self.trained = False
 
     def parameters(self):
         return self.net.parameters()
@@ -177,20 +176,15 @@ def distill_embeddings(scene: GaussianScene, cams: Sequence[Camera],
 
     final_embed = embed.data.copy()
     recon_mse = float(((decoder.decode(final_embed) - scene.colors) ** 2).mean())
-    decoder.trained = True
     report = DistillReport(reconstruction_mse=recon_mse,
                            projection_mse_first=proj_first,
                            projection_mse_last=proj_last)
-    return scene.with_embeddings(final_embed, distilled=True), decoder, report
+    return scene.with_embeddings(final_embed), decoder, report
 
 
 def stylize_scene(scene: GaussianScene, style: StyleStats,
                   decoder: DecoderNet) -> GaussianScene:
     """Replace colors by decode(adain(embeddings)); geometry is untouched."""
-    if not scene.distilled:
-        raise StateError("stylize_scene requires a distilled scene")
-    if not decoder.trained:
-        raise StateError("stylize_scene requires a trained decoder")
     transferred = adain(scene.embeddings, style)
     colors = decoder.decode(transferred.values)
     return scene.with_colors(colors)

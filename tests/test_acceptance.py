@@ -106,7 +106,9 @@ def test_ac01_autodiff_finite_difference_all_architectures():
     worst["discriminator"] = finite_diff_max_rel_error(disc.parameters(), disc_loss, 1e-3)
 
     enc = FeatureEncoders(seed=7)
-    enc.set_trainable(True)
+    for layer in enc.vgg_layers + enc.clip_refine:      # the encoders are frozen
+        for p in layer.parameters():
+            p.requires_grad = True
     _pin_away_from_kinks(enc.vgg_layers)
     _pin_away_from_kinks(enc.clip_refine)
     img8 = named_stream(1, "ac1.enc").uniform(0, 1, size=(8, 8, 3))
@@ -157,10 +159,9 @@ def test_ac02_rasterizer_matches_bruteforce_and_is_linear():
     u = rng.standard_normal((50, 8)).astype(np.float32)
     w = rng.standard_normal((50, 8)).astype(np.float32)
     a, b = 0.7, -1.3
-    fu = ras.render(scene.with_embeddings(u, False), cam).features
-    fw = ras.render(scene.with_embeddings(w, False), cam).features
-    fmix = ras.render(scene.with_embeddings((a * u + b * w).astype(np.float32), False),
-                      cam).features
+    fu = ras.render(scene.with_embeddings(u), cam).features
+    fw = ras.render(scene.with_embeddings(w), cam).features
+    fmix = ras.render(scene.with_embeddings((a * u + b * w).astype(np.float32)), cam).features
     lin_err = float(np.abs(fmix - (a * fu + b * fw)).max())
     check("AC2 tiled render == scalar reference (1e-6), linearity (1e-5)",
           err <= 1e-6 and lin_err <= 1e-5,

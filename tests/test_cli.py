@@ -133,20 +133,24 @@ def test_pipeline_produces_all_artifacts(pipeline_artifacts):
         assert (root / rel).exists(), rel
 
 
-def test_train_style_zero_weights_switch_terms_off(pipeline_artifacts, tmp_path):
+def test_train_style_zero_weights_switch_terms_off(pipeline_artifacts, tmp_path, monkeypatch):
     # weights.obs = 0 and weights.suppression = 0 skip both terms: no discriminator
-    # is trained or written, and the skipped log columns read 0
+    # is trained or written, no 2D prior is trained, loaded or run, and the
+    # skipped log columns read 0
+    from subflow import losses as ls
     root = pipeline_artifacts
     cfg = tmp_path / "ablated.cfg"
     cfg.write_text(SMALL_CFG + "weights.obs = 0\nweights.suppression = 0\n")
     out = tmp_path / "styled"
-    out.mkdir()
-    dec2d = "decoder2d_seed0.prms"      # reused, as train-style finds it in --out
-    (out / dec2d).write_bytes((root / "styled" / dec2d).read_bytes())
+    calls = []
+    monkeypatch.setattr(cli, "_decoder2d", lambda *a: calls.append("_decoder2d"))
+    monkeypatch.setattr(ls, "generator_2d", lambda *a: calls.append("generator_2d"))
     assert run("train-style", "--config", cfg, "--scene", root / "sd.gscn",
                "--decoder", root / "dec.prms", "--pipeline", root / "pipe", "--out", out) == 0
+    assert calls == []
     assert (out / "decoder.prms").exists()
     assert not (out / "discriminator.prms").exists()
+    assert not list(out.glob("decoder2d_seed*.prms"))
     with open(out / "train_log.csv", newline="", encoding="ascii") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 25
@@ -179,7 +183,7 @@ def test_pipeline_csvs_have_expected_headers(pipeline_artifacts):
         "round,sim_before,sim_after,fid_before,fid_after,displacement"
     assert (root / "align.csv").read_text().splitlines()[0] == "metric,range_or_round,value"
     assert (root / "styled" / "train_log.csv").read_text().splitlines()[0] == \
-        "step,content,style,obs,flow,sup_disc,sup_gen,total"
+        "step,content,style,obs,sup_disc,sup_gen,total"
 
 
 def test_feat_driven_stylize(pipeline_artifacts, tmp_path):
@@ -330,7 +334,7 @@ def test_train_flow_persists_clip_calibration(pipeline_artifacts, tmp_path, sour
 
 @pytest.mark.parametrize("key", ["seed", "clip_dim"])
 @pytest.mark.parametrize("command", ["stylize-text", "stylize-image", "stylize-feat",
-                                     "train-style"])
+                                     "train-style", "eval-align"])
 def test_encoder_identity_must_match_manifest(pipeline_artifacts, tmp_path, capsys, command,
                                               key):
     # the pipeline was trained with seed 0 and clip_dim 64: another seed's or
@@ -343,6 +347,9 @@ def test_encoder_identity_must_match_manifest(pipeline_artifacts, tmp_path, caps
               "--out", tmp_path / "out"]
     if command == "train-style":
         argv = ["train-style", *common, "--decoder", root / "dec.prms"]
+    elif command == "eval-align":
+        argv = ["eval-align", "--config", cfg, *seed, "--pipeline", root / "pipe",
+                "--out", tmp_path / "out"]
     else:
         ref = tmp_path / "ref"
         if command == "stylize-feat":
@@ -524,7 +531,8 @@ def test_bad_payload_names_file(pipeline_artifacts, tmp_path, capsys, case):
 @pytest.mark.parametrize("case", ["stylize-image", "train-style-image", "stylize-feat-dim",
                                   "train-flow-rows", "eval-align-rows", "train-flow-swapped",
                                   "eval-align-swapped", "train-flow-clip-dim",
-                                  "eval-align-clip-dim", "eval-align-vgg-dim"])
+                                  "eval-align-clip-dim", "eval-align-vgg-dim",
+                                  "train-style-style-dim", "stylize-style-dim"])
 def test_input_that_does_not_fit_names_file(pipeline_artifacts, tmp_path, capsys, case):
     # each input parses, but its size or domain does not fit its flag, the
     # encoder or the pipeline
@@ -543,6 +551,16 @@ def test_input_that_does_not_fit_names_file(pipeline_artifacts, tmp_path, capsys
         named[0].write_bytes(_feat_bytes(rows[:, :32], 0))
         argv = ["stylize", "--feat", named[0],
                 "--decoder", root / "styled" / "decoder.prms"] + styled
+    elif case.endswith("style-dim"):
+        # a D=64 scene against the pipeline's style_dim of 64, which fits D=32
+        named = [tmp_path / "wide.gscn", root / "pipe" / "manifest.txt", "'style_dim'"]
+        scene = sc.load_scene(root / "sd.gscn")
+        sc.save_scene(scene.with_embeddings(np.tile(scene.embeddings, (1, 2))), named[0])
+        if case.startswith("train-style"):
+            argv = ["train-style", "--decoder", root / "dec.prms"]
+        else:
+            argv = ["stylize", "--decoder", root / "styled" / "decoder.prms", "--text", "wide"]
+        argv += ["--scene", named[0], "--pipeline", root / "pipe"]
     else:
         command = "train-flow" if case.startswith("train-flow") else "eval-align"
         kind = case.removeprefix(command + "-")
@@ -584,9 +602,8 @@ def test_input_that_does_not_fit_names_file(pipeline_artifacts, tmp_path, capsys
     ("distill.steps", -1, "dump-config"), ("distill.learning_rate", "nan", "dump-config"),
     ("distill.hidden", 0, "dump-config"), ("style.steps", -2, "train-style"),
     ("style.learning_rate", "inf", "dump-config"), ("weights.style", -1, "dump-config"),
-    ("weights.obs", "nan", "dump-config"), ("weights.flow", -0.5, "dump-config"),
-    ("weights.suppression", -1, "dump-config"), ("gen2d.corpus", 0, "train-style"),
-    ("gen2d.steps", -1, "dump-config"),
+    ("weights.obs", "nan", "dump-config"), ("weights.suppression", -1, "dump-config"),
+    ("gen2d.corpus", 0, "train-style"), ("gen2d.steps", -1, "dump-config"),
 ])
 def test_config_value_below_bound_exits_2(tmp_path, capsys, key, value, command):
     path = tmp_path / "run.cfg"

@@ -25,7 +25,6 @@ def identity_mapping(dim):
     m = fa.MappingNet(dim, dim, hidden=(), seed=0)
     m.net.weights[0].data = np.eye(dim, dtype=np.float32)
     m.net.biases[0].data = np.zeros(dim, dtype=np.float32)
-    m.trained = True
     return m
 
 
@@ -105,7 +104,6 @@ def test_train_mapping_recovers_affine_target():
     x_held = g.standard_normal((256, 4))
     pred = net.apply(x_held.astype(np.float32))
     mse = float(((pred - (x_held @ a.T + b)) ** 2).mean())
-    assert net.trained
     assert mse < 1e-3
 
 
@@ -275,12 +273,6 @@ def test_aligned_text_and_image_features_stay_close(slab_run, session_encoders):
         cosines.append(float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b))))
     assert float(np.mean(cosines)) >= 0.8
     assert min(cosines) >= 0.8
-
-
-def test_align_feature_untrained_pipeline_rejected():
-    pipe = fa.FlowPipeline(fa.MappingNet(4, 4), [], fa.FlowConfig())
-    with pytest.raises(StateError, match="not trained"):
-        pipe.align(np.zeros(4))
 
 
 def test_align_feature_dim_mismatch():

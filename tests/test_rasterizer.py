@@ -99,7 +99,7 @@ def test_features_composite_identically_to_rgb():
     # embeddings = M @ color per Gaussian -> feature map = rgb map @ M^T exactly
     scene = sc.generate_toy_scene("two_clusters", 40, 3, embed_dim=8)
     m = sc.named_stream(5, "linmap").standard_normal((8, 3)).astype(np.float32)
-    scene = scene.with_embeddings(scene.colors @ m.T, distilled=False)
+    scene = scene.with_embeddings(scene.colors @ m.T)
     cam = sc.look_at_camera((0, -6, 2.5), (0, 0, 0), 60.0, 48, 48)
     out = ras.render(scene, cam)
     assert np.allclose(out.features, out.rgb @ m.T, atol=1e-5)
@@ -125,9 +125,9 @@ def test_render_linear_in_embeddings():
     w = rng.standard_normal((30, 8)).astype(np.float32)
     a, b = 0.7, -1.3
     cam = sc.look_at_camera((0, -4, 1), (0, 0, 0), 50.0, 32, 32)
-    fu = ras.render(scene.with_embeddings(u, False), cam).features
-    fw = ras.render(scene.with_embeddings(w, False), cam).features
-    fmix = ras.render(scene.with_embeddings((a * u + b * w).astype(np.float32), False), cam).features
+    fu = ras.render(scene.with_embeddings(u), cam).features
+    fw = ras.render(scene.with_embeddings(w), cam).features
+    fmix = ras.render(scene.with_embeddings((a * u + b * w).astype(np.float32)), cam).features
     assert np.allclose(fmix, a * fu + b * fw, atol=1e-5)
 
 

@@ -155,5 +155,5 @@ def test_pipeline_load_property(valid, data):
     blob = data.draw(_text(raw, _values(raw)))
     pipe = _read(lambda path: fa.FlowPipeline.load(path.parent), pipe_dir / "manifest.txt", blob)
     if pipe is not None:
-        assert pipe.trained and len(pipe.fields) == pipe.cfg.rounds
+        assert len(pipe.fields) == pipe.cfg.rounds
         assert np.isfinite(pipe.clip_calibration[1]) and pipe.clip_calibration[1] > 0
