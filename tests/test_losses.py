@@ -238,20 +238,42 @@ def test_train_stylization_log_csv_layout(slab_run, session_encoders, session_de
     assert len(lines) == 4
 
 
-def test_train_stylization_total_is_weighted_sum(slab_run, session_encoders, session_decoder2d):
-    # total = content + lambda_style*style + lambda_obs*obs; the suppression
-    # signal is logged on its own and is not part of it
-    for weights in (ls.LossWeights(), ls.LossWeights(lambda_obs=0.0)):
-        decoder = copy.deepcopy(slab_run["decoder0"])
-        _, _, log = ls.train_stylization(
-            slab_run["distilled"], slab_run["cams"][:4], slab_run["style_img"],
-            slab_run["pipe"], decoder, session_encoders, weights, steps=3,
-            decoder2d=session_decoder2d, seed=3)
-        assert len(log.rows) == 3
-        for r in log.rows:
-            assert (r["obs"] > 0.0) == (weights.lambda_obs > 0) and r["sup_gen"] > 0.0
-            assert r["total"] == (r["content"] + weights.lambda_style * r["style"]
-                                  + weights.lambda_obs * r["obs"])
+def _style_log(slab_run, encoders, decoder2d, weights):
+    decoder = copy.deepcopy(slab_run["decoder0"])
+    _, _, log = ls.train_stylization(
+        slab_run["distilled"], slab_run["cams"][:4], slab_run["style_img"], slab_run["pipe"],
+        decoder, encoders, weights, steps=3,
+        decoder2d=decoder2d if weights.uses_prior else None, seed=3)
+    assert len(log.rows) == 3
+    return log.rows
+
+
+# each row's total = content + lambda_style*style + lambda_obs*obs; the
+# suppression signal is logged on its own and is not part of it
+
+def test_total_loss_all_lambdas_zero_is_content(slab_run, session_encoders, session_decoder2d):
+    rows = _style_log(slab_run, session_encoders, session_decoder2d,
+                      ls.LossWeights(lambda_style=0, lambda_obs=0, suppression_weight=0))
+    for r in rows:
+        assert r["style"] > 0.0
+        assert r["total"] == r["content"]
+
+
+def test_total_loss_hand_value(slab_run, session_encoders, session_decoder2d):
+    rows = _style_log(slab_run, session_encoders, session_decoder2d, ls.LossWeights())
+    for r in rows:
+        assert r["obs"] > 0.0 and r["sup_gen"] > 0.0
+        assert r["total"] == r["content"] + 10.0 * r["style"] + 0.5 * r["obs"]
+
+
+def test_total_loss_linear_in_each_lambda(slab_run, session_encoders, session_decoder2d):
+    for key, part in [("lambda_style", "style"), ("lambda_obs", "obs")]:
+        for lam in (1.0, 2.0):
+            weights = ls.LossWeights(**{k: (lam if k == key else 0.0) for k in
+                                        ("lambda_style", "lambda_obs", "suppression_weight")})
+            for r in _style_log(slab_run, session_encoders, session_decoder2d, weights):
+                assert r[part] > 0.0
+                assert r["total"] == r["content"] + lam * r[part]
 
 
 def test_train_stylization_scores_each_image_once_per_step(slab_run, session_encoders,
