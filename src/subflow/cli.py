@@ -147,9 +147,10 @@ def _load_decoder(path, cfg) -> tr.DecoderNet:
 
 
 def _load_styling(args, cfg) -> tuple[sc.GaussianScene, tr.DecoderNet, fa.FlowPipeline]:
-    """The distilled scene, its decoder and the pipeline that styles it. An
-    aligned style row splits into a mean and a spread per embedding channel,
-    so the pipeline's `style_dim` must be twice the scene's embedding width."""
+    """The distilled scene, its decoder and the pipeline that styles it. The
+    decoder reads `embed_dim` channels, which must be the scene's embedding
+    width. An aligned style row splits into a mean and a spread per embedding
+    channel, so the pipeline's `style_dim` must be twice that width."""
     scene = _load_distilled(args.scene)
     decoder = _load_decoder(args.decoder, cfg)
     pipe = _load_pipeline(args.pipeline, cfg)
@@ -157,6 +158,9 @@ def _load_styling(args, cfg) -> tuple[sc.GaussianScene, tr.DecoderNet, fa.FlowPi
         raise CliError(f"{Path(args.pipeline) / 'manifest.txt'}: 'style_dim' is "
                        f"{pipe.mapping.style_dim}, but {args.scene} holds embeddings of dim "
                        f"{scene.embed_dim}, which need {2 * scene.embed_dim}")
+    if scene.embed_dim != cfg["embed_dim"]:
+        raise CliError(f"{args.decoder}: 'embed_dim' is {cfg['embed_dim']}, but {args.scene} "
+                       f"holds embeddings of dim {scene.embed_dim}")
     return scene, decoder, pipe
 
 

@@ -16,8 +16,11 @@ which makes binning the depth-sorted splats into 16x16 tiles by their
 more contributions once T_i < 1e-4.
 
 One kernel, `_tile_weights`, computes the weights w_i for a tile, CHUNK
-splats at a time: the (pixels x chunk) alpha block, then T_i as the
-exclusive running product (`np.multiply.accumulate`) of (1 - alpha) seeded
+splats at a time, as a (chunk x tile pixels) block, pixels last in raster
+order. The quadratic form is separable: its dx and dy terms are formed once
+per tile column and row and broadcast over the block, the same products
+summed in the same order as pixel by pixel. T_i is the exclusive running
+product (`np.multiply.accumulate` down the splats) of (1 - alpha) seeded
 with the transmittance carried out of the previous chunk, with w_i zeroed
 where T_i < 1e-4. The running product multiplies the same factors in the
 same order as a splat-by-splat loop, and because T only falls, a pixel whose
@@ -26,14 +29,16 @@ gives the loop's weights bit for bit, and a tile stops as soon as every
 pixel in it is saturated.
 
 One compositing pass builds everything from those weights: colors and the
-D-channel embedding maps as w @ attrs (so rendering any per-Gaussian
-attribute is linear in it), coverage as the running sum of w, and depth as
-the view-space z of the splat that first lifts that sum to 0.5 (+inf where
-never reached). `render` returns those maps. `attribute_weights`, the pass
-gradient-based training runs once per camera, also keeps each tile's
-weights as one dense float32 block of (tile pixels) x (tile splats with a
-nonzero weight), like the per-tile splat lists of 3D Gaussian Splatting
-(Kerbl et al. 2023): about 1% of a dense (H*W, N) matrix's entries.
+D-channel embedding maps as w^T @ attrs (so rendering any per-Gaussian
+attribute is linear in it), coverage as the sum of w down the splats (numpy
+adds a pixels-last block's rows in order, as a running sum does), and depth
+as the view-space z of the splat that first lifts that sum to 0.5 (+inf
+where never reached), from a running sum over the pixels that cross 0.5.
+`render` returns those maps. `attribute_weights`, the pass gradient-based
+training runs once per camera, also keeps each tile's weights as one dense
+float32 block of (tile pixels) x (tile splats with a nonzero weight), like
+the per-tile splat lists of 3D Gaussian Splatting (Kerbl et al. 2023): about
+1% of a dense (H*W, N) matrix's entries.
 """
 from __future__ import annotations
 
@@ -116,30 +121,37 @@ def _conics_and_radii(cov2d: np.ndarray):
     return conic, radius
 
 
-def _tile_weights(px, py, means, conics, opac):
+def _tile_weights(xs, ys, means, conics, opac):
     """Yield (chunk, weights) over one tile's depth-sorted splats, CHUNK at a time.
 
-    weights[p, j] = alpha_j(p) * T_j(p), where T_j is the transmittance left
-    before splat j: the exclusive running product of (1 - alpha) seeded with
-    the transmittance carried out of the previous chunk. Weights are zero
-    where T_j < MIN_TRANSMITTANCE, and the tile stops once every pixel is.
+    weights[j, p] = alpha_j(p) * T_j(p) over the tile's pixels p in raster
+    order, given its column centres `xs` and row centres `ys`. T_j is the
+    transmittance left before splat j: the exclusive running product of
+    (1 - alpha) down the splats, seeded with the transmittance carried out of
+    the previous chunk. Weights are zero where T_j < MIN_TRANSMITTANCE, and
+    the tile stops once every pixel is. The power 0.5 ((a dx dx + 2b dx dy) +
+    c dy dy) is built from per-column and per-row terms, summed as per pixel.
     """
-    trans = np.ones(px.size)
+    trans = np.ones(ys.size * xs.size)
     for lo in range(0, opac.size, CHUNK):
         chunk = slice(lo, lo + CHUNK)
-        dx = px[:, None] - means[chunk, 0]
-        dy = py[:, None] - means[chunk, 1]
-        a, b, c = conics[chunk].T
-        power = 0.5 * (a * dx * dx + 2.0 * b * dx * dy + c * dy * dy)
+        dx = xs - means[chunk, 0, None]
+        dy = ys - means[chunk, 1, None]
+        a, b, c = conics[chunk].T[:, :, None]
+        axx, bx, cyy = a * dx * dx, 2.0 * b * dx, c * dy * dy
+        power = 0.5 * (axx[:, None] + bx[:, None] * dy[:, :, None] + cyy[:, :, None])
+        power = power.reshape(len(dx), -1)
         alpha = np.where(power <= 0.5 * CUTOFF_MAHALANOBIS_SQ,
-                         np.minimum(ALPHA_CLAMP, opac[chunk] * np.exp(-power)), 0.0)
-        t = np.empty((px.size, alpha.shape[1] + 1))
-        t[:, 0] = trans
-        np.subtract(1.0, alpha, out=t[:, 1:])
-        np.multiply.accumulate(t, axis=1, out=t)
-        before = t[:, :-1]
-        yield chunk, np.where(before >= MIN_TRANSMITTANCE, alpha * before, 0.0)
-        trans = t[:, -1]
+                         np.minimum(ALPHA_CLAMP, opac[chunk, None] * np.exp(-power)), 0.0)
+        t = np.empty((alpha.shape[0] + 1, alpha.shape[1]))
+        t[0] = trans
+        np.subtract(1.0, alpha, out=t[1:])
+        np.multiply.accumulate(t, axis=0, out=t)
+        before = t[:-1]
+        wts = np.multiply(alpha, before, out=alpha)
+        np.copyto(wts, 0.0, where=~(before >= MIN_TRANSMITTANCE))
+        yield chunk, wts
+        trans = t[-1]
         if not (trans >= MIN_TRANSMITTANCE).any():
             return
 
@@ -151,7 +163,7 @@ def _tiles(scene: GaussianScene, cam: Camera):
     splats in depth order, and for each tile whose pixels some splat's 3-sigma
     box overlaps, (rows, cols, sel, chunks): the tile's pixel slices, the
     positions into idx of its splats (still depth-sorted), and the
-    `_tile_weights` generator over them.
+    `_tile_weights` generator over them and the tile's pixel centres.
     """
     h, w = cam.height, cam.width
     idx, mean2d, cov2d, z = _project_all(scene, cam)
@@ -172,8 +184,8 @@ def _tiles(scene: GaussianScene, cam: Camera):
                 continue
             rows = slice(ty * TILE, min((ty + 1) * TILE, h))
             cols = slice(tx * TILE, min((tx + 1) * TILE, w))
-            gy, gx = np.mgrid[rows, cols]
-            chunks = _tile_weights(gx.ravel() + 0.5, gy.ravel() + 0.5,
+            chunks = _tile_weights(np.arange(cols.start, cols.stop) + 0.5,
+                                   np.arange(rows.start, rows.stop) + 0.5,
                                    mean2d[sel], conic[sel], opac[sel])
             tiles.append((rows, cols, sel, chunks))
     return idx, z, tiles
@@ -203,14 +215,16 @@ def _composite(scene: GaussianScene, cam: Camera, keep_blocks: bool, threads: in
         splats, blocks = [], []
         for chunk, wts in chunks:
             s = sel[chunk]
-            out += wts @ attrs[s]
-            run = np.add.accumulate(np.concatenate([acc[:, None], wts], axis=1), axis=1)
-            crossed = (acc < DEPTH_ALPHA) & (run[:, -1] >= DEPTH_ALPHA)
-            first = np.argmax(run[crossed, 1:] >= DEPTH_ALPHA, axis=1)
+            out += wts.T @ attrs[s]
+            stack = np.concatenate([acc[None], wts])
+            # numpy sums a lone pixel's column pairwise, so it takes the running sum
+            total = np.add.reduce(stack) if acc.size > 1 else np.add.accumulate(stack)[-1]
+            crossed = (acc < DEPTH_ALPHA) & (total >= DEPTH_ALPHA)
+            first = np.argmax(np.add.accumulate(stack[:, crossed])[1:] >= DEPTH_ALPHA, axis=0)
             dep[crossed] = z[s][first]
-            acc = run[:, -1]
+            acc = total
             if keep_blocks:
-                block = wts.astype(np.float32)
+                block = wts.T.astype(np.float32, order="C")
                 nonzero = block.any(axis=0)
                 splats.append(idx[s[nonzero]])
                 blocks.append(block[:, nonzero])

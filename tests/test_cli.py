@@ -532,11 +532,13 @@ def test_bad_payload_names_file(pipeline_artifacts, tmp_path, capsys, case):
                                   "train-flow-rows", "eval-align-rows", "train-flow-swapped",
                                   "eval-align-swapped", "train-flow-clip-dim",
                                   "eval-align-clip-dim", "eval-align-vgg-dim",
-                                  "train-style-style-dim", "stylize-style-dim"])
+                                  "train-style-style-dim", "stylize-style-dim",
+                                  "train-style-embed-dim", "stylize-embed-dim"])
 def test_input_that_does_not_fit_names_file(pipeline_artifacts, tmp_path, capsys, case):
     # each input parses, but its size or domain does not fit its flag, the
-    # encoder or the pipeline
+    # encoder, the decoder or the pipeline
     root = pipeline_artifacts
+    config = root / "small.cfg"
     rows = named_stream(3, "unfit").standard_normal((4, 64))
     styled = ["--scene", root / "sd.gscn", "--pipeline", root / "pipe"]
     if case == "stylize-image":
@@ -561,6 +563,16 @@ def test_input_that_does_not_fit_names_file(pipeline_artifacts, tmp_path, capsys
         else:
             argv = ["stylize", "--decoder", root / "styled" / "decoder.prms", "--text", "wide"]
         argv += ["--scene", named[0], "--pipeline", root / "pipe"]
+    elif case.endswith("embed-dim"):
+        # the D=32 scene against a decoder that reads embed_dim = 64 channels
+        config = tmp_path / "wide.cfg"
+        config.write_text(SMALL_CFG + "embed_dim = 64\n")
+        from subflow.diffcore import save_params
+        from subflow.transfer import DecoderNet
+        named = [root / "sd.gscn", tmp_path / "dec64.prms", "'embed_dim'"]
+        save_params(named[1], DecoderNet(64, hidden=(64,), seed=0).parameters())
+        argv = ["stylize", "--text", "wide"] if case.startswith("stylize") else ["train-style"]
+        argv += ["--decoder", named[1]] + styled
     else:
         command = "train-flow" if case.startswith("train-flow") else "eval-align"
         kind = case.removeprefix(command + "-")
@@ -582,7 +594,7 @@ def test_input_that_does_not_fit_names_file(pipeline_artifacts, tmp_path, capsys
             argv += ["--pipeline", root / "pipe"]
     if case.endswith("image"):
         ras.write_ppm(named[0], np.full((30, 30, 3), 0.5))
-    assert run(*argv, "--config", root / "small.cfg", "--out", tmp_path / "out") == 2
+    assert run(*argv, "--config", config, "--out", tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert all(str(path) in err for path in named), err
     assert not (tmp_path / "out").exists()

@@ -219,8 +219,8 @@ def test_kernel_carries_transmittance_and_depth_across_chunks():
 
 
 def dense_weights(scene, cam):
-    """Reference (H*W, N) float64 matrix: each tile's kernel weights scattered
-    densely, one chunk at a time."""
+    """Reference (H*W, N) float64 matrix: each tile's kernel weights (splats x
+    pixels) scattered densely, one chunk at a time."""
     w = cam.width
     dense = np.zeros((cam.height * w, scene.count))
     idx, _, tiles = ras._tiles(scene, cam)
@@ -228,8 +228,82 @@ def dense_weights(scene, cam):
         pix = (np.arange(rows.start, rows.stop)[:, None] * w
                + np.arange(cols.start, cols.stop)).ravel()
         for chunk, wts in chunks:
-            dense[pix[:, None], idx[sel[chunk]]] = wts
+            dense[pix[:, None], idx[sel[chunk]]] = wts.T
     return dense
+
+
+def _tile_weights_reference(px, py, means, conics, opac):
+    """`_tile_weights`' earlier formula: (pixels x chunk) blocks over flat pixel
+    centres, the quadratic form per pixel, the running product along a row."""
+    trans = np.ones(px.size)
+    for lo in range(0, opac.size, ras.CHUNK):
+        chunk = slice(lo, lo + ras.CHUNK)
+        dx = px[:, None] - means[chunk, 0]
+        dy = py[:, None] - means[chunk, 1]
+        a, b, c = conics[chunk].T
+        power = 0.5 * (a * dx * dx + 2.0 * b * dx * dy + c * dy * dy)
+        alpha = np.where(power <= 0.5 * ras.CUTOFF_MAHALANOBIS_SQ,
+                         np.minimum(ras.ALPHA_CLAMP, opac[chunk] * np.exp(-power)), 0.0)
+        t = np.empty((px.size, alpha.shape[1] + 1))
+        t[:, 0] = trans
+        np.subtract(1.0, alpha, out=t[:, 1:])
+        np.multiply.accumulate(t, axis=1, out=t)
+        before = t[:, :-1]
+        yield chunk, np.where(before >= ras.MIN_TRANSMITTANCE, alpha * before, 0.0)
+        trans = t[:, -1]
+        if not (trans >= ras.MIN_TRANSMITTANCE).any():
+            return
+
+
+def _composite_reference(scene, cam):
+    """(rgb, features, depth, alpha_mask, blocks, weights) by the compositing
+    pass's earlier formulas (`_tile_weights_reference`, coverage and depth from
+    one running sum per chunk) over `_tiles`' binning; weights lists every
+    chunk's float64 (pixels x chunk) block, tile after tile."""
+    h, w = cam.height, cam.width
+    rgb = np.zeros((h, w, 3), dtype=np.float32)
+    feats = np.zeros((h, w, scene.embed_dim), dtype=np.float32)
+    depth = np.full((h, w), np.inf, dtype=np.float32)
+    alpha = np.zeros((h, w), dtype=np.float32)
+    idx, z, tiles = ras._tiles(scene, cam)
+    if tiles:
+        _, mean2d, cov2d, _ = ras._project_all(scene, cam)
+        conic = ras._conics_and_radii(cov2d)[0]
+        opac = scene.opacities[idx].astype(np.float64)
+    attrs = np.concatenate([scene.colors[idx], scene.embeddings[idx]], axis=1).astype(np.float64)
+    blocks, chunk_weights = [], []
+    for rows, cols, sel, _ in tiles:
+        gy, gx = np.mgrid[rows, cols]
+        chunks = _tile_weights_reference(gx.ravel() + 0.5, gy.ravel() + 0.5,
+                                         mean2d[sel], conic[sel], opac[sel])
+        shape = (rows.stop - rows.start, cols.stop - cols.start)
+        out = np.zeros((shape[0] * shape[1], attrs.shape[1]))
+        acc = np.zeros(out.shape[0])
+        dep = np.full(out.shape[0], np.inf)
+        splats, tile_blocks = [], []
+        for chunk, wts in chunks:
+            s = sel[chunk]
+            chunk_weights.append(wts)
+            out += wts @ attrs[s]
+            run = np.add.accumulate(np.concatenate([acc[:, None], wts], axis=1), axis=1)
+            crossed = (acc < ras.DEPTH_ALPHA) & (run[:, -1] >= ras.DEPTH_ALPHA)
+            first = np.argmax(run[crossed, 1:] >= ras.DEPTH_ALPHA, axis=1)
+            dep[crossed] = z[s][first]
+            acc = run[:, -1]
+            block = wts.astype(np.float32)
+            nonzero = block.any(axis=0)
+            splats.append(idx[s[nonzero]])
+            tile_blocks.append(block[:, nonzero])
+        rgb[rows, cols] = out[:, :3].reshape(*shape, 3)
+        feats[rows, cols] = out[:, 3:].reshape(*shape, scene.embed_dim)
+        alpha[rows, cols] = acc.reshape(shape)
+        depth[rows, cols] = dep.reshape(shape)
+        splats = np.concatenate(splats)
+        if splats.size:
+            pix = (np.arange(rows.start, rows.stop)[:, None] * w
+                   + np.arange(cols.start, cols.stop)).ravel()
+            blocks.append((pix, splats, np.hstack(tile_blocks)))
+    return rgb, feats, depth, alpha, blocks, chunk_weights
 
 
 def _case(name):
@@ -238,6 +312,15 @@ def _case(name):
         return scene, sc.look_at_camera((0, -2.5, 2.5), (0, 0, 0), 45.0, 32, 32)
     if name == "saturated-stack":
         return stacked_scene()
+    if name.startswith("ring-"):
+        # ring-40: 40 = 2 * 16 + 8 gives 8-pixel edge tiles; ring-17 a one-pixel
+        # corner tile; ring-3000 one camera at render_large's shapes
+        n, side, focal = {"ring-40": (400, 40, 90.0), "ring-17": (400, 17, 40.0),
+                          "ring-3000": (3000, 96, 180.0)}[name]
+        scene = sc.generate_toy_scene("textured_slab", n, 7, embed_dim=8)
+        cams = sc.camera_ring((0, 0, 0), 2.6, 8, elevation=1.2, focal=focal,
+                              width=side, height=side)
+        return scene, cams[1]
     # a camera that sees nothing: the scene is behind it
     return one_gaussian_scene((0, 0, -6.0)), front_camera()
 
@@ -279,6 +362,32 @@ def test_tile_matmul_matches_dense_weights(name):
     if name == "blind":
         assert weights.blocks == [] and weights.nbytes == 0
         assert not out.data.any() and not xt.grad.any()
+
+
+@pytest.mark.parametrize("name", ["slab-600", "saturated-stack", "ring-40", "ring-17", "blind",
+                                  "ring-3000"])
+def test_composite_bits_match_reference_kernel(name):
+    # the kernel's separable quadratic form, pixels-last weights and coverage
+    # summed down the splats compute the same floats as the earlier formulas
+    scene, cam = _case(name)
+    if name == "ring-17":
+        corners = [(rows.start, cols.start) for rows, cols, _, _ in ras._tiles(scene, cam)[2]]
+        assert (16, 16) in corners
+    out = ras.render(scene, cam)
+    weights = ras.attribute_weights(scene, cam)
+    *maps, blocks, chunk_weights = _composite_reference(scene, cam)
+    kernel = [wts for _, _, _, chunks in ras._tiles(scene, cam)[2] for _, wts in chunks]
+    assert len(kernel) == len(chunk_weights)
+    for wts, ref_wts in zip(kernel, chunk_weights):
+        assert wts.T.tobytes() == ref_wts.tobytes()
+    for got, want in zip((out.rgb, out.features, out.depth, out.alpha_mask), maps):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert len(weights.blocks) == len(blocks)
+    for (pix, splats, wts), (ref_pix, ref_splats, ref_wts) in zip(weights.blocks, blocks):
+        assert pix.tobytes() == ref_pix.tobytes()
+        assert splats.tobytes() == ref_splats.tobytes()
+        assert wts.shape == ref_wts.shape and wts.strides == ref_wts.strides
+        assert wts.tobytes() == ref_wts.tobytes()
 
 
 def test_tile_weights_select_rows_renumbers_pixels():
