@@ -431,7 +431,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (CliError, FormatError, ShapeError, StateError, FileNotFoundError,
-            IsADirectoryError, NotADirectoryError) as exc:
+            FileExistsError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:

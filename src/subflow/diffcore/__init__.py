@@ -1,7 +1,6 @@
 """Autodiff substrate: tensors, tape, network builders, Adam, checkpoints."""
 
 from .checkpoint import load_params, restore_params, save_params
-from .gradcheck import finite_diff_check, finite_diff_max_rel_error
 from .nets import Conv2dLayer, DenseNet
 from .optim import Adam
 from .rng import glorot_uniform, named_stream
@@ -11,8 +10,7 @@ from .tensor import (Tensor, add, as_tensor, avg_pool2d, clamp, concat, conv2d, 
 
 __all__ = [
     "Adam", "Conv2dLayer", "DenseNet", "Tensor", "add", "as_tensor", "avg_pool2d",
-    "clamp", "concat", "conv2d", "finite_diff_check", "finite_diff_max_rel_error",
-    "glorot_uniform", "load_params", "log", "matmul", "mul", "named_stream", "relu",
-    "reshape", "restore_params", "save_params", "sigmoid", "sqrt", "sub", "tanh",
-    "tile_matmul", "tmean", "transpose", "tsum", "upsample2x",
+    "clamp", "concat", "conv2d", "glorot_uniform", "load_params", "log", "matmul", "mul",
+    "named_stream", "relu", "reshape", "restore_params", "save_params", "sigmoid", "sqrt",
+    "sub", "tanh", "tile_matmul", "tmean", "transpose", "tsum", "upsample2x",
 ]

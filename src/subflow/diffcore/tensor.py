@@ -66,47 +66,52 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(
                 f"backward() requires a scalar loss, got shape {self.data.shape}")
-        wanted = {id(leaf) for leaf in wrt}
-        topo: list[Tensor] = []
-        seen: set[int] = set()
+        wanted = set(wrt)
+        # depth-first post-order: a node is emitted after its operands, and
+        # reaches `wrt` if it is wanted or one of its operands reaches
+        reaches = set(wanted)
+        order: list[Tensor] = []        # the emitted nodes that reach `wrt`
+        seen: set[Tensor] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
-                topo.append(node)
+                if node in reaches:
+                    order.append(node)
+                    continue
+                for operand, _ in node._vjps:
+                    if operand in reaches:
+                        reaches.add(node)
+                        order.append(node)
+                        break
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
+            seen.add(node)
             stack.append((node, True))
             for operand, _ in node._vjps:
-                if id(operand) not in seen:
+                if operand not in seen:
                     stack.append((operand, False))
-        # operands come before their consumers in `topo`
-        reaches = set(wanted)
-        for node in topo:
-            if any(id(operand) in reaches for operand, _ in node._vjps):
-                reaches.add(id(node))
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
-            if id(node) not in reaches:
-                continue
-            g = grads.pop(id(node))     # set by its consumers, which come first
-            if id(node) in wanted:
+        grads: dict[Tensor, np.ndarray] = {self: np.ones_like(self.data)}
+        for node in reversed(order):
+            g = grads.pop(node)         # set by its consumers, which come first
+            if node in wanted:
                 if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad += g.astype(node.data.dtype, copy=False)
+                    node.grad = g.astype(node.data.dtype)
+                    node.grad += 0.0    # g + 0 as onto a zeroed buffer: -0.0 becomes +0.0
+                else:
+                    node.grad += g.astype(node.data.dtype, copy=False)
             for operand, vjp in node._vjps:
-                if id(operand) not in reaches:
+                if operand not in reaches:
                     continue
                 pg = vjp(g)
-                acc = grads.get(id(operand))
+                acc = grads.get(operand)
                 if acc is None:
                     # views are copied so every gradient a vjp sees is dense
-                    grads[id(operand)] = pg if pg.base is None else np.array(pg)
+                    grads[operand] = pg if pg.base is None else np.array(pg)
                 else:
                     # never in place: `acc` may be shared with another operand
-                    grads[id(operand)] = np.add(acc, pg, out=np.empty_like(acc))
+                    grads[operand] = np.add(acc, pg, out=np.empty_like(acc))
 
 
 def as_tensor(x: Arrayish) -> Tensor:
@@ -127,7 +132,7 @@ def _operands(a: Arrayish, b: Arrayish) -> tuple[Tensor, Tensor]:
 
 
 def _finite_or_raise(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericsError(f"op '{op}' produced non-finite values")
 
 

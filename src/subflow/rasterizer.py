@@ -52,7 +52,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FormatError, ShapeError
-from .scene import Camera, GaussianScene, quat_matrices, quat_to_matrix
+from .scene import Camera, GaussianScene, quat_to_matrix
 
 TILE = 16
 CHUNK = 64                       # splats per vectorized compositing step
@@ -75,13 +75,6 @@ class RenderOutput:
     alpha_mask: np.ndarray   # (H, W) accumulated opacity
 
 
-def _scene_covariances(scene: GaussianScene) -> np.ndarray:
-    """(N,3,3) world covariances from the quaternion/scale factorization."""
-    r = quat_matrices(scene.rotations)
-    s2 = scene.scales.astype(np.float64) ** 2
-    return np.einsum("nij,nj,nkj->nik", r, s2, r)
-
-
 def _project_all(scene: GaussianScene, cam: Camera):
     """Vectorized projection; returns arrays for visible splats, depth-sorted."""
     w_rot = quat_to_matrix(cam.orientation).T.astype(np.float64)  # world -> camera
@@ -102,7 +95,7 @@ def _project_all(scene: GaussianScene, cam: Camera):
     jac[:, 1, 1] = f / z
     jac[:, 1, 2] = -f * y / (z * z)
     m = jac @ w_rot
-    cov3d = _scene_covariances(scene)[idx]
+    cov3d = scene.covariances[idx]
     cov2d = np.einsum("nij,njk,nlk->nil", m, cov3d, m)
     cov2d[:, 0, 0] += LOWPASS
     cov2d[:, 1, 1] += LOWPASS

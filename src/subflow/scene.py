@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,14 @@ class GaussianScene:
     @property
     def embed_dim(self) -> int:
         return self.embeddings.shape[1]
+
+    @cached_property
+    def covariances(self) -> np.ndarray:
+        """(N,3,3) float64 world covariances R diag(s^2) R^T, computed once per
+        scene: no code changes a scene's arrays after it is built."""
+        r = quat_matrices(self.rotations)
+        s2 = self.scales.astype(np.float64) ** 2
+        return np.einsum("nij,nj,nkj->nik", r, s2, r)
 
     def validate(self) -> None:
         n = self.positions.shape[0]

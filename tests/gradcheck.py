@@ -10,8 +10,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import tensor as T
-from .tensor import Tensor
+from subflow.diffcore import tensor as T
+from subflow.diffcore.tensor import Tensor
 
 
 def finite_diff_max_rel_error(params: Sequence[Tensor],

@@ -17,11 +17,12 @@ from subflow import metrics as mt
 from subflow import rasterizer as ras
 from subflow import scene as sc
 from subflow import transfer as tr
-from subflow.diffcore import Tensor, finite_diff_check, finite_diff_max_rel_error
+from subflow.diffcore import Tensor
 from subflow.diffcore import tensor as dt
 from subflow.diffcore.rng import named_stream
 from subflow.encoders import FeatureEncoders, FeatureSet
 
+from gradcheck import finite_diff_check, finite_diff_max_rel_error
 from oracle_render import reference_render
 from synthetic import MixtureSpec, PairedDistributionSpec, sample_paired
 

@@ -408,6 +408,26 @@ def test_os_path_error_exits_2(tmp_path, capsys, command):
     assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["render", "train-flow", "train-style", "gen-scene"])
+def test_out_over_existing_file_exits_2(pipeline_artifacts, tmp_path, capsys, command):
+    # each command makes its output directory, which a file already holds
+    root = pipeline_artifacts
+    blocker = tmp_path / "taken"
+    blocker.write_bytes(b"not a directory")
+    cfg = tmp_path / "quick.cfg"
+    cfg.write_text(SMALL_CFG.replace("steps = 200", "steps = 0"))     # train-flow trains first
+    argv = {
+        "render": ("render", "--scene", root / "stylized.gscn", "--out", blocker),
+        "train-flow": ("train-flow", "--out", blocker),
+        "train-style": ("train-style", "--scene", root / "sd.gscn", "--decoder",
+                        root / "dec.prms", "--pipeline", root / "pipe", "--out", blocker),
+        "gen-scene": ("gen-scene", "--out", blocker / "x.gscn"),
+    }[command]
+    assert run(*argv, "--config", cfg) == 2
+    assert str(blocker) in capsys.readouterr().err
+    assert blocker.read_bytes() == b"not a directory"
+
+
 @pytest.mark.parametrize("flag", ["--feat-clip", "--feat-vgg"])
 def test_eval_align_feat_flags_must_pair(pipeline_artifacts, tmp_path, capsys, flag):
     root = pipeline_artifacts

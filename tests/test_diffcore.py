@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from subflow import diffcore as dc
+from subflow.diffcore.optim import BETA1, BETA2, EPSILON
 from subflow.errors import FormatError, NumericsError, ShapeError, StateError
+
+from gradcheck import finite_diff_check, finite_diff_max_rel_error
 
 
 def test_matmul_hand_value():
@@ -85,7 +88,7 @@ def test_backward_accumulates_without_zeroing():
 def test_dense_net_gradients_match_finite_differences():
     net = dc.DenseNet((3, 8, 8, 8, 2), "tanh", seed=5)
     x = dc.named_stream(1, "gc-input").standard_normal((4, 3))
-    assert dc.finite_diff_check(net, x, 1e-3) < 1e-3
+    assert finite_diff_check(net, x, 1e-3) < 1e-3
 
 
 def test_conv_stack_gradients_match_finite_differences():
@@ -96,7 +99,7 @@ def test_conv_stack_gradients_match_finite_differences():
     x = dc.Tensor(dc.named_stream(2, "gc-conv").uniform(0.1, 1.0, size=(2, 6, 6)))
     params = layers[0].parameters() + layers[1].parameters()
     loss_fn = lambda: dc.tsum(dc.relu(layers[1](dc.relu(layers[0](x)))))
-    assert dc.finite_diff_max_rel_error(params, loss_fn, 1e-3) < 1e-3
+    assert finite_diff_max_rel_error(params, loss_fn, 1e-3) < 1e-3
 
 
 def test_conv2d_input_gradient():
@@ -159,13 +162,13 @@ def test_adam_clears_grads_it_applied():
 def test_finite_diff_linear_net_is_exact():
     net = dc.DenseNet((1, 1), "none", seed=0)
     net.weights[0].data = np.array([[2.0]], dtype=np.float32)
-    assert dc.finite_diff_check(net, np.array([[3.0]]), 1e-3) < 1e-6
+    assert finite_diff_check(net, np.array([[3.0]]), 1e-3) < 1e-6
 
 
 def test_finite_diff_rejects_nonpositive_h():
     net = dc.DenseNet((1, 1), "none", seed=0)
     with pytest.raises(ValueError, match="positive"):
-        dc.finite_diff_check(net, np.array([[1.0]]), 0.0)
+        finite_diff_check(net, np.array([[1.0]]), 0.0)
 
 
 def test_training_determinism_bit_identical():
@@ -421,7 +424,176 @@ def test_op_gradients_with_each_operand_constant(name, const):
     operands = [dc.Tensor(a, requires_grad=i != const) for i, a in enumerate(make())]
     weight = dc.Tensor(_uniform(9, op(*operands).shape))
     params = [t for t in operands if t.requires_grad]
-    err = dc.finite_diff_max_rel_error(params, lambda: dc.tsum(dc.mul(op(*operands), weight)),
-                                       1e-4)
+    err = finite_diff_max_rel_error(params, lambda: dc.tsum(dc.mul(op(*operands), weight)),
+                                    1e-4)
     assert err < 1e-5
     assert all(t.grad is None for t in operands)
+
+
+# -- the flat Adam update and the one-pass backward against their old forms --
+
+class _AdamReference:
+    """`Adam` as it was: one moment array per parameter, updated in a loop."""
+
+    def __init__(self, params, lr):
+        self.params = list(params)
+        self.learning_rate = lr
+        self.step_count = 0
+        self.first_moment = [np.zeros_like(p.data) for p in self.params]
+        self.second_moment = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self, loss):
+        _backward_reference(loss, self.params)
+        self.step_count += 1
+        t = self.step_count
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
+        m, v = self.first_moment, self.second_moment
+        for i, p in enumerate(self.params):
+            g = p.grad
+            m[i] = BETA1 * m[i] + (1.0 - BETA1) * g
+            v[i] = BETA2 * v[i] + (1.0 - BETA2) * (g * g)
+            m_hat = m[i] / bc1
+            v_hat = v[i] / bc2
+            p.data = p.data - (self.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)).astype(p.data.dtype)
+            p.grad = None
+
+
+def _backward_reference(loss, wrt):
+    """`Tensor.backward` as it was: a DFS, then a forward pass marking the
+    nodes that reach `wrt`, then the reverse pass, all keyed on `id()`."""
+    wanted = {id(leaf) for leaf in wrt}
+    topo = []
+    seen = set()
+    stack = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for operand, _ in node._vjps:
+            if id(operand) not in seen:
+                stack.append((operand, False))
+    reaches = set(wanted)
+    for node in topo:
+        if any(id(operand) in reaches for operand, _ in node._vjps):
+            reaches.add(id(node))
+    grads = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(topo):
+        if id(node) not in reaches:
+            continue
+        g = grads.pop(id(node))
+        if id(node) in wanted:
+            if node.grad is None:
+                node.grad = np.zeros_like(node.data)
+            node.grad += g.astype(node.data.dtype, copy=False)
+        for operand, vjp in node._vjps:
+            if id(operand) not in reaches:
+                continue
+            pg = vjp(g)
+            acc = grads.get(id(operand))
+            if acc is None:
+                grads[id(operand)] = pg if pg.base is None else np.array(pg)
+            else:
+                grads[id(operand)] = np.add(acc, pg, out=np.empty_like(acc))
+
+
+def _adam_model(dtype):
+    """A DenseNet, a conv layer and a 0-d scale; the loss over all three."""
+    net = dc.DenseNet((6, 8, 3), "tanh", seed=5)
+    conv = dc.Conv2dLayer(2, 3, 3, padding=1, seed=5)
+    scale = dc.Tensor(np.array(0.7, dtype=dtype), requires_grad=True)
+    params = net.parameters() + conv.parameters() + [scale]
+    for p in params:
+        p.data = p.data.astype(dtype)
+    rng = dc.named_stream(5, "adam-bits")
+    x = dc.Tensor(rng.standard_normal((10, 6)).astype(dtype))
+    y = dc.Tensor(rng.standard_normal((10, 3)).astype(dtype))
+    img = dc.Tensor(rng.standard_normal((2, 6, 6)).astype(dtype))
+
+    def loss():
+        d = dc.sub(dc.mul(net(x), scale), y)
+        c = dc.conv2d(img, conv.weight, conv.bias, padding=1)
+        return dc.add(dc.tmean(dc.mul(d, d)), dc.mul(dc.tmean(dc.mul(c, c)), scale))
+    return params, loss
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_matches_reference_bits(dtype):
+    params, loss = _adam_model(dtype)
+    ref_params, ref_loss = _adam_model(dtype)
+    opt, ref = dc.Adam(params, lr=0.05), _AdamReference(ref_params, lr=0.05)
+    for _ in range(25):
+        opt.step(loss())
+        ref.step(ref_loss())
+    assert all(_same_bits(p.data, q.data) for p, q in zip(params, ref_params))
+    for flat, parts in ((opt.first_moment, ref.first_moment),
+                        (opt.second_moment, ref.second_moment)):
+        assert _same_bits(flat, np.concatenate([m.reshape(-1) for m in parts]))
+
+
+def test_adam_refuses_mixed_dtypes():
+    with pytest.raises(ShapeError, match="dtype"):
+        dc.Adam([dc.Tensor(np.ones(2, dtype=np.float32), requires_grad=True),
+                 dc.Tensor(1.0, requires_grad=True)])
+
+
+def test_adam_reads_rebound_params():
+    # a checkpoint restored between steps is what the next step updates
+    params, loss = _adam_model(np.float32)
+    ref_params, ref_loss = _adam_model(np.float32)
+    opt, ref = dc.Adam(params, lr=0.05), _AdamReference(ref_params, lr=0.05)
+    for _ in range(3):
+        opt.step(loss())
+        ref.step(ref_loss())
+    rng = dc.named_stream(6, "restore")
+    arrays = [rng.standard_normal(p.data.shape).astype(np.float32) for p in params]
+    dc.restore_params(params, arrays, "ck.prms")
+    dc.restore_params(ref_params, arrays, "ck.prms")
+    opt.step(loss())
+    ref.step(ref_loss())
+    assert all(_same_bits(p.data, q.data) for p, q in zip(params, ref_params))
+    assert not any(np.array_equal(p.data, a) for p, a in zip(params, arrays))
+
+
+def test_backward_matches_reference_bits():
+    rng = dc.named_stream(7, "backward-bits")
+    a = dc.Tensor(rng.standard_normal((4, 5)).astype(np.float32), requires_grad=True)
+    w = dc.Tensor(rng.standard_normal((5, 3)).astype(np.float32), requires_grad=True)
+    b = dc.Tensor(rng.standard_normal(3).astype(np.float32), requires_grad=True)
+    out = dc.Tensor(rng.standard_normal((4, 3)).astype(np.float32), requires_grad=True)
+    out.grad = np.full((4, 3), 0.25, dtype=np.float32)    # a leaf outside `wrt`
+    # relu passes -1 * 0 = -0.0 to r's negative entries; r's .grad holds +0.0
+    r = dc.Tensor(np.array([-1.0, 2.0, -3.0], dtype=np.float32), requires_grad=True)
+
+    # h's gradient sums terms of 1e4 and 1 that cancel, so it depends on the
+    # order in which its consumers' vjps run
+    big = rng.standard_normal((4, 3)).astype(np.float32) * 1e4
+    small = rng.standard_normal((4, 3)).astype(np.float32)
+
+    def loss():
+        h = dc.tanh(dc.add(dc.matmul(a, w), b))             # shared subexpression
+        sq = dc.mul(h, h)                                   # the same operand twice
+        up = dc.add(dc.tsum(dc.mul(h, big)), dc.tsum(dc.mul(sq, out)))
+        down = dc.add(dc.tmean(dc.sigmoid(h)), dc.tsum(dc.mul(h, small - big)))
+        rest = dc.add(dc.tsum(dc.mul(dc.concat([h, sq], axis=1), 0.5)),
+                      dc.tsum(dc.mul(dc.relu(r), -1.0)))
+        return dc.add(dc.add(up, down), rest)
+
+    wrt = [a, w, b, r]
+    loss().backward(wrt)
+    got = [t.grad for t in wrt]
+    for t in wrt:
+        t.grad = None
+    _backward_reference(loss(), wrt)
+    assert all(_same_bits(g, t.grad) for g, t in zip(got, wrt))
+    assert _same_bits(out.grad, np.full((4, 3), 0.25, dtype=np.float32))
+    assert _same_bits(r.grad, np.array([0.0, -1.0, 0.0], dtype=np.float32))

@@ -5,10 +5,12 @@ import pytest
 
 from subflow import losses as ls
 from subflow import transfer as tr
-from subflow.diffcore import Tensor, finite_diff_max_rel_error
+from subflow.diffcore import Tensor
 from subflow.diffcore.rng import named_stream
 from subflow.encoders import procedural_texture
 from subflow.errors import ShapeError
+
+from gradcheck import finite_diff_max_rel_error
 
 
 def rand_img(seed, size=32):

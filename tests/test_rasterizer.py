@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -388,6 +390,39 @@ def test_composite_bits_match_reference_kernel(name):
         assert splats.tobytes() == ref_splats.tobytes()
         assert wts.shape == ref_wts.shape and wts.strides == ref_wts.strides
         assert wts.tobytes() == ref_wts.tobytes()
+
+
+def _render_digest(names):
+    """sha256 over `render`'s maps and `attribute_weights`' blocks for every
+    ring camera of each case's scene, one scene object per case."""
+    digest = hashlib.sha256()
+    for name in names:
+        scene, cam = _case(name)
+        cams = sc.camera_ring((0, 0, 0), 2.6, 8, elevation=1.2, focal=cam.focal,
+                              width=cam.width, height=cam.height) + [cam]
+        for c in cams:
+            out = ras.render(scene, c)
+            for arr in (out.rgb, out.features, out.depth, out.alpha_mask):
+                digest.update(arr.tobytes())
+            for pix, splats, wts in ras.attribute_weights(scene, c).blocks:
+                digest.update(pix.tobytes() + splats.tobytes() + wts.tobytes())
+    return digest.hexdigest()
+
+
+def test_covariances_once_per_scene_keep_render_bits(monkeypatch):
+    # the scene's covariances, computed on first use, give every camera the
+    # bits it got when each projection recomputed them
+    names = ["slab-600", "saturated-stack", "ring-40", "ring-17", "blind"]
+    cached = _render_digest(names)
+    scene = sc.generate_toy_scene("textured_slab", 50, 3, embed_dim=8)
+    assert scene.covariances is scene.covariances
+
+    def per_projection(scene):
+        r = sc.quat_matrices(scene.rotations)
+        s2 = scene.scales.astype(np.float64) ** 2
+        return np.einsum("nij,nj,nkj->nik", r, s2, r)
+    monkeypatch.setattr(sc.GaussianScene, "covariances", property(per_projection))
+    assert _render_digest(names) == cached
 
 
 def test_tile_weights_select_rows_renumbers_pixels():

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from subflow import rasterizer as ras
 from subflow import scene as sc
 from subflow.errors import FormatError, ShapeError
 
@@ -81,7 +80,7 @@ def test_toy_scene_invariants_and_color_range(kind):
 
 def test_covariance_eigenvalues_equal_scale_squared():
     scene = sc.generate_toy_scene("lattice", 10, 9)
-    covs = ras._scene_covariances(scene)
+    covs = scene.covariances
     for cov, scale in zip(covs, scene.scales):
         eig = np.sort(np.linalg.eigvalsh(cov))
         want = np.sort(scale.astype(np.float64) ** 2)
@@ -90,7 +89,7 @@ def test_covariance_eigenvalues_equal_scale_squared():
 
 def test_covariance_is_spd():
     scene = sc.generate_toy_scene("two_clusters", 12, 2)
-    for cov in ras._scene_covariances(scene):
+    for cov in scene.covariances:
         assert np.allclose(cov, cov.T, atol=1e-6)
         assert np.all(np.linalg.eigvalsh(cov) > 0)
 
