@@ -31,11 +31,11 @@ class CliError(SubflowError):
     """Invalid invocation or inputs; maps to exit code 2."""
 
 
-def _load_config(args) -> cfgmod.RunConfig:
+def _load_config(args) -> dict:
     cfg = (cfgmod.load_config(args.config) if args.config
-           else cfgmod.RunConfig(cfgmod.read_key_values("", cfgmod.SCHEMA, "defaults")))
+           else cfgmod.read_key_values("", cfgmod.SCHEMA, "defaults"))
     if args.seed is not None:
-        cfg.values["seed"] = args.seed
+        cfg["seed"] = args.seed
     return cfg
 
 
@@ -189,7 +189,7 @@ def _decoder2d(cfg, encoders, out_dir: Path) -> ls.Decoder2D:
 
 def cmd_dump_config(args) -> int:
     cfg = _load_config(args)
-    sys.stdout.write(cfg.dump())
+    sys.stdout.write(cfgmod.dump(cfg))
     return 0
 
 
@@ -226,9 +226,10 @@ def cmd_train_flow(args) -> int:
     clip_fs, vgg_fs = _paired_features(args, cfg, encoders)
     if args.feat_clip:      # the pipeline saves the config's encoders' calibration
         _check_rows(clip_fs, args.feat_clip, "clip_like", cfg["clip_dim"])
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)      # a bad --out fails before training
     aligned, reports, pipe = fa.run_subdivisive_flow(clip_fs, vgg_fs, _flow_cfg(cfg))
     pipe.clip_calibration = encoders.clip_calibration
-    out = Path(args.out)
     pipe.save(out)
     fa.reports_to_csv(reports, out / "rounds.csv")
     export_features(out / "aligned.feat", FeatureSet("vgg_like", aligned.vectors))
@@ -311,7 +312,8 @@ def cmd_eval_align(args) -> int:
         pipe = fa.FlowPipeline.load(_require(args.pipeline, "pipeline"))
     else:
         pipe = _load_pipeline(args.pipeline, cfg)
-    clip_fs, vgg_fs = _paired_features(args, cfg, _encoders(cfg))
+    # the corpus path encodes with the pipeline's own calibration; the FEAT path encodes nothing
+    clip_fs, vgg_fs = _paired_features(args, cfg, _encoders(cfg, pipe))
     corpus = "encoded procedural corpus"
     _check_rows(clip_fs, args.feat_clip or corpus, "clip_like", pipe.mapping.clip_dim)
     _check_rows(vgg_fs, args.feat_vgg or corpus, "vgg_like", pipe.mapping.style_dim)

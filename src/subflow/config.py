@@ -11,7 +11,6 @@ byte-for-byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -79,15 +78,9 @@ SCHEMA: dict[str, tuple[Callable, object]] = {
 }
 
 
-@dataclass
-class RunConfig:
-    values: dict    # every SCHEMA key, in SCHEMA order, as `read_key_values` returns it
-
-    def __getitem__(self, key: str):
-        return self.values[key]
-
-    def dump(self) -> str:
-        return "".join(f"{key} = {val}\n" for key, val in self.values.items())
+def dump(values: dict) -> str:
+    """`key = value` lines of a config dict, as `read_key_values` returns it."""
+    return "".join(f"{key} = {val}\n" for key, val in values.items())
 
 
 def read_key_values(text: str, schema: dict[str, tuple[Callable, object]],
@@ -131,5 +124,5 @@ def read_key_value_file(path, schema: dict[str, tuple[Callable, object]]) -> dic
     return read_key_values(text, schema, str(path))
 
 
-def load_config(path) -> RunConfig:
-    return RunConfig(read_key_value_file(path, SCHEMA))
+def load_config(path) -> dict:
+    return read_key_value_file(path, SCHEMA)

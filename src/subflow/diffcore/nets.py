@@ -18,7 +18,6 @@ from .tensor import Tensor
 _ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
     "relu": T.relu,
     "tanh": T.tanh,
-    "none": lambda t: t,
 }
 
 

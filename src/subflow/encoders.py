@@ -74,13 +74,17 @@ class FeatureSet:
         return self.vectors.shape[1]
 
 
-def _to_chw(image: np.ndarray) -> np.ndarray:
+def _chw(image) -> Tensor:
+    """`image` as a (C, H, W) Tensor: a Tensor passes as it is, an (H, W, 3)
+    array is checked and transposed."""
+    if isinstance(image, Tensor):
+        return image
     img = np.asarray(image, dtype=np.float32)
     if img.ndim != 3 or img.shape[2] != 3:
         raise ShapeError(f"encoders expect (H, W, 3) images, got {img.shape}")
     if not np.all(np.isfinite(img)):
         raise NumericsError("image contains non-finite pixels")
-    return np.transpose(img, (2, 0, 1))
+    return Tensor(np.transpose(img, (2, 0, 1)))
 
 
 def procedural_texture(seed: int, index: int, size: int = 64) -> np.ndarray:
@@ -113,8 +117,8 @@ class FeatureEncoders:
     (`_clip_center`, `text_norm`) calibrates on its first encode, the VGG-like
     domain (`_vgg_center`) on its first `encode_vgg_like`, each from the
     weights at that moment. `train-flow` saves `clip_calibration` with the
-    pipeline; `stylize` and `train-style` pass the saved value back as
-    `clip_calibration=`, which stands in for the computed one.
+    pipeline; `stylize`, `train-style` and `eval-align` pass the saved value
+    back as `clip_calibration=`, which stands in for the computed one.
     """
 
     def __init__(self, seed: int = 0, clip_dim: int = DEFAULT_CLIP_DIM,
@@ -186,7 +190,7 @@ class FeatureEncoders:
 
     def tap_features(self, image) -> list[Tensor]:
         """All tap feature maps (Tensor path; differentiable w.r.t. the image)."""
-        h = image if isinstance(image, Tensor) else Tensor(_to_chw(image))
+        h = _chw(image)
         taps = []
         for layer in self.vgg_layers:
             h = dt.relu(layer(h))
@@ -224,7 +228,7 @@ class FeatureEncoders:
         return img.reshape(_CLIP_GRID, bh, _CLIP_GRID, bw, 3).mean(axis=(1, 3))
 
     def _clip_refine_vec(self, image: np.ndarray) -> np.ndarray:
-        h = Tensor(_to_chw(image))
+        h = _chw(image)
         for layer in self.clip_refine:
             h = dt.relu(layer(h))
         pooled = h.data.reshape(h.data.shape[0], -1).mean(axis=1)

@@ -310,17 +310,14 @@ class FlowPipeline:
         return FlowPipeline(mapping, fields, cfg, (center, text_norm))
 
 
-def run_subdivisive_flow(clip: FeatureSet, vgg: FeatureSet, cfg: FlowConfig,
-                         mapping: MappingNet | None = None):
+def run_subdivisive_flow(clip: FeatureSet, vgg: FeatureSet, cfg: FlowConfig):
     """Full multi-round alignment on paired sets.
 
     Returns (aligned endpoints as a FeatureSet, per-round reports, pipeline).
     Each round's field is trained on the rows the pipeline's trajectory
     starts that round from, then the trajectory advances through it.
     """
-    if mapping is None:
-        mapping = train_mapping(clip, vgg, cfg)
-    pipe = FlowPipeline(mapping, [], cfg)
+    pipe = FlowPipeline(train_mapping(clip, vgg, cfg), [], cfg)
     stages = pipe.trajectory(clip.vectors)
     start = FeatureSet("clip_mapped", next(stages))
     sim, fid = cosine_sim(start, vgg), frechet_distance(start, vgg)

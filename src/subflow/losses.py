@@ -27,7 +27,7 @@ import numpy as np
 from .diffcore import Adam, Conv2dLayer, Tensor
 from .diffcore import tensor as dt
 from .diffcore.rng import named_stream
-from .encoders import FeatureEncoders, _to_chw, procedural_texture
+from .encoders import FeatureEncoders, _chw, procedural_texture
 from .errors import ShapeError
 from .flowalign import FlowPipeline
 from .rasterizer import attribute_weights, render  # noqa: F401  render: wrapped by perfbench
@@ -56,10 +56,6 @@ class LossWeights:
     def uses_prior(self) -> bool:
         """Whether a term reads the 2D prior image: observation or suppression."""
         return self.lambda_obs > 0 or self.suppression_weight > 0
-
-
-def _chw(image) -> Tensor:
-    return image if isinstance(image, Tensor) else Tensor(_to_chw(image))
 
 
 def _spatial_mean_std(tap: Tensor) -> tuple[Tensor, Tensor]:

@@ -52,7 +52,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FormatError, ShapeError
-from .scene import Camera, GaussianScene, quat_to_matrix
+from .scene import FAR, NEAR, Camera, GaussianScene, quat_to_matrix
 
 TILE = 16
 CHUNK = 64                       # splats per vectorized compositing step
@@ -80,10 +80,8 @@ def _project_all(scene: GaussianScene, cam: Camera):
     w_rot = quat_to_matrix(cam.orientation).T.astype(np.float64)  # world -> camera
     p_cam = (scene.positions.astype(np.float64) - cam.position.astype(np.float64)) @ w_rot.T
     z = p_cam[:, 2]
-    visible = (z >= cam.near) & (z <= cam.far)
+    visible = (z >= NEAR) & (z <= FAR)
     idx = np.nonzero(visible)[0]
-    if idx.size == 0:
-        return idx, None, None, None
     p = p_cam[idx]
     x, y, z = p[:, 0], p[:, 1], p[:, 2]
     f = cam.focal
@@ -160,8 +158,6 @@ def _tiles(scene: GaussianScene, cam: Camera):
     """
     h, w = cam.height, cam.width
     idx, mean2d, cov2d, z = _project_all(scene, cam)
-    if idx.size == 0:
-        return idx, z, []
     conic, radius = _conics_and_radii(cov2d)
     opac = scene.opacities[idx].astype(np.float64)
     box_lo = mean2d - radius[:, None]
@@ -254,7 +250,6 @@ class TileWeights:
     `nbytes`, `size` and `np.count_nonzero` count the blocks, never densified.
     """
     blocks: list
-    rows: int                # H * W
     rgb: np.ndarray          # (H, W, 3)
     alpha_mask: np.ndarray   # (H, W)
 
@@ -284,7 +279,7 @@ def attribute_weights(scene: GaussianScene, cam: Camera) -> TileWeights:
     only on geometry and opacity, so with those frozen a loss on a rendered
     attribute map is differentiable through `diffcore.tile_matmul`."""
     out, blocks = _composite(scene, cam, True)
-    return TileWeights(blocks, cam.height * cam.width, out.rgb, out.alpha_mask)
+    return TileWeights(blocks, out.rgb, out.alpha_mask)
 
 
 # -- depth reprojection ---------------------------------------------------------
@@ -349,7 +344,7 @@ def warp_map(src_cam: Camera, dst_cam: Camera, depth_src: np.ndarray,
     pts_dst = dst_cam.world_to_camera(pts_world).reshape(h, w, 3)
 
     zd = pts_dst[..., 2]
-    in_front = (zd >= dst_cam.near) & (zd <= dst_cam.far)
+    in_front = (zd >= NEAR) & (zd <= FAR)
     zd_safe = np.where(in_front, zd, 1.0)
     ud = dst_cam.focal * pts_dst[..., 0] / zd_safe + dst_cam.cx
     vd = dst_cam.focal * pts_dst[..., 1] / zd_safe + dst_cam.cy

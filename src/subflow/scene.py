@@ -29,6 +29,8 @@ DEFAULT_EMBED_DIM = 32
 
 TOY_SCENE_KINDS = ("lattice", "two_clusters", "textured_slab")
 
+NEAR, FAR = 0.05, 100.0          # view-depth range a camera sees
+
 
 # -- quaternion helpers -------------------------------------------------------
 
@@ -148,12 +150,8 @@ class Camera:
     focal: float               # pixels
     width: int
     height: int
-    near: float = 0.05
-    far: float = 100.0
 
     def __post_init__(self):
-        if not (0 < self.near < self.far):
-            raise ShapeError(f"camera requires 0 < near < far, got {self.near}, {self.far}")
         if self.width < 1 or self.height < 1:
             raise ShapeError("camera resolution must be at least 1x1")
 

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+NEAR, FAR = 0.05, 100.0     # view-depth range of the render contract
+
 
 def _quat_mat(q):
     w, x, y, z = (float(v) for v in q)
@@ -42,7 +44,7 @@ def reference_render(scene, cam):
         rel = [float(p[i]) - float(cam.position[i]) for i in range(3)]
         pc = [sum(r_wc[i][k] * rel[k] for k in range(3)) for i in range(3)]
         z = pc[2]
-        if z < cam.near or z > cam.far:
+        if z < NEAR or z > FAR:
             continue
         u = f * pc[0] / z + cx
         v = f * pc[1] / z + cy

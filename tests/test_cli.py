@@ -42,8 +42,8 @@ def run(*argv):
 def test_dump_config_round_trips_byte_identical(capsys):
     assert run("dump-config") == 0
     dumped = capsys.readouterr().out
-    reparsed = cfgmod.RunConfig(cfgmod.read_key_values(dumped, cfgmod.SCHEMA, "config"))
-    assert reparsed.dump() == dumped
+    reparsed = cfgmod.read_key_values(dumped, cfgmod.SCHEMA, "config")
+    assert cfgmod.dump(reparsed) == dumped
 
 
 def test_config_rejects_unknown_key():
@@ -332,6 +332,25 @@ def test_train_flow_persists_clip_calibration(pipeline_artifacts, tmp_path, sour
     assert f"text_norm={want_norm!r}\n" in (pipe / "manifest.txt").read_text()
 
 
+def test_eval_align_encodes_corpus_with_pipeline_calibration(pipeline_artifacts, tmp_path,
+                                                              monkeypatch):
+    # the corpus's 16 rows are the only CLIP-like encodes: the 16 calibration
+    # images are not encoded again, the pipeline holds their calibration
+    from subflow import encoders as enc
+    calls = []
+    clip_raw = enc.FeatureEncoders._clip_raw
+
+    def counted(self, image):
+        calls.append(image.shape)
+        return clip_raw(self, image)
+
+    monkeypatch.setattr(enc.FeatureEncoders, "_clip_raw", counted)
+    root = pipeline_artifacts
+    assert run("eval-align", "--config", root / "small.cfg", "--pipeline", root / "pipe",
+               "--out", tmp_path / "align.csv") == 0
+    assert len(calls) == 16       # flow.corpus
+
+
 @pytest.mark.parametrize("key", ["seed", "clip_dim"])
 @pytest.mark.parametrize("command", ["stylize-text", "stylize-image", "stylize-feat",
                                      "train-style", "eval-align"])
@@ -424,6 +443,18 @@ def test_out_over_existing_file_exits_2(pipeline_artifacts, tmp_path, capsys, co
         "gen-scene": ("gen-scene", "--out", blocker / "x.gscn"),
     }[command]
     assert run(*argv, "--config", cfg) == 2
+    assert str(blocker) in capsys.readouterr().err
+    assert blocker.read_bytes() == b"not a directory"
+
+
+def test_train_flow_checks_out_before_training(small_cfg, tmp_path, capsys, monkeypatch):
+    def train(*_):
+        raise AssertionError("train-flow trained before checking --out")
+
+    monkeypatch.setattr(cli.fa, "run_subdivisive_flow", train)
+    blocker = tmp_path / "taken"
+    blocker.write_bytes(b"not a directory")
+    assert run("train-flow", "--config", small_cfg, "--out", blocker) == 2
     assert str(blocker) in capsys.readouterr().err
     assert blocker.read_bytes() == b"not a directory"
 

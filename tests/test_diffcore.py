@@ -160,13 +160,13 @@ def test_adam_clears_grads_it_applied():
 
 
 def test_finite_diff_linear_net_is_exact():
-    net = dc.DenseNet((1, 1), "none", seed=0)
+    net = dc.DenseNet((1, 1), "relu", seed=0)
     net.weights[0].data = np.array([[2.0]], dtype=np.float32)
     assert finite_diff_check(net, np.array([[3.0]]), 1e-3) < 1e-6
 
 
 def test_finite_diff_rejects_nonpositive_h():
-    net = dc.DenseNet((1, 1), "none", seed=0)
+    net = dc.DenseNet((1, 1), "relu", seed=0)
     with pytest.raises(ValueError, match="positive"):
         finite_diff_check(net, np.array([[1.0]]), 0.0)
 

@@ -192,13 +192,14 @@ def test_velocity_dim_mismatch():
 
 # -- multi-round flow ------------------------------------------------------------------------
 
-def test_single_round_degenerates_to_one_velocity_fit():
+def test_single_round_degenerates_to_one_velocity_fit(monkeypatch):
+    monkeypatch.setattr(fa, "train_mapping", lambda *_: identity_mapping(4))
     g = named_stream(13, "r1-task")
     x = g.standard_normal((128, 4))
     y = x + 2.0
     cfg = fa.FlowConfig(rounds=1, train_steps=500, batch_size=64, seed=7)
     aligned, reports, pipe = fa.run_subdivisive_flow(
-        fs("clip_like", x), fs("vgg_like", y), cfg, mapping=identity_mapping(4))
+        fs("clip_like", x), fs("vgg_like", y), cfg)
     assert len(reports) == 1
     assert len(pipe.fields) == 1
     vf = fa.train_velocity(fs("clip_mapped", x.astype(np.float32)), fs("vgg_like", y), cfg,
@@ -207,12 +208,13 @@ def test_single_round_degenerates_to_one_velocity_fit():
     assert np.allclose(aligned.vectors, direct, atol=1e-5)
 
 
-def test_already_aligned_inputs_nothing_to_move():
+def test_already_aligned_inputs_nothing_to_move(monkeypatch):
+    monkeypatch.setattr(fa, "train_mapping", lambda *_: identity_mapping(5))
     g = named_stream(14, "aligned-task")
     rows = g.standard_normal((256, 5)).astype(np.float32)
     cfg = fa.FlowConfig(rounds=3, train_steps=600, batch_size=128, seed=8)
     _, reports, _ = fa.run_subdivisive_flow(
-        fs("clip_like", rows), fs("vgg_like", rows), cfg, mapping=identity_mapping(5))
+        fs("clip_like", rows), fs("vgg_like", rows), cfg)
     scale = float(rows.std())
     for r in reports:
         assert r.fid_after < 0.01 * rows.shape[1] * scale ** 2
@@ -249,12 +251,13 @@ def test_flow_reports_deterministic():
 
 # -- inference path --------------------------------------------------------------------------------
 
-def test_align_feature_identity_pipeline_close_to_input():
+def test_align_feature_identity_pipeline_close_to_input(monkeypatch):
+    monkeypatch.setattr(fa, "train_mapping", lambda *_: identity_mapping(4))
     g = named_stream(17, "align-task")
     rows = g.standard_normal((256, 4)).astype(np.float32) * 2.0
     cfg = fa.FlowConfig(rounds=2, train_steps=800, batch_size=128, seed=11)
     _, _, pipe = fa.run_subdivisive_flow(
-        fs("clip_like", rows), fs("vgg_like", rows), cfg, mapping=identity_mapping(4))
+        fs("clip_like", rows), fs("vgg_like", rows), cfg)
     x = rows[0]
     out = pipe.align(x)
     assert np.linalg.norm(out - x) < 0.05 * np.linalg.norm(x) + 0.05 * rows.std()

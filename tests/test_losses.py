@@ -315,7 +315,7 @@ def test_stylized_objective_gradients_match_finite_differences(session_encoders,
 
     def loss_fn():
         colors = decoder.forward(Tensor(embed))
-        i_f = dt.reshape(dt.transpose(dt.tile_matmul(tiles.blocks, tiles.rows, colors)),
+        i_f = dt.reshape(dt.transpose(dt.tile_matmul(tiles.blocks, 16 * 16, colors)),
                          (3, 16, 16))
         total = ls.content_loss(i_f, content, session_encoders)
         total = dt.add(total, dt.mul(ls.style_loss(i_f, style_ref, session_encoders),

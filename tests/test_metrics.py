@@ -185,7 +185,7 @@ def test_masked_rmse_invariant_under_shared_rigid_transform():
     moved_cams = [sc.Camera(
         position=(c.position @ r_rig.T + t_rig).astype(np.float32),
         orientation=quat_mul(q_rig, c.orientation),
-        focal=c.focal, width=c.width, height=c.height, near=c.near, far=c.far)
+        focal=c.focal, width=c.width, height=c.height)
         for c in cams]
 
     def report(scn, cs):

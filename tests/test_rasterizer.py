@@ -155,7 +155,7 @@ def test_render_empty_scene_rejected():
 
 
 def tile_product(weights, attrs):
-    return dc.tile_matmul(weights.blocks, weights.rows, attrs).data
+    return dc.tile_matmul(weights.blocks, weights.alpha_mask.size, attrs).data
 
 
 def test_attribute_weights_reproduce_render():
@@ -334,9 +334,9 @@ def test_tile_matmul_matches_dense_weights(name):
     dense = dense_weights(scene, cam)
     rng = sc.named_stream(5, "tile-matmul")
     x = rng.standard_normal((scene.count, 5)).astype(np.float32)
-    g = rng.standard_normal((weights.rows, 5)).astype(np.float32)
+    g = rng.standard_normal((weights.alpha_mask.size, 5)).astype(np.float32)
     xt = dc.Tensor(x, requires_grad=True)
-    out = dc.tile_matmul(weights.blocks, weights.rows, xt)
+    out = dc.tile_matmul(weights.blocks, weights.alpha_mask.size, xt)
     assert out.data.dtype == np.float32
     assert np.allclose(out.data, dense @ x, rtol=1e-5, atol=1e-6)
     dc.tsum(dc.mul(out, dc.Tensor(g))).backward([xt])

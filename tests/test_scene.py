@@ -164,7 +164,7 @@ def test_cameras_look_at_center():
 def test_camera_validation():
     with pytest.raises(ShapeError):
         sc.Camera(np.zeros(3), np.array([1, 0, 0, 0], dtype=np.float32),
-                  50.0, 32, 32, near=2.0, far=1.0)
+                  50.0, 0, 32)
 
 
 def test_opacity_clamped_at_load(tmp_path):
