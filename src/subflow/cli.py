@@ -21,7 +21,8 @@ from . import metrics as mt
 from . import rasterizer as ras
 from . import scene as sc
 from . import transfer as tr
-from .diffcore.checkpoint import load_params, restore_params, save_params
+from .diffcore import dense_shapes
+from .diffcore.checkpoint import check_shapes, load_params, restore_params, save_params
 from .encoders import (_CLIP_GRID, FeatureEncoders, FeatureSet, export_features,
                        import_features, procedural_texture)
 from .errors import FormatError, NumericsError, ShapeError, StateError, SubflowError
@@ -139,11 +140,13 @@ def _load_distilled(path) -> sc.GaussianScene:
 
 
 def _load_decoder(path, cfg) -> tr.DecoderNet:
-    decoder = tr.DecoderNet(cfg["embed_dim"], hidden=(cfg["distill.hidden"],),
-                            seed=cfg["seed"])
+    """The decoder checkpoint at `path`, whose shapes the config's `embed_dim`
+    and `distill.hidden` set."""
     path = _require(path, "decoder checkpoint")
-    restore_params(decoder.parameters(), load_params(path), path)
-    return decoder
+    arrays = load_params(path)
+    hidden = (cfg["distill.hidden"],)
+    check_shapes(arrays, dense_shapes((cfg["embed_dim"], *hidden, 3)), path, "config")
+    return tr.DecoderNet(cfg["embed_dim"], hidden=hidden, params=arrays)
 
 
 def _load_styling(args, cfg) -> tuple[sc.GaussianScene, tr.DecoderNet, fa.FlowPipeline]:
@@ -228,6 +231,8 @@ def cmd_train_flow(args) -> int:
         _check_rows(clip_fs, args.feat_clip, "clip_like", cfg["clip_dim"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)      # a bad --out fails before training
+    if any(out.iterdir()):      # files of an earlier pipeline would not belong to this one
+        raise CliError(f"--out {out}: directory is not empty")
     aligned, reports, pipe = fa.run_subdivisive_flow(clip_fs, vgg_fs, _flow_cfg(cfg))
     pipe.clip_calibration = encoders.clip_calibration
     pipe.save(out)

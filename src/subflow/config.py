@@ -14,6 +14,7 @@ import math
 from pathlib import Path
 from typing import Callable
 
+from .encoders import _CLIP_GRID
 from .errors import FormatError
 from .scene import MIN_EMBED_DIM, TOY_SCENE_KINDS
 
@@ -26,6 +27,18 @@ def _bounded(typ: type, lo, strict: bool = False) -> Callable[[object], object]:
         val = typ(text)
         if not math.isfinite(val) or val < lo or (strict and val == lo):
             raise ValueError(f"must be {'>' if strict else '>='} {lo}")
+        return val
+    return convert
+
+
+def _multiple_of(step: int) -> Callable[[str], int]:
+    """Converter to a positive int that `step` divides."""
+    at_least_step = _bounded(int, step)
+
+    def convert(text):
+        val = at_least_step(text)
+        if val % step:
+            raise ValueError(f"must be a multiple of {step}")
         return val
     return convert
 
@@ -56,8 +69,8 @@ SCHEMA: dict[str, tuple[Callable, object]] = {
     "camera.radius": (_POSITIVE, 2.6),
     "camera.elevation": (float, 1.2),
     "camera.focal": (_POSITIVE, 90.0),
-    "camera.width": (_COUNT, 48),
-    "camera.height": (_COUNT, 48),
+    "camera.width": (_multiple_of(_CLIP_GRID), 48),     # the CLIP-like block grid
+    "camera.height": (_multiple_of(_CLIP_GRID), 48),    # divides every view
     "flow.euler_steps": (_COUNT, 8),
     "flow.rounds": (_COUNT, 3),
     "flow.train_steps": (_STEPS, 3000),

@@ -69,11 +69,17 @@ def load_params(path) -> list[np.ndarray]:
     return out
 
 
+def check_shapes(arrays: Sequence[np.ndarray], shapes: Sequence[tuple[int, ...]], path,
+                 owner: str) -> None:
+    """Raise `FormatError` naming `path` unless the arrays loaded from it have
+    the `shapes` that `owner` (the model, the manifest, the config) gives."""
+    got = [a.shape for a in arrays]
+    if got != list(shapes):
+        raise FormatError(f"{path}: tensor shapes {got} do not fit the {owner}'s {list(shapes)}")
+
+
 def restore_params(params: Sequence[Tensor], arrays: Sequence[np.ndarray], path) -> None:
     """Copy arrays loaded from `path` into existing parameter tensors, checking shapes."""
-    if len(params) != len(arrays):
-        raise FormatError(f"{path}: holds {len(arrays)} tensors, model has {len(params)}")
+    check_shapes(arrays, [p.data.shape for p in params], path, "model")
     for p, a in zip(params, arrays):
-        if p.data.shape != a.shape:
-            raise FormatError(f"{path}: checkpoint tensor shape {a.shape} != model {p.data.shape}")
         p.data = a.astype(p.data.dtype)

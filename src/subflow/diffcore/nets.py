@@ -2,34 +2,48 @@
 
 A builder's shape arguments plus its seed and name fully determine the
 initial parameters (Glorot-uniform from the named counter-based streams).
+A `DenseNet` given its parameter arrays (a checkpoint) draws none.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..errors import ShapeError
 from . import tensor as T
 from .rng import glorot_uniform
-from .tensor import Tensor
+from .tensor import Tensor, _finite_or_raise
 
-_ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
-    "relu": T.relu,
-    "tanh": T.tanh,
+# name -> (tape op, the same expression on arrays)
+_ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
+    "relu": (T.relu, lambda a: np.maximum(a, 0)),
+    "tanh": (T.tanh, np.tanh),
 }
+
+
+def dense_shapes(widths: Sequence[int]) -> list[tuple[int, ...]]:
+    """Parameter shapes of a `DenseNet` of `widths`, in `parameters()` order."""
+    return [s for nin, nout in zip(widths[:-1], widths[1:]) for s in ((nin, nout), (nout,))]
 
 
 class DenseNet:
     """MLP over row-major batches: forward maps (M, widths[0]) -> (M, widths[-1]).
 
     `activation` applies to every hidden layer; the output layer is linear
-    unless wrapped by the caller (e.g. a sigmoid head).
+    unless wrapped by the caller (e.g. a sigmoid head). `params`, arrays of
+    the shapes `dense_shapes(widths)` (checked by the caller, who knows their
+    file), stand in for the Glorot init.
+
+    There are two forwards with the same expressions and the same bits:
+    calling the net records the tape that training backpropagates through,
+    and `infer` evaluates plain arrays for inference, checking every
+    intermediate finite and naming the op as the tape does.
     """
 
     def __init__(self, widths: tuple[int, ...], activation: str = "relu", seed: int = 0,
-                 name: str = "dense"):
+                 name: str = "dense", params: Sequence[np.ndarray] | None = None):
         if len(widths) < 2:
             raise ShapeError("DenseNet needs at least input and output widths")
         if any(w < 1 for w in widths):
@@ -37,13 +51,17 @@ class DenseNet:
         if activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation '{activation}'")
         self.in_width = widths[0]
-        self.activation = _ACTIVATIONS[activation]
+        self.activation = activation
         self.weights: list[Tensor] = []
         self.biases: list[Tensor] = []
         for i, (nin, nout) in enumerate(zip(widths[:-1], widths[1:])):
-            w = glorot_uniform(seed, f"{name}.{i}.w", nin, nout, (nin, nout))
+            if params is None:
+                w = glorot_uniform(seed, f"{name}.{i}.w", nin, nout, (nin, nout))
+                b = np.zeros(nout, dtype=np.float32)
+            else:
+                w, b = params[2 * i], params[2 * i + 1]
             self.weights.append(Tensor(w, requires_grad=True))
-            self.biases.append(Tensor(np.zeros(nout, dtype=np.float32), requires_grad=True))
+            self.biases.append(Tensor(b, requires_grad=True))
 
     def parameters(self) -> list[Tensor]:
         out = []
@@ -52,15 +70,35 @@ class DenseNet:
             out.append(b)
         return out
 
+    def _check_rows(self, rows: np.ndarray) -> None:
+        if rows.ndim != 2 or rows.shape[1] != self.in_width:
+            raise ShapeError(f"dense net expects (M, {self.in_width}), got {rows.shape}")
+
     def __call__(self, x) -> Tensor:
         h = T.as_tensor(x)
-        if h.data.ndim != 2 or h.data.shape[1] != self.in_width:
-            raise ShapeError(f"dense net expects (M, {self.in_width}), got {h.data.shape}")
+        self._check_rows(h.data)
+        act = _ACTIVATIONS[self.activation][0]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             h = T.add(T.matmul(h, w), b)
             if i != last:
-                h = self.activation(h)
+                h = act(h)
+        return h
+
+    def infer(self, x) -> np.ndarray:
+        """`self(Tensor(x)).data`, bit for bit, without recording a tape."""
+        h = T.as_tensor(x).data
+        self._check_rows(h)
+        act = _ACTIVATIONS[self.activation][1]
+        last = len(self.weights) - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            h = h @ w.data
+            _finite_or_raise(h, "matmul")
+            h = h + b.data
+            _finite_or_raise(h, "add")
+            if i != last:
+                h = act(h)
+                _finite_or_raise(h, self.activation)
         return h
 
 

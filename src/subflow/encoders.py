@@ -5,10 +5,11 @@ Both pseudo encoders are frozen seeded conv stacks; they stand in for the
 heavyweight pretrained networks so the whole pipeline runs in seconds. Real
 features computed externally enter through `import_features`.
 
-Each domain is centered on a fixed batch of procedural textures. That
-calibration runs the first time the domain encodes, from the weights at that
-moment, so a command pays only for the domains it uses. The pipeline's
-encoders are frozen, so the moment does not matter to it.
+A domain's layers and projections are built the first time it encodes, and
+it is centered on a fixed batch of procedural textures the first time it
+calibrates, from the weights at that moment. So a command pays only for the
+domains it uses: text needs neither, an image only the CLIP-like ones. The
+pipeline's encoders are frozen, so the moment does not matter to it.
 
 The CLIP-like calibration (the center and the text-embedding norm) depends
 only on the seed, `clip_dim` and the frozen weights. `train-flow` computes it
@@ -87,6 +88,13 @@ def _chw(image) -> Tensor:
     return Tensor(np.transpose(img, (2, 0, 1)))
 
 
+def _frozen(*layers: Conv2dLayer) -> list[Conv2dLayer]:
+    for layer in layers:
+        for p in layer.parameters():
+            p.requires_grad = False
+    return list(layers)
+
+
 def procedural_texture(seed: int, index: int, size: int = 64) -> np.ndarray:
     """Colorful deterministic texture: sum of oriented sinusoids per channel."""
     g = named_stream(seed, f"texture.{index}")
@@ -113,12 +121,15 @@ class FeatureEncoders:
     blocks halve resolution with 2x2 valid convolutions, which keeps constant
     images exactly constant at every tap.
 
-    Construction builds the layers and projections only. The CLIP-like domain
-    (`_clip_center`, `text_norm`) calibrates on its first encode, the VGG-like
-    domain (`_vgg_center`) on its first `encode_vgg_like`, each from the
-    weights at that moment. `train-flow` saves `clip_calibration` with the
-    pipeline; `stylize`, `train-style` and `eval-align` pass the saved value
-    back as `clip_calibration=`, which stands in for the computed one.
+    Construction builds nothing. Each domain builds its layers and
+    projections on first use (`vgg_layers` and `_vgg_proj`; `_clip_proj`,
+    `clip_refine` and `_clip_refine_proj`); text encoding reads none of
+    them. The CLIP-like domain (`_clip_center`, `text_norm`) calibrates on
+    its first encode, the VGG-like domain (`_vgg_center`) on its first
+    `encode_vgg_like`, each from the weights at that moment. `train-flow`
+    saves `clip_calibration` with the pipeline; `stylize`, `train-style` and
+    `eval-align` pass the saved value back as `clip_calibration=`, which
+    stands in for the computed one.
     """
 
     def __init__(self, seed: int = 0, clip_dim: int = DEFAULT_CLIP_DIM,
@@ -127,38 +138,45 @@ class FeatureEncoders:
         self.seed = seed
         self.clip_dim = clip_dim
         self.style_dim = style_dim
-
-        widths = _VGG_WIDTHS
-        self.vgg_layers = [
-            Conv2dLayer(3, widths[0], k=1, stride=1, seed=seed, name="vgg.b0"),
-            Conv2dLayer(widths[0], widths[1], k=2, stride=2, seed=seed, name="vgg.b1"),
-            Conv2dLayer(widths[1], widths[2], k=2, stride=2, seed=seed, name="vgg.b2"),
-            Conv2dLayer(widths[2], widths[3], k=2, stride=2, seed=seed, name="vgg.b3"),
-        ]
-        self.tap_widths = widths
-        stats_dim = 2 * sum(widths)
-        g = named_stream(seed, "vgg.pool_proj")
-        self._vgg_proj = (g.standard_normal((style_dim, stats_dim)) / np.sqrt(stats_dim)
-                          ).astype(np.float32)
-
-        g = named_stream(seed, "clip.block_proj")
-        grid_dim = 3 * _CLIP_GRID * _CLIP_GRID
-        self._clip_proj = (6.0 * g.standard_normal((clip_dim, grid_dim)) / np.sqrt(grid_dim)
-                           ).astype(np.float32)
-        self.clip_refine = [
-            Conv2dLayer(3, 8, k=2, stride=2, seed=seed, name="clip.r0"),
-            Conv2dLayer(8, 16, k=2, stride=2, seed=seed, name="clip.r1"),
-        ]
-        g = named_stream(seed, "clip.refine_proj")
-        rp = g.standard_normal((clip_dim, 16))
-        self._clip_refine_proj = (_CLIP_REFINE_SCALE * rp / np.linalg.norm(rp, axis=1, keepdims=True)
-                                  ).astype(np.float32)
-
-        for layer in self.vgg_layers + self.clip_refine:
-            for p in layer.parameters():
-                p.requires_grad = False
+        self.tap_widths = _VGG_WIDTHS
         if clip_calibration is not None:
             self.clip_calibration = clip_calibration
+
+    # -- frozen layers and projections, one domain at a time --------------------------
+
+    @cached_property
+    def vgg_layers(self) -> list[Conv2dLayer]:
+        w, seed = self.tap_widths, self.seed
+        return _frozen(Conv2dLayer(3, w[0], k=1, stride=1, seed=seed, name="vgg.b0"),
+                       Conv2dLayer(w[0], w[1], k=2, stride=2, seed=seed, name="vgg.b1"),
+                       Conv2dLayer(w[1], w[2], k=2, stride=2, seed=seed, name="vgg.b2"),
+                       Conv2dLayer(w[2], w[3], k=2, stride=2, seed=seed, name="vgg.b3"))
+
+    @cached_property
+    def _vgg_proj(self) -> np.ndarray:
+        stats_dim = 2 * sum(self.tap_widths)
+        g = named_stream(self.seed, "vgg.pool_proj")
+        return (g.standard_normal((self.style_dim, stats_dim)) / np.sqrt(stats_dim)
+                ).astype(np.float32)
+
+    @cached_property
+    def _clip_proj(self) -> np.ndarray:
+        g = named_stream(self.seed, "clip.block_proj")
+        grid_dim = 3 * _CLIP_GRID * _CLIP_GRID
+        return (6.0 * g.standard_normal((self.clip_dim, grid_dim)) / np.sqrt(grid_dim)
+                ).astype(np.float32)
+
+    @cached_property
+    def clip_refine(self) -> list[Conv2dLayer]:
+        return _frozen(Conv2dLayer(3, 8, k=2, stride=2, seed=self.seed, name="clip.r0"),
+                       Conv2dLayer(8, 16, k=2, stride=2, seed=self.seed, name="clip.r1"))
+
+    @cached_property
+    def _clip_refine_proj(self) -> np.ndarray:
+        g = named_stream(self.seed, "clip.refine_proj")
+        rp = g.standard_normal((self.clip_dim, 16))
+        return (_CLIP_REFINE_SCALE * rp / np.linalg.norm(rp, axis=1, keepdims=True)
+                ).astype(np.float32)
 
     # -- calibration on a fixed procedural batch, one domain at a time ---------------
 

@@ -25,9 +25,9 @@ from typing import Callable, Iterator, Sequence, Union
 import numpy as np
 
 from .config import _COUNT, _POSITIVE, _STEPS, REQUIRED, read_key_value_file
-from .diffcore import Adam, DenseNet, Tensor
+from .diffcore import Adam, DenseNet, Tensor, dense_shapes
 from .diffcore import tensor as dt
-from .diffcore.checkpoint import load_params, restore_params, save_params
+from .diffcore.checkpoint import check_shapes, load_params, save_params
 from .diffcore.rng import named_stream
 from .encoders import FeatureSet
 from .errors import FormatError, NumericsError, ShapeError, StateError
@@ -89,12 +89,13 @@ def interpolate(x0: np.ndarray, x1: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 class MappingNet:
-    """Baseline domain map, trained by plain MSE regression."""
+    """Baseline domain map, trained by plain MSE regression. `params` are a
+    checkpoint's arrays, as `DenseNet` takes them."""
 
     def __init__(self, clip_dim: int, style_dim: int, hidden: tuple[int, ...] = (96,),
-                 seed: int = 0):
+                 seed: int = 0, params: Sequence[np.ndarray] | None = None):
         widths = (clip_dim, *hidden, style_dim)
-        self.net = DenseNet(widths, "relu", seed, name="mapping")
+        self.net = DenseNet(widths, "relu", seed, name="mapping", params=params)
         self.clip_dim = clip_dim
         self.style_dim = style_dim
 
@@ -108,30 +109,35 @@ class MappingNet:
         rows = np.atleast_2d(rows)
         if rows.shape[1] != self.clip_dim:
             raise ShapeError(f"mapping expects dim {self.clip_dim}, got {rows.shape[1]}")
-        return self.net(Tensor(rows)).data
+        return self.net.infer(rows)
 
 
 class VelocityField:
-    """Time-conditioned drift v(x, t) over the style domain."""
+    """Time-conditioned drift v(x, t) over the style domain. `forward` tapes
+    the drift for training; calling the field evaluates it on arrays, as the
+    Euler steps do."""
 
     def __init__(self, style_dim: int, hidden: tuple[int, ...] = (64, 64), seed: int = 0,
-                 name: str = "velocity"):
+                 name: str = "velocity", params: Sequence[np.ndarray] | None = None):
         widths = (style_dim + TIME_FEATURES, *hidden, style_dim)
-        self.net = DenseNet(widths, "tanh", seed, name=name)
+        self.net = DenseNet(widths, "tanh", seed, name=name, params=params)
         self.style_dim = style_dim
         self.final_loss = float("nan")
 
     def parameters(self):
         return self.net.parameters()
 
+    @staticmethod
+    def _input(x_rows: np.ndarray, t_rows: np.ndarray) -> np.ndarray:
+        return np.concatenate([np.atleast_2d(x_rows), time_embedding(t_rows)], axis=1)
+
     def forward(self, x_rows: np.ndarray, t_rows: np.ndarray) -> Tensor:
-        inp = np.concatenate([np.atleast_2d(x_rows), time_embedding(t_rows)], axis=1)
-        return self.net(Tensor(inp))
+        return self.net(Tensor(self._input(x_rows, t_rows)))
 
     def __call__(self, x_rows: np.ndarray, t: float) -> np.ndarray:
         x_rows = np.atleast_2d(x_rows)
         t_rows = np.full(x_rows.shape[0], float(t))
-        return self.forward(x_rows, t_rows).data
+        return self.net.infer(self._input(x_rows, t_rows))
 
 
 def _check_paired(a: FeatureSet, b: FeatureSet, op: str) -> None:
@@ -209,26 +215,14 @@ def euler_integrate(v: Union[VelocityField, Callable], x0: np.ndarray, steps: in
 
 def _read_params(path, want: list[tuple[int, ...]]) -> list[np.ndarray]:
     """The arrays of the pipeline's PRMS file at `path`, which must have the
-    shapes `want`."""
+    shapes `want`. The nets are built from the checked arrays, so a
+    manifest's dims never size an allocation."""
     try:
         arrays = load_params(path)
     except FileNotFoundError:
         raise FormatError(f"{path}: missing from the pipeline directory") from None
-    got = [a.shape for a in arrays]
-    if got != want:
-        raise FormatError(f"{path}: tensor shapes {got} do not fit the manifest's {want}")
+    check_shapes(arrays, want, path, "manifest")
     return arrays
-
-
-def _restore(path, widths: tuple[int, ...], build: Callable[[], object]):
-    """`build()`, a dense net of `widths`, with its parameters read from the
-    PRMS file at `path`. The file's shapes are checked before the net is
-    built, so a manifest's dims never size an allocation."""
-    arrays = _read_params(path, [s for nin, nout in zip(widths[:-1], widths[1:])
-                                 for s in ((nin, nout), (nout,))])
-    net = build()
-    restore_params(net.parameters(), arrays, path)
-    return net
 
 
 class FlowPipeline:
@@ -296,15 +290,14 @@ class FlowPipeline:
         clip_dim, style_dim = kv.pop("clip_dim"), kv.pop("style_dim")
         flow_loss, text_norm = kv.pop("flow_loss"), kv.pop("text_norm")
         cfg = FlowConfig(**kv)
-        mapping = _restore(
-            src / "mapping.prms", (clip_dim, *cfg.mapping_hidden, style_dim),
-            lambda: MappingNet(clip_dim, style_dim, hidden=cfg.mapping_hidden, seed=cfg.seed))
-        fields = [_restore(
-            src / f"velocity_{i}.prms",
-            (style_dim + TIME_FEATURES, *cfg.velocity_hidden, style_dim),
-            lambda i=i: VelocityField(style_dim, hidden=cfg.velocity_hidden, seed=cfg.seed + i,
-                                      name=f"velocity.r{i}"))
-            for i in range(1, cfg.rounds + 1)]
+        mapping_shapes = dense_shapes((clip_dim, *cfg.mapping_hidden, style_dim))
+        mapping = MappingNet(clip_dim, style_dim, hidden=cfg.mapping_hidden,
+                             params=_read_params(src / "mapping.prms", mapping_shapes))
+        velocity_shapes = dense_shapes((style_dim + TIME_FEATURES, *cfg.velocity_hidden,
+                                        style_dim))
+        fields = [VelocityField(style_dim, hidden=cfg.velocity_hidden,
+                                params=_read_params(src / f"velocity_{i}.prms", velocity_shapes))
+                  for i in range(1, cfg.rounds + 1)]
         (center,) = _read_params(src / CLIP_CENTER_FILE, [(clip_dim,)])
         fields[-1].final_loss = flow_loss
         return FlowPipeline(mapping, fields, cfg, (center, text_norm))

@@ -154,12 +154,13 @@ def train_decoder2d(encoders: FeatureEncoders, corpus: int = 200, steps: int = 2
     return dec
 
 
-def generator_2d(content_img: np.ndarray, style_img: np.ndarray,
+def generator_2d(content_img: np.ndarray, style_stats: tuple[np.ndarray, np.ndarray],
                  encoders: FeatureEncoders, decoder2d: Decoder2D) -> np.ndarray:
-    """2D AdaIN prior: re-normalize content tap features to the style's
-    statistics and decode. Deterministic given the trained decoder."""
+    """2D AdaIN prior: re-normalize content tap features to the style image's
+    channel (mean, std) at `GENERATOR_TAP`, `style_stats`, and decode.
+    Deterministic given the trained decoder."""
     f = encoders.tap_features(content_img)[GENERATOR_TAP].data
-    mu_s, sigma_s = encoders.tap_stats(style_img)[GENERATOR_TAP]
+    mu_s, sigma_s = style_stats
     c = f.shape[0]
     flat = f.reshape(c, -1).T                       # (HW, C): rows are positions
     moved = adain(flat, StyleStats(mu_s, sigma_s)).values
@@ -272,7 +273,7 @@ def train_stylization(scene: GaussianScene, cams: Sequence[Camera], style_img: n
         if (cam.height, cam.width) != (h, w):
             raise ShapeError("training cameras must share one resolution")
         tiles = attribute_weights(scene, cam)
-        i_g = (generator_2d(tiles.rgb, style_img, encoders, decoder2d)
+        i_g = (generator_2d(tiles.rgb, ref_tap_stats[GENERATOR_TAP], encoders, decoder2d)
                if weights.uses_prior else None)
         cam_data.append((tiles.blocks, tiles.rgb, i_g))
 

@@ -21,6 +21,7 @@ import numpy as np
 from .diffcore import Adam, DenseNet, Tensor
 from .diffcore import tensor as dt
 from .diffcore.rng import named_stream
+from .diffcore.tensor import _finite_or_raise
 from .encoders import FeatureEncoders
 from .errors import ShapeError
 from .rasterizer import attribute_weights, render  # noqa: F401  render: wrapped by perfbench
@@ -86,10 +87,14 @@ def stats_from_feature(x: np.ndarray) -> StyleStats:
 
 
 class DecoderNet:
-    """Shared per-Gaussian decoder: embedding rows -> RGB in [0,1] via sigmoid."""
+    """Shared per-Gaussian decoder: embedding rows -> RGB in [0,1] via sigmoid.
+    `forward` is taped for training, `decode` evaluates arrays. `params` are a
+    checkpoint's arrays, as `DenseNet` takes them."""
 
-    def __init__(self, embed_dim: int, hidden: tuple[int, ...] = (64,), seed: int = 0):
-        self.net = DenseNet((embed_dim, *hidden, 3), "relu", seed, name="decoder")
+    def __init__(self, embed_dim: int, hidden: tuple[int, ...] = (64,), seed: int = 0,
+                 params: Sequence[np.ndarray] | None = None):
+        self.net = DenseNet((embed_dim, *hidden, 3), "relu", seed, name="decoder",
+                            params=params)
         self.embed_dim = embed_dim
 
     def parameters(self):
@@ -102,7 +107,9 @@ class DecoderNet:
         rows = np.atleast_2d(np.asarray(embeddings, dtype=np.float32))
         if rows.shape[1] != self.embed_dim:
             raise ShapeError(f"decoder expects dim {self.embed_dim}, got {rows.shape[1]}")
-        return self.forward(Tensor(rows)).data
+        out = 1.0 / (1.0 + np.exp(-self.net.infer(rows)))     # as `dt.sigmoid`
+        _finite_or_raise(out, "sigmoid")
+        return out
 
 
 @dataclass

@@ -252,6 +252,16 @@ def test_decoder_that_does_not_fit_config_names_file(pipeline_artifacts, tmp_pat
     assert not (tmp_path / "o.gscn").exists()
 
 
+# Glorot inits per command: a checkpoint's net is built from its arrays, and
+# each encoder domain builds its layers on first use, so stylize draws only
+# the CLIP-like domain's 2 conv layers, for an image. embed draws the 4
+# VGG-like layers and the 2 of the decoder it trains; train-style the 2
+# CLIP-like and 4 VGG-like layers, the 2 of the 2D decoder it reloads and the
+# discriminator's 3
+GLOROT_DRAWS = {"stylize-feat": 0, "stylize-text": 0, "stylize-image": 2, "train-style": 11,
+                "embed": 6}
+
+
 @pytest.mark.parametrize("command, textures, taps", [
     ("stylize-feat", 0, 0), ("stylize-text", 0, 0), ("stylize-image", 0, 0),
     ("train-style", 0, None), ("embed", 0, 4)])
@@ -260,10 +270,13 @@ def test_commands_calibrate_only_the_domains_they_use(pipeline_artifacts, tmp_pa
     # calibrating a domain encodes the 16 procedural textures (the VGG-like
     # domain through `tap_features`); embed taps only its 4 training cameras.
     # stylize and train-style take the CLIP-like calibration from the pipeline;
-    # train-style's own training taps are not counted (None)
+    # train-style's own training taps are not counted (None). `inits` counts
+    # `glorot_uniform` draws (GLOROT_DRAWS)
     from subflow import encoders as enc
-    calls = {"textures": 0, "taps": 0}
+    from subflow.diffcore import nets
+    calls = {"textures": 0, "taps": 0, "inits": 0}
     texture, tap_features = enc.procedural_texture, enc.FeatureEncoders.tap_features
+    glorot = nets.glorot_uniform
 
     def counted_texture(*args, **kwargs):
         calls["textures"] += 1
@@ -273,8 +286,13 @@ def test_commands_calibrate_only_the_domains_they_use(pipeline_artifacts, tmp_pa
         calls["taps"] += 1
         return tap_features(self, image)
 
+    def counted_glorot(*args, **kwargs):
+        calls["inits"] += 1
+        return glorot(*args, **kwargs)
+
     monkeypatch.setattr(enc, "procedural_texture", counted_texture)
     monkeypatch.setattr(enc.FeatureEncoders, "tap_features", counted_taps)
+    monkeypatch.setattr(nets, "glorot_uniform", counted_glorot)
     root = pipeline_artifacts
     if command == "embed":
         cfg = tmp_path / "short.cfg"
@@ -306,7 +324,7 @@ def test_commands_calibrate_only_the_domains_they_use(pipeline_artifacts, tmp_pa
     assert run(*argv) == 0
     if taps is None:
         calls["taps"] = None
-    assert calls == {"textures": textures, "taps": taps}
+    assert calls == {"textures": textures, "taps": taps, "inits": GLOROT_DRAWS[command]}
 
 
 @pytest.mark.parametrize("source", ["corpus", "feat"])
@@ -457,6 +475,20 @@ def test_train_flow_checks_out_before_training(small_cfg, tmp_path, capsys, monk
     assert run("train-flow", "--config", small_cfg, "--out", blocker) == 2
     assert str(blocker) in capsys.readouterr().err
     assert blocker.read_bytes() == b"not a directory"
+
+
+def test_train_flow_refuses_a_used_out(small_cfg, tmp_path, capsys, monkeypatch):
+    # a field left by an earlier run with more rounds would sit beside the new pipeline
+    def train(*_):
+        raise AssertionError("train-flow trained into a used --out")
+
+    monkeypatch.setattr(cli.fa, "run_subdivisive_flow", train)
+    out = tmp_path / "pipe"
+    out.mkdir()
+    (out / "velocity_3.prms").write_bytes(b"stale")
+    assert run("train-flow", "--config", small_cfg, "--out", out) == 2
+    assert f"--out {out}" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["velocity_3.prms"]
 
 
 @pytest.mark.parametrize("flag", ["--feat-clip", "--feat-vgg"])
@@ -651,8 +683,9 @@ def test_input_that_does_not_fit_names_file(pipeline_artifacts, tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
-# every bounded key at a value below its bound; the confirmed failures run
-# the command that used to crash or write garbage
+# every bounded key at a value below its bound, and the camera sides off the
+# CLIP-like block grid; the confirmed failures run the command that used to
+# crash, write garbage or fail without naming the config
 @pytest.mark.parametrize("key, value, command", [
     ("embed_dim", 7, "dump-config"), ("clip_dim", 0, "dump-config"),
     ("style_dim", 0, "dump-config"), ("scene.n", 0, "gen-scene"),
@@ -667,6 +700,7 @@ def test_input_that_does_not_fit_names_file(pipeline_artifacts, tmp_path, capsys
     ("style.learning_rate", "inf", "dump-config"), ("weights.style", -1, "dump-config"),
     ("weights.obs", "nan", "dump-config"), ("weights.suppression", -1, "dump-config"),
     ("gen2d.corpus", 0, "train-style"), ("gen2d.steps", -1, "dump-config"),
+    ("camera.width", 30, "train-flow"), ("camera.height", 30, "dump-config"),
 ])
 def test_config_value_below_bound_exits_2(tmp_path, capsys, key, value, command):
     path = tmp_path / "run.cfg"
@@ -679,5 +713,6 @@ def test_config_value_below_bound_exits_2(tmp_path, capsys, key, value, command)
                             "--pipeline", tmp_path / "pipe", "--out", out]}[command]
     assert run(command, "--config", path, *argv) == 2
     captured = capsys.readouterr()
-    assert str(path) in captured.err and f"'{key}'" in captured.err
+    line = SMALL_CFG.count("\n") + 1
+    assert f"{path} line {line}:" in captured.err and f"'{key}'" in captured.err
     assert captured.out == "" and not out.exists()

@@ -91,6 +91,40 @@ def test_dense_net_gradients_match_finite_differences():
     assert finite_diff_check(net, x, 1e-3) < 1e-3
 
 
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", [1, 37])
+def test_dense_infer_matches_tape_bits(activation, dtype, rows):
+    net = dc.DenseNet((5, 16, 16, 3), activation, seed=7)
+    x = (3.0 * dc.named_stream(rows, "infer-rows").standard_normal((rows, 5))).astype(dtype)
+    want = net(dc.Tensor(x)).data
+    got = net.infer(x)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_dense_net_from_params_holds_them():
+    widths = (4, 6, 2)
+    rng = dc.named_stream(3, "dense-params")
+    arrays = [rng.standard_normal(s).astype(np.float32) for s in dc.dense_shapes(widths)]
+    assert dc.dense_shapes(widths) == [(4, 6), (6,), (6, 2), (2,)]
+    net = dc.DenseNet(widths, "tanh", params=arrays)
+    assert all(p.data is a and p.requires_grad for p, a in zip(net.parameters(), arrays))
+
+
+@pytest.mark.parametrize("weight, bias, op", [(3e38, 0.0, "matmul"), (1e38, 3e38, "add")])
+def test_dense_infer_names_overflowing_op(weight, bias, op):
+    # inputs of 1 make the first pre-activation 3 * weight, then + bias
+    net = dc.DenseNet((3, 4, 2), "relu", seed=1)
+    net.weights[0].data = np.full((3, 4), weight, dtype=np.float32)
+    net.biases[0].data = np.full(4, bias, dtype=np.float32)
+    x = np.ones((2, 3), dtype=np.float32)
+    with np.errstate(over="ignore"):
+        for forward in (net.infer, lambda rows: net(dc.Tensor(rows))):
+            with pytest.raises(NumericsError, match=f"op '{op}'"):
+                forward(x)
+
+
 def test_conv_stack_gradients_match_finite_differences():
     layers = [
         dc.Conv2dLayer(2, 3, 3, stride=2, padding=1, seed=9, name="c0"),
