@@ -22,7 +22,7 @@ from . import rasterizer as ras
 from . import scene as sc
 from . import transfer as tr
 from .diffcore import dense_shapes
-from .diffcore.checkpoint import check_shapes, load_params, restore_params, save_params
+from .diffcore.checkpoint import check_shapes, load_params, save_params
 from .encoders import (_CLIP_GRID, FeatureEncoders, FeatureSet, export_features,
                        import_features, procedural_texture)
 from .errors import FormatError, NumericsError, ShapeError, StateError, SubflowError
@@ -176,10 +176,11 @@ def _style_image(args, cfg) -> np.ndarray:
 def _decoder2d(cfg, encoders, out_dir: Path) -> ls.Decoder2D:
     """Train (or reload) the 2D generator decoder for this encoder seed."""
     ck = out_dir / f"decoder2d_seed{cfg['seed']}.prms"
-    dec = ls.Decoder2D(channels=encoders.tap_widths[ls.GENERATOR_TAP], seed=cfg["seed"])
     if ck.exists():
-        restore_params(dec.parameters(), load_params(ck), ck)
-        return dec
+        arrays = load_params(ck)
+        channels = encoders.tap_widths[ls.GENERATOR_TAP]
+        check_shapes(arrays, ls.Decoder2D.shapes(channels), ck, "2D decoder")
+        return ls.Decoder2D(channels, params=arrays)
     dec = ls.train_decoder2d(encoders, corpus=cfg["gen2d.corpus"], steps=cfg["gen2d.steps"],
                              seed=cfg["seed"], size=cfg["camera.width"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -269,15 +270,17 @@ def cmd_train_style(args) -> int:
 
 def cmd_stylize(args) -> int:
     cfg = _load_config(args)
-    sources = [s for s in (args.image, args.text, args.feat) if s]
+    sources = [s for s in (args.image, args.text, args.feat) if s is not None]
     if len(sources) != 1:
         raise CliError("stylize needs exactly one of --image, --text, --feat")
+    if args.text is not None and not args.text.split():
+        raise CliError(f"--text {args.text!r} holds no words")
     scene, decoder, pipe = _load_styling(args, cfg)
-    if args.image:
+    if args.image is not None:
         img = _read_image(args.image, "reference image")
         vec = _encoders(cfg, pipe).encode_clip_like(img).vectors[0]
         aligned = pipe.align(vec)
-    elif args.text:
+    elif args.text is not None:
         tokens = args.text.split()
         vec = _encoders(cfg, pipe).encode_text(tokens).vectors[0]
         aligned = pipe.align(vec)
@@ -429,10 +432,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser serves every call in the process: `parse_args` returns a new
+# namespace and leaves the parser as it was.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

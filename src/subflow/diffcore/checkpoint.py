@@ -76,10 +76,3 @@ def check_shapes(arrays: Sequence[np.ndarray], shapes: Sequence[tuple[int, ...]]
     got = [a.shape for a in arrays]
     if got != list(shapes):
         raise FormatError(f"{path}: tensor shapes {got} do not fit the {owner}'s {list(shapes)}")
-
-
-def restore_params(params: Sequence[Tensor], arrays: Sequence[np.ndarray], path) -> None:
-    """Copy arrays loaded from `path` into existing parameter tensors, checking shapes."""
-    check_shapes(arrays, [p.data.shape for p in params], path, "model")
-    for p, a in zip(params, arrays):
-        p.data = a.astype(p.data.dtype)

@@ -2,7 +2,7 @@
 
 A builder's shape arguments plus its seed and name fully determine the
 initial parameters (Glorot-uniform from the named counter-based streams).
-A `DenseNet` given its parameter arrays (a checkpoint) draws none.
+A net given its parameter arrays (a checkpoint) draws none.
 """
 
 from __future__ import annotations
@@ -102,16 +102,27 @@ class DenseNet:
         return h
 
 
+def conv_shapes(cin: int, cout: int, k: int) -> list[tuple[int, ...]]:
+    """Parameter shapes of a `Conv2dLayer`, in `parameters()` order."""
+    return [(cout, cin, k, k), (cout,)]
+
+
 class Conv2dLayer:
-    """Single conv layer over (C, H, W) images."""
+    """Single conv layer over (C, H, W) images. `params`, arrays of the shapes
+    `conv_shapes(cin, cout, k)` (checked by the caller), stand in for the
+    Glorot init."""
 
     def __init__(self, cin: int, cout: int, k: int, stride: int = 1, padding: int = 0,
-                 seed: int = 0, name: str = "conv"):
-        fan_in = cin * k * k
-        fan_out = cout * k * k
-        w = glorot_uniform(seed, f"{name}.w", fan_in, fan_out, (cout, cin, k, k))
+                 seed: int = 0, name: str = "conv", params: Sequence[np.ndarray] | None = None):
+        if params is None:
+            fan_in = cin * k * k
+            fan_out = cout * k * k
+            w = glorot_uniform(seed, f"{name}.w", fan_in, fan_out, (cout, cin, k, k))
+            b = np.zeros(cout, dtype=np.float32)
+        else:
+            w, b = params
         self.weight = Tensor(w, requires_grad=True)
-        self.bias = Tensor(np.zeros(cout, dtype=np.float32), requires_grad=True)
+        self.bias = Tensor(b, requires_grad=True)
         self.stride = stride
         self.padding = padding
 

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .diffcore import Adam, Conv2dLayer, Tensor
+from .diffcore import Adam, Conv2dLayer, Tensor, conv_shapes
 from .diffcore import tensor as dt
 from .diffcore.rng import named_stream
 from .encoders import FeatureEncoders, _chw, procedural_texture
@@ -112,13 +112,22 @@ def observation_loss(i_g, i_f, encoders: FeatureEncoders) -> Tensor:
 # -- 2D generator prior -------------------------------------------------------------
 
 class Decoder2D:
-    """Upsampling conv decoder from tap-1 feature maps back to an RGB image."""
+    """Upsampling conv decoder from tap-1 feature maps back to an RGB image.
+    `params`, arrays of the shapes `Decoder2D.shapes(channels)` (checked by
+    the caller, who knows their file), stand in for the Glorot init."""
 
-    def __init__(self, channels: int = 16, seed: int = 0):
+    def __init__(self, channels: int = 16, seed: int = 0,
+                 params: Sequence[np.ndarray] | None = None):
+        c1, c2 = (None, None) if params is None else (params[:2], params[2:])
         self.conv1 = Conv2dLayer(channels, channels, k=3, stride=1, padding=1,
-                                 seed=seed, name="dec2d.c1")
+                                 seed=seed, name="dec2d.c1", params=c1)
         self.conv2 = Conv2dLayer(channels, 3, k=3, stride=1, padding=1,
-                                 seed=seed, name="dec2d.c2")
+                                 seed=seed, name="dec2d.c2", params=c2)
+
+    @staticmethod
+    def shapes(channels: int) -> list[tuple[int, ...]]:
+        """Parameter shapes of a `Decoder2D` over `channels`, in `parameters()` order."""
+        return conv_shapes(channels, channels, 3) + conv_shapes(channels, 3, 3)
 
     def parameters(self):
         return self.conv1.parameters() + self.conv2.parameters()

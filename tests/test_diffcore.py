@@ -590,8 +590,8 @@ def test_adam_reads_rebound_params():
         ref.step(ref_loss())
     rng = dc.named_stream(6, "restore")
     arrays = [rng.standard_normal(p.data.shape).astype(np.float32) for p in params]
-    dc.restore_params(params, arrays, "ck.prms")
-    dc.restore_params(ref_params, arrays, "ck.prms")
+    for p, q, a in zip(params, ref_params, arrays):
+        p.data, q.data = a.copy(), a.copy()
     opt.step(loss())
     ref.step(ref_loss())
     assert all(_same_bits(p.data, q.data) for p, q in zip(params, ref_params))

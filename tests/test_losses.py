@@ -85,6 +85,15 @@ def test_style_loss_missing_tap(session_encoders):
 
 # -- 2D generator prior -------------------------------------------------------------
 
+def test_decoder2d_from_params_holds_them():
+    fresh = ls.Decoder2D(channels=8, seed=2)
+    assert [p.data.shape for p in fresh.parameters()] == ls.Decoder2D.shapes(8)
+    rng = named_stream(4, "decoder2d-params")
+    arrays = [rng.standard_normal(s).astype(np.float32) for s in ls.Decoder2D.shapes(8)]
+    dec = ls.Decoder2D(channels=8, params=arrays)
+    assert all(p.data is a and p.requires_grad for p, a in zip(dec.parameters(), arrays))
+
+
 def test_generator_2d_identity_style_reproduces_content(session_encoders, session_decoder2d):
     content = procedural_texture(31, 0)
     i_g = ls.generator_2d(content, session_encoders.tap_stats(content)[ls.GENERATOR_TAP],
