@@ -86,6 +86,8 @@ def _weights(cfg) -> ls.LossWeights:
 
 
 def _require(path, kind: str) -> Path:
+    if str(path) == "":     # Path("") is ".", which exists
+        raise CliError(f"{kind} path is empty")
     p = Path(path)
     if not p.exists():
         raise CliError(f"{kind} file not found: {p}")
@@ -275,6 +277,9 @@ def cmd_stylize(args) -> int:
         raise CliError("stylize needs exactly one of --image, --text, --feat")
     if args.text is not None and not args.text.split():
         raise CliError(f"--text {args.text!r} holds no words")
+    for flag, path in (("--image", args.image), ("--feat", args.feat)):
+        if path == "":
+            raise CliError(f"{flag} is empty")
     scene, decoder, pipe = _load_styling(args, cfg)
     if args.image is not None:
         img = _read_image(args.image, "reference image")

@@ -115,10 +115,9 @@ class Conv2dLayer:
     def __init__(self, cin: int, cout: int, k: int, stride: int = 1, padding: int = 0,
                  seed: int = 0, name: str = "conv", params: Sequence[np.ndarray] | None = None):
         if params is None:
-            fan_in = cin * k * k
-            fan_out = cout * k * k
-            w = glorot_uniform(seed, f"{name}.w", fan_in, fan_out, (cout, cin, k, k))
-            b = np.zeros(cout, dtype=np.float32)
+            w_shape, b_shape = conv_shapes(cin, cout, k)
+            w = glorot_uniform(seed, f"{name}.w", cin * k * k, cout * k * k, w_shape)
+            b = np.zeros(b_shape, dtype=np.float32)
         else:
             w, b = params
         self.weight = Tensor(w, requires_grad=True)

@@ -91,6 +91,14 @@ def test_missing_input_file_exits_2(tmp_path, small_cfg):
     assert rc == 2
 
 
+def test_empty_input_path_names_its_kind(tmp_path, small_cfg, capsys):
+    # Path("") is ".", which exists; an empty path is refused, not read as a directory
+    rc = run("embed", "--config", small_cfg, "--scene", "",
+             "--out-scene", tmp_path / "d.gscn", "--out-decoder", tmp_path / "d.prms")
+    assert rc == 2
+    assert "scene path is empty" in capsys.readouterr().err
+
+
 def test_bad_config_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     for line, key in (("whatever = 3", "whatever"), ("scene.kind = blob", "scene.kind")):
@@ -384,10 +392,16 @@ def test_calls_in_one_process_share_no_state(pipeline_artifacts, tmp_path):
     (["--text", "a", "--feat", ""], "exactly one of --image, --text, --feat"),
     (["--text", ""], "--text '' holds no words"),
     (["--text", "   "], "--text '   ' holds no words"),
-], ids=["text-and-empty-feat", "empty-text", "blank-text"])
-def test_stylize_empty_source_flag_is_given(pipeline_artifacts, tmp_path, capsys, source,
-                                            message):
-    # a flag given an empty value still counts as given, and blank text names its flag
+    (["--image", ""], "--image is empty"),
+    (["--feat", ""], "--feat is empty"),
+], ids=["text-and-empty-feat", "empty-text", "blank-text", "empty-image", "empty-feat"])
+def test_stylize_empty_source_flag_is_given(pipeline_artifacts, tmp_path, capsys, monkeypatch,
+                                            source, message):
+    # a flag given an empty value still counts as given, and an empty one is
+    # refused by name before the scene, decoder or pipeline is loaded
+    def load_styling(args, cfg):
+        raise AssertionError("loaded the styling inputs")
+    monkeypatch.setattr(cli, "_load_styling", load_styling)
     assert run(*_stylize_argv(pipeline_artifacts), *source, "--out", tmp_path / "o.gscn") == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o.gscn").exists()
