@@ -9,6 +9,7 @@ exit codes: 0 success, 2 validation error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from . import rasterizer as ras
 from . import scene as sc
 from . import transfer as tr
 from .diffcore import dense_shapes
-from .diffcore.checkpoint import check_shapes, load_params, save_params
+from .diffcore.checkpoint import load_params, save_params
 from .encoders import (_CLIP_GRID, FeatureEncoders, FeatureSet, export_features,
                        import_features, procedural_texture)
 from .errors import FormatError, NumericsError, ShapeError, StateError, SubflowError
@@ -48,15 +49,31 @@ def _encoders(cfg, pipe: fa.FlowPipeline | None = None) -> FeatureEncoders:
                            clip_calibration=pipe.clip_calibration if pipe else None)
 
 
-def _load_pipeline(path, cfg) -> fa.FlowPipeline:
-    """The pipeline at `path`. Its mapping and its CLIP-like calibration belong
-    to the encoders it was trained with, so the config must name the same
+def _config_key(args, key: str) -> str:
+    """Where the config's `key` was set, for messages."""
+    if key == "seed" and args.seed is not None:
+        return "--seed"
+    return f"{args.config or 'the default config'} ('{key}')"
+
+
+def _manifest(args) -> str:
+    return os.path.join(args.pipeline, "manifest.txt")      # cheaper than a Path per request
+
+
+def _agree(path, field: str, value, other: str, want) -> None:
+    """Refuse the input at `path` unless its `field` is the `want` that
+    `other`, another input, needs."""
+    if value != want:
+        raise CliError(f"{path}: '{field}' is {value}, but {other} needs {want}")
+
+
+def _load_pipeline(args, cfg) -> fa.FlowPipeline:
+    """The `--pipeline`. Its mapping and its CLIP-like calibration belong to
+    the encoders it was trained with, so the config must name the same
     encoder `seed` and `clip_dim` as its manifest."""
-    pipe = fa.FlowPipeline.load(_require(path, "pipeline"))
+    pipe = fa.FlowPipeline.load(_require(args.pipeline, "pipeline"))
     for key, trained in (("seed", pipe.cfg.seed), ("clip_dim", pipe.mapping.clip_dim)):
-        if cfg[key] != trained:
-            raise CliError(f"{Path(path) / 'manifest.txt'}: '{key}' is {trained}, "
-                           f"the config's is {cfg[key]}")
+        _agree(_manifest(args), key, trained, _config_key(args, key), cfg[key])
     return pipe
 
 
@@ -94,6 +111,23 @@ def _require(path, kind: str) -> Path:
     return p
 
 
+def _output(path, flag: str, kind: str = "file") -> Path:
+    """The `flag` output, made ready before any work. A "file" gets its
+    directory made and replaces an earlier file. A "dir" must be new or empty:
+    files of an earlier run would not belong to this one. A "reused" dir may
+    hold files (train-style finds its 2D decoder there)."""
+    out = Path(path)
+    try:
+        (out.parent if kind == "file" else out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"{flag} {out}: cannot make {exc.filename}: {exc.strerror}") from None
+    if kind == "file" and out.is_dir():
+        raise CliError(f"{flag} {out}: is a directory")
+    if kind == "dir" and any(out.iterdir()):
+        raise CliError(f"{flag} {out}: directory is not empty")
+    return out
+
+
 def _read_image(path, kind: str) -> np.ndarray:
     """A PPM reference whose sides the clip-like encoder's block grid divides."""
     path = _require(path, kind)
@@ -104,11 +138,10 @@ def _read_image(path, kind: str) -> np.ndarray:
     return img
 
 
-def _check_rows(fs: FeatureSet, path, domain: str, dim: int | None = None) -> FeatureSet:
-    """`fs`, read from `path`, must hold `domain` rows, `dim` wide when given."""
-    if fs.domain != domain or dim not in (None, fs.dim):
-        want = f"'{domain}' rows" + (f" of dim {dim}" if dim is not None else "")
-        raise CliError(f"{path}: expected {want}, got '{fs.domain}' rows of dim {fs.dim}")
+def _read_rows(path, flag: str, domain: str) -> FeatureSet:
+    """The FEAT file `flag` names, which must hold `domain` rows."""
+    fs = import_features(_require(path, flag))
+    _agree(path, "domain", fs.domain, flag, domain)
     return fs
 
 
@@ -118,13 +151,9 @@ def _paired_features(args, cfg, encoders) -> tuple[FeatureSet, FeatureSet]:
     if args.feat_clip or args.feat_vgg:
         if not (args.feat_clip and args.feat_vgg):
             raise CliError("--feat-clip and --feat-vgg must be given together")
-        clip = import_features(_require(args.feat_clip, "clip features"))
-        vgg = import_features(_require(args.feat_vgg, "style features"))
-        _check_rows(clip, args.feat_clip, "clip_like")
-        _check_rows(vgg, args.feat_vgg, "vgg_like")
-        if clip.count != vgg.count:
-            raise CliError(f"{args.feat_vgg}: {vgg.count} rows do not pair with the "
-                           f"{clip.count} rows of {args.feat_clip}")
+        clip = _read_rows(args.feat_clip, "--feat-clip", "clip_like")
+        vgg = _read_rows(args.feat_vgg, "--feat-vgg", "vgg_like")
+        _agree(args.feat_vgg, "count", vgg.count, args.feat_clip, clip.count)
         return clip, vgg
     size = cfg["camera.width"]
     corpus = [procedural_texture(cfg["seed"], i, size=size) for i in range(cfg["flow.corpus"])]
@@ -144,10 +173,9 @@ def _load_distilled(path) -> sc.GaussianScene:
 def _load_decoder(path, cfg) -> tr.DecoderNet:
     """The decoder checkpoint at `path`, whose shapes the config's `embed_dim`
     and `distill.hidden` set."""
-    path = _require(path, "decoder checkpoint")
-    arrays = load_params(path)
     hidden = (cfg["distill.hidden"],)
-    check_shapes(arrays, dense_shapes((cfg["embed_dim"], *hidden, 3)), path, "config")
+    arrays = load_params(_require(path, "decoder checkpoint"),
+                         dense_shapes((cfg["embed_dim"], *hidden, 3)), "config")
     return tr.DecoderNet(cfg["embed_dim"], hidden=hidden, params=arrays)
 
 
@@ -158,14 +186,11 @@ def _load_styling(args, cfg) -> tuple[sc.GaussianScene, tr.DecoderNet, fa.FlowPi
     channel, so the pipeline's `style_dim` must be twice that width."""
     scene = _load_distilled(args.scene)
     decoder = _load_decoder(args.decoder, cfg)
-    pipe = _load_pipeline(args.pipeline, cfg)
-    if pipe.mapping.style_dim != 2 * scene.embed_dim:
-        raise CliError(f"{Path(args.pipeline) / 'manifest.txt'}: 'style_dim' is "
-                       f"{pipe.mapping.style_dim}, but {args.scene} holds embeddings of dim "
-                       f"{scene.embed_dim}, which need {2 * scene.embed_dim}")
-    if scene.embed_dim != cfg["embed_dim"]:
-        raise CliError(f"{args.decoder}: 'embed_dim' is {cfg['embed_dim']}, but {args.scene} "
-                       f"holds embeddings of dim {scene.embed_dim}")
+    pipe = _load_pipeline(args, cfg)
+    d = scene.embed_dim
+    _agree(_manifest(args), "style_dim", pipe.mapping.style_dim,
+           f"{args.scene} (embeddings of dim {d})", 2 * d)
+    _agree(args.decoder, "embed_dim", cfg["embed_dim"], args.scene, d)
     return scene, decoder, pipe
 
 
@@ -179,13 +204,11 @@ def _decoder2d(cfg, encoders, out_dir: Path) -> ls.Decoder2D:
     """Train (or reload) the 2D generator decoder for this encoder seed."""
     ck = out_dir / f"decoder2d_seed{cfg['seed']}.prms"
     if ck.exists():
-        arrays = load_params(ck)
         channels = encoders.tap_widths[ls.GENERATOR_TAP]
-        check_shapes(arrays, ls.Decoder2D.shapes(channels), ck, "2D decoder")
+        arrays = load_params(ck, ls.Decoder2D.shapes(channels), "2D decoder")
         return ls.Decoder2D(channels, params=arrays)
     dec = ls.train_decoder2d(encoders, corpus=cfg["gen2d.corpus"], steps=cfg["gen2d.steps"],
                              seed=cfg["seed"], size=cfg["camera.width"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_params(ck, dec.parameters())
     return dec
 
@@ -201,10 +224,10 @@ def cmd_dump_config(args) -> int:
 
 def cmd_gen_scene(args) -> int:
     cfg = _load_config(args)
+    out = _output(args.out, "--out")
     scene = sc.generate_toy_scene(cfg["scene.kind"], cfg["scene.n"], cfg["scene.seed"],
                                   embed_dim=cfg["embed_dim"])
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    sc.save_scene(scene, args.out)
+    sc.save_scene(scene, out)
     print(f"wrote {args.out} ({scene.count} gaussians, D={scene.embed_dim})")
     return 0
 
@@ -212,15 +235,15 @@ def cmd_gen_scene(args) -> int:
 def cmd_embed(args) -> int:
     cfg = _load_config(args)
     scene = sc.load_scene(_require(args.scene, "scene"))
+    out_scene = _output(args.out_scene, "--out-scene")
+    out_decoder = _output(args.out_decoder, "--out-decoder")
     encoders = _encoders(cfg)
     distilled, decoder, report = tr.distill_embeddings(
         scene, _training_cams(cfg), encoders, steps=cfg["distill.steps"],
         seed=cfg["seed"], lr=cfg["distill.learning_rate"],
         decoder_hidden=(cfg["distill.hidden"],))
-    out_scene = Path(args.out_scene)
-    out_scene.parent.mkdir(parents=True, exist_ok=True)
     sc.save_scene(distilled, out_scene)
-    save_params(args.out_decoder, decoder.parameters())
+    save_params(out_decoder, decoder.parameters())
     print(f"distilled {args.scene}: reconstruction mse {report.reconstruction_mse:.3e}, "
           f"projection {report.projection_mse_first:.4f} -> {report.projection_mse_last:.4f}")
     return 0
@@ -231,11 +254,8 @@ def cmd_train_flow(args) -> int:
     encoders = _encoders(cfg)
     clip_fs, vgg_fs = _paired_features(args, cfg, encoders)
     if args.feat_clip:      # the pipeline saves the config's encoders' calibration
-        _check_rows(clip_fs, args.feat_clip, "clip_like", cfg["clip_dim"])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)      # a bad --out fails before training
-    if any(out.iterdir()):      # files of an earlier pipeline would not belong to this one
-        raise CliError(f"--out {out}: directory is not empty")
+        _agree(args.feat_clip, "dim", clip_fs.dim, _config_key(args, "clip_dim"), cfg["clip_dim"])
+    out = _output(args.out, "--out", "dir")       # a bad --out fails before training
     aligned, reports, pipe = fa.run_subdivisive_flow(clip_fs, vgg_fs, _flow_cfg(cfg))
     pipe.clip_calibration = encoders.clip_calibration
     pipe.save(out)
@@ -254,8 +274,7 @@ def cmd_train_style(args) -> int:
     encoders = _encoders(cfg, pipe)
     style_img = _style_image(args, cfg)
     weights = _weights(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output(args.out, "--out", "reused")
     dec2d = _decoder2d(cfg, encoders, out) if weights.uses_prior else None
     decoder, disc, log = ls.train_stylization(
         scene, _training_cams(cfg), style_img, pipe, decoder, encoders,
@@ -281,6 +300,7 @@ def cmd_stylize(args) -> int:
         if path == "":
             raise CliError(f"{flag} is empty")
     scene, decoder, pipe = _load_styling(args, cfg)
+    out = _output(args.out, "--out")
     if args.image is not None:
         img = _read_image(args.image, "reference image")
         vec = _encoders(cfg, pipe).encode_clip_like(img).vectors[0]
@@ -290,13 +310,13 @@ def cmd_stylize(args) -> int:
         vec = _encoders(cfg, pipe).encode_text(tokens).vectors[0]
         aligned = pipe.align(vec)
     else:
-        fs = _check_rows(import_features(_require(args.feat, "feature file")), args.feat,
-                         "clip_like", pipe.mapping.clip_dim)
+        fs = _read_rows(args.feat, "--feat", "clip_like")
+        _agree(args.feat, "dim", fs.dim, f"{_manifest(args)} ('clip_dim')",
+               pipe.mapping.clip_dim)
         aligned = pipe.align(fs.vectors).mean(axis=0)
     stats = tr.stats_from_feature(aligned)
     styled = tr.stylize_scene(scene, stats, decoder)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    sc.save_scene(styled, args.out)
+    sc.save_scene(styled, out)
     print(f"wrote stylized scene to {args.out}")
     return 0
 
@@ -304,9 +324,8 @@ def cmd_stylize(args) -> int:
 def cmd_render(args) -> int:
     cfg = _load_config(args)
     scene = sc.load_scene(_require(args.scene, "scene"))
+    out = _output(args.out, "--out", "dir")
     cams = _ring(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for i, cam in enumerate(cams):
         res = ras.render(scene, cam)
         ras.write_ppm(out / f"view_{i:02d}.ppm", res.rgb)
@@ -323,36 +342,43 @@ def cmd_eval_align(args) -> int:
     cfg = _load_config(args)
     if args.feat_clip or args.feat_vgg:     # rows from any encoder: the seed does not matter
         pipe = fa.FlowPipeline.load(_require(args.pipeline, "pipeline"))
-    else:
-        pipe = _load_pipeline(args.pipeline, cfg)
+    else:       # the corpus is encoded at the config's widths
+        pipe = _load_pipeline(args, cfg)
+        _agree(_manifest(args), "style_dim", pipe.mapping.style_dim,
+               _config_key(args, "style_dim"), cfg["style_dim"])
+    out = _output(args.out, "--out")
     # the corpus path encodes with the pipeline's own calibration; the FEAT path encodes nothing
     clip_fs, vgg_fs = _paired_features(args, cfg, _encoders(cfg, pipe))
-    corpus = "encoded procedural corpus"
-    _check_rows(clip_fs, args.feat_clip or corpus, "clip_like", pipe.mapping.clip_dim)
-    _check_rows(vgg_fs, args.feat_vgg or corpus, "vgg_like", pipe.mapping.style_dim)
+    if args.feat_clip:
+        for path, fs, key in ((args.feat_clip, clip_fs, "clip_dim"),
+                              (args.feat_vgg, vgg_fs, "style_dim")):
+            _agree(path, "dim", fs.dim, f"{_manifest(args)} ('{key}')",
+                   getattr(pipe.mapping, key))
     rows = []
     for k, stage in enumerate(pipe.trajectory(clip_fs.vectors)):
         fs, tag = FeatureSet("clip_mapped", stage), (f"round{k}" if k else "mapped")
         rows += [("sim", tag, mt.cosine_sim(fs, vgg_fs)),
                  ("fid", tag, mt.frechet_distance(fs, vgg_fs))]
     text = mt.metrics_csv_rows(rows)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    Path(args.out).write_text(text, encoding="ascii")
+    out.write_text(text, encoding="ascii")
     sys.stdout.write(text)
     return 0
 
 
 def cmd_eval_consistency(args) -> int:
     cfg = _load_config(args)
+    if cfg["camera.count"] < mt.MIN_RING:      # a bound of its own: render needs only 2
+        raise CliError(f"{args.config}: 'camera.count' is {cfg['camera.count']}, but "
+                       f"eval-consistency needs at least {mt.MIN_RING}")
     scene = sc.load_scene(_require(args.scene, "scene"))
+    out = _output(args.out, "--out")
     cams = _ring(cfg)
     reports = mt.eval_consistency(scene, cams)
     summary = mt.consistency_summary(reports)
     rows = [("masked_rmse", tag, val) for tag, val in summary.items()]
     rows += [("valid_fraction", r.range, r.valid_pixel_fraction) for r in reports]
     text = mt.metrics_csv_rows(rows)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    Path(args.out).write_text(text, encoding="ascii")
+    out.write_text(text, encoding="ascii")
     sys.stdout.write(text)
     return 0
 
@@ -366,74 +392,43 @@ def build_parser() -> argparse.ArgumentParser:
                                                  "image or text references.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, fn, text, *required):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--seed", type=int)
+        for flag in required:
+            p.add_argument(flag, required=True)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("dump-config", help="print the effective configuration")
-    common(p)
-    p.set_defaults(fn=cmd_dump_config)
-
-    p = sub.add_parser("gen-scene", help="generate a toy scene (GSCN)")
-    common(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_gen_scene)
-
-    p = sub.add_parser("embed", help="distill per-Gaussian embeddings and the decoder")
-    common(p)
-    p.add_argument("--scene", required=True)
-    p.add_argument("--out-scene", required=True)
-    p.add_argument("--out-decoder", required=True)
-    p.set_defaults(fn=cmd_embed)
-
-    p = sub.add_parser("train-flow", help="train the alignment pipeline")
-    common(p)
-    p.add_argument("--out", required=True)
+    command("dump-config", cmd_dump_config, "print the effective configuration")
+    command("gen-scene", cmd_gen_scene, "generate a toy scene (GSCN)", "--out")
+    command("embed", cmd_embed, "distill per-Gaussian embeddings and the decoder",
+            "--scene", "--out-scene", "--out-decoder")
+    p = command("train-flow", cmd_train_flow, "train the alignment pipeline", "--out")
     p.add_argument("--feat-clip", help="FEAT file of externally computed clip-domain rows")
     p.add_argument("--feat-vgg", help="FEAT file of externally computed style-domain rows")
-    p.set_defaults(fn=cmd_train_flow)
-
-    p = sub.add_parser("train-style", help="train the stylization decoder on a style")
-    common(p)
+    p = command("train-style", cmd_train_style, "train the stylization decoder on a style")
     p.add_argument("--scene", required=True, help="distilled GSCN from `embed`")
     p.add_argument("--decoder", required=True, help="decoder PRMS from `embed`")
     p.add_argument("--pipeline", required=True, help="pipeline dir from `train-flow`")
     p.add_argument("--style-image", help="style reference (binary PPM)")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_train_style)
-
-    p = sub.add_parser("stylize", help="stylize a distilled scene")
-    common(p)
-    p.add_argument("--scene", required=True)
-    p.add_argument("--decoder", required=True)
-    p.add_argument("--pipeline", required=True)
+    p = command("stylize", cmd_stylize, "stylize a distilled scene",
+                "--scene", "--decoder", "--pipeline")
     p.add_argument("--image", help="style reference image (PPM)")
     p.add_argument("--text", help="style reference text")
     p.add_argument("--feat", help="style reference features (FEAT, clip domain)")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_stylize)
-
-    p = sub.add_parser("render", help="render ring views to PPM")
-    common(p)
-    p.add_argument("--scene", required=True)
-    p.add_argument("--out", required=True)
+    p = command("render", cmd_render, "render ring views to PPM", "--scene", "--out")
     p.add_argument("--depth", action="store_true", help="also dump FMAP depth maps")
     p.add_argument("--features", action="store_true", help="also dump FMAP embedding maps")
-    p.set_defaults(fn=cmd_render)
-
-    p = sub.add_parser("eval-align", help="per-round SIM/FID of a trained pipeline")
-    common(p)
-    p.add_argument("--pipeline", required=True)
-    p.add_argument("--out", required=True)
+    p = command("eval-align", cmd_eval_align, "per-round SIM/FID of a trained pipeline",
+                "--pipeline", "--out")
     p.add_argument("--feat-clip")
     p.add_argument("--feat-vgg")
-    p.set_defaults(fn=cmd_eval_align)
-
-    p = sub.add_parser("eval-consistency", help="short/long-range masked RMSE")
-    common(p)
-    p.add_argument("--scene", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_eval_consistency)
+    command("eval-consistency", cmd_eval_consistency, "short/long-range masked RMSE",
+            "--scene", "--out")
     return parser
 
 

@@ -23,14 +23,13 @@ The CLIP-like encoder is deliberately dominated by a linear functional of an
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from . import binfile
 from .diffcore import Conv2dLayer, Tensor
 from .diffcore import tensor as dt
 from .diffcore.rng import named_stream
@@ -285,32 +284,15 @@ class FeatureEncoders:
 def export_features(path, fs: FeatureSet) -> None:
     if fs.domain not in _DOMAIN_TAGS:
         raise FormatError(f"FEAT files carry clip_like/vgg_like rows, not '{fs.domain}'")
-    with open(path, "wb") as fh:
-        fh.write(FEAT_MAGIC)
-        fh.write(struct.pack("<III", FEAT_VERSION, fs.count, fs.dim))
-        fh.write(struct.pack("<B", _DOMAIN_TAGS[fs.domain]))
-        fh.write(np.ascontiguousarray(fs.vectors, dtype="<f4").tobytes())
+    binfile.write(path, [FEAT_MAGIC, (FEAT_VERSION, fs.count, fs.dim),
+                         bytes([_DOMAIN_TAGS[fs.domain]]), fs.vectors])
 
 
 def import_features(path) -> FeatureSet:
-    raw = Path(path).read_bytes()
-    if raw[:4] != FEAT_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}, expected {FEAT_MAGIC!r}")
-    if len(raw) < 17:
-        raise FormatError(f"{path}: truncated header")
-    version, count, dim = struct.unpack_from("<III", raw, 4)
-    (tag,) = struct.unpack_from("<B", raw, 16)
-    if version != FEAT_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if count < 1 or dim < 1:
-        raise FormatError(f"{path}: vector count and dim must be >= 1, got {count}, {dim}")
+    r = binfile.Reader(path, FEAT_MAGIC, 3, version=FEAT_VERSION)
+    (count, dim), (tag,) = r.header, r.ints(1, "B")
     if tag not in _TAG_DOMAINS:
-        raise FormatError(f"{path}: unknown domain tag {tag}")
-    want = 17 + 4 * count * dim
-    if len(raw) != want:
-        raise FormatError(
-            f"{path}: payload is {len(raw)} bytes, header (M={count}, dim={dim}) implies {want}")
-    rows = np.frombuffer(raw, dtype="<f4", offset=17).reshape(count, dim)
-    if not np.all(np.isfinite(rows)):
-        raise FormatError(f"{path}: feature rows hold non-finite values")
+        r.fail(f"unknown domain tag {tag} at byte 16")
+    rows = r.f32((count, dim), count=count, dim=dim)
+    r.end()
     return FeatureSet(_TAG_DOMAINS[tag], rows.astype(np.float32))

@@ -27,7 +27,7 @@ import numpy as np
 from .config import _COUNT, _POSITIVE, _STEPS, REQUIRED, read_key_value_file
 from .diffcore import Adam, DenseNet, Tensor, dense_shapes
 from .diffcore import tensor as dt
-from .diffcore.checkpoint import check_shapes, load_params, save_params
+from .diffcore.checkpoint import load_params, save_params
 from .diffcore.rng import named_stream
 from .encoders import FeatureSet
 from .errors import FormatError, NumericsError, ShapeError, StateError
@@ -218,11 +218,9 @@ def _read_params(path, want: list[tuple[int, ...]]) -> list[np.ndarray]:
     shapes `want`. The nets are built from the checked arrays, so a
     manifest's dims never size an allocation."""
     try:
-        arrays = load_params(path)
+        return load_params(path, want, "manifest")
     except FileNotFoundError:
         raise FormatError(f"{path}: missing from the pipeline directory") from None
-    check_shapes(arrays, want, path, "manifest")
-    return arrays
 
 
 class FlowPipeline:

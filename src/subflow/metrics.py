@@ -14,6 +14,8 @@ from .errors import NumericsError, ShapeError
 from .rasterizer import bilinear_sample, warp_map
 from .scene import Camera, GaussianScene
 
+MIN_RING = 4        # on fewer ring cameras the long-range pairs repeat short-range ones
+
 
 @dataclass
 class GaussianFit:
@@ -111,8 +113,8 @@ def eval_consistency(scene: GaussianScene, cams: Sequence[Camera]) -> list[Consi
     Renders through the `rasterizer.render` attribute, looked up at call time.
     """
     n = len(cams)
-    if n < 4:
-        raise ShapeError(f"consistency protocol needs >= 4 ring cameras, got {n}")
+    if n < MIN_RING:
+        raise ShapeError(f"consistency protocol needs >= {MIN_RING} ring cameras, got {n}")
     renders = [rasterizer.render(scene, cam) for cam in cams]
     reports = []
     pairs = [("short", i, (i + 1) % n) for i in range(n)]

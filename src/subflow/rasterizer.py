@@ -43,7 +43,6 @@ the per-tile splat lists of 3D Gaussian Splatting (Kerbl et al. 2023): about
 from __future__ import annotations
 
 import re
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,6 +50,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import binfile
 from .errors import FormatError, ShapeError
 from .scene import FAR, NEAR, Camera, GaussianScene, quat_to_matrix
 
@@ -410,21 +410,12 @@ def write_fmap(path, array: np.ndarray) -> None:
         arr = arr[:, :, None]
     if arr.ndim != 3:
         raise ShapeError(f"write_fmap expects (H,W) or (H,W,C), got {array.shape}")
-    h, w, c = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(FMAP_MAGIC)
-        fh.write(struct.pack("<III", h, w, c))
-        fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    binfile.write(path, [FMAP_MAGIC, arr.shape, arr])
 
 
 def read_fmap(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if raw[:4] != FMAP_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}, expected {FMAP_MAGIC!r}")
-    if len(raw) < 16:
-        raise FormatError(f"{path}: FMAP header needs 16 bytes, found {len(raw)}")
-    h, w, c = struct.unpack_from("<III", raw, 4)
-    want = 16 + 4 * h * w * c
-    if len(raw) != want:
-        raise FormatError(f"{path}: expected {want} bytes, found {len(raw)}")
-    return np.frombuffer(raw, dtype="<f4", offset=16).reshape(h, w, c).astype(np.float32)
+    r = binfile.Reader(path, FMAP_MAGIC, 3)
+    h, w, c = r.header
+    fmap = r.f32((h, w, c), H=h, W=w, C=c)
+    r.end()
+    return fmap.astype(np.float32)

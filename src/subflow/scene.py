@@ -10,18 +10,19 @@ Scenes are immutable after generation/load; stylization returns new scenes.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
+from . import binfile
 from .diffcore.rng import named_stream
 from .errors import FormatError, ShapeError
 
 GSCN_MAGIC = b"GSCN"
 GSCN_VERSION = 1
+_COLUMNS = (("positions",) * 3 + ("rotations",) * 4 + ("scales",) * 3 + ("opacities",)
+            + ("colors",) * 3)          # of a record, before its D embedding values
 
 MIN_EMBED_DIM = 8
 MAX_EMBED_DIM = 64
@@ -222,37 +223,19 @@ def camera_ring(center, radius: float, count: int, elevation: float = 0.0,
 # -- persistence ---------------------------------------------------------------
 
 def save_scene(scene: GaussianScene, path) -> None:
-    n, d = scene.count, scene.embed_dim
     rec = np.concatenate([
         scene.positions, scene.rotations, scene.scales,
         scene.opacities[:, None], scene.colors, scene.embeddings], axis=1)
-    with open(path, "wb") as fh:
-        fh.write(GSCN_MAGIC)
-        fh.write(struct.pack("<III", GSCN_VERSION, n, d))
-        fh.write(np.ascontiguousarray(rec, dtype="<f4").tobytes())
+    binfile.write(path, [GSCN_MAGIC, (GSCN_VERSION, scene.count, scene.embed_dim), rec])
 
 
 def load_scene(path) -> GaussianScene:
-    raw = Path(path).read_bytes()
-    if raw[:4] != GSCN_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r} at byte 0, expected {GSCN_MAGIC!r}")
-    if len(raw) < 16:
-        raise FormatError(f"{path}: truncated header at byte {len(raw)}")
-    version, n, d = struct.unpack_from("<III", raw, 4)
-    if version != GSCN_VERSION:
-        raise FormatError(f"{path}: unsupported version {version} at byte 4")
-    if n < 1:
-        raise FormatError(f"{path}: scene record count {n} at byte 8 must be >= 1")
+    r = binfile.Reader(path, GSCN_MAGIC, 3, version=GSCN_VERSION)
+    n, d = r.header
     if not (MIN_EMBED_DIM <= d <= MAX_EMBED_DIM):
-        raise FormatError(
-            f"{path}: embed dim {d} at byte 12 outside [{MIN_EMBED_DIM}, {MAX_EMBED_DIM}]")
-    rec_len = 14 + d
-    want = 16 + 4 * rec_len * n
-    if len(raw) != want:
-        raise FormatError(
-            f"{path}: payload ends at byte {len(raw)}, expected {want} "
-            f"(N={n}, D={d}, record={4 * rec_len} bytes)")
-    rec = np.frombuffer(raw, dtype="<f4", count=rec_len * n, offset=16).reshape(n, rec_len)
+        r.fail(f"embed dim {d} at byte 12 outside [{MIN_EMBED_DIM}, {MAX_EMBED_DIM}]")
+    rec = r.f32((n, len(_COLUMNS) + d), _COLUMNS + ("embeddings",) * d, N=n, D=d)
+    r.end()
     opacities = np.clip(rec[:, 10], 0.0, 1.0)  # compositing needs [0, 1]
     try:
         return GaussianScene(

@@ -13,6 +13,7 @@ from subflow import cli
 from subflow import config as cfgmod
 from subflow import rasterizer as ras
 from subflow import scene as sc
+from subflow.diffcore import load_params
 from subflow.diffcore.rng import named_stream
 from subflow.errors import FormatError
 
@@ -572,18 +573,51 @@ def test_train_flow_checks_out_before_training(small_cfg, tmp_path, capsys, monk
     assert blocker.read_bytes() == b"not a directory"
 
 
-def test_train_flow_refuses_a_used_out(small_cfg, tmp_path, capsys, monkeypatch):
-    # a field left by an earlier run with more rounds would sit beside the new pipeline
-    def train(*_):
-        raise AssertionError("train-flow trained into a used --out")
+@pytest.mark.parametrize("command", ["train-flow", "render"])
+def test_train_flow_refuses_a_used_out(small_cfg, tmp_path, capsys, monkeypatch, command):
+    # a file left by an earlier, larger run would sit beside the new output: a
+    # field of a run with more rounds, a view of a larger ring
+    def work(*_):
+        raise AssertionError(f"{command} worked into a used --out")
 
-    monkeypatch.setattr(cli.fa, "run_subdivisive_flow", train)
-    out = tmp_path / "pipe"
+    out = tmp_path / "used"
     out.mkdir()
-    (out / "velocity_3.prms").write_bytes(b"stale")
-    assert run("train-flow", "--config", small_cfg, "--out", out) == 2
+    if command == "train-flow":
+        monkeypatch.setattr(cli.fa, "run_subdivisive_flow", work)
+        stale, argv = "velocity_3.prms", []
+    else:
+        assert run("gen-scene", "--config", small_cfg, "--out", tmp_path / "s.gscn") == 0
+        monkeypatch.setattr(cli.ras, "render", work)
+        stale, argv = "view_09.ppm", ["--scene", tmp_path / "s.gscn", "--depth"]
+    (out / stale).write_bytes(b"stale")
+    assert run(command, "--config", small_cfg, "--out", out, *argv) == 2
     assert f"--out {out}" in capsys.readouterr().err
-    assert [p.name for p in out.iterdir()] == ["velocity_3.prms"]
+    assert [p.name for p in out.iterdir()] == [stale]
+
+
+def test_embed_makes_both_output_directories(tmp_path):
+    # both outputs are made ready before distilling, the decoder's too
+    cfg = tmp_path / "quick.cfg"
+    cfg.write_text(SMALL_CFG.replace("distill.steps = 200", "distill.steps = 2"))
+    assert run("gen-scene", "--config", cfg, "--out", tmp_path / "s.gscn") == 0
+    out_scene, out_decoder = tmp_path / "a" / "sd.gscn", tmp_path / "b" / "dec.prms"
+    assert run("embed", "--config", cfg, "--scene", tmp_path / "s.gscn",
+               "--out-scene", out_scene, "--out-decoder", out_decoder) == 0
+    assert sc.load_scene(out_scene).embed_dim == 32
+    assert [a.shape for a in load_params(out_decoder)] == [(32, 64), (64,), (64, 3), (3,)]
+
+
+def test_eval_consistency_names_a_ring_too_small(tmp_path, capsys):
+    # camera.count = 3 passes the config's bound of 2, which render and
+    # training need; the check comes before the scene is read
+    path = tmp_path / "ring3.cfg"
+    path.write_text(SMALL_CFG.replace("camera.count = 8", "camera.count = 3"))
+    out = tmp_path / "cons.csv"
+    assert run("eval-consistency", "--config", path, "--scene", tmp_path / "missing.gscn",
+               "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: 'camera.count' is 3" in err, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--feat-clip", "--feat-vgg"])
@@ -711,8 +745,10 @@ def test_bad_payload_names_file(pipeline_artifacts, tmp_path, capsys, case):
                                   "eval-align-swapped", "train-flow-clip-dim",
                                   "eval-align-clip-dim", "eval-align-vgg-dim",
                                   "train-style-style-dim", "stylize-style-dim",
-                                  "train-style-embed-dim", "stylize-embed-dim"])
-def test_input_that_does_not_fit_names_file(pipeline_artifacts, tmp_path, capsys, case):
+                                  "train-style-embed-dim", "stylize-embed-dim",
+                                  "eval-align-style-dim"])
+def test_input_that_does_not_fit_names_file(pipeline_artifacts, tmp_path, capsys, monkeypatch,
+                                            case):
     # each input parses, but its size or domain does not fit its flag, the
     # encoder, the decoder or the pipeline
     root = pipeline_artifacts
@@ -731,6 +767,14 @@ def test_input_that_does_not_fit_names_file(pipeline_artifacts, tmp_path, capsys
         named[0].write_bytes(_feat_bytes(rows[:, :32], 0))
         argv = ["stylize", "--feat", named[0],
                 "--decoder", root / "styled" / "decoder.prms"] + styled
+    elif case == "eval-align-style-dim":
+        # the config's style_dim of 32 against the pipeline's 64, refused
+        # before the corpus is encoded
+        config = tmp_path / "narrow.cfg"
+        config.write_text(SMALL_CFG + "style_dim = 32\n")
+        named = [config, root / "pipe" / "manifest.txt", "'style_dim'"]
+        monkeypatch.setattr(cli, "procedural_texture", lambda *a, **k: pytest.fail("encoded"))
+        argv = ["eval-align", "--pipeline", root / "pipe"]
     elif case.endswith("style-dim"):
         # a D=64 scene against the pipeline's style_dim of 64, which fits D=32
         named = [tmp_path / "wide.gscn", root / "pipe" / "manifest.txt", "'style_dim'"]

@@ -92,6 +92,40 @@ def _read(reader, path, data: bytes):
         return None
 
 
+# the four formats of one container: reader, file, byte offset of the
+# version (FMAP has none), of the first dim, of the first value; and the
+# header fields a size error names (of the last block)
+CONTAINERS = {
+    "gscn": (sc.load_scene, "v.gscn", 4, 8, 16, "N=6, D=8"),
+    "feat": (import_features, "v.feat", 4, 8, 17, "count=3, dim=4"),
+    "prms": (load_params, "v.prms", 4, 16, 24, "tensor=3, dims=(2,)"),
+    "fmap": (ras.read_fmap, "v.fmap", None, 4, 16, "H=3, W=2, C=2"),
+}
+BROKEN = ["magic", "short-header", "version", "zero-dim", "short-payload", "long-payload", "nan"]
+
+
+@pytest.mark.parametrize("fmt, case", [(f, c) for f in CONTAINERS for c in BROKEN
+                                       if not (f == "fmap" and c == "version")])
+def test_container_readers_share_their_rules(valid, tmp_path, fmt, case):
+    reader, name, version, dim, payload, fields = CONTAINERS[fmt]
+    raw = (valid / name).read_bytes()
+    put = lambda off, value: raw[:off] + value + raw[off + len(value):]
+    blob = {"magic": lambda: b"XXXX" + raw[4:],
+            "short-header": lambda: raw[:8],
+            "version": lambda: put(version, struct.pack("<I", 2)),
+            "zero-dim": lambda: put(dim, struct.pack("<I", 0))[:payload],     # and no values
+            "short-payload": lambda: raw[:-4],
+            "long-payload": lambda: raw + bytes(4),
+            "nan": lambda: put(payload, np.float32(np.nan).tobytes())}[case]()
+    path = tmp_path / f"broken.{fmt}"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError) as err:
+        reader(path)
+    assert str(err.value).startswith(f"{path}: ")
+    if case.endswith("payload"):
+        assert fields in str(err.value)
+
+
 @given(st.data())
 def test_load_scene_property(valid, data):
     blob = data.draw(_binary((valid / "v.gscn").read_bytes(), [4, 8, 12]))
