@@ -235,6 +235,8 @@ def cmd_gen_scene(args) -> int:
 def cmd_embed(args) -> int:
     cfg = _load_config(args)
     scene = sc.load_scene(_require(args.scene, "scene"))
+    if Path(args.out_scene).resolve() == Path(args.out_decoder).resolve():
+        raise CliError(f"--out-scene and --out-decoder are one file: {args.out_scene}")
     out_scene = _output(args.out_scene, "--out-scene")
     out_decoder = _output(args.out_decoder, "--out-decoder")
     encoders = _encoders(cfg)
@@ -327,7 +329,7 @@ def cmd_render(args) -> int:
     out = _output(args.out, "--out", "dir")
     cams = _ring(cfg)
     for i, cam in enumerate(cams):
-        res = ras.render(scene, cam)
+        res = ras.render(scene, cam, features=args.features)
         ras.write_ppm(out / f"view_{i:02d}.ppm", res.rgb)
         if args.depth:
             ras.write_fmap(out / f"depth_{i:02d}.fmap", np.where(

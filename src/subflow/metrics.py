@@ -115,7 +115,7 @@ def eval_consistency(scene: GaussianScene, cams: Sequence[Camera]) -> list[Consi
     n = len(cams)
     if n < MIN_RING:
         raise ShapeError(f"consistency protocol needs >= {MIN_RING} ring cameras, got {n}")
-    renders = [rasterizer.render(scene, cam) for cam in cams]
+    renders = [rasterizer.render(scene, cam, features=False) for cam in cams]
     reports = []
     pairs = [("short", i, (i + 1) % n) for i in range(n)]
     pairs += [("long", i, (i + n // 2) % n) for i in range(n // 2)]

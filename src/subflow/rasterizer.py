@@ -28,17 +28,19 @@ T dropped under 1e-4 never contributes again; so masking after the fact
 gives the loop's weights bit for bit, and a tile stops as soon as every
 pixel in it is saturated.
 
-One compositing pass builds everything from those weights: colors and the
-D-channel embedding maps as w^T @ attrs (so rendering any per-Gaussian
-attribute is linear in it), coverage as the sum of w down the splats (numpy
-adds a pixels-last block's rows in order, as a running sum does), and depth
-as the view-space z of the splat that first lifts that sum to 0.5 (+inf
-where never reached), from a running sum over the pixels that cross 0.5.
-`render` returns those maps. `attribute_weights`, the pass gradient-based
-training runs once per camera, also keeps each tile's weights as one dense
-float32 block of (tile pixels) x (tile splats with a nonzero weight), like
-the per-tile splat lists of 3D Gaussian Splatting (Kerbl et al. 2023): about
-1% of a dense (H*W, N) matrix's entries.
+One compositing pass builds, from those weights, only the maps its caller
+reads: colors and the D-channel embedding maps as w^T @ attrs (so rendering
+any per-Gaussian attribute is linear in it), coverage as the sum of w down
+the splats (numpy adds a pixels-last block's rows in order, as a running sum
+does), and depth as the view-space z of the splat that first lifts that sum
+to 0.5 (+inf where never reached), from a running sum over the pixels that
+cross 0.5. `render` builds colors, depth and coverage, and the embedding
+maps unless asked not to. `attribute_weights`, the pass gradient-based
+training runs once per camera, builds colors and coverage only, and keeps
+each tile's weights as one dense float32 block of (tile pixels) x (tile
+splats with a nonzero weight), like the per-tile splat lists of 3D Gaussian
+Splatting (Kerbl et al. 2023): about 1% of a dense (H*W, N) matrix's
+entries. Every map a pass builds has the same bytes in every pass.
 """
 from __future__ import annotations
 
@@ -70,7 +72,7 @@ _PPM_FIELD = re.compile(rb"(?:\s|#[^\n]*\n)+(\d+)")   # separator or comment lin
 @dataclass
 class RenderOutput:
     rgb: np.ndarray          # (H, W, 3)
-    features: np.ndarray     # (H, W, D)
+    features: Optional[np.ndarray]   # (H, W, D), None when not asked for
     depth: np.ndarray        # (H, W), +inf where uncovered
     alpha_mask: np.ndarray   # (H, W) accumulated opacity
 
@@ -180,20 +182,25 @@ def _tiles(scene: GaussianScene, cam: Camera):
     return idx, z, tiles
 
 
-def _composite(scene: GaussianScene, cam: Camera, keep_blocks: bool, threads: int = 1):
-    """(RenderOutput, blocks) of one camera; blocks, as in TileWeights, only
-    with keep_blocks."""
+def _composite(scene: GaussianScene, cam: Camera, keep_blocks: bool, features: bool,
+               threads: int = 1):
+    """((rgb, features, depth, coverage), blocks) of one camera. The embedding
+    maps are None unless `features`; with keep_blocks depth is None and the
+    blocks are those of TileWeights, else an empty list."""
     if scene.count < 1:
         raise ShapeError("render: scene is empty")
     h, w = cam.height, cam.width
-    d = scene.embed_dim
     rgb = np.zeros((h, w, 3), dtype=np.float32)
-    feats = np.zeros((h, w, d), dtype=np.float32)
-    depth = np.full((h, w), np.inf, dtype=np.float32)
+    feats = np.zeros((h, w, scene.embed_dim), dtype=np.float32) if features else None
+    depth = None if keep_blocks else np.full((h, w), np.inf, dtype=np.float32)
     alpha = np.zeros((h, w), dtype=np.float32)
 
     idx, z, tiles = _tiles(scene, cam)
-    attrs = np.concatenate([scene.colors[idx], scene.embeddings[idx]], axis=1).astype(np.float64)
+    # Without features a zero column keeps the product four wide: on a one-pixel
+    # tile OpenBLAS's gemv sums a three-column product in another order than a
+    # wider one, which moves float64 colors by an ulp (rarely a float32 one).
+    extra = scene.embeddings[idx] if features else np.zeros((idx.size, 1), np.float32)
+    attrs = np.concatenate([scene.colors[idx], extra], axis=1).astype(np.float64)
 
     def run_tile(tile):
         rows, cols, sel, chunks = tile
@@ -208,9 +215,10 @@ def _composite(scene: GaussianScene, cam: Camera, keep_blocks: bool, threads: in
             stack = np.concatenate([acc[None], wts])
             # numpy sums a lone pixel's column pairwise, so it takes the running sum
             total = np.add.reduce(stack) if acc.size > 1 else np.add.accumulate(stack)[-1]
-            crossed = (acc < DEPTH_ALPHA) & (total >= DEPTH_ALPHA)
-            first = np.argmax(np.add.accumulate(stack[:, crossed])[1:] >= DEPTH_ALPHA, axis=0)
-            dep[crossed] = z[s][first]
+            if depth is not None:
+                crossed = (acc < DEPTH_ALPHA) & (total >= DEPTH_ALPHA)
+                first = np.argmax(np.add.accumulate(stack[:, crossed])[1:] >= DEPTH_ALPHA, axis=0)
+                dep[crossed] = z[s][first]
             acc = total
             if keep_blocks:
                 block = wts.T.astype(np.float32, order="C")
@@ -218,9 +226,11 @@ def _composite(scene: GaussianScene, cam: Camera, keep_blocks: bool, threads: in
                 splats.append(idx[s[nonzero]])
                 blocks.append(block[:, nonzero])
         rgb[rows, cols] = out[:, :3].reshape(*shape, 3)
-        feats[rows, cols] = out[:, 3:].reshape(*shape, d)
+        if feats is not None:
+            feats[rows, cols] = out[:, 3:].reshape(*shape, -1)
         alpha[rows, cols] = acc.reshape(shape)
-        depth[rows, cols] = dep.reshape(shape)
+        if depth is not None:
+            depth[rows, cols] = dep.reshape(shape)
         if keep_blocks:
             splats = np.concatenate(splats)
             if splats.size:
@@ -233,19 +243,22 @@ def _composite(scene: GaussianScene, cam: Camera, keep_blocks: bool, threads: in
             blocks = list(pool.map(run_tile, tiles))
     else:
         blocks = [run_tile(tile) for tile in tiles]
-    return RenderOutput(rgb, feats, depth, alpha), [b for b in blocks if b is not None]
+    return (rgb, feats, depth, alpha), [b for b in blocks if b is not None]
 
 
-def render(scene: GaussianScene, cam: Camera, threads: int = 1) -> RenderOutput:
-    """Rasterize colors, embeddings, depth, and coverage for one camera."""
-    return _composite(scene, cam, False, threads)[0]
+def render(scene: GaussianScene, cam: Camera, features: bool = True,
+           threads: int = 1) -> RenderOutput:
+    """Rasterize colors, depth and coverage for one camera, and the embedding
+    maps unless `features` is False (then `.features` is None)."""
+    return RenderOutput(*_composite(scene, cam, False, features, threads)[0])
 
 
 @dataclass
 class TileWeights:
     """One camera's compositing weights as per-tile (pix, splats, weights)
     blocks, render(attr)[pix] == weights @ attr[splats] in float32, with its
-    content image and coverage (equal to render's). A block holds a tile's
+    content image and coverage (equal to render's), the only maps its pass
+    builds: no depth and no embedding maps. A block holds a tile's
     flat pixel indices and its splats with a nonzero weight, each once.
     `nbytes`, `size` and `np.count_nonzero` count the blocks, never densified.
     """
@@ -278,8 +291,8 @@ def attribute_weights(scene: GaussianScene, cam: Camera) -> TileWeights:
     """The one compositing pass training runs per camera. The weights depend
     only on geometry and opacity, so with those frozen a loss on a rendered
     attribute map is differentiable through `diffcore.tile_matmul`."""
-    out, blocks = _composite(scene, cam, True)
-    return TileWeights(blocks, out.rgb, out.alpha_mask)
+    (rgb, _, _, alpha), blocks = _composite(scene, cam, True, False)
+    return TileWeights(blocks, rgb, alpha)
 
 
 # -- depth reprojection ---------------------------------------------------------

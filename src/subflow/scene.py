@@ -10,6 +10,7 @@ Scenes are immutable after generation/load; stylization returns new scenes.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -109,39 +110,47 @@ class GaussianScene:
         n = self.positions.shape[0]
         if n < 1:
             raise ShapeError("scene must contain at least one Gaussian")
-        shapes = {
-            "positions": (n, 3), "rotations": (n, 4), "scales": (n, 3),
-            "opacities": (n,), "colors": (n, 3),
-        }
-        for name, want in shapes.items():
-            got = getattr(self, name).shape
-            if got != want:
-                raise ShapeError(f"scene field {name} has shape {got}, expected {want}")
-        if self.embeddings.ndim != 2 or self.embeddings.shape[0] != n:
-            raise ShapeError(f"embeddings shape {self.embeddings.shape} does not match N={n}")
-        for name in (*shapes, "embeddings"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ShapeError(f"scene field {name} holds non-finite values")
-        norms = np.linalg.norm(self.rotations, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-5):
-            raise ShapeError("rotation quaternions must be unit norm")
-        if np.any(self.scales <= 0):
-            raise ShapeError("scales must be strictly positive")
-        if np.any(self.opacities < 0) or np.any(self.opacities > 1):
-            raise ShapeError("opacities must lie in [0, 1]")
-        if np.any(self.colors < 0) or np.any(self.colors > 1):
-            raise ShapeError("colors must lie in [0, 1]")
+        for name in _FIELD_SHAPES:
+            _check_field(name, getattr(self, name), n)
 
     def with_colors(self, colors: np.ndarray) -> "GaussianScene":
         """New scene sharing geometry byte-for-byte, colors replaced."""
-        return GaussianScene(
-            self.positions, self.rotations, self.scales, self.opacities,
-            colors, self.embeddings)
+        return self._replaced("colors", colors)
 
     def with_embeddings(self, embeddings: np.ndarray) -> "GaussianScene":
-        return GaussianScene(
-            self.positions, self.rotations, self.scales, self.opacities,
-            self.colors, embeddings)
+        return self._replaced("embeddings", embeddings)
+
+    def _replaced(self, name: str, values) -> "GaussianScene":
+        """A copy with one field replaced; only that field is checked, since the
+        others are this valid scene's arrays."""
+        values = np.ascontiguousarray(values, dtype=np.float32)
+        _check_field(name, values, self.count)
+        new = copy.copy(self)
+        setattr(new, name, values)
+        return new
+
+
+# per-Gaussian shape of each field; the embeddings' width D is the scene's own
+_FIELD_SHAPES = {"positions": (3,), "rotations": (4,), "scales": (3,), "opacities": (),
+                 "colors": (3,), "embeddings": None}
+
+
+def _check_field(name: str, values: np.ndarray, n: int) -> None:
+    """One scene field against N Gaussians: its shape, finite values, its range."""
+    want = _FIELD_SHAPES[name]
+    if want is None:
+        if values.ndim != 2 or values.shape[0] != n:
+            raise ShapeError(f"embeddings shape {values.shape} does not match N={n}")
+    elif values.shape != (n, *want):
+        raise ShapeError(f"scene field {name} has shape {values.shape}, expected {(n, *want)}")
+    if not np.all(np.isfinite(values)):
+        raise ShapeError(f"scene field {name} holds non-finite values")
+    if name == "rotations" and np.any(np.abs(np.linalg.norm(values, axis=1) - 1.0) > 1e-5):
+        raise ShapeError("rotation quaternions must be unit norm")
+    if name == "scales" and np.any(values <= 0):
+        raise ShapeError("scales must be strictly positive")
+    if name in ("opacities", "colors") and (np.any(values < 0) or np.any(values > 1)):
+        raise ShapeError(f"{name} must lie in [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -362,6 +362,24 @@ def test_stylize_builds_no_parser(pipeline_artifacts, tmp_path, monkeypatch):
     assert added == []
 
 
+def test_stylize_validates_the_scene_once(pipeline_artifacts, tmp_path, monkeypatch):
+    # the loaded scene is checked in full; the stylized one only for its new colors
+    calls = []
+    validate = sc.GaussianScene.validate
+
+    def counted(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(sc.GaussianScene, "validate", counted)
+    out = tmp_path / "o.gscn"
+    assert run(*_stylize_argv(pipeline_artifacts), "--text", "molten copper sunset",
+               "--out", out) == 0
+    assert len(calls) == 1
+    assert sc.load_scene(out).colors.tobytes() == \
+        sc.load_scene(pipeline_artifacts / "stylized.gscn").colors.tobytes()
+
+
 def test_calls_in_one_process_share_no_state(pipeline_artifacts, tmp_path):
     root = pipeline_artifacts
     render = ["render", "--config", root / "small.cfg", "--scene", root / "stylized.gscn"]
@@ -503,10 +521,18 @@ def test_encoder_identity_must_match_manifest(pipeline_artifacts, tmp_path, caps
 def test_render_features_flag(pipeline_artifacts, tmp_path):
     root = pipeline_artifacts
     out = tmp_path / "feat_views"
-    assert run("render", "--config", root / "small.cfg", "--scene", root / "stylized.gscn",
-               "--out", out, "--features") == 0
+    argv = ("render", "--config", root / "small.cfg", "--scene", root / "stylized.gscn")
+    assert run(*argv, "--out", out, "--features") == 0
     fmap = ras.read_fmap(out / "features_00.fmap")
     assert fmap.shape == (32, 32, 32)
+    scene = sc.load_scene(root / "stylized.gscn")
+    cams = sc.camera_ring((0, 0, 0), 2.6, 8, elevation=1.2, focal=90.0, width=32, height=32)
+    assert fmap.tobytes() == ras.render(scene, cams[0]).features.tobytes()
+    # without the flag render composites no embedding maps, and its views keep their bytes
+    assert run(*argv, "--out", tmp_path / "plain") == 0
+    assert not list((tmp_path / "plain").glob("features_*.fmap"))
+    for view in sorted(out.glob("view_*.ppm")):
+        assert (tmp_path / "plain" / view.name).read_bytes() == view.read_bytes()
 
 
 def test_stylize_malformed_ppm_exits_2(pipeline_artifacts, tmp_path, capsys):
@@ -605,6 +631,21 @@ def test_embed_makes_both_output_directories(tmp_path):
                "--out-scene", out_scene, "--out-decoder", out_decoder) == 0
     assert sc.load_scene(out_scene).embed_dim == 32
     assert [a.shape for a in load_params(out_decoder)] == [(32, 64), (64,), (64, 3), (3,)]
+
+
+def test_embed_refuses_one_path_for_both_outputs(small_cfg, tmp_path, capsys, monkeypatch):
+    # the decoder would overwrite the distilled scene; refused before distilling
+    def distill(*_, **__):
+        raise AssertionError("embed distilled into one path for both outputs")
+
+    monkeypatch.setattr(cli.tr, "distill_embeddings", distill)
+    assert run("gen-scene", "--config", small_cfg, "--out", tmp_path / "s.gscn") == 0
+    (tmp_path / "out").mkdir()
+    assert run("embed", "--config", small_cfg, "--scene", tmp_path / "s.gscn",
+               "--out-scene", tmp_path / "out" / "same",
+               "--out-decoder", tmp_path / "out" / ".." / "out" / "same") == 2
+    assert "--out-scene and --out-decoder" in capsys.readouterr().err
+    assert not list((tmp_path / "out").iterdir())
 
 
 def test_eval_consistency_names_a_ring_too_small(tmp_path, capsys):

@@ -142,11 +142,20 @@ def test_masked_rmse_translated_slab_render():
 
 # -- consistency protocol ----------------------------------------------------------------
 
-def test_eval_consistency_report_count_and_ranges():
+def test_eval_consistency_report_count_and_ranges(monkeypatch):
     scene = sc.generate_toy_scene("textured_slab", 400, 23, embed_dim=8)
     cams = sc.camera_ring((0, 0, 0), 3.5, 8, elevation=0.9, focal=55.0,
                           width=48, height=48)
+    asked = []
+    render = ras.render
+
+    def recorded(*args, **kwargs):
+        out = render(*args, **kwargs)
+        asked.append(out.features is not None)
+        return out
+    monkeypatch.setattr(ras, "render", recorded)
     reports = mt.eval_consistency(scene, cams)
+    assert asked == [False] * 8     # the protocol reads rgb and depth only
     shorts = [r for r in reports if r.range == "short"]
     longs = [r for r in reports if r.range == "long"]
     assert len(shorts) == 8

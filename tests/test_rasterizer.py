@@ -170,6 +170,12 @@ def test_attribute_weights_reproduce_render():
     # the content image and coverage come from the same compositing pass
     assert np.array_equal(weights.rgb, out.rgb)
     assert np.array_equal(weights.alpha_mask, out.alpha_mask)
+    # a render without embedding maps keeps the other maps' bytes
+    plain = ras.render(scene, cam, features=False)
+    assert plain.features is None
+    for got, want in ((plain.rgb, out.rgb), (plain.depth, out.depth),
+                      (plain.alpha_mask, out.alpha_mask)):
+        assert got.tobytes() == want.tobytes()
 
     # a denser scene puts more splats in one tile than one compositing chunk
     dense = sc.generate_toy_scene("textured_slab", 600, 4, embed_dim=8)
@@ -394,7 +400,8 @@ def test_composite_bits_match_reference_kernel(name):
 
 def _render_digest(names):
     """sha256 over `render`'s maps and `attribute_weights`' blocks for every
-    ring camera of each case's scene, one scene object per case."""
+    ring camera of each case's scene, one scene object per case. A render
+    without features must give the same rgb, depth and coverage bytes."""
     digest = hashlib.sha256()
     for name in names:
         scene, cam = _case(name)
@@ -404,6 +411,10 @@ def _render_digest(names):
             out = ras.render(scene, c)
             for arr in (out.rgb, out.features, out.depth, out.alpha_mask):
                 digest.update(arr.tobytes())
+            plain = ras.render(scene, c, features=False)
+            assert plain.features is None
+            assert (plain.rgb.tobytes(), plain.depth.tobytes(), plain.alpha_mask.tobytes()) \
+                == (out.rgb.tobytes(), out.depth.tobytes(), out.alpha_mask.tobytes())
             for pix, splats, wts in ras.attribute_weights(scene, c).blocks:
                 digest.update(pix.tobytes() + splats.tobytes() + wts.tobytes())
     return digest.hexdigest()

@@ -180,6 +180,34 @@ def test_opacity_clamped_at_load(tmp_path):
     assert loaded.opacities[0] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("case", ["nan", "above-one", "below-zero", "shape", "embed-nan",
+                                  "embed-rows"])
+def test_replaced_field_is_checked(case):
+    # with_colors and with_embeddings check the array they replace
+    scene = small_scene(n=5, d=8)
+    colors, embeddings = scene.colors.copy(), scene.embeddings.copy()
+    if case == "nan":
+        colors[2, 1] = np.nan
+    elif case == "above-one":
+        colors[0, 0] = 1.5
+    elif case == "below-zero":
+        colors[4, 2] = -0.1
+    elif case == "shape":
+        colors = colors[:4]
+    elif case == "embed-nan":
+        embeddings[3, 5] = np.inf
+    else:
+        embeddings = embeddings[:, None]
+    message = {"nan": "colors holds non-finite", "above-one": r"colors must lie in \[0, 1\]",
+               "below-zero": r"colors must lie in \[0, 1\]", "shape": "colors has shape",
+               "embed-nan": "embeddings holds non-finite", "embed-rows": "embeddings shape"}[case]
+    with pytest.raises(ShapeError, match=message):
+        if case.startswith("embed"):
+            scene.with_embeddings(embeddings)
+        else:
+            scene.with_colors(colors)
+
+
 def test_with_colors_preserves_geometry_bytes():
     scene = small_scene(n=5, d=8)
     new = scene.with_colors(np.full((5, 3), 0.25, dtype=np.float32))
