@@ -9,6 +9,9 @@ if [ -z "$CFG" ] || [ -z "$OUT" ]; then
     echo "usage: $0 CONFIG OUT_DIR" >&2
     exit 2
 fi
+# this checkout's package comes first, whatever PYTHONPATH already holds
+PYTHONPATH="$(cd "$(dirname "$0")/.." && pwd)/src${PYTHONPATH:+:$PYTHONPATH}"
+export PYTHONPATH
 
 python3 -m subflow.cli gen-scene --config "$CFG" --out "$OUT/scene.gscn"
 python3 -m subflow.cli embed --config "$CFG" --scene "$OUT/scene.gscn" \

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,9 @@ def _load_distilled(path) -> sc.GaussianScene:
     """A scene written by `embed`. A raw scene's embeddings are all equal, so
     its decoded colors would be one flat color; it is rejected instead."""
     scene = sc.load_scene(_require(path, "scene"))
+    if scene.count < 2:
+        raise CliError(f"{path}: N={scene.count}, but stylization needs at least 2 Gaussians: "
+                       "AdaIN takes channel statistics over them")
     if np.all(scene.embeddings == scene.embeddings[0]):
         raise CliError(f"{path}: every Gaussian has the same embedding; "
                        "run `embed` on the scene first")
@@ -216,14 +220,12 @@ def _decoder2d(cfg, encoders, out_dir: Path) -> ls.Decoder2D:
 # -- commands ------------------------------------------------------------------
 
 
-def cmd_dump_config(args) -> int:
-    cfg = _load_config(args)
+def cmd_dump_config(args, cfg) -> int:
     sys.stdout.write(cfgmod.dump(cfg))
     return 0
 
 
-def cmd_gen_scene(args) -> int:
-    cfg = _load_config(args)
+def cmd_gen_scene(args, cfg) -> int:
     out = _output(args.out, "--out")
     scene = sc.generate_toy_scene(cfg["scene.kind"], cfg["scene.n"], cfg["scene.seed"],
                                   embed_dim=cfg["embed_dim"])
@@ -232,8 +234,7 @@ def cmd_gen_scene(args) -> int:
     return 0
 
 
-def cmd_embed(args) -> int:
-    cfg = _load_config(args)
+def cmd_embed(args, cfg) -> int:
     scene = sc.load_scene(_require(args.scene, "scene"))
     if Path(args.out_scene).resolve() == Path(args.out_decoder).resolve():
         raise CliError(f"--out-scene and --out-decoder are one file: {args.out_scene}")
@@ -251,8 +252,7 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def cmd_train_flow(args) -> int:
-    cfg = _load_config(args)
+def cmd_train_flow(args, cfg) -> int:
     encoders = _encoders(cfg)
     clip_fs, vgg_fs = _paired_features(args, cfg, encoders)
     if args.feat_clip:      # the pipeline saves the config's encoders' calibration
@@ -261,7 +261,7 @@ def cmd_train_flow(args) -> int:
     aligned, reports, pipe = fa.run_subdivisive_flow(clip_fs, vgg_fs, _flow_cfg(cfg))
     pipe.clip_calibration = encoders.clip_calibration
     pipe.save(out)
-    fa.reports_to_csv(reports, out / "rounds.csv")
+    mt.write_csv(out / "rounds.csv", fa.ROUND_COLUMNS, map(astuple, reports))
     export_features(out / "aligned.feat", FeatureSet("vgg_like", aligned.vectors))
     for r in reports:
         print(f"round {r.round_index}: SIM {r.sim_before:.4f}->{r.sim_after:.4f} "
@@ -270,8 +270,7 @@ def cmd_train_flow(args) -> int:
     return 0
 
 
-def cmd_train_style(args) -> int:
-    cfg = _load_config(args)
+def cmd_train_style(args, cfg) -> int:
     scene, decoder, pipe = _load_styling(args, cfg)
     encoders = _encoders(cfg, pipe)
     style_img = _style_image(args, cfg)
@@ -285,14 +284,14 @@ def cmd_train_style(args) -> int:
     save_params(out / "decoder.prms", decoder.parameters())
     if disc is not None:
         save_params(out / "discriminator.prms", disc.parameters())
-    (out / "train_log.csv").write_text(log.csv(), encoding="ascii")
+    mt.write_csv(out / "train_log.csv", ls.LOG_COLUMNS,
+                 ([r[k] for k in ls.LOG_COLUMNS] for r in log.rows))
     last = log.rows[-1] if log.rows else {"total": float("nan")}
     print(f"trained decoder for {cfg['style.steps']} steps; final total {last['total']:.4f}")
     return 0
 
 
-def cmd_stylize(args) -> int:
-    cfg = _load_config(args)
+def cmd_stylize(args, cfg) -> int:
     sources = [s for s in (args.image, args.text, args.feat) if s is not None]
     if len(sources) != 1:
         raise CliError("stylize needs exactly one of --image, --text, --feat")
@@ -304,27 +303,21 @@ def cmd_stylize(args) -> int:
     scene, decoder, pipe = _load_styling(args, cfg)
     out = _output(args.out, "--out")
     if args.image is not None:
-        img = _read_image(args.image, "reference image")
-        vec = _encoders(cfg, pipe).encode_clip_like(img).vectors[0]
-        aligned = pipe.align(vec)
+        fs = _encoders(cfg, pipe).encode_clip_like(_read_image(args.image, "reference image"))
     elif args.text is not None:
-        tokens = args.text.split()
-        vec = _encoders(cfg, pipe).encode_text(tokens).vectors[0]
-        aligned = pipe.align(vec)
+        fs = _encoders(cfg, pipe).encode_text(args.text.split())
     else:
         fs = _read_rows(args.feat, "--feat", "clip_like")
         _agree(args.feat, "dim", fs.dim, f"{_manifest(args)} ('clip_dim')",
                pipe.mapping.clip_dim)
-        aligned = pipe.align(fs.vectors).mean(axis=0)
-    stats = tr.stats_from_feature(aligned)
+    stats = tr.stats_from_feature(pipe.align(fs.vectors).mean(axis=0))
     styled = tr.stylize_scene(scene, stats, decoder)
     sc.save_scene(styled, out)
     print(f"wrote stylized scene to {args.out}")
     return 0
 
 
-def cmd_render(args) -> int:
-    cfg = _load_config(args)
+def cmd_render(args, cfg) -> int:
     scene = sc.load_scene(_require(args.scene, "scene"))
     out = _output(args.out, "--out", "dir")
     cams = _ring(cfg)
@@ -340,8 +333,7 @@ def cmd_render(args) -> int:
     return 0
 
 
-def cmd_eval_align(args) -> int:
-    cfg = _load_config(args)
+def cmd_eval_align(args, cfg) -> int:
     if args.feat_clip or args.feat_vgg:     # rows from any encoder: the seed does not matter
         pipe = fa.FlowPipeline.load(_require(args.pipeline, "pipeline"))
     else:       # the corpus is encoded at the config's widths
@@ -361,14 +353,11 @@ def cmd_eval_align(args) -> int:
         fs, tag = FeatureSet("clip_mapped", stage), (f"round{k}" if k else "mapped")
         rows += [("sim", tag, mt.cosine_sim(fs, vgg_fs)),
                  ("fid", tag, mt.frechet_distance(fs, vgg_fs))]
-    text = mt.metrics_csv_rows(rows)
-    out.write_text(text, encoding="ascii")
-    sys.stdout.write(text)
+    sys.stdout.write(mt.write_csv(out, mt.METRIC_COLUMNS, rows))
     return 0
 
 
-def cmd_eval_consistency(args) -> int:
-    cfg = _load_config(args)
+def cmd_eval_consistency(args, cfg) -> int:
     if cfg["camera.count"] < mt.MIN_RING:      # a bound of its own: render needs only 2
         raise CliError(f"{args.config}: 'camera.count' is {cfg['camera.count']}, but "
                        f"eval-consistency needs at least {mt.MIN_RING}")
@@ -379,9 +368,7 @@ def cmd_eval_consistency(args) -> int:
     summary = mt.consistency_summary(reports)
     rows = [("masked_rmse", tag, val) for tag, val in summary.items()]
     rows += [("valid_fraction", r.range, r.valid_pixel_fraction) for r in reports]
-    text = mt.metrics_csv_rows(rows)
-    out.write_text(text, encoding="ascii")
-    sys.stdout.write(text)
+    sys.stdout.write(mt.write_csv(out, mt.METRIC_COLUMNS, rows))
     return 0
 
 
@@ -445,7 +432,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        return args.fn(args, _load_config(args))
     except (CliError, FormatError, ShapeError, StateError, FileNotFoundError,
             FileExistsError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

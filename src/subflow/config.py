@@ -16,17 +16,17 @@ from typing import Callable
 
 from .encoders import _CLIP_GRID
 from .errors import FormatError
-from .scene import MIN_EMBED_DIM, TOY_SCENE_KINDS
+from .scene import MAX_EMBED_DIM, MIN_EMBED_DIM, TOY_SCENE_KINDS
 
 REQUIRED = object()  # schema default of a key that must appear in the text
 
 
-def _bounded(typ: type, lo, strict: bool = False) -> Callable[[object], object]:
-    """Converter to `typ` rejecting NaN/Inf and values below `lo` (or at it, if `strict`)."""
+def _bounded(typ: type, lo, hi=math.inf, strict: bool = False) -> Callable[[object], object]:
+    """Converter to a finite `typ` in [`lo`, `hi`] (in (`lo`, `hi`] if `strict`)."""
     def convert(text):
         val = typ(text)
-        if not math.isfinite(val) or val < lo or (strict and val == lo):
-            raise ValueError(f"must be {'>' if strict else '>='} {lo}")
+        if not (math.isfinite(val) and lo <= val <= hi) or (strict and val == lo):
+            raise ValueError(f"must be finite, in {'(' if strict else '['}{lo}, {hi}]")
         return val
     return convert
 
@@ -55,11 +55,11 @@ def _one_of(choices: tuple[str, ...]) -> Callable[[str], str]:
 _COUNT, _STEPS = _bounded(int, 1), _bounded(int, 0)
 _WEIGHT, _POSITIVE = _bounded(float, 0.0), _bounded(float, 0.0, strict=True)
 
-# key -> (converter, default); declaration order is the dump order. Each
-# bound is the least value the key's consumer can run with.
+# key -> (converter, default); declaration order is the dump order. Each lower
+# bound is the least value the key's consumer can run with; GSCN caps embed_dim.
 SCHEMA: dict[str, tuple[Callable, object]] = {
     "seed": (int, 0),
-    "embed_dim": (_bounded(int, MIN_EMBED_DIM), 32),
+    "embed_dim": (_bounded(int, MIN_EMBED_DIM, MAX_EMBED_DIM), 32),
     "clip_dim": (_COUNT, 64),
     "style_dim": (_COUNT, 64),
     "scene.kind": (_one_of(TOY_SCENE_KINDS), "textured_slab"),
@@ -67,7 +67,7 @@ SCHEMA: dict[str, tuple[Callable, object]] = {
     "scene.seed": (int, 11),
     "camera.count": (_bounded(int, 2), 8),          # a ring has view pairs
     "camera.radius": (_POSITIVE, 2.6),
-    "camera.elevation": (float, 1.2),
+    "camera.elevation": (_bounded(float, -math.inf), 1.2),
     "camera.focal": (_POSITIVE, 90.0),
     "camera.width": (_multiple_of(_CLIP_GRID), 48),     # the CLIP-like block grid
     "camera.height": (_multiple_of(_CLIP_GRID), 48),    # divides every view

@@ -17,7 +17,6 @@ the transport. Per-round SIM/FID reports track the refinement.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, Union
@@ -63,8 +62,11 @@ class FlowConfig:
     mapping_steps: int = 2000
 
 
+ROUND_COLUMNS = ("round", "sim_before", "sim_after", "fid_before", "fid_after", "displacement")
+
+
 @dataclass
-class FlowRoundReport:
+class FlowRoundReport:                  # fields in ROUND_COLUMNS order
     round_index: int
     sim_before: float
     sim_after: float
@@ -326,13 +328,3 @@ def run_subdivisive_flow(clip: FeatureSet, vgg: FeatureSet, cfg: FlowConfig):
         start, sim, fid = end, sim_after, fid_after
     return start, reports, pipe
 
-
-def reports_to_csv(reports: Sequence[FlowRoundReport], path) -> None:
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "sim_before", "sim_after", "fid_before",
-                         "fid_after", "displacement"])
-        for r in reports:
-            writer.writerow([r.round_index, f"{r.sim_before:.9g}", f"{r.sim_after:.9g}",
-                             f"{r.fid_before:.9g}", f"{r.fid_after:.9g}",
-                             f"{r.displacement:.9g}"])

@@ -247,12 +247,6 @@ LOG_COLUMNS = ("step", "content", "style", "obs", "sup_disc", "sup_gen", "total"
 class StyleTrainLog:
     rows: list = field(default_factory=list)   # per-step dicts keyed by LOG_COLUMNS
 
-    def csv(self) -> str:
-        lines = [",".join(LOG_COLUMNS)]
-        for r in self.rows:
-            lines.append(",".join([str(r["step"])] + [f"{r[k]:.9g}" for k in LOG_COLUMNS[1:]]))
-        return "\n".join(lines) + "\n"
-
 
 def train_stylization(scene: GaussianScene, cams: Sequence[Camera], style_img: np.ndarray,
                       pipeline: FlowPipeline, decoder: DecoderNet,

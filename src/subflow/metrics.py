@@ -4,7 +4,8 @@ feature sets, and depth-warp masked RMSE for multi-view consistency."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -15,6 +16,7 @@ from .rasterizer import bilinear_sample, warp_map
 from .scene import Camera, GaussianScene
 
 MIN_RING = 4        # on fewer ring cameras the long-range pairs repeat short-range ones
+METRIC_COLUMNS = ("metric", "range_or_round", "value")
 
 
 @dataclass
@@ -134,9 +136,13 @@ def consistency_summary(reports: Sequence[ConsistencyReport]) -> dict[str, float
     return out
 
 
-def metrics_csv_rows(entries: Sequence[tuple[str, str, float]]) -> str:
-    """CSV export: metric,range_or_round,value (one row per entry)."""
-    lines = ["metric,range_or_round,value"]
-    for metric, key, value in entries:
-        lines.append(f"{metric},{key},{value:.9g}")
-    return "\n".join(lines) + "\n"
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """Write a CSV artifact: a header line, then one line per row, ASCII with
+    LF endings. A str or int cell is written as it is, any other number as
+    `.9g`. Returns the text written."""
+    lines = [",".join(header)]
+    lines += [",".join(str(c) if isinstance(c, (str, int)) else f"{c:.9g}" for c in row)
+              for row in rows]
+    text = "\n".join(lines) + "\n"
+    Path(path).write_text(text, encoding="ascii", newline="\n")
+    return text

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import importlib
 import os
 import struct
 import subprocess
@@ -102,7 +103,8 @@ def test_empty_input_path_names_its_kind(tmp_path, small_cfg, capsys):
 
 def test_bad_config_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
-    for line, key in (("whatever = 3", "whatever"), ("scene.kind = blob", "scene.kind")):
+    for line, key in (("whatever = 3", "whatever"), ("scene.kind = blob", "scene.kind"),
+                      ("embed_dim = 65", "embed_dim")):      # GSCN holds at most 64
         bad.write_text(line + "\n")
         assert run("dump-config", "--config", bad) == 2
         err = capsys.readouterr().err
@@ -171,6 +173,26 @@ def test_train_style_zero_weights_switch_terms_off(pipeline_artifacts, tmp_path,
     for row in rows:
         assert float(row["obs"]) == float(row["sup_disc"]) == float(row["sup_gen"]) == 0.0
         assert float(row["style"]) > 0.0
+
+
+def test_csv_artifacts_share_one_form(pipeline_artifacts, tmp_path, capsys):
+    # every CSV is ASCII with LF line ends under its module's column tuple,
+    # and the eval commands print the text they write
+    root = pipeline_artifacts
+    for rel, module, columns in (("pipe/rounds.csv", "flowalign", "ROUND_COLUMNS"),
+                                 ("styled/train_log.csv", "losses", "LOG_COLUMNS"),
+                                 ("align.csv", "metrics", "METRIC_COLUMNS"),
+                                 ("cons.csv", "metrics", "METRIC_COLUMNS")):
+        data = (root / rel).read_bytes()
+        assert data.isascii() and b"\r" not in data and data.endswith(b"\n"), rel
+        header = getattr(importlib.import_module(f"subflow.{module}"), columns)
+        assert data.decode("ascii").split("\n", 1)[0] == ",".join(header), rel
+    for command, source in (("eval-align", ("--pipeline", root / "pipe")),
+                            ("eval-consistency", ("--scene", root / "stylized.gscn"))):
+        out = tmp_path / f"{command}.csv"
+        capsys.readouterr()
+        assert run(command, "--config", root / "small.cfg", *source, "--out", out) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="ascii"), command
 
 
 def test_pipeline_stylize_changed_colors_not_geometry(pipeline_artifacts):
@@ -686,6 +708,29 @@ def test_raw_scene_is_rejected(pipeline_artifacts, tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["train-style", "stylize"])
+def test_one_gaussian_scene_is_refused(pipeline_artifacts, tmp_path, capsys, command):
+    # `embed` runs on one Gaussian, but AdaIN needs statistics over several
+    root = pipeline_artifacts
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(SMALL_CFG + "scene.n = 1\ndistill.steps = 5\n")
+    scene = tmp_path / "sd.gscn"
+    assert run("gen-scene", "--config", cfg, "--out", tmp_path / "s.gscn") == 0
+    assert run("embed", "--config", cfg, "--scene", tmp_path / "s.gscn", "--out-scene", scene,
+               "--out-decoder", tmp_path / "dec.prms") == 0
+    argv = [command, "--config", cfg, "--scene", scene, "--pipeline", root / "pipe",
+            "--out", tmp_path / "out"]
+    if command == "train-style":
+        argv += ["--decoder", tmp_path / "dec.prms"]
+    else:
+        argv += ["--decoder", root / "styled" / "decoder.prms", "--text", "anything"]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"{scene}: N=1" in err and "at least 2 Gaussians" in err, err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("mode", ["drop", "garble"])
 def test_stylize_broken_manifest_exits_2(pipeline_artifacts, tmp_path, capsys, mode):
     root = pipeline_artifacts
@@ -896,3 +941,18 @@ def test_config_value_below_bound_exits_2(tmp_path, capsys, key, value, command)
     line = SMALL_CFG.count("\n") + 1
     assert f"{path} line {line}:" in captured.err and f"'{key}'" in captured.err
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_elevation_exits_2(small_cfg, tmp_path, capsys, value):
+    # a non-finite elevation puts every ring camera at a non-finite position
+    assert run("gen-scene", "--config", small_cfg, "--out", tmp_path / "s.gscn") == 0
+    path = tmp_path / "run.cfg"
+    path.write_text(SMALL_CFG + f"camera.elevation = {value}\n")
+    out = tmp_path / "views"
+    capsys.readouterr()
+    assert run("render", "--config", path, "--scene", tmp_path / "s.gscn", "--out", out) == 2
+    err = capsys.readouterr().err
+    line = SMALL_CFG.count("\n") + 1
+    assert f"{path} line {line}:" in err and "'camera.elevation'" in err, err
+    assert not out.exists()

@@ -1,7 +1,10 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from subflow import flowalign as fa
+from subflow import metrics as mt
 from subflow.diffcore.rng import named_stream
 from subflow.encoders import FeatureSet
 from subflow.errors import FormatError, NumericsError, ShapeError, StateError
@@ -415,7 +418,7 @@ def test_manifest_inconsistent_value_names_file(saved_pipeline, tmp_path, line, 
 def test_reports_csv_layout(tmp_path):
     reports = [fa.FlowRoundReport(1, 0.1, 0.2, 3.0, 2.0, 0.5)]
     path = tmp_path / "rounds.csv"
-    fa.reports_to_csv(reports, path)
+    mt.write_csv(path, fa.ROUND_COLUMNS, map(astuple, reports))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "round,sim_before,sim_after,fid_before,fid_after,displacement"
     assert lines[1].startswith("1,0.1,0.2,3,2,0.5")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from subflow import losses as ls
+from subflow import metrics as mt
 from subflow import transfer as tr
 from subflow.diffcore import Tensor
 from subflow.diffcore.rng import named_stream
@@ -241,13 +242,15 @@ def test_train_stylization_total_decreases(slab_run, session_encoders, session_d
     assert last < first
 
 
-def test_train_stylization_log_csv_layout(slab_run, session_encoders, session_decoder2d):
+def test_train_stylization_log_csv_layout(slab_run, session_encoders, session_decoder2d,
+                                          tmp_path):
     decoder = copy.deepcopy(slab_run["decoder0"])
     _, _, log = ls.train_stylization(
         slab_run["distilled"], slab_run["cams"][:4], slab_run["style_img"], slab_run["pipe"],
         decoder, session_encoders, ls.LossWeights(), steps=3,
         decoder2d=session_decoder2d, seed=3)
-    lines = log.csv().strip().splitlines()
+    rows = ([r[k] for k in ls.LOG_COLUMNS] for r in log.rows)
+    lines = mt.write_csv(tmp_path / "train_log.csv", ls.LOG_COLUMNS, rows).strip().splitlines()
     assert lines[0] == "step,content,style,obs,sup_disc,sup_gen,total"
     assert len(lines) == 4
 

@@ -216,8 +216,9 @@ def test_eval_consistency_needs_four_cameras():
         mt.eval_consistency(scene, cams)
 
 
-def test_metrics_csv_rows():
-    text = mt.metrics_csv_rows([("sim", "round1", 0.5), ("rmse", "short", 0.0213)])
+def test_metrics_csv_rows(tmp_path):
+    text = mt.write_csv(tmp_path / "metrics.csv", mt.METRIC_COLUMNS,
+                        [("sim", "round1", 0.5), ("rmse", "short", 0.0213)])
     lines = text.strip().splitlines()
     assert lines[0] == "metric,range_or_round,value"
     assert lines[1] == "sim,round1,0.5"
