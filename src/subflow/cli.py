@@ -90,6 +90,36 @@ def _training_cams(cfg) -> list[sc.Camera]:
     return cams[:max(1, len(cams) // 2)]
 
 
+# The keys that place the ring, so the training cameras. A weights file
+# records them as `key = value` lines; each must be read back.
+_RIG_SCHEMA = {key: (convert, cfgmod.REQUIRED) for key, (convert, _) in cfgmod.SCHEMA.items()
+               if key.startswith("camera.")}
+
+
+def _weights_path(scene) -> Path:
+    """The training cameras' weights file that `embed` writes next to its
+    distilled scene at `scene` and `train-style` reads from there."""
+    return Path(f"{scene}.twts")
+
+
+def _training_views(args, cfg, scene: sc.GaussianScene) -> list[ras.TileWeights]:
+    """The training cameras' weights, read from next to `--scene`. They must
+    have been composited over the scene's geometry and for the config's
+    cameras: the file names the `camera.*` values `embed` ran with."""
+    path = _weights_path(args.scene)
+    if not path.exists():
+        raise CliError(f"weights file not found: {path}; `embed` writes it next to "
+                       "the distilled scene")
+    with ras.WeightsFile(path) as weights:
+        if (weights.count, weights.digest) != (scene.count, ras.geometry_digest(scene)):
+            raise CliError(f"{path}: made for other geometry than {args.scene}; `embed` "
+                           "writes the weights with the distilled scene")
+        made = cfgmod.read_key_values(weights.rig, _RIG_SCHEMA, str(path))
+        for key, value in made.items():
+            _agree(path, key, value, _config_key(args, key), cfg[key])
+        return list(weights)
+
+
 def _flow_cfg(cfg) -> fa.FlowConfig:
     return fa.FlowConfig(
         euler_steps=cfg["flow.euler_steps"], rounds=cfg["flow.rounds"],
@@ -236,13 +266,19 @@ def cmd_gen_scene(args, cfg) -> int:
 
 def cmd_embed(args, cfg) -> int:
     scene = sc.load_scene(_require(args.scene, "scene"))
-    if Path(args.out_scene).resolve() == Path(args.out_decoder).resolve():
+    decoder_file = Path(args.out_decoder).resolve()
+    if Path(args.out_scene).resolve() == decoder_file:
         raise CliError(f"--out-scene and --out-decoder are one file: {args.out_scene}")
+    if _weights_path(args.out_scene).resolve() == decoder_file:
+        raise CliError(f"--out-decoder {args.out_decoder} is the weights file that embed "
+                       f"writes next to --out-scene {args.out_scene}")
     out_scene = _output(args.out_scene, "--out-scene")
     out_decoder = _output(args.out_decoder, "--out-decoder")
     encoders = _encoders(cfg)
+    rig = cfgmod.dump({key: cfg[key] for key in _RIG_SCHEMA})
+    views = ras.write_weights(_weights_path(out_scene), scene, _training_cams(cfg), rig)
     distilled, decoder, report = tr.distill_embeddings(
-        scene, _training_cams(cfg), encoders, steps=cfg["distill.steps"],
+        scene, views, encoders, steps=cfg["distill.steps"],
         seed=cfg["seed"], lr=cfg["distill.learning_rate"],
         decoder_hidden=(cfg["distill.hidden"],))
     sc.save_scene(distilled, out_scene)
@@ -272,13 +308,14 @@ def cmd_train_flow(args, cfg) -> int:
 
 def cmd_train_style(args, cfg) -> int:
     scene, decoder, pipe = _load_styling(args, cfg)
+    views = _training_views(args, cfg, scene)
     encoders = _encoders(cfg, pipe)
     style_img = _style_image(args, cfg)
     weights = _weights(cfg)
     out = _output(args.out, "--out", "reused")
     dec2d = _decoder2d(cfg, encoders, out) if weights.uses_prior else None
     decoder, disc, log = ls.train_stylization(
-        scene, _training_cams(cfg), style_img, pipe, decoder, encoders,
+        scene, views, style_img, pipe, decoder, encoders,
         weights, steps=cfg["style.steps"], decoder2d=dec2d, seed=cfg["seed"],
         lr=cfg["style.learning_rate"])
     save_params(out / "decoder.prms", decoder.parameters())

@@ -30,8 +30,9 @@ from .diffcore.rng import named_stream
 from .encoders import FeatureEncoders, _chw, procedural_texture
 from .errors import ShapeError
 from .flowalign import FlowPipeline
-from .rasterizer import attribute_weights, render  # noqa: F401  render: wrapped by perfbench
-from .scene import Camera, GaussianScene
+from .rasterizer import TileWeights
+from .rasterizer import attribute_weights, render  # noqa: F401  wrapped by perfbench
+from .scene import GaussianScene
 from .transfer import DecoderNet, StyleStats, adain, stats_from_feature
 
 LOG_CLAMP = 1e-7
@@ -248,34 +249,35 @@ class StyleTrainLog:
     rows: list = field(default_factory=list)   # per-step dicts keyed by LOG_COLUMNS
 
 
-def train_stylization(scene: GaussianScene, cams: Sequence[Camera], style_img: np.ndarray,
-                      pipeline: FlowPipeline, decoder: DecoderNet,
+def train_stylization(scene: GaussianScene, views: Sequence[TileWeights],
+                      style_img: np.ndarray, pipeline: FlowPipeline, decoder: DecoderNet,
                       encoders: FeatureEncoders, weights: LossWeights,
                       steps: int, decoder2d: Decoder2D | None, seed: int = 0,
                       lr: float = 1e-3):
     """Alternating decoder/discriminator updates on rendered views.
 
-    Per step, one training camera is drawn; the stylized view is composed
-    through that camera's frozen weights from the decoder's current colors.
-    The decoder descends content + style, plus the observation term when
-    `weights.lambda_obs > 0` and the suppression signal when
-    `weights.suppression_weight > 0`; only in that last case is there a
-    discriminator, which then descends its own separation loss. A skipped
-    term logs 0, and `decoder2d` (None when `weights.uses_prior` is false)
-    renders the 2D prior only for the terms that read it. Each row's
-    `total` is content + lambda_style*style + lambda_obs*obs.
+    `views` holds each training camera's frozen weights and content image,
+    as `attribute_weights` gives them or a `WeightsFile` reads them back.
+    Per step, one camera is drawn; the stylized view is composed through its
+    weights from the decoder's current colors. The decoder descends content
+    + style, plus the observation term when `weights.lambda_obs > 0` and the
+    suppression signal when `weights.suppression_weight > 0`; only in that
+    last case is there a discriminator, which then descends its own
+    separation loss. A skipped term logs 0, and `decoder2d` (None when
+    `weights.uses_prior` is false) renders the 2D prior only for the terms
+    that read it. Each row's `total` is content + lambda_style*style +
+    lambda_obs*obs.
     Returns (decoder, discriminator or None, log).
     """
-    h, w = cams[0].height, cams[0].width
+    h, w = views[0].rgb.shape[:2]
     style_vec = pipeline.align(encoders.encode_clip_like(style_img).vectors[0])
     moved = Tensor(adain(scene.embeddings, stats_from_feature(style_vec)).values)
     ref_tap_stats = encoders.tap_stats(style_img)
 
     cam_data = []
-    for cam in cams:
-        if (cam.height, cam.width) != (h, w):
+    for tiles in views:
+        if tiles.rgb.shape[:2] != (h, w):
             raise ShapeError("training cameras must share one resolution")
-        tiles = attribute_weights(scene, cam)
         i_g = (generator_2d(tiles.rgb, ref_tap_stats[GENERATOR_TAP], encoders, decoder2d)
                if weights.uses_prior else None)
         cam_data.append((tiles.blocks, tiles.rgb, i_g))

@@ -41,6 +41,12 @@ each tile's weights as one dense float32 block of (tile pixels) x (tile
 splats with a nonzero weight), like the per-tile splat lists of 3D Gaussian
 Splatting (Kerbl et al. 2023): about 1% of a dense (H*W, N) matrix's
 entries. Every map a pass builds has the same bytes in every pass.
+
+Once geometry is frozen, a camera's weights never change. `write_weights`
+stores them with the content image in a TWTS file, each block as its tile,
+its splat ids, a packed nonzero mask and its nonzero values in the block's
+memory order, and `WeightsFile` reads them back with the same bytes and
+layout, so a second consumer of the same cameras composites nothing.
 """
 from __future__ import annotations
 
@@ -48,7 +54,7 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -66,6 +72,9 @@ DEPTH_ALPHA = 0.5
 DEPTH_REL_TOL = 0.02             # warp_map occlusion test: relative depth gap
 
 FMAP_MAGIC = b"FMAP"
+WEIGHTS_MAGIC = b"TWTS"
+WEIGHTS_VERSION = 1
+DIGEST_BYTES = 32
 _PPM_FIELD = re.compile(rb"(?:\s|#[^\n]*\n)+(\d+)")   # separator or comment lines, then digits
 
 
@@ -260,11 +269,14 @@ class TileWeights:
     content image and coverage (equal to render's), the only maps its pass
     builds: no depth and no embedding maps. A block holds a tile's
     flat pixel indices and its splats with a nonzero weight, each once.
+    A `WeightsFile` gives back the blocks, in their memory order, and the
+    content image that `write_weights` stored, but no coverage: only
+    distillation reads it, and distillation composites its own.
     `nbytes`, `size` and `np.count_nonzero` count the blocks, never densified.
     """
     blocks: list
     rgb: np.ndarray          # (H, W, 3)
-    alpha_mask: np.ndarray   # (H, W)
+    alpha_mask: Optional[np.ndarray]   # (H, W); None when read from a weights file
 
     @property
     def nbytes(self) -> int:
@@ -293,6 +305,128 @@ def attribute_weights(scene: GaussianScene, cam: Camera) -> TileWeights:
     attribute map is differentiable through `diffcore.tile_matmul`."""
     (rgb, _, _, alpha), blocks = _composite(scene, cam, True, False)
     return TileWeights(blocks, rgb, alpha)
+
+
+# -- the weights file -------------------------------------------------------------
+
+def geometry_digest(scene: GaussianScene) -> bytes:
+    """sha256 over the positions, rotations, scales and opacities: all that
+    a camera's compositing weights read of a scene."""
+    import hashlib      # here: loading OpenSSL takes ~2 ms, which `render` need not pay
+    h = hashlib.sha256()
+    for field in (scene.positions, scene.rotations, scene.scales, scene.opacities):
+        h.update(np.ascontiguousarray(field, "<f4"))
+    return h.digest()
+
+
+def _tile_pixels(tile: int, h: int, w: int) -> np.ndarray:
+    """Flat pixel indices of tile number `tile`, in raster order, as `_composite` makes them."""
+    ty, tx = divmod(tile, -(-w // TILE))
+    return (np.arange(ty * TILE, min((ty + 1) * TILE, h))[:, None] * w
+            + np.arange(tx * TILE, min((tx + 1) * TILE, w))).ravel()
+
+
+def _camera_parts(weights: TileWeights, w: int) -> list:
+    """One camera's content image and block count, then, if it has blocks, a
+    (tile, splats, order, nonzero) row per block and all blocks' splat ids,
+    nonzero masks and nonzero values. A block's mask and values follow its
+    memory order (order 1: column by column): OpenBLAS's float32 GEMM sums in
+    another order for another layout, so the layout is kept."""
+    rows, splats, masks, values = [], [], [], []
+    for pix, ids, wts in weights.blocks:
+        fortran = wts.strides != (wts.itemsize * wts.shape[1], wts.itemsize)
+        flat = (wts.T if fortran else wts).ravel()
+        nonzero = flat != 0
+        row, col = divmod(int(pix[0]), w)
+        rows += [row // TILE * -(-w // TILE) + col // TILE, ids.size, int(fortran),
+                 int(np.count_nonzero(nonzero))]
+        splats.append(ids)
+        masks.append(nonzero)
+        values.append(flat[nonzero])
+    parts = [weights.rgb, (len(weights.blocks),)]
+    if weights.blocks:
+        parts += [tuple(rows), np.concatenate(splats),
+                  np.packbits(np.concatenate(masks)).tobytes(), np.concatenate(values)]
+    return parts
+
+
+def write_weights(path, scene: GaussianScene, cams: Sequence[Camera],
+                  rig: str) -> Iterator[TileWeights]:
+    """Composite each camera in turn, append its `TileWeights` to the TWTS
+    file at `path` and yield them; a camera's weights are dropped before the
+    next is composited. The header records what the weights depend on: the
+    scene's N and `geometry_digest`, and the cameras, as their count, size
+    and `rig`, the ASCII text that placed them (the CLI's `camera.*` lines).
+    Per camera follow `_camera_parts`."""
+    h, w = cams[0].height, cams[0].width
+    if any((cam.height, cam.width) != (h, w) for cam in cams):
+        raise ShapeError("a weights file holds cameras of one resolution")
+    with open(path, "wb") as fh:
+        binfile.put(fh, [WEIGHTS_MAGIC, (WEIGHTS_VERSION, scene.count, len(cams), h, w),
+                         geometry_digest(scene), (len(rig),), rig.encode("ascii")])
+        for cam in cams:
+            weights = attribute_weights(scene, cam)
+            binfile.put(fh, _camera_parts(weights, w))
+            yield weights
+            del weights
+
+
+class WeightsFile(binfile.Reader):
+    """A TWTS file that `write_weights` wrote. Opening reads the header:
+    `count` (the scene's N), `digest`, `cameras`, `height`, `width` and
+    `rig`. Iterating decodes one camera's `TileWeights` after the other and
+    checks that the file ends with the last camera."""
+
+    def __init__(self, path):
+        super().__init__(path, WEIGHTS_MAGIC, 5, version=WEIGHTS_VERSION)
+        self.count, self.cameras, self.height, self.width = self.header
+        if self.cameras < 1:
+            self.fail("holds no camera")
+        self.digest = bytes(self.ints(DIGEST_BYTES, "B"))
+        self.rig = bytes(self.ints(*self.ints(1), "B")).decode("ascii", "replace")
+
+    def __iter__(self) -> Iterator[TileWeights]:
+        h, w = self.height, self.width
+        for cam in range(self.cameras):
+            rgb = self.f32((h, w, 3), camera=cam, H=h, W=w).astype(np.float32)
+            (nblocks,) = self.ints(1)
+            yield TileWeights(self._blocks(cam, nblocks) if nblocks else [], rgb, None)
+        self.end()
+
+    def _blocks(self, cam: int, nblocks: int) -> list:
+        """The `nblocks` blocks of camera `cam`: a (tile, splats, order,
+        nonzero) row each, then all their splat ids, masks and values. Every
+        check comes before the blocks are made, so that nothing short-lived
+        is made between them: training holds the blocks, and such gaps made
+        train_wide's peak RSS creep up over its operations (~1 MB more)."""
+        h, w = self.height, self.width
+        table = np.array(self.ints(4 * nblocks), np.int64).reshape(nblocks, 4)
+        tiles, ks, orders, nonzeros = table.T
+        if not (tiles[-1] < -(-h // TILE) * -(-w // TILE) and np.all(np.diff(tiles) > 0)
+                and ks.min() >= 1 and nonzeros.min() >= 1 and orders.max() <= 1):
+            self.fail(f"camera {cam}: block rows (tile, splats, order, nonzero) "
+                      f"{table.tolist()} are not increasing tiles of a {h}x{w} view")
+        pixels = [_tile_pixels(int(tile), h, w) for tile in tiles]
+        sizes = np.array([pix.size for pix in pixels]) * ks
+        fields = {"camera": cam, "blocks": nblocks}
+        splats = self.u32(int(ks.sum()), self.count, **fields).astype(np.intp)
+        keys = np.sort(np.repeat(np.arange(nblocks), ks) * self.count + splats)
+        if np.any(keys[1:] == keys[:-1]):       # tile_matmul's vjp adds each splat once
+            self.fail(f"camera {cam}: a block repeats a splat ({self._sizes()})")
+        mask = self.bits(int(sizes.sum()), int(nonzeros.sum()), **fields)
+        counts = np.add.reduceat(mask, np.cumsum(sizes) - sizes, dtype=np.int64)
+        if np.any(counts != nonzeros):
+            self.fail(f"camera {cam}: the masks set {counts.tolist()} bits, the rows say "
+                      f"{nonzeros.tolist()} ({self._sizes()})")
+        values = self.f32((int(nonzeros.sum()),), **fields)
+        blocks, at, taken, first = [], 0, 0, 0
+        for (_, k, fortran, nonzero), pix in zip(table.tolist(), pixels):
+            flat = np.zeros(pix.size * k, np.float32)
+            flat[mask[at:at + flat.size]] = values[taken:taken + nonzero]
+            blocks.append((pix, splats[first:first + k], flat.reshape(k, pix.size).T
+                           if fortran else flat.reshape(pix.size, k)))
+            at, taken, first = at + flat.size, taken + nonzero, first + k
+        return blocks
 
 
 # -- depth reprojection ---------------------------------------------------------

@@ -14,7 +14,7 @@ mean, softplus of the second half is the (floored) standard deviation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -24,8 +24,9 @@ from .diffcore.rng import named_stream
 from .diffcore.tensor import _finite_or_raise
 from .encoders import FeatureEncoders
 from .errors import ShapeError
-from .rasterizer import attribute_weights, render  # noqa: F401  render: wrapped by perfbench
-from .scene import Camera, GaussianScene
+from .rasterizer import TileWeights
+from .rasterizer import attribute_weights, render  # noqa: F401  wrapped by perfbench
+from .scene import GaussianScene
 
 EPSILON_STD = 1e-6
 PROJECTION_WEIGHT = 0.2   # weight of distillation objective (b) against (a)
@@ -126,7 +127,23 @@ def initial_embeddings(colors: np.ndarray, embed_dim: int) -> np.ndarray:
     return np.ascontiguousarray(tiled[:, :embed_dim])
 
 
-def distill_embeddings(scene: GaussianScene, cams: Sequence[Camera],
+def _projection_target(weights: TileWeights, encoders: FeatureEncoders, proj: np.ndarray):
+    """(blocks cut to the well-covered pixels, their target) of one camera,
+    or None when it sees nothing: the first encoder tap of its content image
+    through `proj`, scaled to unit spread over those pixels."""
+    coverage = weights.alpha_mask.reshape(-1)
+    covered = coverage > 0.6
+    if covered.sum() < 16:
+        covered = coverage > 0.0
+    if covered.sum() == 0:
+        return None
+    tap0 = encoders.tap_features(weights.rgb)[0].data      # (C, H, W)
+    target = tap0.reshape(tap0.shape[0], -1).T @ proj.T    # (H*W, D)
+    scale = max(float(target[covered].std()), 1e-6)
+    return weights.select_rows(covered), Tensor(target[covered] / scale)
+
+
+def distill_embeddings(scene: GaussianScene, views: Iterable[TileWeights],
                        encoders: FeatureEncoders, steps: int = 800,
                        seed: int = 0, lr: float = 5e-3,
                        decoder_hidden: tuple[int, ...] = (64,)):
@@ -135,11 +152,10 @@ def distill_embeddings(scene: GaussianScene, cams: Sequence[Camera],
     Two objectives: (a) the decoder reproduces each Gaussian's own color from
     its embedding; (b) rendered embedding maps track a fixed projection of
     the first encoder tap of the rendered content image on well-covered
-    pixels, rendered through the frozen weight blocks cut to those rows. One
-    `attribute_weights` pass per camera gives the blocks and content image.
+    pixels, rendered through the frozen weight blocks cut to those rows.
+    `views` holds each training camera's `attribute_weights`; it is taken one
+    camera at a time and only the cut blocks are kept.
     """
-    if len(cams) < 1:
-        raise ShapeError("distill_embeddings needs at least one camera")
     d = scene.embed_dim
     embed = Tensor(initial_embeddings(scene.colors, d), requires_grad=True)
     decoder = DecoderNet(d, hidden=decoder_hidden, seed=seed)
@@ -148,21 +164,10 @@ def distill_embeddings(scene: GaussianScene, cams: Sequence[Camera],
     proj = named_stream(seed, "distill.tap_proj").standard_normal(
         (d, encoders.tap_widths[0])).astype(np.float32)
     proj /= np.linalg.norm(proj, axis=1, keepdims=True)
-
-    cam_data = []
-    for cam in cams:
-        weights = attribute_weights(scene, cam)
-        coverage = weights.alpha_mask.reshape(-1)
-        covered = coverage > 0.6
-        if covered.sum() < 16:
-            covered = coverage > 0.0
-        if covered.sum() == 0:
-            cam_data.append(None)  # camera sees nothing; no projection target
-            continue
-        tap0 = encoders.tap_features(weights.rgb)[0].data      # (C, H, W)
-        target = tap0.reshape(tap0.shape[0], -1).T @ proj.T    # (H*W, D)
-        scale = max(float(target[covered].std()), 1e-6)
-        cam_data.append((weights.select_rows(covered), Tensor(target[covered] / scale)))
+    # `map` holds no camera's weights while the next one is made
+    cam_data = list(map(lambda weights: _projection_target(weights, encoders, proj), views))
+    if not cam_data:
+        raise ShapeError("distill_embeddings needs at least one camera")
 
     opt = Adam([embed] + decoder.parameters(), lr=lr)
     g = named_stream(seed, "distill.cams")

@@ -29,6 +29,7 @@ def slab_run(session_encoders):
     a textured slab under a full-coverage elevated ring, distilled embeddings,
     and a flow pipeline trained on a procedural style corpus."""
     from subflow import flowalign as fa
+    from subflow import rasterizer as ras
     from subflow import scene as sc
     from subflow import transfer as tr
     from subflow.encoders import procedural_texture
@@ -37,8 +38,10 @@ def slab_run(session_encoders):
     scene = sc.generate_toy_scene("textured_slab", 400, 11, embed_dim=32)
     cams = sc.camera_ring((0, 0, 0), 2.6, 8, elevation=1.2, focal=90.0,
                           width=48, height=48)
+    # distillation changes only embeddings: these are the distilled scene's weights too
+    views = [ras.attribute_weights(scene, cam) for cam in cams[:4]]
     distilled, decoder0, distill_report = tr.distill_embeddings(
-        scene, cams[:4], enc, steps=600, seed=1)
+        scene, views, enc, steps=600, seed=1)
 
     style_imgs = [procedural_texture(7, i) for i in range(48)]
     cfg = fa.FlowConfig(rounds=2, train_steps=900, mapping_steps=900,
@@ -50,7 +53,7 @@ def slab_run(session_encoders):
     style_stats = tr.stats_from_feature(
         pipe.align(enc.encode_clip_like(style_img).vectors[0]))
     return {
-        "scene": scene, "cams": cams, "distilled": distilled,
+        "scene": scene, "cams": cams, "views": views, "distilled": distilled,
         "decoder0": decoder0, "distill_report": distill_report,
         "pipe": pipe, "flow_reports": flow_reports,
         "style_img": style_img, "style_stats": style_stats,

@@ -288,7 +288,8 @@ def test_ac07_geometry_bytes_immutable_across_all_toy_scenes(session_encoders):
         scene = sc.generate_toy_scene(kind, 48, 31, embed_dim=16)
         pos, focal = view[kind]
         cams = [sc.look_at_camera(pos, (0, 0, 0), focal, 32, 32)]
-        distilled, decoder, _ = tr.distill_embeddings(scene, cams, session_encoders,
+        views = [ras.attribute_weights(scene, cam) for cam in cams]
+        distilled, decoder, _ = tr.distill_embeddings(scene, views, session_encoders,
                                                       steps=60, seed=2)
         g = named_stream(5, f"ac7.{kind}")
         style = tr.StyleStats(g.standard_normal(16), g.uniform(0.3, 1.5, size=16))
@@ -312,7 +313,7 @@ def styled_runs(slab_run, session_encoders, session_decoder2d):
                           ("ablated", ls.LossWeights(lambda_obs=0.0, suppression_weight=0.0))):
         decoder = copy.deepcopy(slab_run["decoder0"])
         decoder, _, log = ls.train_stylization(
-            slab_run["distilled"], slab_run["cams"][:4], slab_run["style_img"],
+            slab_run["distilled"], slab_run["views"], slab_run["style_img"],
             slab_run["pipe"], decoder, session_encoders, weights,
             steps=250, decoder2d=session_decoder2d, seed=3, lr=2e-3)
         styled = tr.stylize_scene(slab_run["distilled"], slab_run["style_stats"], decoder)

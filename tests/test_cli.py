@@ -670,6 +670,128 @@ def test_embed_refuses_one_path_for_both_outputs(small_cfg, tmp_path, capsys, mo
     assert not list((tmp_path / "out").iterdir())
 
 
+def test_embed_refuses_the_weights_path_for_the_decoder(small_cfg, tmp_path, capsys,
+                                                        monkeypatch):
+    # embed writes the training cameras' weights to <out-scene>.twts
+    def distill(*_, **__):
+        raise AssertionError("embed distilled into the weights file's path")
+
+    monkeypatch.setattr(cli.tr, "distill_embeddings", distill)
+    assert run("gen-scene", "--config", small_cfg, "--out", tmp_path / "s.gscn") == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    assert run("embed", "--config", small_cfg, "--scene", tmp_path / "s.gscn",
+               "--out-scene", out / "sd.gscn", "--out-decoder", out / "sd.gscn.twts") == 2
+    err = capsys.readouterr().err
+    assert f"--out-decoder {out / 'sd.gscn.twts'}" in err
+    assert f"--out-scene {out / 'sd.gscn'}" in err
+    assert not list(out.iterdir())
+
+
+def test_embed_weights_depend_only_on_geometry_and_cameras(pipeline_artifacts, tmp_path):
+    # a rerun with other distillation steps writes the same weights bytes,
+    # and they are the training cameras' `attribute_weights`
+    root = pipeline_artifacts
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(SMALL_CFG.replace("distill.steps = 200", "distill.steps = 2"))
+    assert run("embed", "--config", cfg, "--scene", root / "s.gscn",
+               "--out-scene", tmp_path / "sd.gscn", "--out-decoder", tmp_path / "dec.prms") == 0
+    written = (tmp_path / "sd.gscn.twts").read_bytes()
+    assert written == (root / "sd.gscn.twts").read_bytes()
+    scene = sc.load_scene(root / "sd.gscn")
+    cams = cli._training_cams(cfgmod.load_config(cfg))
+    views = list(ras.WeightsFile(root / "sd.gscn.twts"))
+    assert len(views) == len(cams) == 4
+    for cam, view in zip(cams, views):
+        want = ras.attribute_weights(scene, cam)
+        assert view.rgb.tobytes() == want.rgb.tobytes()
+        assert [tuple(a.tobytes() for a in block) for block in view.blocks] \
+            == [tuple(a.tobytes() for a in block) for block in want.blocks]
+
+
+def test_train_style_composites_nothing(pipeline_artifacts, tmp_path, monkeypatch):
+    # the weights embed wrote replace the compositing pass, with the same bytes
+    def composite(*_, **__):
+        raise AssertionError("train-style composited a view")
+
+    root = pipeline_artifacts
+    monkeypatch.setattr(ras, "_composite", composite)
+    out = tmp_path / "styled"
+    out.mkdir()
+    dec2d = "decoder2d_seed0.prms"
+    (out / dec2d).write_bytes((root / "styled" / dec2d).read_bytes())
+    assert run("train-style", "--config", root / "small.cfg", "--scene", root / "sd.gscn",
+               "--decoder", root / "dec.prms", "--pipeline", root / "pipe", "--out", out) == 0
+    for name in ("decoder.prms", "discriminator.prms", "train_log.csv"):
+        assert (out / name).read_bytes() == (root / "styled" / name).read_bytes(), name
+
+
+def _styling_copy(root, tmp_path):
+    """train-style's argv over a copy of the distilled scene without its weights file."""
+    scene = tmp_path / "sd.gscn"
+    scene.write_bytes((root / "sd.gscn").read_bytes())
+    return scene, ["train-style", "--scene", scene, "--decoder", root / "dec.prms",
+                   "--pipeline", root / "pipe", "--out", tmp_path / "out"]
+
+
+def test_train_style_needs_the_weights_file(pipeline_artifacts, tmp_path, capsys):
+    root = pipeline_artifacts
+    scene, argv = _styling_copy(root, tmp_path)
+    assert run(*argv, "--config", root / "small.cfg") == 2
+    err = capsys.readouterr().err
+    assert f"weights file not found: {scene}.twts" in err and "`embed` writes it" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("other", ["scene.kind = lattice", "scene.n = 120"])
+def test_train_style_refuses_weights_of_other_geometry(pipeline_artifacts, tmp_path, capsys,
+                                                       other):
+    # the weights of another scene, of the same embedding width, beside this
+    # one; `scene.seed` would not do, the slab draws nothing from it
+    root = pipeline_artifacts
+    cfg = tmp_path / "other.cfg"
+    cfg.write_text(SMALL_CFG.replace("distill.steps = 200", "distill.steps = 2") + other + "\n")
+    assert run("gen-scene", "--config", cfg, "--out", tmp_path / "o.gscn") == 0
+    assert run("embed", "--config", cfg, "--scene", tmp_path / "o.gscn", "--out-scene",
+               tmp_path / "od.gscn", "--out-decoder", tmp_path / "odec.prms") == 0
+    scene, argv = _styling_copy(root, tmp_path)
+    weights = tmp_path / "sd.gscn.twts"
+    weights.write_bytes((tmp_path / "od.gscn.twts").read_bytes())
+    capsys.readouterr()
+    assert run(*argv, "--config", root / "small.cfg") == 2
+    err = capsys.readouterr().err
+    assert f"{weights}: made for other geometry than {scene}" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [("camera.focal", "60.0"), ("camera.radius", "3.0"),
+                                        ("camera.elevation", "0.8"), ("camera.count", "6")])
+def test_train_style_refuses_cameras_other_than_embeds(pipeline_artifacts, tmp_path, capsys,
+                                                       key, value):
+    # embed composited the config's training cameras; another ring's would
+    # pair its content images with weights of other views
+    root = pipeline_artifacts
+    cfg = tmp_path / "cams.cfg"
+    cfg.write_text(SMALL_CFG + f"{key} = {value}\n")
+    argv = ["train-style", "--config", cfg, "--scene", root / "sd.gscn", "--decoder",
+            root / "dec.prms", "--pipeline", root / "pipe", "--out", tmp_path / "out"]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"{root / 'sd.gscn.twts'}: '{key}' is" in err and f"{cfg} ('{key}')" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_style_broken_weights_file_exits_2(pipeline_artifacts, tmp_path, capsys):
+    root = pipeline_artifacts
+    scene, argv = _styling_copy(root, tmp_path)
+    weights = tmp_path / "sd.gscn.twts"
+    weights.write_bytes((root / "sd.gscn.twts").read_bytes()[:-8])
+    assert run(*argv, "--config", root / "small.cfg") == 2
+    assert f"{weights}: payload ends" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_consistency_names_a_ring_too_small(tmp_path, capsys):
     # camera.count = 3 passes the config's bound of 2, which render and
     # training need; the check comes before the scene is read

@@ -1,4 +1,5 @@
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -462,6 +463,94 @@ def test_attribute_weights_memory_is_block_sparse():
     assert peak < 10 << 20
     assert 0 < weights.nbytes < 10 << 20
     assert 0 < np.count_nonzero(weights) <= weights.size
+
+
+def _weights_views(name):
+    """A scene and cameras of one size for a weights file. "wide" (train_wide's
+    shapes) has blocks of both memory orders, "ring-17" a one-pixel tile and
+    one-column blocks, "facing-away" (test_transfer's pair) a camera that sees
+    nothing, and "blind" a camera that sees nothing before ring cameras that
+    see one Gaussian."""
+    if name == "wide":
+        scene = sc.generate_toy_scene("textured_slab", 2000, 11, embed_dim=8)
+        return scene, sc.camera_ring((0, 0, 0), 2.6, 8, elevation=1.2, focal=180.0,
+                                     width=96, height=96)[:1]
+    if name == "facing-away":
+        scene = sc.generate_toy_scene("lattice", 27, 5, embed_dim=8)
+        return scene, [sc.look_at_camera((0, -4, 1), (0, -8, 1), 50.0, 32, 32),
+                       sc.look_at_camera((0, -4, 1), (0, 0, 0), 50.0, 32, 32)]
+    scene, cam = _case(name)
+    return scene, [cam] + sc.camera_ring((0, 0, 0), 2.6, 8, elevation=1.2, focal=cam.focal,
+                                         width=cam.width, height=cam.height)[:2]
+
+
+@pytest.mark.parametrize("name", ["wide", "slab-600", "saturated-stack", "ring-40", "ring-17",
+                                  "facing-away", "blind"])
+def test_weights_file_gives_back_the_blocks(tmp_path, name):
+    # what `write_weights` writes reads back as `attribute_weights`' blocks,
+    # byte for byte and in the same memory order, with the content image
+    scene, cams = _weights_views(name)
+    path = tmp_path / "w.twts"
+    written = list(ras.write_weights(path, scene, cams, "camera.count = 8\n"))
+    weights = ras.WeightsFile(path)
+    assert (weights.count, weights.cameras) == (scene.count, len(cams))
+    assert (weights.height, weights.width) == (cams[0].height, cams[0].width)
+    assert weights.digest == ras.geometry_digest(scene)
+    assert weights.rig == "camera.count = 8\n"
+    read = list(weights)
+    assert len(read) == len(cams)
+    layouts = set()
+    for cam, made, got in zip(cams, written, read):
+        want = ras.attribute_weights(scene, cam)
+        assert made.rgb.tobytes() == want.rgb.tobytes()
+        assert made.alpha_mask.tobytes() == want.alpha_mask.tobytes()
+        assert got.rgb.dtype == np.float32 and got.rgb.tobytes() == want.rgb.tobytes()
+        assert got.alpha_mask is None
+        assert len(got.blocks) == len(want.blocks)
+        for block, ref in zip(got.blocks, want.blocks):
+            for a, b in zip(block, ref):
+                assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides)
+                assert a.tobytes() == b.tobytes()
+            layouts.add(block[2].strides == (4 * block[2].shape[1], 4))
+    if name == "wide":
+        assert layouts == {True, False}       # row-major and column-major blocks
+    if name in ("facing-away", "blind"):
+        assert read[0].blocks == [] and not read[0].rgb.any()
+
+
+def test_weights_file_holds_one_camera_at_a_time(tmp_path, monkeypatch):
+    # each camera taken composites one camera, and the writer holds no weights
+    # of an earlier camera, which its caller has dropped, while it composites
+    scene, cams = _weights_views("ring-40")
+    composite, refs, alive = ras.attribute_weights, [], []
+
+    def counted(*args):
+        alive.append(sum(ref() is not None for ref in refs))
+        return composite(*args)
+
+    monkeypatch.setattr(ras, "attribute_weights", counted)
+    views = ras.write_weights(tmp_path / "w.twts", scene, cams, "")
+    for taken in range(1, len(cams) + 1):
+        refs.append(weakref.ref(next(views)))
+        assert len(alive) == taken
+    assert next(views, None) is None
+    assert alive == [0] * len(cams)
+    assert len(list(ras.WeightsFile(tmp_path / "w.twts"))) == len(cams)
+    with pytest.raises(ShapeError):
+        list(ras.write_weights(tmp_path / "x.twts", scene, [cams[0], front_camera(32, 16)], ""))
+
+
+def test_geometry_digest_reads_only_geometry():
+    scene = sc.generate_toy_scene("textured_slab", 50, 3, embed_dim=8)
+    digest = ras.geometry_digest(scene)
+    assert len(digest) == ras.DIGEST_BYTES
+    assert ras.geometry_digest(scene.with_colors(1.0 - scene.colors)) == digest
+    assert ras.geometry_digest(scene.with_embeddings(scene.embeddings + 1.0)) == digest
+    opacities = scene.opacities.copy()
+    opacities[7] *= 0.5
+    moved = sc.GaussianScene(scene.positions, scene.rotations, scene.scales, opacities,
+                             scene.colors, scene.embeddings)
+    assert ras.geometry_digest(moved) != digest
 
 
 def test_warp_identity_is_identity_on_finite_pixels():

@@ -80,7 +80,16 @@ def valid(tmp_path_factory):
                                          FeatureSet("vgg_like", x + 1.0), cfg)
     pipe.clip_calibration = (x.mean(axis=0), 0.75)
     pipe.save(root / "pipe")
+    list(ras.write_weights(root / "v.twts", *_twts_views(), "camera.count = 8\n"))
     return root
+
+
+def _twts_views():
+    """A scene and three 16x16 cameras: one sees it, one looks away, one sees it."""
+    scene = sc.generate_toy_scene("lattice", 6, 1, embed_dim=8)
+    return scene, [sc.look_at_camera((0, -4, 1), (0, 0, 0), 30.0, 16, 16),
+                   sc.look_at_camera((0, -4, 1), (0, -8, 1), 30.0, 16, 16),
+                   sc.look_at_camera((-3, -3, 1), (0, 0, 0), 20.0, 16, 16)]
 
 
 def _read(reader, path, data: bytes):
@@ -124,6 +133,73 @@ def test_container_readers_share_their_rules(valid, tmp_path, fmt, case):
     assert str(err.value).startswith(f"{path}: ")
     if case.endswith("payload"):
         assert fields in str(err.value)
+
+
+def _twts_first_block(raw: bytes) -> int:
+    """Byte offset of the first camera's first block row (tile, splats, order,
+    nonzero) in a TWTS file whose first camera sees something. With one block,
+    as in a 16x16 view, its splat ids follow the row."""
+    _, _, h, w = struct.unpack_from("<4I", raw, 8)        # N, cameras, H, W
+    (rig,) = struct.unpack_from("<I", raw, 24 + 32)       # after the geometry digest
+    return 60 + rig + 4 * h * w * 3 + 4                   # after the content image, block count
+
+
+@pytest.mark.parametrize("case", ["magic", "truncated", "splat-id", "mask-count", "trailing",
+                                  "tile-order", "repeated-splat", "no-camera"])
+def test_weights_reader_names_the_file(valid, tmp_path, case):
+    raw = (valid / "v.twts").read_bytes()
+    block = _twts_first_block(raw)
+    _, splats, _, nonzero, first = struct.unpack_from("<5I", raw, block)
+    put = lambda off, value: raw[:off] + struct.pack("<I", value) + raw[off + 4:]
+    blob, message = {
+        "magic": (b"XXXX" + raw[4:], "bad magic"),
+        "truncated": (raw[:block + 40], "payload ends"),
+        "splat-id": (put(block + 16 + 4 * (splats - 1), 6), "index 6"),       # N=6
+        "mask-count": (put(block + 12, nonzero + 1), f"sets {nonzero} bits"),
+        "trailing": (raw + bytes(4), "payload ends"),
+        "tile-order": (put(block, 4), "not increasing tiles"),               # one 16x16 tile
+        "repeated-splat": (put(block + 16 + 4 * (splats - 1), first), "repeats a splat"),
+        "no-camera": (put(12, 0), "no camera"),
+    }[case]
+    path = tmp_path / "broken.twts"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError) as err:
+        list(ras.WeightsFile(path))
+    assert str(err.value).startswith(f"{path}: ") and message in str(err.value), err.value
+
+
+def test_weights_reader_checks_each_blocks_mask(tmp_path):
+    # a row's nonzero count must match its own block's mask, not only the sum
+    scene = sc.generate_toy_scene("textured_slab", 200, 2, embed_dim=8)
+    cam = sc.look_at_camera((0, -2.5, 2.5), (0, 0, 0), 45.0, 32, 32)
+    path = tmp_path / "w.twts"
+    list(ras.write_weights(path, scene, [cam], ""))
+    raw = bytearray(path.read_bytes())
+    rows = 60 + 4 * 32 * 32 * 3 + 4
+    assert struct.unpack_from("<I", raw, rows - 4)[0] > 1
+    for off, step in ((rows + 12, 1), (rows + 16 + 12, -1)):      # first two rows' nonzero
+        struct.pack_into("<I", raw, off, struct.unpack_from("<I", raw, off)[0] + step)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="the masks set"):
+        list(ras.WeightsFile(path))
+
+
+@given(st.data())
+def test_weights_file_property(valid, data):
+    raw = (valid / "v.twts").read_bytes()
+    blob = data.draw(_binary(raw, [8, 12, 16, 20, 56, _twts_first_block(raw),
+                                   _twts_first_block(raw) + 4, _twts_first_block(raw) + 12]))
+    views = _read(lambda path: list(ras.WeightsFile(path)), valid / "x.twts", blob)
+    if views is not None:
+        count, _, h, w = struct.unpack_from("<4I", blob, 8)
+        for view in views:
+            assert view.rgb.shape == (h, w, 3) and np.all(np.isfinite(view.rgb))
+            pixels = np.concatenate([pix for pix, _, _ in view.blocks] or [np.zeros(0, int)])
+            assert np.unique(pixels).size == pixels.size and np.all(pixels < h * w)
+            for pix, splats, wts in view.blocks:
+                assert wts.shape == (pix.size, splats.size) and np.all(splats < count)
+                assert np.unique(splats).size == splats.size
+                assert np.all(np.isfinite(wts))
 
 
 @given(st.data())

@@ -3,11 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subflow import rasterizer as ras
 from subflow import scene as sc
 from subflow import transfer as tr
 from subflow.diffcore.rng import named_stream
 from subflow.encoders import FeatureEncoders
 from subflow.errors import ShapeError
+
+
+def _views(scene, cams):
+    """What `distill_embeddings` takes: each camera's compositing weights."""
+    return [ras.attribute_weights(scene, cam) for cam in cams]
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +25,7 @@ def encoders():
 def distilled(encoders):
     scene = sc.generate_toy_scene("lattice", 64, 3, embed_dim=16)
     cams = sc.camera_ring((0, 0, 0), 4.5, 3, elevation=0.5, width=48, height=48, focal=50)
-    return tr.distill_embeddings(scene, cams, encoders, steps=700, seed=1)
+    return tr.distill_embeddings(scene, _views(scene, cams), encoders, steps=700, seed=1)
 
 
 # -- adain -------------------------------------------------------------------
@@ -112,7 +118,7 @@ def test_distill_keeps_scene_and_varies_embeddings(distilled):
 def test_distill_zero_steps_keeps_init(encoders):
     scene = sc.generate_toy_scene("lattice", 27, 5, embed_dim=8)
     cams = [sc.look_at_camera((0, -4, 1), (0, 0, 0), 50.0, 32, 32)]
-    ds, _, _ = tr.distill_embeddings(scene, cams, encoders, steps=0, seed=2)
+    ds, _, _ = tr.distill_embeddings(scene, _views(scene, cams), encoders, steps=0, seed=2)
     assert np.array_equal(ds.embeddings, tr.initial_embeddings(scene.colors, 8))
 
 
@@ -125,7 +131,7 @@ def test_distill_equal_colors_equal_embeddings_recon_only(encoders):
     colors[5] = colors[4]
     scene = base.with_colors(colors)
     cams = [sc.look_at_camera((0, -4, 1), (0, -8, 1), 50.0, 32, 32)]
-    ds, _, report = tr.distill_embeddings(scene, cams, encoders, steps=150, seed=3)
+    ds, _, report = tr.distill_embeddings(scene, _views(scene, cams), encoders, steps=150, seed=3)
     assert np.isnan(report.projection_mse_last)
     assert np.array_equal(ds.embeddings[0], ds.embeddings[1])
     assert np.array_equal(ds.embeddings[4], ds.embeddings[5])
@@ -134,10 +140,11 @@ def test_distill_equal_colors_equal_embeddings_recon_only(encoders):
 def test_distill_camera_that_sees_nothing_has_no_projection_term(encoders):
     scene = sc.generate_toy_scene("lattice", 27, 5, embed_dim=8)
     away = sc.look_at_camera((0, -4, 1), (0, -8, 1), 50.0, 32, 32)   # the scene is behind it
-    _, _, blind = tr.distill_embeddings(scene, [away], encoders, steps=3, seed=2)
+    _, _, blind = tr.distill_embeddings(scene, _views(scene, [away]), encoders, steps=3, seed=2)
     assert np.isnan(blind.projection_mse_first) and np.isnan(blind.projection_mse_last)
     seeing = sc.look_at_camera((0, -4, 1), (0, 0, 0), 50.0, 32, 32)
-    _, _, mixed = tr.distill_embeddings(scene, [away, seeing], encoders, steps=6, seed=2)
+    _, _, mixed = tr.distill_embeddings(scene, _views(scene, [away, seeing]), encoders,
+                                        steps=6, seed=2)
     assert np.isfinite(mixed.projection_mse_last)
 
 
