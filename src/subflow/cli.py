@@ -401,7 +401,12 @@ def cmd_eval_consistency(args, cfg) -> int:
     scene = sc.load_scene(_require(args.scene, "scene"))
     out = _output(args.out, "--out")
     cams = _ring(cfg)
-    reports = mt.eval_consistency(scene, cams)
+    try:
+        reports = mt.eval_consistency(scene, cams)
+    except ShapeError as exc:       # the ring's size is checked above: two views miss each other
+        keys = ", ".join(cfgmod.dump({key: cfg[key] for key in _RIG_SCHEMA}).splitlines())
+        raise CliError(f"--scene {args.scene}: {exc} under the ring that "
+                       f"{args.config or 'the default config'} places ({keys})") from None
     summary = mt.consistency_summary(reports)
     rows = [("masked_rmse", tag, val) for tag, val in summary.items()]
     rows += [("valid_fraction", r.range, r.valid_pixel_fraction) for r in reports]

@@ -113,6 +113,8 @@ def eval_consistency(scene: GaussianScene, cams: Sequence[Camera]) -> list[Consi
     """Short-range = consecutive ring pairs (cyclic), long-range = half-ring pairs.
 
     Renders through the `rasterizer.render` attribute, looked up at call time.
+    A pair whose views share no covered pixel has no error to measure: that
+    is a ShapeError naming the pair, before any RMSE is taken.
     """
     n = len(cams)
     if n < MIN_RING:
@@ -123,6 +125,8 @@ def eval_consistency(scene: GaussianScene, cams: Sequence[Camera]) -> list[Consi
     pairs += [("long", i, (i + n // 2) % n) for i in range(n // 2)]
     for tag, i, j in pairs:
         coords, valid = warp_map(cams[i], cams[j], renders[i].depth, renders[j].depth)
+        if not valid.any():
+            raise ShapeError(f"ring views {i} and {j} share no covered pixel")
         reports.append(masked_rmse(renders[i].rgb, renders[j].rgb, coords, valid, tag))
     return reports
 

@@ -19,14 +19,18 @@ One kernel, `_tile_weights`, computes the weights w_i for a tile, CHUNK
 splats at a time, as a (chunk x tile pixels) block, pixels last in raster
 order. The quadratic form is separable: its dx and dy terms are formed once
 per tile column and row and broadcast over the block, the same products
-summed in the same order as pixel by pixel. T_i is the exclusive running
-product (`np.multiply.accumulate` down the splats) of (1 - alpha) seeded
-with the transmittance carried out of the previous chunk, with w_i zeroed
-where T_i < 1e-4. The running product multiplies the same factors in the
-same order as a splat-by-splat loop, and because T only falls, a pixel whose
-T dropped under 1e-4 never contributes again; so masking after the fact
-gives the loop's weights bit for bit, and a tile stops as soon as every
-pixel in it is saturated.
+summed in the same order as pixel by pixel. The 0.5 in the exponent is
+folded into those terms, as (0.5 a) dx dx, b dx dy and (0.5 c) dy dy:
+scaling a normal float by 2^-1 only lowers its exponent, so each term,
+and their rounded sum, is exactly half of the unfolded one. T_i is the
+exclusive running product of (1 - alpha) seeded with the transmittance
+carried out of the previous chunk, taken one splat row at a time (each row
+times the row before it, all pixels at once), with w_i zeroed where
+T_i < 1e-4. That multiplies the same factors in the same order as a
+splat-by-splat loop, and because T only falls, a pixel whose T dropped
+under 1e-4 never contributes again; so masking after the fact gives the
+loop's weights bit for bit, and a tile stops as soon as every pixel in it
+is saturated.
 
 One compositing pass builds, from those weights, only the maps its caller
 reads: colors and the D-channel embedding maps as w^T @ attrs (so rendering
@@ -131,8 +135,16 @@ def _tile_weights(xs, ys, means, conics, opac):
     transmittance left before splat j: the exclusive running product of
     (1 - alpha) down the splats, seeded with the transmittance carried out of
     the previous chunk. Weights are zero where T_j < MIN_TRANSMITTANCE, and
-    the tile stops once every pixel is. The power 0.5 ((a dx dx + 2b dx dy) +
-    c dy dy) is built from per-column and per-row terms, summed as per pixel.
+    the tile stops once every pixel is.
+
+    The power 0.5 ((a dx dx + 2b dx dy) + c dy dy) is built, in place, as
+    ((0.5 a) dx dx + b dx dy) + (0.5 c) dy dy from per-column and per-row
+    terms: halving a normal float is exact, so the fold keeps every bit.
+    Alpha is then made on the same buffer, and zeroed where the power is not
+    within the cutoff (NaN included). T is multiplied down the rows of one
+    (chunk + 1, pixels) buffer, row j + 1 times row j over all pixels: the
+    same products in the same order as `np.multiply.accumulate` along the
+    splats, as tile-wide vector multiplies instead of strided chains.
     """
     trans = np.ones(ys.size * xs.size)
     for lo in range(0, opac.size, CHUNK):
@@ -140,15 +152,22 @@ def _tile_weights(xs, ys, means, conics, opac):
         dx = xs - means[chunk, 0, None]
         dy = ys - means[chunk, 1, None]
         a, b, c = conics[chunk].T[:, :, None]
-        axx, bx, cyy = a * dx * dx, 2.0 * b * dx, c * dy * dy
-        power = 0.5 * (axx[:, None] + bx[:, None] * dy[:, :, None] + cyy[:, :, None])
-        power = power.reshape(len(dx), -1)
-        alpha = np.where(power <= 0.5 * CUTOFF_MAHALANOBIS_SQ,
-                         np.minimum(ALPHA_CLAMP, opac[chunk, None] * np.exp(-power)), 0.0)
+        axx, bx, cyy = 0.5 * a * dx * dx, b * dx, 0.5 * c * dy * dy
+        power = bx[:, None] * dy[:, :, None]
+        power += axx[:, None]
+        power += cyy[:, :, None]
+        alpha = power.reshape(len(dx), -1)
+        outside = ~(alpha <= 0.5 * CUTOFF_MAHALANOBIS_SQ)
+        np.negative(alpha, out=alpha)
+        np.exp(alpha, out=alpha)
+        alpha *= opac[chunk, None]
+        np.minimum(alpha, ALPHA_CLAMP, out=alpha)
+        np.copyto(alpha, 0.0, where=outside)
         t = np.empty((alpha.shape[0] + 1, alpha.shape[1]))
         t[0] = trans
         np.subtract(1.0, alpha, out=t[1:])
-        np.multiply.accumulate(t, axis=0, out=t)
+        for prev, cur in zip(t[:-1], t[1:]):
+            np.multiply(prev, cur, cur)
         before = t[:-1]
         wts = np.multiply(alpha, before, out=alpha)
         np.copyto(wts, 0.0, where=~(before >= MIN_TRANSMITTANCE))
@@ -177,9 +196,11 @@ def _tiles(scene: GaussianScene, cam: Camera):
     x0, y0 = (box_lo // TILE).T
     x1, y1 = (box_hi // TILE).T
     tiles = []
+    in_col = [inside & (x0 <= tx) & (tx <= x1) for tx in range((w + TILE - 1) // TILE)]
     for ty in range((h + TILE - 1) // TILE):
-        for tx in range((w + TILE - 1) // TILE):
-            sel = np.flatnonzero(inside & (x0 <= tx) & (tx <= x1) & (y0 <= ty) & (ty <= y1))
+        in_row = (y0 <= ty) & (ty <= y1)
+        for tx, col in enumerate(in_col):
+            sel = np.flatnonzero(col & in_row)
             if sel.size == 0:
                 continue
             rows = slice(ty * TILE, min((ty + 1) * TILE, h))
@@ -226,8 +247,10 @@ def _composite(scene: GaussianScene, cam: Camera, keep_blocks: bool, features: b
             total = np.add.reduce(stack) if acc.size > 1 else np.add.accumulate(stack)[-1]
             if depth is not None:
                 crossed = (acc < DEPTH_ALPHA) & (total >= DEPTH_ALPHA)
-                first = np.argmax(np.add.accumulate(stack[:, crossed])[1:] >= DEPTH_ALPHA, axis=0)
-                dep[crossed] = z[s][first]
+                if crossed.any():
+                    first = np.argmax(np.add.accumulate(stack[:, crossed])[1:] >= DEPTH_ALPHA,
+                                      axis=0)
+                    dep[crossed] = z[s][first]
             acc = total
             if keep_blocks:
                 block = wts.T.astype(np.float32, order="C")

@@ -805,6 +805,23 @@ def test_eval_consistency_names_a_ring_too_small(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_eval_consistency_names_a_ring_whose_views_share_no_pixel(tmp_path, capsys):
+    # from 500 units away the lattice covers a few pixels of each view, and no
+    # two views cover the same point: there is no error to measure
+    path = tmp_path / "far.cfg"
+    path.write_text("scene.kind = lattice\nscene.n = 8\ncamera.radius = 500\n")
+    scene, out = tmp_path / "s.gscn", tmp_path / "cons.csv"
+    assert run("gen-scene", "--config", path, "--out", scene) == 0
+    capsys.readouterr()
+    assert run("eval-consistency", "--config", path, "--scene", scene, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"--scene {scene}" in err and str(path) in err, err
+    assert "share no covered pixel" in err and "camera.radius = 500.0" in err, err
+    for key in cfgmod.SCHEMA:
+        assert (f"{key} = " in err) == key.startswith("camera."), (key, err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--feat-clip", "--feat-vgg"])
 def test_eval_align_feat_flags_must_pair(pipeline_artifacts, tmp_path, capsys, flag):
     root = pipeline_artifacts

@@ -315,7 +315,31 @@ def _composite_reference(scene, cam):
     return rgb, feats, depth, alpha, blocks, chunk_weights
 
 
+def extreme_scales_scene():
+    """Sub-pixel splats (3D scale 1e-4, so cov2d is about the low-pass and its
+    conic near the largest there is) interleaved in depth with anisotropic,
+    rotated splats that fill the view (conic near zero), over more than two
+    chunks of one 16x16 tile; faint enough that the tile never saturates."""
+    n = 2 * ras.CHUNK + 10
+    rng = sc.named_stream(11, "extreme-scales")
+    tiny = np.arange(n) % 2 == 0
+    z = rng.uniform(-1.0, 1.0, n)
+    xy = rng.uniform(-0.3, 0.3, (n, 2)) * (z + 4.0)[:, None]
+    quats = rng.standard_normal((n, 4))
+    scales = np.where(tiny[:, None], 1e-4, rng.uniform(5.0, 40.0, (n, 3)))
+    opac = np.where(tiny, rng.uniform(0.3, 0.99, n), rng.uniform(0.01, 0.06, n))
+    scene = sc.GaussianScene(
+        np.column_stack([xy, z]).astype(np.float32),
+        (quats / np.linalg.norm(quats, axis=1, keepdims=True)).astype(np.float32),
+        scales.astype(np.float32), opac.astype(np.float32),
+        rng.uniform(0, 1, (n, 3)).astype(np.float32),
+        rng.standard_normal((n, 8)).astype(np.float32))
+    return scene, front_camera(width=16, height=16, focal=20.0)
+
+
 def _case(name):
+    if name == "extreme-scales":
+        return extreme_scales_scene()
     if name == "slab-600":
         scene = sc.generate_toy_scene("textured_slab", 600, 4, embed_dim=8)
         return scene, sc.look_at_camera((0, -2.5, 2.5), (0, 0, 0), 45.0, 32, 32)
@@ -374,7 +398,7 @@ def test_tile_matmul_matches_dense_weights(name):
 
 
 @pytest.mark.parametrize("name", ["slab-600", "saturated-stack", "ring-40", "ring-17", "blind",
-                                  "ring-3000"])
+                                  "ring-3000", "extreme-scales"])
 def test_composite_bits_match_reference_kernel(name):
     # the kernel's separable quadratic form, pixels-last weights and coverage
     # summed down the splats compute the same floats as the earlier formulas
@@ -382,6 +406,14 @@ def test_composite_bits_match_reference_kernel(name):
     if name == "ring-17":
         corners = [(rows.start, cols.start) for rows, cols, _, _ in ras._tiles(scene, cam)[2]]
         assert (16, 16) in corners
+    if name == "extreme-scales":
+        # both ends of the conic range reach the one tile, in more than two chunks
+        idx, _, tiles = ras._tiles(scene, cam)
+        (_, _, sel, _), = tiles
+        assert sel.size == scene.count > 2 * ras.CHUNK
+        _, _, cov2d, _ = ras._project_all(scene, cam)
+        conic = ras._conics_and_radii(cov2d)[0]
+        assert conic[:, 0].max() > 3.0 and conic[:, 0].min() < 1e-3
     out = ras.render(scene, cam)
     weights = ras.attribute_weights(scene, cam)
     *maps, blocks, chunk_weights = _composite_reference(scene, cam)
