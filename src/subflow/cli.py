@@ -229,9 +229,14 @@ def _load_styling(args, cfg) -> tuple[sc.GaussianScene, tr.DecoderNet, fa.FlowPi
 
 
 def _style_image(args, cfg) -> np.ndarray:
-    if getattr(args, "style_image", None):
+    if args.style_image:
         return _read_image(args.style_image, "style image")
     return procedural_texture(cfg["seed"] + 7, 100, size=cfg["camera.width"])
+
+
+def _style_stats(pipe: fa.FlowPipeline, fs: FeatureSet) -> tr.StyleStats:
+    """AdaIN target of a reference's clip-domain rows: the mean of their aligned rows."""
+    return tr.stats_from_feature(pipe.align(fs.vectors).mean(axis=0))
 
 
 def _decoder2d(cfg, encoders, out_dir: Path) -> ls.Decoder2D:
@@ -314,16 +319,17 @@ def cmd_train_style(args, cfg) -> int:
     weights = _weights(cfg)
     out = _output(args.out, "--out", "reused")
     dec2d = _decoder2d(cfg, encoders, out) if weights.uses_prior else None
+    style = _style_stats(pipe, encoders.encode_clip_like(style_img))
     decoder, disc, log = ls.train_stylization(
-        scene, views, style_img, pipe, decoder, encoders,
+        scene, views, style_img, style, decoder, encoders,
         weights, steps=cfg["style.steps"], decoder2d=dec2d, seed=cfg["seed"],
         lr=cfg["style.learning_rate"])
     save_params(out / "decoder.prms", decoder.parameters())
     if disc is not None:
         save_params(out / "discriminator.prms", disc.parameters())
     mt.write_csv(out / "train_log.csv", ls.LOG_COLUMNS,
-                 ([r[k] for k in ls.LOG_COLUMNS] for r in log.rows))
-    last = log.rows[-1] if log.rows else {"total": float("nan")}
+                 ([r[k] for k in ls.LOG_COLUMNS] for r in log))
+    last = log[-1] if log else {"total": float("nan")}
     print(f"trained decoder for {cfg['style.steps']} steps; final total {last['total']:.4f}")
     return 0
 
@@ -347,8 +353,7 @@ def cmd_stylize(args, cfg) -> int:
         fs = _read_rows(args.feat, "--feat", "clip_like")
         _agree(args.feat, "dim", fs.dim, f"{_manifest(args)} ('clip_dim')",
                pipe.mapping.clip_dim)
-    stats = tr.stats_from_feature(pipe.align(fs.vectors).mean(axis=0))
-    styled = tr.stylize_scene(scene, stats, decoder)
+    styled = tr.stylize_scene(scene, _style_stats(pipe, fs), decoder)
     sc.save_scene(styled, out)
     print(f"wrote stylized scene to {args.out}")
     return 0
@@ -474,7 +479,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args, _load_config(args))
+        # numpy's warnings would only precede the NumericsError a finite check raises
+        with np.errstate(all="ignore"):
+            return args.fn(args, _load_config(args))
     except (CliError, FormatError, ShapeError, StateError, FileNotFoundError,
             FileExistsError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -290,6 +290,12 @@ def tmean(a: Arrayish, axis=None, keepdims: bool = False) -> Tensor:
     return _make("mean", np.asarray(data), (a, vjp))
 
 
+def mse(a: Arrayish, b: Arrayish) -> Tensor:
+    """Mean squared difference: `tmean(mul(d, d))` of `d = sub(a, b)`."""
+    d = sub(a, b)
+    return tmean(mul(d, d))
+
+
 def reshape(a: Arrayish, shape) -> Tensor:
     a = as_tensor(a)
     return _make("reshape", a.data.reshape(shape), (a, lambda g: g.reshape(a.data.shape)))

@@ -45,7 +45,7 @@ MANIFEST_SCHEMA = {key: (typ, REQUIRED) for key, typ in (
     ("clip_dim", _COUNT), ("style_dim", _COUNT), ("euler_steps", _COUNT), ("rounds", _COUNT),
     ("train_steps", _STEPS), ("batch_size", _COUNT), ("learning_rate", _POSITIVE),
     ("seed", int), ("velocity_hidden", _widths), ("mapping_hidden", _widths),
-    ("mapping_steps", _STEPS), ("flow_loss", float), ("text_norm", _POSITIVE))}
+    ("mapping_steps", _STEPS), ("text_norm", _POSITIVE))}
 CLIP_CENTER_FILE = "clip_center.prms"
 
 
@@ -62,12 +62,14 @@ class FlowConfig:
     mapping_steps: int = 2000
 
 
-ROUND_COLUMNS = ("round", "sim_before", "sim_after", "fid_before", "fid_after", "displacement")
+ROUND_COLUMNS = ("round", "velocity_loss", "sim_before", "sim_after", "fid_before", "fid_after",
+                 "displacement")
 
 
 @dataclass
 class FlowRoundReport:                  # fields in ROUND_COLUMNS order
     round_index: int
+    velocity_loss: float                # the field's loss at its last training step
     sim_before: float
     sim_after: float
     fid_before: float
@@ -124,7 +126,6 @@ class VelocityField:
         widths = (style_dim + TIME_FEATURES, *hidden, style_dim)
         self.net = DenseNet(widths, "tanh", seed, name=name, params=params)
         self.style_dim = style_dim
-        self.final_loss = float("nan")
 
     def parameters(self):
         return self.net.parameters()
@@ -158,16 +159,15 @@ def train_mapping(clip: FeatureSet, vgg: FeatureSet, cfg: FlowConfig) -> Mapping
     m = clip.count
     for _ in range(cfg.mapping_steps):
         idx = g.integers(0, m, size=min(cfg.batch_size, m))
-        pred = net(Tensor(x_all[idx]))
-        diff = dt.sub(pred, Tensor(y_all[idx]))
-        loss = dt.tmean(dt.mul(diff, diff))
+        loss = dt.mse(net(Tensor(x_all[idx])), Tensor(y_all[idx]))
         opt.step(loss)
     return net
 
 
 def train_velocity(start: FeatureSet, target: FeatureSet, cfg: FlowConfig,
-                   round_index: int = 1) -> VelocityField:
-    """Regress the drift on interpolants of the paired rows (fresh field)."""
+                   round_index: int = 1) -> tuple[VelocityField, float]:
+    """Regress the drift on interpolants of the paired rows (fresh field).
+    Returns the field and its loss at the last step (NaN after no step)."""
     _check_paired(start, target, "train_velocity")
     if start.dim != target.dim:
         raise ShapeError(f"train_velocity: dims differ ({start.dim} vs {target.dim})")
@@ -179,18 +179,15 @@ def train_velocity(start: FeatureSet, target: FeatureSet, cfg: FlowConfig,
     x1 = target.vectors.astype(np.float64)
     drift_all = x1 - x0
     m = start.count
-    loss_val = float("nan")
+    loss = Tensor(float("nan"))           # what no step reports
     for _ in range(cfg.train_steps):
         idx = g.integers(0, m, size=min(cfg.batch_size, m))
         t = g.uniform(0.0, 1.0, size=idx.size)
         xt = interpolate(x0[idx], x1[idx], t)
-        pred = vf.forward(xt.astype(np.float32), t)
-        diff = dt.sub(pred, Tensor(drift_all[idx].astype(np.float32)))
-        loss = dt.tmean(dt.mul(diff, diff))
+        loss = dt.mse(vf.forward(xt.astype(np.float32), t),
+                      Tensor(drift_all[idx].astype(np.float32)))
         opt.step(loss)
-        loss_val = loss.item()
-    vf.final_loss = loss_val
-    return vf
+    return vf, loss.item()
 
 
 def euler_integrate(v: Union[VelocityField, Callable], x0: np.ndarray, steps: int) -> np.ndarray:
@@ -240,10 +237,6 @@ class FlowPipeline:
         self.cfg = cfg
         self.clip_calibration = clip_calibration
 
-    @property
-    def flow_loss(self) -> float:
-        return self.fields[-1].final_loss if self.fields else float("nan")
-
     def trajectory(self, rows: np.ndarray) -> Iterator[np.ndarray]:
         """Yield the mapped rows, then each round's Euler endpoints (float64).
 
@@ -275,8 +268,7 @@ class FlowPipeline:
             save_params(out / f"velocity_{i}.prms", vf.parameters())
         save_params(out / CLIP_CENTER_FILE, [center])
         values = {"clip_dim": self.mapping.clip_dim, "style_dim": self.mapping.style_dim,
-                  "rounds": len(self.fields), "flow_loss": self.flow_loss,
-                  "text_norm": text_norm}
+                  "rounds": len(self.fields), "text_norm": text_norm}
         lines = []
         for key in MANIFEST_SCHEMA:
             v = values[key] if key in values else getattr(self.cfg, key)
@@ -288,7 +280,7 @@ class FlowPipeline:
         src = Path(in_dir)
         kv = read_key_value_file(src / "manifest.txt", MANIFEST_SCHEMA)
         clip_dim, style_dim = kv.pop("clip_dim"), kv.pop("style_dim")
-        flow_loss, text_norm = kv.pop("flow_loss"), kv.pop("text_norm")
+        text_norm = kv.pop("text_norm")
         cfg = FlowConfig(**kv)
         mapping_shapes = dense_shapes((clip_dim, *cfg.mapping_hidden, style_dim))
         mapping = MappingNet(clip_dim, style_dim, hidden=cfg.mapping_hidden,
@@ -299,7 +291,6 @@ class FlowPipeline:
                                 params=_read_params(src / f"velocity_{i}.prms", velocity_shapes))
                   for i in range(1, cfg.rounds + 1)]
         (center,) = _read_params(src / CLIP_CENTER_FILE, [(clip_dim,)])
-        fields[-1].final_loss = flow_loss
         return FlowPipeline(mapping, fields, cfg, (center, text_norm))
 
 
@@ -316,12 +307,13 @@ def run_subdivisive_flow(clip: FeatureSet, vgg: FeatureSet, cfg: FlowConfig):
     sim, fid = cosine_sim(start, vgg), frechet_distance(start, vgg)
     reports: list[FlowRoundReport] = []
     for k in range(1, cfg.rounds + 1):
-        pipe.fields.append(train_velocity(start, vgg, cfg, round_index=k))
+        vf, velocity_loss = train_velocity(start, vgg, cfg, round_index=k)
+        pipe.fields.append(vf)
         endpoints = next(stages)
         end = FeatureSet("clip_mapped", endpoints)
         sim_after, fid_after = cosine_sim(end, vgg), frechet_distance(end, vgg)
         reports.append(FlowRoundReport(
-            round_index=k, sim_before=sim, sim_after=sim_after,
+            round_index=k, velocity_loss=velocity_loss, sim_before=sim, sim_after=sim_after,
             fid_before=fid, fid_after=fid_after,
             displacement=float(np.linalg.norm(endpoints - start.vectors, axis=1).mean()),
         ))

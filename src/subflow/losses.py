@@ -19,7 +19,7 @@ reconstruction on procedural textures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,11 +29,10 @@ from .diffcore import tensor as dt
 from .diffcore.rng import named_stream
 from .encoders import FeatureEncoders, _chw, procedural_texture
 from .errors import ShapeError
-from .flowalign import FlowPipeline
 from .rasterizer import TileWeights
 from .rasterizer import attribute_weights, render  # noqa: F401  wrapped by perfbench
 from .scene import GaussianScene
-from .transfer import DecoderNet, StyleStats, adain, stats_from_feature
+from .transfer import DecoderNet, StyleStats, adain
 
 LOG_CLAMP = 1e-7
 GENERATOR_TAP = 1   # AdaIN space of the 2D prior: second tap (half resolution)
@@ -73,10 +72,7 @@ def content_loss(render_stylized, render_content, encoders: FeatureEncoders) -> 
     a, b = _chw(render_stylized), _chw(render_content)
     if a.data.shape != b.data.shape:
         raise ShapeError(f"content_loss: resolutions differ {a.data.shape} vs {b.data.shape}")
-    fa = encoders.tap_features(a)[-1]
-    fb = encoders.tap_features(b)[-1]
-    diff = dt.sub(fa, fb)
-    return dt.tmean(dt.mul(diff, diff))
+    return dt.mse(encoders.tap_features(a)[-1], encoders.tap_features(b)[-1])
 
 
 def style_loss(render_stylized, ref_tap_stats: Sequence[tuple[np.ndarray, np.ndarray]],
@@ -104,8 +100,7 @@ def observation_loss(i_g, i_f, encoders: FeatureEncoders) -> Tensor:
         raise ShapeError(f"observation_loss: resolutions differ {a.data.shape} vs {b.data.shape}")
     total = None
     for fa, fb in zip(encoders.tap_features(a), encoders.tap_features(b)):
-        diff = dt.sub(fa, fb)
-        term = dt.tmean(dt.mul(diff, diff))
+        term = dt.mse(fa, fb)
         total = term if total is None else dt.add(total, term)
     return total
 
@@ -157,9 +152,10 @@ def train_decoder2d(encoders: FeatureEncoders, corpus: int = 200, steps: int = 2
     g = named_stream(seed, "decoder2d.batches")
     for _ in range(steps):
         i = int(g.integers(0, corpus))
-        out = dec.forward(Tensor(feats[i]))
-        diff = dt.sub(out, Tensor(targets[i]))
-        loss = dt.tmean(dt.mul(diff, diff))
+        # `loss` keeps this step's graph alive until the next one is built: freed
+        # at once, its buffers went back to the OS and were faulted in again
+        # every step, and the loop took 1.3-1.4x as long at the desk shapes
+        loss = dt.mse(dec.forward(Tensor(feats[i])), Tensor(targets[i]))
         opt.step(loss)
     return dec
 
@@ -244,13 +240,8 @@ def suppression_loss(i_g, i_f, disc: DiscriminatorNet) -> tuple[Tensor, Tensor]:
 LOG_COLUMNS = ("step", "content", "style", "obs", "sup_disc", "sup_gen", "total")
 
 
-@dataclass
-class StyleTrainLog:
-    rows: list = field(default_factory=list)   # per-step dicts keyed by LOG_COLUMNS
-
-
 def train_stylization(scene: GaussianScene, views: Sequence[TileWeights],
-                      style_img: np.ndarray, pipeline: FlowPipeline, decoder: DecoderNet,
+                      style_img: np.ndarray, style: StyleStats, decoder: DecoderNet,
                       encoders: FeatureEncoders, weights: LossWeights,
                       steps: int, decoder2d: Decoder2D | None, seed: int = 0,
                       lr: float = 1e-3):
@@ -258,6 +249,8 @@ def train_stylization(scene: GaussianScene, views: Sequence[TileWeights],
 
     `views` holds each training camera's frozen weights and content image,
     as `attribute_weights` gives them or a `WeightsFile` reads them back.
+    `style` is the AdaIN target of the scene's embeddings (the statistics of
+    `style_img`'s aligned feature); the style loss reads `style_img` itself.
     Per step, one camera is drawn; the stylized view is composed through its
     weights from the decoder's current colors. The decoder descends content
     + style, plus the observation term when `weights.lambda_obs > 0` and the
@@ -267,11 +260,11 @@ def train_stylization(scene: GaussianScene, views: Sequence[TileWeights],
     `weights.uses_prior` is false) renders the 2D prior only for the terms
     that read it. Each row's `total` is content + lambda_style*style +
     lambda_obs*obs.
-    Returns (decoder, discriminator or None, log).
+    Returns (decoder, discriminator or None, one dict per step keyed by
+    `LOG_COLUMNS`).
     """
     h, w = views[0].rgb.shape[:2]
-    style_vec = pipeline.align(encoders.encode_clip_like(style_img).vectors[0])
-    moved = Tensor(adain(scene.embeddings, stats_from_feature(style_vec)).values)
+    moved = Tensor(adain(scene.embeddings, style).values)
     ref_tap_stats = encoders.tap_stats(style_img)
 
     cam_data = []
@@ -286,7 +279,7 @@ def train_stylization(scene: GaussianScene, views: Sequence[TileWeights],
     opt_dec = Adam(decoder.parameters(), lr=lr)
     opt_disc = Adam(disc.parameters(), lr=lr) if disc is not None else None
     g = named_stream(seed, "styletrain.cams")
-    log = StyleTrainLog()
+    log = []
 
     for step in range(steps):
         blocks, content_rgb, i_g = cam_data[int(g.integers(0, len(cam_data)))]
@@ -311,5 +304,5 @@ def train_stylization(scene: GaussianScene, views: Sequence[TileWeights],
             opt_disc.step(disc_loss)
         row["total"] = (row["content"] + weights.lambda_style * row["style"]
                         + weights.lambda_obs * row["obs"])
-        log.rows.append(row)
+        log.append(row)
     return decoder, disc, log

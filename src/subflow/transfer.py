@@ -174,12 +174,10 @@ def distill_embeddings(scene: GaussianScene, views: Iterable[TileWeights],
     proj_first = proj_last = float("nan")
     for step in range(steps):
         pick = cam_data[int(g.integers(0, len(cam_data)))]
-        recon = dt.sub(decoder.forward(embed), colors_t)
-        loss = dt.tmean(dt.mul(recon, recon))
+        loss = dt.mse(decoder.forward(embed), colors_t)
         if pick is not None:
             blocks, target = pick
-            pdiff = dt.sub(dt.tile_matmul(blocks, target.data.shape[0], embed), target)
-            loss_b = dt.tmean(dt.mul(pdiff, pdiff))
+            loss_b = dt.mse(dt.tile_matmul(blocks, target.data.shape[0], embed), target)
             loss = dt.add(loss, dt.mul(loss_b, PROJECTION_WEIGHT))
             if np.isnan(proj_first):
                 proj_first = loss_b.item()

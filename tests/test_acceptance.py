@@ -196,8 +196,8 @@ def test_ac04a_point_mass_constant_drift_endpoint():
     a = np.array([0.5, -1.0, 2.0])
     b = np.array([2.5, 1.0, -1.0])
     cfg = fa.FlowConfig(train_steps=600, batch_size=64, seed=5)
-    vf = fa.train_velocity(FeatureSet("clip_mapped", np.tile(a, (64, 1))),
-                           FeatureSet("vgg_like", np.tile(b, (64, 1))), cfg)
+    vf, _ = fa.train_velocity(FeatureSet("clip_mapped", np.tile(a, (64, 1))),
+                              FeatureSet("vgg_like", np.tile(b, (64, 1))), cfg)
     end = fa.euler_integrate(vf, a, cfg.euler_steps)[-1]
     rel = float(np.abs(end - b).max() / np.abs(b - a).max())
     check("AC4a point-mass endpoint within 2%", rel <= 0.02, f"relative miss {rel:.4f}")
@@ -208,7 +208,7 @@ def test_ac04b_1d_gaussian_monotone_transport():
     x0 = np.sort(g.normal(0, 1, size=512))[:, None]
     x1 = np.sort(g.normal(5, 1, size=512))[:, None]
     cfg = fa.FlowConfig(train_steps=1500, batch_size=256, seed=6)
-    vf = fa.train_velocity(FeatureSet("clip_mapped", x0), FeatureSet("vgg_like", x1), cfg)
+    vf, _ = fa.train_velocity(FeatureSet("clip_mapped", x0), FeatureSet("vgg_like", x1), cfg)
     ends = fa.euler_integrate(vf, x0, cfg.euler_steps)[-1]
     mean, std = float(ends.mean()), float(ends.std())
     check("AC4b 1D N(0,1)->N(5,1): mean 5+-0.2, std 1+-0.2",
@@ -314,16 +314,16 @@ def styled_runs(slab_run, session_encoders, session_decoder2d):
         decoder = copy.deepcopy(slab_run["decoder0"])
         decoder, _, log = ls.train_stylization(
             slab_run["distilled"], slab_run["views"], slab_run["style_img"],
-            slab_run["pipe"], decoder, session_encoders, weights,
+            slab_run["style_stats"], decoder, session_encoders, weights,
             steps=250, decoder2d=session_decoder2d, seed=3, lr=2e-3)
         styled = tr.stylize_scene(slab_run["distilled"], slab_run["style_stats"], decoder)
         summary = mt.consistency_summary(
             mt.eval_consistency(styled, slab_run["cams"]))
         runs[name] = {
-            "style_first": float(np.mean([r["style"] for r in log.rows[:10]])),
-            "style_final": float(np.mean([r["style"] for r in log.rows[-10:]])),
-            "total_first": float(np.mean([r["total"] for r in log.rows[:20]])),
-            "total_final": float(np.mean([r["total"] for r in log.rows[-20:]])),
+            "style_first": float(np.mean([r["style"] for r in log[:10]])),
+            "style_final": float(np.mean([r["style"] for r in log[-10:]])),
+            "total_first": float(np.mean([r["total"] for r in log[:20]])),
+            "total_final": float(np.mean([r["total"] for r in log[-20:]])),
             "short_rmse": summary["short"],
         }
     return runs

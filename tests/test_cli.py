@@ -216,7 +216,7 @@ def test_pipeline_render_views_match_library(pipeline_artifacts):
 def test_pipeline_csvs_have_expected_headers(pipeline_artifacts):
     root = pipeline_artifacts
     assert (root / "pipe" / "rounds.csv").read_text().splitlines()[0] == \
-        "round,sim_before,sim_after,fid_before,fid_after,displacement"
+        "round,velocity_loss,sim_before,sim_after,fid_before,fid_after,displacement"
     assert (root / "align.csv").read_text().splitlines()[0] == "metric,range_or_round,value"
     assert (root / "styled" / "train_log.csv").read_text().splitlines()[0] == \
         "step,content,style,obs,sup_disc,sup_gen,total"
@@ -273,6 +273,31 @@ def test_numeric_failure_exits_3(pipeline_artifacts, tmp_path):
                  "--decoder", bad, "--pipeline", root / "pipe",
                  "--text", "anything", "--out", tmp_path / "o.gscn")
     assert rc == 3
+
+
+def test_numeric_failure_prints_one_line(pipeline_artifacts, tmp_path):
+    # the console process, where numpy's overflow warning would reach stderr
+    # ahead of the message; the out dir holds the 2D prior, so none is trained
+    from subflow.diffcore import save_params
+    root = pipeline_artifacts
+    arrays = load_params(root / "dec.prms")
+    arrays[0] = np.full_like(arrays[0], 3e38)
+    bad = tmp_path / "bad_decoder.prms"
+    save_params(bad, arrays)
+    out = tmp_path / "styled"
+    out.mkdir()
+    prior = "decoder2d_seed0.prms"
+    (out / prior).write_bytes((root / "styled" / prior).read_bytes())
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "subflow.cli", "train-style", "--config", str(root / "small.cfg"),
+         "--scene", str(root / "sd.gscn"), "--decoder", str(bad), "--pipeline",
+         str(root / "pipe"), "--out", str(out)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numeric failure: "), proc.stderr
 
 
 def test_decoder_that_does_not_fit_config_names_file(pipeline_artifacts, tmp_path, capsys):

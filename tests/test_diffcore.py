@@ -433,6 +433,7 @@ _OPS = {
               lambda: [_uniform(1, (3, 4), 0.3, 0.45) * [1, -1, 2, -2]]),
     "tsum": (lambda a: dc.tsum(a, axis=1), lambda: [_uniform(1, (3, 4))]),
     "tmean": (lambda a: dc.tmean(a, axis=0, keepdims=True), lambda: [_uniform(1, (3, 4))]),
+    "mse": (dc.mse, lambda: [_uniform(1, (3, 4)), _uniform(2, (3, 4))]),
     "reshape": (lambda a: dc.reshape(a, (4, 3)), lambda: [_uniform(1, (3, 4))]),
     "concat": (lambda *ts: dc.concat(ts, axis=1),
                lambda: [_uniform(1, (3, 2)), _uniform(2, (3, 1)), _uniform(3, (3, 2))]),

@@ -142,7 +142,7 @@ def test_velocity_zero_drift_task():
     g = named_stream(11, "zero-drift")
     rows = g.standard_normal((256, 6))
     cfg = fa.FlowConfig(train_steps=800, batch_size=128, seed=4)
-    vf = fa.train_velocity(fs("clip_mapped", rows), fs("vgg_like", rows), cfg)
+    vf, _ = fa.train_velocity(fs("clip_mapped", rows), fs("vgg_like", rows), cfg)
     t_eval = named_stream(11, "zero-drift-eval").uniform(0, 1, size=256)
     speeds = np.linalg.norm(vf.forward(rows.astype(np.float32), t_eval).data, axis=1)
     assert speeds.mean() < 0.05 * rows.std() * np.sqrt(rows.shape[1])
@@ -170,8 +170,8 @@ def test_velocity_point_mass_constant_drift():
     a = np.array([0.5, -1.0, 2.0])
     b = np.array([2.5, 1.0, -1.0])
     cfg = fa.FlowConfig(train_steps=600, batch_size=64, seed=5)
-    vf = fa.train_velocity(fs("clip_mapped", np.tile(a, (64, 1))),
-                           fs("vgg_like", np.tile(b, (64, 1))), cfg)
+    vf, _ = fa.train_velocity(fs("clip_mapped", np.tile(a, (64, 1))),
+                              fs("vgg_like", np.tile(b, (64, 1))), cfg)
     end = fa.euler_integrate(vf, a, cfg.euler_steps)[-1]
     assert np.abs(end - b).max() <= 0.02 * np.abs(b - a).max()
 
@@ -181,7 +181,7 @@ def test_velocity_1d_monotone_transport():
     x0 = np.sort(g.normal(0, 1, size=512))[:, None]
     x1 = np.sort(g.normal(5, 1, size=512))[:, None]
     cfg = fa.FlowConfig(train_steps=1500, batch_size=256, seed=6)
-    vf = fa.train_velocity(fs("clip_mapped", x0), fs("vgg_like", x1), cfg)
+    vf, _ = fa.train_velocity(fs("clip_mapped", x0), fs("vgg_like", x1), cfg)
     ends = fa.euler_integrate(vf, x0, cfg.euler_steps)[-1]
     assert ends.mean() == pytest.approx(5.0, abs=0.2)
     assert ends.std() == pytest.approx(1.0, abs=0.2)
@@ -205,8 +205,8 @@ def test_single_round_degenerates_to_one_velocity_fit(monkeypatch):
         fs("clip_like", x), fs("vgg_like", y), cfg)
     assert len(reports) == 1
     assert len(pipe.fields) == 1
-    vf = fa.train_velocity(fs("clip_mapped", x.astype(np.float32)), fs("vgg_like", y), cfg,
-                           round_index=1)
+    vf, _ = fa.train_velocity(fs("clip_mapped", x.astype(np.float32)), fs("vgg_like", y), cfg,
+                              round_index=1)
     direct = fa.euler_integrate(vf, x.astype(np.float32), cfg.euler_steps)[-1]
     assert np.allclose(aligned.vectors, direct, atol=1e-5)
 
@@ -332,13 +332,16 @@ def test_trajectory_yields_mapped_rows_then_each_round():
     g = named_stream(20, "traj-task")
     x = g.standard_normal((32, 3)).astype(np.float32)
     cfg = fa.FlowConfig(rounds=2, train_steps=50, batch_size=32, mapping_steps=50, seed=14)
-    _, _, pipe = fa.run_subdivisive_flow(fs("clip_like", x), fs("vgg_like", x + 1.0), cfg)
+    _, reports, pipe = fa.run_subdivisive_flow(fs("clip_like", x), fs("vgg_like", x + 1.0), cfg)
     stages = list(pipe.trajectory(x))
     assert len(stages) == 3
     assert np.array_equal(stages[0], pipe.mapping.apply(x))
     for vf, start, end in zip(pipe.fields, stages, stages[1:]):
         want = fa.euler_integrate(vf, start.astype(np.float32), cfg.euler_steps)[-1]
         assert np.array_equal(end, want)
+    for k, (report, start) in enumerate(zip(reports, stages), start=1):
+        _, loss = fa.train_velocity(fs("clip_mapped", start), fs("vgg_like", x + 1.0), cfg, k)
+        assert report.velocity_loss == loss
 
 
 @pytest.fixture(scope="module")
@@ -373,6 +376,15 @@ def test_broken_manifest_names_file_and_key(saved_pipeline, tmp_path, key, mode)
     with pytest.raises(FormatError) as info:
         fa.FlowPipeline.load(bad)
     assert "manifest.txt" in str(info.value) and f"'{key}'" in str(info.value)
+
+
+def test_manifest_with_flow_loss_is_refused(saved_pipeline, tmp_path):
+    # the manifest no longer records the last field's loss (rounds.csv has
+    # each round's); a pipeline written with it must be retrained
+    bad = _broken_copy(saved_pipeline, tmp_path / "pipe", lambda lines: lines + ["flow_loss=0.5"])
+    with pytest.raises(FormatError) as info:
+        fa.FlowPipeline.load(bad)
+    assert "manifest.txt" in str(info.value) and "'flow_loss'" in str(info.value)
 
 
 @pytest.mark.parametrize("case", ["missing", "wide", "two", "norm-0", "norm-nan", "norm-inf"])
@@ -416,9 +428,9 @@ def test_manifest_inconsistent_value_names_file(saved_pipeline, tmp_path, line, 
 
 
 def test_reports_csv_layout(tmp_path):
-    reports = [fa.FlowRoundReport(1, 0.1, 0.2, 3.0, 2.0, 0.5)]
+    reports = [fa.FlowRoundReport(1, 0.25, 0.1, 0.2, 3.0, 2.0, 0.5)]
     path = tmp_path / "rounds.csv"
     mt.write_csv(path, fa.ROUND_COLUMNS, map(astuple, reports))
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "round,sim_before,sim_after,fid_before,fid_after,displacement"
-    assert lines[1].startswith("1,0.1,0.2,3,2,0.5")
+    assert lines[0] == "round,velocity_loss,sim_before,sim_after,fid_before,fid_after,displacement"
+    assert lines[1].startswith("1,0.25,0.1,0.2,3,2,0.5")

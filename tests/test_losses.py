@@ -210,9 +210,9 @@ def test_train_stylization_zero_steps_keeps_decoder(slab_run, session_encoders, 
     decoder = copy.deepcopy(slab_run["decoder0"])
     before = [p.data.copy() for p in decoder.parameters()]
     dec, _, log = ls.train_stylization(
-        slab_run["distilled"], slab_run["views"], slab_run["style_img"], slab_run["pipe"],
+        slab_run["distilled"], slab_run["views"], slab_run["style_img"], slab_run["style_stats"],
         decoder, session_encoders, ls.LossWeights(), steps=0, decoder2d=session_decoder2d)
-    assert log.rows == []
+    assert log == []
     for p, b in zip(dec.parameters(), before):
         assert np.array_equal(p.data, b)
 
@@ -221,11 +221,11 @@ def test_train_stylization_ablated_reduces_to_content_style(slab_run, session_en
                                                            session_decoder2d):
     decoder = copy.deepcopy(slab_run["decoder0"])
     _, disc, log = ls.train_stylization(
-        slab_run["distilled"], slab_run["views"], slab_run["style_img"], slab_run["pipe"],
+        slab_run["distilled"], slab_run["views"], slab_run["style_img"], slab_run["style_stats"],
         decoder, session_encoders, ls.LossWeights(lambda_obs=0.0, suppression_weight=0.0),
         steps=5, decoder2d=session_decoder2d)
     assert disc is None
-    for row in log.rows:
+    for row in log:
         assert row["obs"] == 0.0
         assert row["sup_disc"] == 0.0
         assert row["sup_gen"] == 0.0
@@ -234,11 +234,11 @@ def test_train_stylization_ablated_reduces_to_content_style(slab_run, session_en
 def test_train_stylization_total_decreases(slab_run, session_encoders, session_decoder2d):
     decoder = copy.deepcopy(slab_run["decoder0"])
     _, _, log = ls.train_stylization(
-        slab_run["distilled"], slab_run["views"], slab_run["style_img"], slab_run["pipe"],
+        slab_run["distilled"], slab_run["views"], slab_run["style_img"], slab_run["style_stats"],
         decoder, session_encoders, ls.LossWeights(), steps=120,
         decoder2d=session_decoder2d, seed=3, lr=2e-3)
-    first = np.mean([r["total"] for r in log.rows[:20]])
-    last = np.mean([r["total"] for r in log.rows[-20:]])
+    first = np.mean([r["total"] for r in log[:20]])
+    last = np.mean([r["total"] for r in log[-20:]])
     assert last < first
 
 
@@ -246,10 +246,10 @@ def test_train_stylization_log_csv_layout(slab_run, session_encoders, session_de
                                           tmp_path):
     decoder = copy.deepcopy(slab_run["decoder0"])
     _, _, log = ls.train_stylization(
-        slab_run["distilled"], slab_run["views"], slab_run["style_img"], slab_run["pipe"],
+        slab_run["distilled"], slab_run["views"], slab_run["style_img"], slab_run["style_stats"],
         decoder, session_encoders, ls.LossWeights(), steps=3,
         decoder2d=session_decoder2d, seed=3)
-    rows = ([r[k] for k in ls.LOG_COLUMNS] for r in log.rows)
+    rows = ([r[k] for k in ls.LOG_COLUMNS] for r in log)
     lines = mt.write_csv(tmp_path / "train_log.csv", ls.LOG_COLUMNS, rows).strip().splitlines()
     assert lines[0] == "step,content,style,obs,sup_disc,sup_gen,total"
     assert len(lines) == 4
@@ -258,11 +258,11 @@ def test_train_stylization_log_csv_layout(slab_run, session_encoders, session_de
 def _style_log(slab_run, encoders, decoder2d, weights):
     decoder = copy.deepcopy(slab_run["decoder0"])
     _, _, log = ls.train_stylization(
-        slab_run["distilled"], slab_run["views"], slab_run["style_img"], slab_run["pipe"],
+        slab_run["distilled"], slab_run["views"], slab_run["style_img"], slab_run["style_stats"],
         decoder, encoders, weights, steps=3,
         decoder2d=decoder2d if weights.uses_prior else None, seed=3)
-    assert len(log.rows) == 3
-    return log.rows
+    assert len(log) == 3
+    return log
 
 
 # each row's total = content + lambda_style*style + lambda_obs*obs; the
@@ -306,7 +306,7 @@ def test_train_stylization_scores_each_image_once_per_step(slab_run, session_enc
     monkeypatch.setattr(ls.DiscriminatorNet, "score_scales", counted)
     decoder = copy.deepcopy(slab_run["decoder0"])
     ls.train_stylization(
-        slab_run["distilled"], slab_run["views"], slab_run["style_img"], slab_run["pipe"],
+        slab_run["distilled"], slab_run["views"], slab_run["style_img"], slab_run["style_stats"],
         decoder, session_encoders, ls.LossWeights(), steps=1,
         decoder2d=session_decoder2d, seed=3)
     assert len(calls) == 2
