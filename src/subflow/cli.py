@@ -327,6 +327,8 @@ def cmd_train_style(args, cfg) -> int:
     save_params(out / "decoder.prms", decoder.parameters())
     if disc is not None:
         save_params(out / "discriminator.prms", disc.parameters())
+    else:                   # an earlier run's discriminator is not this decoder's
+        (out / "discriminator.prms").unlink(missing_ok=True)
     mt.write_csv(out / "train_log.csv", ls.LOG_COLUMNS,
                  ([r[k] for k in ls.LOG_COLUMNS] for r in log))
     last = log[-1] if log else {"total": float("nan")}

@@ -72,7 +72,8 @@ class DenseNet:
 
     def _check_rows(self, rows: np.ndarray) -> None:
         if rows.ndim != 2 or rows.shape[1] != self.in_width:
-            raise ShapeError(f"dense net expects (M, {self.in_width}), got {rows.shape}")
+            raise ShapeError(f"dense net expects rows of dim {self.in_width}, "
+                             f"got shape {rows.shape}")
 
     def __call__(self, x) -> Tensor:
         h = T.as_tensor(x)

@@ -36,7 +36,7 @@ TIME_FEATURES = 8  # four sin/cos pairs
 
 
 def _widths(text: str) -> tuple[int, ...]:
-    return tuple(int(w) for w in text.split(",") if w)
+    return tuple(_COUNT(w) for w in text.split(",")) if text else ()
 
 
 # `FlowPipeline.save` writes every key; the FlowConfig fields keep their names.
@@ -110,10 +110,7 @@ class MappingNet:
         return self.net(x)
 
     def apply(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.atleast_2d(rows)
-        if rows.shape[1] != self.clip_dim:
-            raise ShapeError(f"mapping expects dim {self.clip_dim}, got {rows.shape[1]}")
-        return self.net.infer(rows)
+        return self.net.infer(np.atleast_2d(rows))
 
 
 class VelocityField:
@@ -125,7 +122,6 @@ class VelocityField:
                  name: str = "velocity", params: Sequence[np.ndarray] | None = None):
         widths = (style_dim + TIME_FEATURES, *hidden, style_dim)
         self.net = DenseNet(widths, "tanh", seed, name=name, params=params)
-        self.style_dim = style_dim
 
     def parameters(self):
         return self.net.parameters()
@@ -159,8 +155,7 @@ def train_mapping(clip: FeatureSet, vgg: FeatureSet, cfg: FlowConfig) -> Mapping
     m = clip.count
     for _ in range(cfg.mapping_steps):
         idx = g.integers(0, m, size=min(cfg.batch_size, m))
-        loss = dt.mse(net(Tensor(x_all[idx])), Tensor(y_all[idx]))
-        opt.step(loss)
+        opt.step(dt.mse(net(Tensor(x_all[idx])), Tensor(y_all[idx])))
     return net
 
 

@@ -152,11 +152,7 @@ def train_decoder2d(encoders: FeatureEncoders, corpus: int = 200, steps: int = 2
     g = named_stream(seed, "decoder2d.batches")
     for _ in range(steps):
         i = int(g.integers(0, corpus))
-        # `loss` keeps this step's graph alive until the next one is built: freed
-        # at once, its buffers went back to the OS and were faulted in again
-        # every step, and the loop took 1.3-1.4x as long at the desk shapes
-        loss = dt.mse(dec.forward(Tensor(feats[i])), Tensor(targets[i]))
-        opt.step(loss)
+        opt.step(dt.mse(dec.forward(Tensor(feats[i])), Tensor(targets[i])))
     return dec
 
 

@@ -31,10 +31,6 @@ class ConsistencyReport:
     masked_rmse: float
     valid_pixel_fraction: float
 
-    def __post_init__(self):
-        if self.range not in ("short", "long"):
-            raise ValueError(f"range must be short/long, got {self.range}")
-
 
 def cosine_sim(a: FeatureSet, b: FeatureSet) -> float:
     """Mean row-wise cosine between paired sets; zero rows contribute 0."""

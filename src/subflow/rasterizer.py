@@ -475,11 +475,7 @@ def bilinear_sample(img: np.ndarray, u: np.ndarray, v: np.ndarray,
             if img.ndim == 3:
                 wgt = wgt[..., None]
             acc = acc + wgt * val
-    oob = (x < -0.5) | (x > w - 0.5) | (y < -0.5) | (y > h - 0.5)
-    if img.ndim == 3:
-        acc[oob] = fill
-    else:
-        acc = np.where(oob, fill, acc)
+    acc[(x < -0.5) | (x > w - 0.5) | (y < -0.5) | (y > h - 0.5)] = fill
     return acc
 
 

@@ -96,7 +96,6 @@ class DecoderNet:
                  params: Sequence[np.ndarray] | None = None):
         self.net = DenseNet((embed_dim, *hidden, 3), "relu", seed, name="decoder",
                             params=params)
-        self.embed_dim = embed_dim
 
     def parameters(self):
         return self.net.parameters()
@@ -106,8 +105,6 @@ class DecoderNet:
 
     def decode(self, embeddings: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(np.asarray(embeddings, dtype=np.float32))
-        if rows.shape[1] != self.embed_dim:
-            raise ShapeError(f"decoder expects dim {self.embed_dim}, got {rows.shape[1]}")
         out = 1.0 / (1.0 + np.exp(-self.net.infer(rows)))     # as `dt.sigmoid`
         _finite_or_raise(out, "sigmoid")
         return out

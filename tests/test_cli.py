@@ -151,13 +151,16 @@ def test_pipeline_produces_all_artifacts(pipeline_artifacts):
 
 def test_train_style_zero_weights_switch_terms_off(pipeline_artifacts, tmp_path, monkeypatch):
     # weights.obs = 0 and weights.suppression = 0 skip both terms: no discriminator
-    # is trained or written, no 2D prior is trained, loaded or run, and the
-    # skipped log columns read 0
+    # is trained or written (one an earlier run left in --out is removed), no 2D
+    # prior is trained, loaded or run, and the skipped log columns read 0
     from subflow import losses as ls
     root = pipeline_artifacts
     cfg = tmp_path / "ablated.cfg"
     cfg.write_text(SMALL_CFG + "weights.obs = 0\nweights.suppression = 0\n")
     out = tmp_path / "styled"
+    out.mkdir()
+    disc = "discriminator.prms"
+    (out / disc).write_bytes((root / "styled" / disc).read_bytes())
     calls = []
     monkeypatch.setattr(cli, "_decoder2d", lambda *a: calls.append("_decoder2d"))
     monkeypatch.setattr(ls, "generator_2d", lambda *a: calls.append("generator_2d"))
@@ -165,7 +168,7 @@ def test_train_style_zero_weights_switch_terms_off(pipeline_artifacts, tmp_path,
                "--decoder", root / "dec.prms", "--pipeline", root / "pipe", "--out", out) == 0
     assert calls == []
     assert (out / "decoder.prms").exists()
-    assert not (out / "discriminator.prms").exists()
+    assert not (out / disc).exists()
     assert not list(out.glob("decoder2d_seed*.prms"))
     with open(out / "train_log.csv", newline="", encoding="ascii") as fh:
         rows = list(csv.DictReader(fh))

@@ -418,7 +418,10 @@ def test_manifest_round_trips_byte_identical(saved_pipeline, tmp_path):
 @pytest.mark.parametrize("line, where", [("rounds=0", "manifest.txt.*rounds"),
                                          ("batch_size=0", "manifest.txt.*batch_size"),
                                          ("learning_rate=0", "manifest.txt.*learning_rate"),
-                                         ("clip_dim=5", "mapping.prms.*shape")])
+                                         ("clip_dim=5", "mapping.prms.*shape")]
+                         + [(f"{key}={value}", f"manifest.txt.*'{key}'")   # positive, none empty
+                            for key in ("velocity_hidden", "mapping_hidden")
+                            for value in ("-5", "0", "64,,64")])
 def test_manifest_inconsistent_value_names_file(saved_pipeline, tmp_path, line, where):
     key = line.partition("=")[0]
     edit = lambda lines: [line if ln.partition("=")[0] == key else ln for ln in lines]

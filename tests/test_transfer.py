@@ -156,6 +156,12 @@ def test_distill_requires_cameras(encoders):
 
 # -- stylize_scene ---------------------------------------------------------------------------
 
+def test_decoder_refuses_rows_of_another_width():
+    decoder = tr.DecoderNet(4, hidden=(8,), seed=0)
+    with pytest.raises(ShapeError, match="dim"):
+        decoder.decode(np.zeros((2, 6), dtype=np.float32))
+
+
 def style_for(dim, seed=9):
     g = named_stream(seed, "style")
     return tr.StyleStats(g.standard_normal(dim), g.uniform(0.3, 1.5, size=dim))
