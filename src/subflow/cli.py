@@ -27,7 +27,7 @@ from .diffcore import dense_shapes
 from .diffcore.checkpoint import load_params, save_params
 from .encoders import (_CLIP_GRID, FeatureEncoders, FeatureSet, export_features,
                        import_features, procedural_texture)
-from .errors import FormatError, NumericsError, ShapeError, StateError, SubflowError
+from .errors import NumericsError, ShapeError, SubflowError
 
 
 class CliError(SubflowError):
@@ -484,13 +484,12 @@ def main(argv=None) -> int:
         # numpy's warnings would only precede the NumericsError a finite check raises
         with np.errstate(all="ignore"):
             return args.fn(args, _load_config(args))
-    except (CliError, FormatError, ShapeError, StateError, FileNotFoundError,
-            FileExistsError, IsADirectoryError, NotADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericsError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except (SubflowError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -30,8 +30,8 @@ def named_stream(seed: int, name: str) -> np.random.Generator:
 
 
 def glorot_uniform(seed: int, name: str, fan_in: int, fan_out: int,
-                   shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
+                   shape: tuple[int, ...]) -> np.ndarray:
     """Uniform init in +-sqrt(6 / (fan_in + fan_out)) from the named stream."""
     bound = float(np.sqrt(6.0 / (fan_in + fan_out)))
     g = named_stream(seed, name)
-    return g.uniform(-bound, bound, size=shape).astype(dtype)
+    return g.uniform(-bound, bound, size=shape).astype(np.float32)

@@ -44,14 +44,6 @@ class Tensor:
         self._vjps: tuple[tuple[Tensor, Vjp], ...] = ()
         self._op = "leaf"
 
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor({self._op}, shape={self.data.shape}{flag})"
@@ -269,14 +261,11 @@ def clamp(a: Arrayish, lo: float, hi: float) -> Tensor:
 
 # -- reductions / shape ops ---------------------------------------------------
 
-def tsum(a: Arrayish, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a: Arrayish) -> Tensor:
+    """Sum of every element."""
     a = as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(gg, a.data.shape).copy()
-    return _make("sum", np.asarray(data), (a, vjp))
+    return _make("sum", np.asarray(a.data.sum()),
+                 (a, lambda g: np.broadcast_to(g, a.data.shape).copy()))
 
 
 def tmean(a: Arrayish, axis=None, keepdims: bool = False) -> Tensor:
@@ -301,27 +290,22 @@ def reshape(a: Arrayish, shape) -> Tensor:
     return _make("reshape", a.data.reshape(shape), (a, lambda g: g.reshape(a.data.shape)))
 
 
-def concat(tensors: Sequence[Arrayish], axis: int = 0) -> Tensor:
+def concat(tensors: Sequence[Arrayish]) -> Tensor:
+    """The tensors stacked along their first axis."""
     ts = [as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in ts], axis=axis)
-    bounds = np.cumsum([0] + [t.data.shape[axis] for t in ts])
-
-    def piece(lo, hi):
-        def vjp(g):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            return g[tuple(idx)]
-        return vjp
-    return _make("concat", data, *((t, piece(lo, hi))
+    data = np.concatenate([t.data for t in ts])
+    bounds = np.cumsum([0] + [t.data.shape[0] for t in ts]).tolist()
+    return _make("concat", data, *((t, lambda g, lo=lo, hi=hi: g[lo:hi])
                                    for t, lo, hi in zip(ts, bounds[:-1], bounds[1:])))
 
 
 # -- image ops (C, H, W layout) ----------------------------------------------
 
-def conv2d(x: Arrayish, weight: Arrayish, bias: Optional[Arrayish] = None,
+def conv2d(x: Arrayish, weight: Arrayish, bias: Arrayish,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D convolution of a (C_in, H, W) image by a (C_out, C_in, kh, kw) kernel."""
-    x, weight = as_tensor(x), as_tensor(weight)
+    """2-D convolution of a (C_in, H, W) image by a (C_out, C_in, kh, kw) kernel,
+    plus a (C_out,) bias."""
+    x, weight, b = as_tensor(x), as_tensor(weight), as_tensor(bias)
     if x.data.ndim != 3 or weight.data.ndim != 4:
         raise ShapeError(
             f"conv2d expects image (C,H,W) and kernel (O,C,kh,kw), got {x.data.shape}, {weight.data.shape}")
@@ -329,6 +313,8 @@ def conv2d(x: Arrayish, weight: Arrayish, bias: Optional[Arrayish] = None,
     cout, cin_k, kh, kw = weight.data.shape
     if cin != cin_k:
         raise ShapeError(f"conv2d channel mismatch: image {x.data.shape} vs kernel {weight.data.shape}")
+    if b.data.shape != (cout,):
+        raise ShapeError(f"conv2d bias shape {b.data.shape} != ({cout},)")
     hp, wp = h + 2 * padding, w + 2 * padding
     if kh > hp or kw > wp:
         raise ShapeError(
@@ -349,7 +335,7 @@ def conv2d(x: Arrayish, weight: Arrayish, bias: Optional[Arrayish] = None,
                                     j:j + stride * wout:stride].transpose(1, 2, 0)
     col = col.reshape(hout * wout, cin * kh * kw)
     wmat = weight.data.reshape(cout, cin * kh * kw)
-    out = np.ascontiguousarray((col @ wmat.T).T).reshape(cout, hout, wout)
+    out = np.ascontiguousarray((col @ wmat.T).T).reshape(cout, hout, wout) + b.data[:, None, None]
 
     def dx(g):
         dcol = (g.reshape(cout, hout * wout).T @ wmat).reshape(hout, wout, cin, kh, kw)
@@ -363,25 +349,18 @@ def conv2d(x: Arrayish, weight: Arrayish, bias: Optional[Arrayish] = None,
     def dw(g):
         return (g.reshape(cout, hout * wout) @ col).reshape(weight.data.shape)
 
-    pairs = [(x, dx), (weight, dw)]
-    if bias is not None:
-        b = as_tensor(bias)
-        if b.data.shape != (cout,):
-            raise ShapeError(f"conv2d bias shape {b.data.shape} != ({cout},)")
-        out = out + b.data[:, None, None]
-        pairs.append((b, lambda g: g.sum(axis=(1, 2))))
-    return _make("conv2d", out, *pairs)
+    return _make("conv2d", out, (x, dx), (weight, dw), (b, lambda g: g.sum(axis=(1, 2))))
 
 
-def avg_pool2d(x: Arrayish, k: int) -> Tensor:
-    """Non-overlapping k*k average pooling of a (C, H, W) image; H, W divisible by k."""
+def avg_pool2d(x: Arrayish) -> Tensor:
+    """Non-overlapping 2x2 average pooling of a (C, H, W) image; H, W even."""
     x = as_tensor(x)
     c, h, w = x.data.shape
-    if h % k or w % k:
-        raise ShapeError(f"avg_pool2d: {h}x{w} not divisible by {k}")
-    data = x.data.reshape(c, h // k, k, w // k, k).mean(axis=(2, 4))
+    if h % 2 or w % 2:
+        raise ShapeError(f"avg_pool2d: {h}x{w} not divisible by 2")
+    data = x.data.reshape(c, h // 2, 2, w // 2, 2).mean(axis=(2, 4))
     return _make("avg_pool2d", data,
-                 (x, lambda g: np.repeat(np.repeat(g, k, axis=1), k, axis=2) / (k * k)))
+                 (x, lambda g: np.repeat(np.repeat(g, 2, axis=1), 2, axis=2) / 4))
 
 
 def upsample2x(x: Arrayish) -> Tensor:

@@ -201,7 +201,7 @@ class DiscriminatorNet:
                     f = dt.relu(f)
             scores.append(dt.sigmoid(dt.tmean(f)))
             if s < DISC_SCALES - 1:
-                h = dt.avg_pool2d(h, 2)
+                h = dt.avg_pool2d(h)
         return scores
 
 
@@ -222,11 +222,11 @@ def suppression_loss(i_g, i_f, disc: DiscriminatorNet) -> tuple[Tensor, Tensor]:
     terms = []
     for sg, sf in zip(scores_g, scores_f):
         terms.append(dt.add(clamped_log(sg), clamped_log(dt.sub(1.0, sf))))
-    stacked = dt.concat([dt.reshape(t, (1,)) for t in terms], axis=0)
+    stacked = dt.concat([dt.reshape(t, (1,)) for t in terms])
     disc_loss = dt.mul(dt.tmean(stacked), -1.0)
 
     gen_terms = [clamped_log(sf) for sf in scores_f]
-    gen_stacked = dt.concat([dt.reshape(t, (1,)) for t in gen_terms], axis=0)
+    gen_stacked = dt.concat([dt.reshape(t, (1,)) for t in gen_terms])
     gen_signal = dt.mul(dt.tmean(gen_stacked), -1.0)
     return disc_loss, gen_signal
 

@@ -480,14 +480,14 @@ def bilinear_sample(img: np.ndarray, u: np.ndarray, v: np.ndarray,
 
 
 def warp_map(src_cam: Camera, dst_cam: Camera, depth_src: np.ndarray,
-             depth_dst: Optional[np.ndarray] = None):
+             depth_dst: np.ndarray):
     """Pixel correspondences src -> dst through the rendered src depth.
 
     Each finite-depth src pixel is unprojected at its sample center, moved to
     world space, and reprojected into dst. Pixels are invalid where the src
-    depth is +inf, the reprojection leaves the dst frame or frustum, or (when
-    depth_dst is given) the reprojected depth disagrees with the dst render
-    by more than DEPTH_REL_TOL relative (occlusion).
+    depth is +inf, the reprojection leaves the dst frame or frustum, or the
+    reprojected depth disagrees with the dst render depth_dst by more than
+    DEPTH_REL_TOL relative (occlusion).
 
     Returns ((H, W, 2) dst pixel coords, (H, W) validity mask).
     """
@@ -515,13 +515,10 @@ def warp_map(src_cam: Camera, dst_cam: Camera, depth_src: np.ndarray,
     ud = dst_cam.focal * pts_dst[..., 0] / zd_safe + dst_cam.cx
     vd = dst_cam.focal * pts_dst[..., 1] / zd_safe + dst_cam.cy
     in_frame = (ud >= 0) & (ud <= dst_cam.width) & (vd >= 0) & (vd <= dst_cam.height)
-    valid = finite & in_front & in_frame
-
-    if depth_dst is not None:
-        sampled = bilinear_sample(np.where(np.isfinite(depth_dst), depth_dst, -1.0),
-                                  ud, vd, fill=-1.0)
-        agree = (sampled > 0) & (np.abs(sampled - zd_safe) <= DEPTH_REL_TOL * zd_safe)
-        valid = valid & agree
+    sampled = bilinear_sample(np.where(np.isfinite(depth_dst), depth_dst, -1.0),
+                              ud, vd, fill=-1.0)
+    agree = (sampled > 0) & (np.abs(sampled - zd_safe) <= DEPTH_REL_TOL * zd_safe)
+    valid = finite & in_front & in_frame & agree
 
     coords = np.stack([ud, vd], axis=-1).astype(np.float32)
     return coords, valid

@@ -103,7 +103,7 @@ def test_ac01_autodiff_finite_difference_all_architectures():
 
     def disc_loss():
         scores = disc.score_scales(img)
-        return dt.tsum(dt.concat([dt.reshape(s, (1,)) for s in scores], axis=0))
+        return dt.tsum(dt.concat([dt.reshape(s, (1,)) for s in scores]))
     worst["discriminator"] = finite_diff_max_rel_error(disc.parameters(), disc_loss, 1e-3)
 
     enc = FeatureEncoders(seed=7)

@@ -602,17 +602,25 @@ def test_config_out_key_is_rejected(key):
         cfgmod.read_key_values(f"{key} = 1\n", cfgmod.SCHEMA, "config")
 
 
-@pytest.mark.parametrize("command", ["dump-config", "eval-align"])
-def test_os_path_error_exits_2(tmp_path, capsys, command):
-    # a directory where a file is expected, a file where a directory is
-    if command == "dump-config":
+@pytest.mark.parametrize("case", ["dump-config", "eval-align", "name-too-long", "symlink-loop"])
+def test_os_path_error_exits_2(tmp_path, capsys, case):
+    # a directory where a file is expected, a file where a directory is, a
+    # file name longer than the file system allows, a loop of two symlinks
+    if case == "dump-config":
         path = tmp_path / "cfg_dir"
         path.mkdir()
         argv = ("dump-config", "--config", path)
-    else:
+    elif case == "eval-align":
         path = tmp_path / "s.gscn"
         path.write_bytes(b"GSCN")
         argv = ("eval-align", "--pipeline", path, "--out", tmp_path / "align.csv")
+    else:
+        path = tmp_path / ("x" * 300 + ".gscn")
+        if case == "symlink-loop":
+            path = tmp_path / "loop_a"
+            path.symlink_to(tmp_path / "loop_b")
+            (tmp_path / "loop_b").symlink_to(path)
+        argv = ("gen-scene", "--out", path)
     assert run(*argv) == 2
     assert str(path) in capsys.readouterr().err
 

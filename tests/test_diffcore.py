@@ -21,7 +21,8 @@ def test_relu_definition():
 
 
 def test_conv2d_all_ones_no_padding():
-    out = dc.conv2d(dc.Tensor(np.ones((1, 3, 3))), dc.Tensor(np.ones((1, 1, 3, 3))))
+    out = dc.conv2d(dc.Tensor(np.ones((1, 3, 3))), dc.Tensor(np.ones((1, 1, 3, 3))),
+                    dc.Tensor(np.zeros(1)))
     assert out.data.shape == (1, 1, 1)
     assert out.data[0, 0, 0] == pytest.approx(9.0)
 
@@ -33,7 +34,8 @@ def test_matmul_shape_mismatch_names_op():
 
 def test_conv2d_kernel_does_not_fit():
     with pytest.raises(ShapeError, match="conv2d"):
-        dc.conv2d(dc.Tensor(np.ones((1, 2, 2))), dc.Tensor(np.ones((1, 1, 3, 3))))
+        dc.conv2d(dc.Tensor(np.ones((1, 2, 2))), dc.Tensor(np.ones((1, 1, 3, 3))),
+                  dc.Tensor(np.zeros(1)))
 
 
 def test_forward_is_deterministic():
@@ -350,7 +352,7 @@ def test_conv2d_bits_match_reference_formula(k, stride, padding, dtype):
 
 def test_pool_and_upsample_shapes_and_values():
     x = dc.Tensor(np.arange(16, dtype=np.float32).reshape(1, 4, 4))
-    pooled = dc.avg_pool2d(x, 2)
+    pooled = dc.avg_pool2d(x)
     assert pooled.data.shape == (1, 2, 2)
     assert pooled.data[0, 0, 0] == pytest.approx((0 + 1 + 4 + 5) / 4)
     up = dc.upsample2x(pooled)
@@ -447,16 +449,15 @@ _OPS = {
     "sqrt": (dc.sqrt, lambda: [_uniform(1, (3, 4), 0.5, 2.0)]),
     "clamp": (lambda a: dc.clamp(a, -0.5, 0.5),   # two interior columns, two clipped
               lambda: [_uniform(1, (3, 4), 0.3, 0.45) * [1, -1, 2, -2]]),
-    "tsum": (lambda a: dc.tsum(a, axis=1), lambda: [_uniform(1, (3, 4))]),
+    "tsum": (dc.tsum, lambda: [_uniform(1, (3, 4))]),
     "tmean": (lambda a: dc.tmean(a, axis=0, keepdims=True), lambda: [_uniform(1, (3, 4))]),
     "mse": (dc.mse, lambda: [_uniform(1, (3, 4)), _uniform(2, (3, 4))]),
     "reshape": (lambda a: dc.reshape(a, (4, 3)), lambda: [_uniform(1, (3, 4))]),
-    "concat": (lambda *ts: dc.concat(ts, axis=1),
-               lambda: [_uniform(1, (3, 2)), _uniform(2, (3, 1)), _uniform(3, (3, 2))]),
+    "concat": (lambda *ts: dc.concat(ts),
+               lambda: [_uniform(1, (2, 3)), _uniform(2, (1, 3)), _uniform(3, (2, 3))]),
     "conv2d": (lambda x, w, b: dc.conv2d(x, w, b, stride=2, padding=1),
                lambda: [_uniform(1, (2, 5, 5)), _uniform(2, (3, 2, 3, 3)), _uniform(3, (3,))]),
-    "conv2d-nobias": (dc.conv2d, lambda: [_uniform(1, (2, 4, 4)), _uniform(2, (3, 2, 2, 2))]),
-    "avg_pool2d": (lambda x: dc.avg_pool2d(x, 2), lambda: [_uniform(1, (2, 4, 4))]),
+    "avg_pool2d": (dc.avg_pool2d, lambda: [_uniform(1, (2, 4, 4))]),
     "upsample2x": (dc.upsample2x, lambda: [_uniform(1, (2, 3, 3))]),
     # rows 1 and 3 of the (5, 4) weight matrix are empty; column 2 is unused
     "tile_matmul": (lambda x: dc.tile_matmul(
@@ -473,7 +474,7 @@ _OP_CASES = [(name, k) for name, (_, make) in _OPS.items()
 def test_op_gradients_with_each_operand_constant(name, const):
     op, make = _OPS[name]
     operands = [dc.Tensor(a, requires_grad=i != const) for i, a in enumerate(make())]
-    weight = dc.Tensor(_uniform(9, op(*operands).shape))
+    weight = dc.Tensor(_uniform(9, op(*operands).data.shape))
     params = [t for t in operands if t.requires_grad]
     err = finite_diff_max_rel_error(params, lambda: dc.tsum(dc.mul(op(*operands), weight)),
                                     1e-4)
@@ -635,7 +636,7 @@ def test_backward_matches_reference_bits():
         sq = dc.mul(h, h)                                   # the same operand twice
         up = dc.add(dc.tsum(dc.mul(h, big)), dc.tsum(dc.mul(sq, out)))
         down = dc.add(dc.tmean(dc.sigmoid(h)), dc.tsum(dc.mul(h, small - big)))
-        rest = dc.add(dc.tsum(dc.mul(dc.concat([h, sq], axis=1), 0.5)),
+        rest = dc.add(dc.tsum(dc.mul(dc.concat([h, sq]), 0.5)),
                       dc.tsum(dc.mul(dc.relu(r), -1.0)))
         return dc.add(dc.add(up, down), rest)
 

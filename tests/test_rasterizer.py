@@ -604,7 +604,7 @@ def test_warp_pure_translation_gives_uniform_shift():
     cam_a = front_camera(width=32, height=32, focal=50.0, pos=(0, 0, 0))
     cam_b = front_camera(width=32, height=32, focal=50.0, pos=(0.4, 0, 0))
     depth = np.full((32, 32), slab_z, dtype=np.float32)
-    coords, valid = ras.warp_map(cam_a, cam_b, depth)
+    coords, valid = ras.warp_map(cam_a, cam_b, depth, depth)     # the slab is at z in both views
     gy, gx = np.meshgrid(np.arange(32), np.arange(32), indexing="ij")
     du = coords[..., 0] - (gx + 0.5)
     dv = coords[..., 1] - (gy + 0.5)
@@ -617,7 +617,7 @@ def test_warp_infinite_depth_invalid():
     cam = front_camera(width=8, height=8)
     depth = np.full((8, 8), np.inf, dtype=np.float32)
     depth[4, 4] = 3.0
-    _, valid = ras.warp_map(cam, cam, depth)
+    _, valid = ras.warp_map(cam, cam, depth, depth)
     assert valid[4, 4]
     assert valid.sum() == 1
 
