@@ -73,7 +73,7 @@ def _load_pipeline(args, cfg) -> fa.FlowPipeline:
     the encoders it was trained with, so the config must name the same
     encoder `seed` and `clip_dim` as its manifest."""
     pipe = fa.FlowPipeline.load(_require(args.pipeline, "pipeline"))
-    for key, trained in (("seed", pipe.cfg.seed), ("clip_dim", pipe.mapping.clip_dim)):
+    for key, trained in (("seed", pipe.cfg.seed), ("clip_dim", pipe.clip_dim)):
         _agree(_manifest(args), key, trained, _config_key(args, key), cfg[key])
     return pipe
 
@@ -149,6 +149,12 @@ def _output(path, flag: str, kind: str = "file") -> Path:
     hold files (train-style finds its 2D decoder there)."""
     out = Path(path)
     try:
+        out.stat()          # `mkdir` and `is_dir` read a symlink loop as "not a directory"
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        raise CliError(f"{flag} {out}: {exc.strerror}") from None
+    try:
         (out.parent if kind == "file" else out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise CliError(f"{flag} {out}: cannot make {exc.filename}: {exc.strerror}") from None
@@ -222,7 +228,7 @@ def _load_styling(args, cfg) -> tuple[sc.GaussianScene, tr.DecoderNet, fa.FlowPi
     decoder = _load_decoder(args.decoder, cfg)
     pipe = _load_pipeline(args, cfg)
     d = scene.embed_dim
-    _agree(_manifest(args), "style_dim", pipe.mapping.style_dim,
+    _agree(_manifest(args), "style_dim", pipe.style_dim,
            f"{args.scene} (embeddings of dim {d})", 2 * d)
     _agree(args.decoder, "embed_dim", cfg["embed_dim"], args.scene, d)
     return scene, decoder, pipe
@@ -271,17 +277,18 @@ def cmd_gen_scene(args, cfg) -> int:
 
 def cmd_embed(args, cfg) -> int:
     scene = sc.load_scene(_require(args.scene, "scene"))
-    decoder_file = Path(args.out_decoder).resolve()
-    if Path(args.out_scene).resolve() == decoder_file:
+    out_scene = _output(args.out_scene, "--out-scene")      # `resolve` fails on a symlink loop
+    out_decoder = _output(args.out_decoder, "--out-decoder")
+    weights = _output(_weights_path(out_scene), "--out-scene")
+    decoder_file = out_decoder.resolve()
+    if out_scene.resolve() == decoder_file:
         raise CliError(f"--out-scene and --out-decoder are one file: {args.out_scene}")
-    if _weights_path(args.out_scene).resolve() == decoder_file:
+    if weights.resolve() == decoder_file:
         raise CliError(f"--out-decoder {args.out_decoder} is the weights file that embed "
                        f"writes next to --out-scene {args.out_scene}")
-    out_scene = _output(args.out_scene, "--out-scene")
-    out_decoder = _output(args.out_decoder, "--out-decoder")
     encoders = _encoders(cfg)
     rig = cfgmod.dump({key: cfg[key] for key in _RIG_SCHEMA})
-    views = ras.write_weights(_weights_path(out_scene), scene, _training_cams(cfg), rig)
+    views = ras.write_weights(weights, scene, _training_cams(cfg), rig)
     distilled, decoder, report = tr.distill_embeddings(
         scene, views, encoders, steps=cfg["distill.steps"],
         seed=cfg["seed"], lr=cfg["distill.learning_rate"],
@@ -299,8 +306,8 @@ def cmd_train_flow(args, cfg) -> int:
     if args.feat_clip:      # the pipeline saves the config's encoders' calibration
         _agree(args.feat_clip, "dim", clip_fs.dim, _config_key(args, "clip_dim"), cfg["clip_dim"])
     out = _output(args.out, "--out", "dir")       # a bad --out fails before training
-    aligned, reports, pipe = fa.run_subdivisive_flow(clip_fs, vgg_fs, _flow_cfg(cfg))
-    pipe.clip_calibration = encoders.clip_calibration
+    aligned, reports, pipe = fa.run_subdivisive_flow(clip_fs, vgg_fs, _flow_cfg(cfg),
+                                                     encoders.clip_calibration)
     pipe.save(out)
     mt.write_csv(out / "rounds.csv", fa.ROUND_COLUMNS, map(astuple, reports))
     export_features(out / "aligned.feat", FeatureSet("vgg_like", aligned.vectors))
@@ -353,8 +360,7 @@ def cmd_stylize(args, cfg) -> int:
         fs = _encoders(cfg, pipe).encode_text(args.text.split())
     else:
         fs = _read_rows(args.feat, "--feat", "clip_like")
-        _agree(args.feat, "dim", fs.dim, f"{_manifest(args)} ('clip_dim')",
-               pipe.mapping.clip_dim)
+        _agree(args.feat, "dim", fs.dim, f"{_manifest(args)} ('clip_dim')", pipe.clip_dim)
     styled = tr.stylize_scene(scene, _style_stats(pipe, fs), decoder)
     sc.save_scene(styled, out)
     print(f"wrote stylized scene to {args.out}")
@@ -382,7 +388,7 @@ def cmd_eval_align(args, cfg) -> int:
         pipe = fa.FlowPipeline.load(_require(args.pipeline, "pipeline"))
     else:       # the corpus is encoded at the config's widths
         pipe = _load_pipeline(args, cfg)
-        _agree(_manifest(args), "style_dim", pipe.mapping.style_dim,
+        _agree(_manifest(args), "style_dim", pipe.style_dim,
                _config_key(args, "style_dim"), cfg["style_dim"])
     out = _output(args.out, "--out")
     # the corpus path encodes with the pipeline's own calibration; the FEAT path encodes nothing
@@ -390,8 +396,7 @@ def cmd_eval_align(args, cfg) -> int:
     if args.feat_clip:
         for path, fs, key in ((args.feat_clip, clip_fs, "clip_dim"),
                               (args.feat_vgg, vgg_fs, "style_dim")):
-            _agree(path, "dim", fs.dim, f"{_manifest(args)} ('{key}')",
-                   getattr(pipe.mapping, key))
+            _agree(path, "dim", fs.dim, f"{_manifest(args)} ('{key}')", getattr(pipe, key))
     rows = []
     for k, stage in enumerate(pipe.trajectory(clip_fs.vectors)):
         fs, tag = FeatureSet("clip_mapped", stage), (f"round{k}" if k else "mapped")

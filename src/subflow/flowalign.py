@@ -29,7 +29,7 @@ from .diffcore import tensor as dt
 from .diffcore.checkpoint import load_params, save_params
 from .diffcore.rng import named_stream
 from .encoders import FeatureSet
-from .errors import FormatError, NumericsError, ShapeError, StateError
+from .errors import FormatError, NumericsError, ShapeError
 from .metrics import cosine_sim, frechet_distance
 
 TIME_FEATURES = 8  # four sin/cos pairs
@@ -92,27 +92,6 @@ def interpolate(x0: np.ndarray, x1: np.ndarray, t: np.ndarray) -> np.ndarray:
     return (1.0 - t) * x0 + t * x1
 
 
-class MappingNet:
-    """Baseline domain map, trained by plain MSE regression. `params` are a
-    checkpoint's arrays, as `DenseNet` takes them."""
-
-    def __init__(self, clip_dim: int, style_dim: int, hidden: tuple[int, ...] = (96,),
-                 seed: int = 0, params: Sequence[np.ndarray] | None = None):
-        widths = (clip_dim, *hidden, style_dim)
-        self.net = DenseNet(widths, "relu", seed, name="mapping", params=params)
-        self.clip_dim = clip_dim
-        self.style_dim = style_dim
-
-    def parameters(self):
-        return self.net.parameters()
-
-    def __call__(self, x) -> Tensor:
-        return self.net(x)
-
-    def apply(self, rows: np.ndarray) -> np.ndarray:
-        return self.net.infer(np.atleast_2d(rows))
-
-
 class VelocityField:
     """Time-conditioned drift v(x, t) over the style domain. `forward` tapes
     the drift for training; calling the field evaluates it on arrays, as the
@@ -128,13 +107,12 @@ class VelocityField:
 
     @staticmethod
     def _input(x_rows: np.ndarray, t_rows: np.ndarray) -> np.ndarray:
-        return np.concatenate([np.atleast_2d(x_rows), time_embedding(t_rows)], axis=1)
+        return np.concatenate([x_rows, time_embedding(t_rows)], axis=1)
 
     def forward(self, x_rows: np.ndarray, t_rows: np.ndarray) -> Tensor:
         return self.net(Tensor(self._input(x_rows, t_rows)))
 
     def __call__(self, x_rows: np.ndarray, t: float) -> np.ndarray:
-        x_rows = np.atleast_2d(x_rows)
         t_rows = np.full(x_rows.shape[0], float(t))
         return self.net.infer(self._input(x_rows, t_rows))
 
@@ -144,10 +122,11 @@ def _check_paired(a: FeatureSet, b: FeatureSet, op: str) -> None:
         raise ShapeError(f"{op}: paired sets must have equal rows ({a.count} vs {b.count})")
 
 
-def train_mapping(clip: FeatureSet, vgg: FeatureSet, cfg: FlowConfig) -> MappingNet:
-    """Fit the baseline map by Adam on mean squared error over paired rows."""
+def train_mapping(clip: FeatureSet, vgg: FeatureSet, cfg: FlowConfig) -> DenseNet:
+    """Fit the baseline domain map, a ReLU `DenseNet`, by Adam on mean
+    squared error over paired rows."""
     _check_paired(clip, vgg, "train_mapping")
-    net = MappingNet(clip.dim, vgg.dim, hidden=cfg.mapping_hidden, seed=cfg.seed)
+    net = DenseNet((clip.dim, *cfg.mapping_hidden, vgg.dim), "relu", cfg.seed, name="mapping")
     opt = Adam(net.parameters(), lr=cfg.learning_rate)
     g = named_stream(cfg.seed, "mapping.batches")
     x_all = clip.vectors.astype(np.float32)
@@ -186,15 +165,14 @@ def train_velocity(start: FeatureSet, target: FeatureSet, cfg: FlowConfig,
 
 
 def euler_integrate(v: Union[VelocityField, Callable], x0: np.ndarray, steps: int) -> np.ndarray:
-    """Forward Euler trajectory, all intermediate states included.
+    """Forward Euler trajectory of the rows x0, all intermediate states included.
 
-    Returns (steps+1, ...) stacked states; x0 may be a single vector or a
-    batch of rows. Non-finite states name the offending step.
+    Returns (steps+1, rows, dim) stacked float64 states. Non-finite states
+    name the offending step.
     """
     if steps < 1:
         raise ShapeError(f"euler_integrate needs steps >= 1, got {steps}")
-    single = np.asarray(x0).ndim == 1
-    x = np.atleast_2d(np.asarray(x0, dtype=np.float64))
+    x = np.asarray(x0, dtype=np.float64)
     traj = [x.copy()]
     dt_step = 1.0 / steps
     for i in range(steps):
@@ -203,8 +181,7 @@ def euler_integrate(v: Union[VelocityField, Callable], x0: np.ndarray, steps: in
         if not np.all(np.isfinite(x)):
             raise NumericsError(f"euler_integrate: non-finite state at step {i + 1}")
         traj.append(x.copy())
-    out = np.stack(traj)
-    return out[:, 0, :] if single else out
+    return np.stack(traj)
 
 
 def _read_params(path, want: list[tuple[int, ...]]) -> list[np.ndarray]:
@@ -218,19 +195,21 @@ def _read_params(path, want: list[tuple[int, ...]]) -> list[np.ndarray]:
 
 
 class FlowPipeline:
-    """Trained mapping plus one velocity field per round.
+    """Trained mapping plus one velocity field per round, over rows.
 
     `clip_calibration` is the CLIP-like center and text norm of the encoders
-    whose rows the mapping was fit to (`FeatureEncoders.clip_calibration`).
-    `train-flow` sets it before `save`; `load` reads it back.
+    whose rows the mapping was fit to (`FeatureEncoders.clip_calibration`);
+    it is saved with the nets and read back by `load`.
     """
 
-    def __init__(self, mapping: MappingNet, fields: list[VelocityField], cfg: FlowConfig,
-                 clip_calibration: tuple[np.ndarray, float] | None = None):
+    def __init__(self, mapping: DenseNet, fields: list[VelocityField], cfg: FlowConfig,
+                 clip_calibration: tuple[np.ndarray, float]):
         self.mapping = mapping
         self.fields = fields
         self.cfg = cfg
         self.clip_calibration = clip_calibration
+        self.clip_dim = mapping.in_width
+        self.style_dim = mapping.weights[-1].data.shape[1]
 
     def trajectory(self, rows: np.ndarray) -> Iterator[np.ndarray]:
         """Yield the mapped rows, then each round's Euler endpoints (float64).
@@ -239,22 +218,19 @@ class FlowPipeline:
         the next round's training does. `self.fields` is read as the rounds
         go, so a field appended during iteration is the next round.
         """
-        cur = self.mapping.apply(np.asarray(rows, dtype=np.float32))
+        cur = self.mapping.infer(np.asarray(rows, dtype=np.float32))
         yield cur
         for vf in self.fields:
             end = euler_integrate(vf, cur, self.cfg.euler_steps)[-1]
             yield end
             cur = end.astype(np.float32)
 
-    def align(self, x: np.ndarray) -> np.ndarray:
-        """Map one embedding-domain vector (or batch) into the style domain."""
-        *_, last = self.trajectory(x)
-        out = last.astype(np.float32)
-        return out[0] if np.asarray(x).ndim == 1 else out
+    def align(self, rows: np.ndarray) -> np.ndarray:
+        """Map embedding-domain rows into the style domain (float32 rows)."""
+        *_, last = self.trajectory(rows)
+        return last.astype(np.float32)
 
     def save(self, out_dir) -> None:
-        if self.clip_calibration is None:
-            raise StateError("pipeline has no CLIP-like calibration to save")
         center, text_norm = self.clip_calibration
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -262,7 +238,7 @@ class FlowPipeline:
         for i, vf in enumerate(self.fields, start=1):
             save_params(out / f"velocity_{i}.prms", vf.parameters())
         save_params(out / CLIP_CENTER_FILE, [center])
-        values = {"clip_dim": self.mapping.clip_dim, "style_dim": self.mapping.style_dim,
+        values = {"clip_dim": self.clip_dim, "style_dim": self.style_dim,
                   "rounds": len(self.fields), "text_norm": text_norm}
         lines = []
         for key in MANIFEST_SCHEMA:
@@ -277,9 +253,9 @@ class FlowPipeline:
         clip_dim, style_dim = kv.pop("clip_dim"), kv.pop("style_dim")
         text_norm = kv.pop("text_norm")
         cfg = FlowConfig(**kv)
-        mapping_shapes = dense_shapes((clip_dim, *cfg.mapping_hidden, style_dim))
-        mapping = MappingNet(clip_dim, style_dim, hidden=cfg.mapping_hidden,
-                             params=_read_params(src / "mapping.prms", mapping_shapes))
+        mapping_widths = (clip_dim, *cfg.mapping_hidden, style_dim)
+        mapping = DenseNet(mapping_widths, "relu", params=_read_params(
+            src / "mapping.prms", dense_shapes(mapping_widths)))
         velocity_shapes = dense_shapes((style_dim + TIME_FEATURES, *cfg.velocity_hidden,
                                         style_dim))
         fields = [VelocityField(style_dim, hidden=cfg.velocity_hidden,
@@ -289,14 +265,17 @@ class FlowPipeline:
         return FlowPipeline(mapping, fields, cfg, (center, text_norm))
 
 
-def run_subdivisive_flow(clip: FeatureSet, vgg: FeatureSet, cfg: FlowConfig):
+def run_subdivisive_flow(clip: FeatureSet, vgg: FeatureSet, cfg: FlowConfig,
+                         clip_calibration: tuple[np.ndarray, float]):
     """Full multi-round alignment on paired sets.
 
     Returns (aligned endpoints as a FeatureSet, per-round reports, pipeline).
     Each round's field is trained on the rows the pipeline's trajectory
-    starts that round from, then the trajectory advances through it.
+    starts that round from, then the trajectory advances through it. The
+    pipeline carries `clip_calibration`, that of the encoders of `clip`'s
+    rows, so it can be saved as it is returned.
     """
-    pipe = FlowPipeline(train_mapping(clip, vgg, cfg), [], cfg)
+    pipe = FlowPipeline(train_mapping(clip, vgg, cfg), [], cfg, clip_calibration)
     stages = pipe.trajectory(clip.vectors)
     start = FeatureSet("clip_mapped", next(stages))
     sim, fid = cosine_sim(start, vgg), frechet_distance(start, vgg)

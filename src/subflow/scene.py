@@ -171,11 +171,11 @@ class Camera:
     def world_to_camera(self, points: np.ndarray) -> np.ndarray:
         """Map (N,3) world points into camera coordinates (+z forward)."""
         r_wc = self.rotation_camera_to_world().T
-        return (np.atleast_2d(points) - self.position) @ r_wc.T
+        return (points - self.position) @ r_wc.T
 
     def camera_to_world(self, points: np.ndarray) -> np.ndarray:
         r_cw = self.rotation_camera_to_world()
-        return np.atleast_2d(points) @ r_cw.T + self.position
+        return points @ r_cw.T + self.position
 
     @property
     def cx(self) -> float:

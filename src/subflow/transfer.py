@@ -104,8 +104,7 @@ class DecoderNet:
         return dt.sigmoid(self.net(embeddings))
 
     def decode(self, embeddings: np.ndarray) -> np.ndarray:
-        rows = np.atleast_2d(np.asarray(embeddings, dtype=np.float32))
-        out = 1.0 / (1.0 + np.exp(-self.net.infer(rows)))     # as `dt.sigmoid`
+        out = 1.0 / (1.0 + np.exp(-self.net.infer(embeddings)))     # as `dt.sigmoid`
         _finite_or_raise(out, "sigmoid")
         return out
 

@@ -47,11 +47,12 @@ def slab_run(session_encoders):
     cfg = fa.FlowConfig(rounds=2, train_steps=900, mapping_steps=900,
                         batch_size=128, seed=2)
     _, flow_reports, pipe = fa.run_subdivisive_flow(
-        enc.encode_clip_like(style_imgs), enc.encode_vgg_like(style_imgs), cfg)
+        enc.encode_clip_like(style_imgs), enc.encode_vgg_like(style_imgs), cfg,
+        enc.clip_calibration)
 
     style_img = procedural_texture(7, 100)
     style_stats = tr.stats_from_feature(
-        pipe.align(enc.encode_clip_like(style_img).vectors[0]))
+        pipe.align(enc.encode_clip_like(style_img).vectors)[0])
     return {
         "scene": scene, "cams": cams, "views": views, "distilled": distilled,
         "decoder0": decoder0, "distill_report": distill_report,

@@ -17,7 +17,7 @@ from subflow import metrics as mt
 from subflow import rasterizer as ras
 from subflow import scene as sc
 from subflow import transfer as tr
-from subflow.diffcore import Tensor
+from subflow.diffcore import DenseNet, Tensor
 from subflow.diffcore import tensor as dt
 from subflow.diffcore.rng import named_stream
 from subflow.encoders import FeatureEncoders, FeatureSet
@@ -78,11 +78,11 @@ def test_ac01_autodiff_finite_difference_all_architectures():
                 b.data = (magnitude * np.where(np.arange(b.data.size) % 2 == 0, 1.0, -1.0)
                           ).astype(np.float32)
 
-    mapping = fa.MappingNet(8, 10, hidden=(12,), seed=3)
-    pin_dense(mapping.net)
+    mapping = DenseNet((8, 12, 10), "relu", 3, name="mapping")
+    pin_dense(mapping)
     x = named_stream(1, "ac1.map").standard_normal((4, 8))
-    margins["mapping"] = _dense_preact_margin(mapping.net, x)
-    worst["mapping"] = finite_diff_check(mapping.net, x, 1e-3)
+    margins["mapping"] = _dense_preact_margin(mapping, x)
+    worst["mapping"] = finite_diff_check(mapping, x, 1e-3)
 
     vf = fa.VelocityField(6, hidden=(12, 12), seed=4)  # tanh: smooth everywhere
     xv = named_stream(1, "ac1.vel").standard_normal((4, 6 + fa.TIME_FEATURES))
@@ -198,7 +198,7 @@ def test_ac04a_point_mass_constant_drift_endpoint():
     cfg = fa.FlowConfig(train_steps=600, batch_size=64, seed=5)
     vf, _ = fa.train_velocity(FeatureSet("clip_mapped", np.tile(a, (64, 1))),
                               FeatureSet("vgg_like", np.tile(b, (64, 1))), cfg)
-    end = fa.euler_integrate(vf, a, cfg.euler_steps)[-1]
+    end = fa.euler_integrate(vf, a[None], cfg.euler_steps)[-1]
     rel = float(np.abs(end - b).max() / np.abs(b - a).max())
     check("AC4a point-mass endpoint within 2%", rel <= 0.02, f"relative miss {rel:.4f}")
 
@@ -240,7 +240,8 @@ def test_ac05_flow_segmentation_trend_default_config():
         MixtureSpec.isotropic([np.linspace(-2, 2, dim)], sigma=1.0), seed=21)
     clip, vgg = sample_paired(spec, 1024)
     cfg = fa.FlowConfig(seed=5)  # defaults: H=8, r=3
-    _, reports, _ = fa.run_subdivisive_flow(clip, vgg, cfg)
+    # synthetic rows: no encoder calibrated them, and training never reads the calibration
+    _, reports, _ = fa.run_subdivisive_flow(clip, vgg, cfg, (np.zeros(dim, np.float32), 1.0))
 
     fids = [reports[0].fid_before] + [r.fid_after for r in reports]
     sims = [reports[0].sim_before] + [r.sim_after for r in reports]

@@ -602,10 +602,13 @@ def test_config_out_key_is_rejected(key):
         cfgmod.read_key_values(f"{key} = 1\n", cfgmod.SCHEMA, "config")
 
 
-@pytest.mark.parametrize("case", ["dump-config", "eval-align", "name-too-long", "symlink-loop"])
-def test_os_path_error_exits_2(tmp_path, capsys, case):
+@pytest.mark.parametrize("case", ["dump-config", "eval-align", "name-too-long", "symlink-loop",
+                                  "embed-out-scene-loop", "embed-out-decoder-loop",
+                                  "embed-weights-loop"])
+def test_os_path_error_exits_2(tmp_path, capsys, monkeypatch, case):
     # a directory where a file is expected, a file where a directory is, a
     # file name longer than the file system allows, a loop of two symlinks
+    # (at one of embed's three outputs: the weights go to <out-scene>.twts)
     if case == "dump-config":
         path = tmp_path / "cfg_dir"
         path.mkdir()
@@ -616,11 +619,26 @@ def test_os_path_error_exits_2(tmp_path, capsys, case):
         argv = ("eval-align", "--pipeline", path, "--out", tmp_path / "align.csv")
     else:
         path = tmp_path / ("x" * 300 + ".gscn")
-        if case == "symlink-loop":
-            path = tmp_path / "loop_a"
+        if case.endswith("loop"):
+            path = tmp_path / ("sd.gscn.twts" if "weights" in case else "loop_a")
             path.symlink_to(tmp_path / "loop_b")
             (tmp_path / "loop_b").symlink_to(path)
         argv = ("gen-scene", "--out", path)
+        if case.startswith("embed"):        # refused before any work
+            def work(*_, **__):
+                raise AssertionError("embed worked toward an output on a symlink loop")
+
+            monkeypatch.setattr(cli.ras, "write_weights", work)
+            monkeypatch.setattr(cli.tr, "distill_embeddings", work)
+            scene = tmp_path / "s.gscn"
+            sc.save_scene(sc.generate_toy_scene("lattice", 6, 1, embed_dim=8), scene)
+            out_scene, out_decoder = tmp_path / "sd.gscn", tmp_path / "dec.prms"
+            if "scene" in case:
+                out_scene = path
+            elif "decoder" in case:
+                out_decoder = path
+            argv = ("embed", "--scene", scene, "--out-scene", out_scene,
+                    "--out-decoder", out_decoder)
     assert run(*argv) == 2
     assert str(path) in capsys.readouterr().err
 

@@ -5,9 +5,10 @@ import pytest
 
 from subflow import flowalign as fa
 from subflow import metrics as mt
+from subflow.diffcore import DenseNet
 from subflow.diffcore.rng import named_stream
 from subflow.encoders import FeatureSet
-from subflow.errors import FormatError, NumericsError, ShapeError, StateError
+from subflow.errors import FormatError, NumericsError, ShapeError
 
 from synthetic import ConceptPairGenerator, MixtureSpec, PairedDistributionSpec, sample_paired
 
@@ -16,18 +17,16 @@ def fs(domain, rows):
     return FeatureSet(domain, np.asarray(rows, dtype=np.float32))
 
 
-def with_calibration(pipe):
-    """`pipe` carrying a CLIP-like calibration for its clip dim, as `train-flow`
-    sets one before saving; the norm has no short decimal form."""
-    dim = pipe.mapping.clip_dim
-    pipe.clip_calibration = (np.linspace(-1.0, 1.0, dim, dtype=np.float32), 1.0 / 3.0 + 0.1)
-    return pipe
+def calibration(dim):
+    """A CLIP-like calibration for rows of `dim`, as `train-flow` passes its
+    encoders' to the pipeline; the norm has no short decimal form."""
+    return np.linspace(-1.0, 1.0, dim, dtype=np.float32), 1.0 / 3.0 + 0.1
 
 
 def identity_mapping(dim):
-    m = fa.MappingNet(dim, dim, hidden=(), seed=0)
-    m.net.weights[0].data = np.eye(dim, dtype=np.float32)
-    m.net.biases[0].data = np.zeros(dim, dtype=np.float32)
+    m = DenseNet((dim, dim), "relu", 0, name="mapping")
+    m.weights[0].data = np.eye(dim, dtype=np.float32)
+    m.biases[0].data = np.zeros(dim, dtype=np.float32)
     return m
 
 
@@ -43,7 +42,7 @@ def test_euler_zero_field_constant_trajectory():
 def test_euler_constant_field_exact_for_any_step_count(steps):
     k = np.array([0.5, -1.5, 2.0])
     traj = fa.euler_integrate(lambda x, t: np.tile(k, (x.shape[0], 1)),
-                              np.array([1.0, 1.0, 1.0]), steps)
+                              np.array([[1.0, 1.0, 1.0]]), steps)
     assert np.allclose(traj[-1], 1.0 + k, atol=1e-12)
 
 
@@ -105,7 +104,7 @@ def test_train_mapping_recovers_affine_target():
     cfg = fa.FlowConfig(mapping_hidden=(), mapping_steps=2000, learning_rate=1e-2, seed=1)
     net = fa.train_mapping(fs("clip_like", x), fs("vgg_like", y), cfg)
     x_held = g.standard_normal((256, 4))
-    pred = net.apply(x_held.astype(np.float32))
+    pred = net.infer(x_held.astype(np.float32))
     mse = float(((pred - (x_held @ a.T + b)) ** 2).mean())
     assert mse < 1e-3
 
@@ -116,7 +115,7 @@ def test_train_mapping_identity_task():
     cfg = fa.FlowConfig(mapping_hidden=(), mapping_steps=2500, learning_rate=1e-2, seed=2)
     net = fa.train_mapping(fs("clip_like", x), fs("vgg_like", x), cfg)
     x_held = g.standard_normal((256, 6)).astype(np.float32)
-    mse = float(((net.apply(x_held) - x_held) ** 2).mean())
+    mse = float(((net.infer(x_held) - x_held) ** 2).mean())
     assert mse < 1e-4
 
 
@@ -125,7 +124,7 @@ def test_train_mapping_zero_steps_leaves_init():
     x = g.standard_normal((32, 4)).astype(np.float32)
     cfg = fa.FlowConfig(mapping_steps=0, seed=3)
     net = fa.train_mapping(fs("clip_like", x), fs("vgg_like", x), cfg)
-    fresh = fa.MappingNet(4, 4, hidden=cfg.mapping_hidden, seed=3)
+    fresh = DenseNet((4, *cfg.mapping_hidden, 4), "relu", 3, name="mapping")
     for a, b in zip(net.parameters(), fresh.parameters()):
         assert np.array_equal(a.data, b.data)
 
@@ -172,7 +171,7 @@ def test_velocity_point_mass_constant_drift():
     cfg = fa.FlowConfig(train_steps=600, batch_size=64, seed=5)
     vf, _ = fa.train_velocity(fs("clip_mapped", np.tile(a, (64, 1))),
                               fs("vgg_like", np.tile(b, (64, 1))), cfg)
-    end = fa.euler_integrate(vf, a, cfg.euler_steps)[-1]
+    end = fa.euler_integrate(vf, a[None], cfg.euler_steps)[-1]
     assert np.abs(end - b).max() <= 0.02 * np.abs(b - a).max()
 
 
@@ -202,7 +201,7 @@ def test_single_round_degenerates_to_one_velocity_fit(monkeypatch):
     y = x + 2.0
     cfg = fa.FlowConfig(rounds=1, train_steps=500, batch_size=64, seed=7)
     aligned, reports, pipe = fa.run_subdivisive_flow(
-        fs("clip_like", x), fs("vgg_like", y), cfg)
+        fs("clip_like", x), fs("vgg_like", y), cfg, calibration(4))
     assert len(reports) == 1
     assert len(pipe.fields) == 1
     vf, _ = fa.train_velocity(fs("clip_mapped", x.astype(np.float32)), fs("vgg_like", y), cfg,
@@ -217,7 +216,7 @@ def test_already_aligned_inputs_nothing_to_move(monkeypatch):
     rows = g.standard_normal((256, 5)).astype(np.float32)
     cfg = fa.FlowConfig(rounds=3, train_steps=600, batch_size=128, seed=8)
     _, reports, _ = fa.run_subdivisive_flow(
-        fs("clip_like", rows), fs("vgg_like", rows), cfg)
+        fs("clip_like", rows), fs("vgg_like", rows), cfg, calibration(5))
     scale = float(rows.std())
     for r in reports:
         assert r.fid_after < 0.01 * rows.shape[1] * scale ** 2
@@ -233,7 +232,7 @@ def test_mixture_to_gaussian_fid_decreases():
     clip, vgg = sample_paired(spec, 512)
     cfg = fa.FlowConfig(rounds=3, train_steps=1200, batch_size=256,
                         mapping_steps=1200, seed=9)
-    _, reports, _ = fa.run_subdivisive_flow(clip, vgg, cfg)
+    _, reports, _ = fa.run_subdivisive_flow(clip, vgg, cfg, calibration(3))
     for r in reports:
         assert r.fid_after <= r.fid_before + 1e-3
     assert reports[-1].fid_after < 0.25 * reports[0].fid_before
@@ -246,7 +245,8 @@ def test_flow_reports_deterministic():
     cfg = fa.FlowConfig(rounds=2, train_steps=300, batch_size=64, mapping_steps=200, seed=10)
 
     def run():
-        _, reports, _ = fa.run_subdivisive_flow(fs("clip_like", x), fs("vgg_like", y), cfg)
+        _, reports, _ = fa.run_subdivisive_flow(fs("clip_like", x), fs("vgg_like", y), cfg,
+                                                calibration(3))
         return [(r.sim_after, r.fid_after, r.displacement) for r in reports]
 
     assert run() == run()
@@ -260,9 +260,9 @@ def test_align_feature_identity_pipeline_close_to_input(monkeypatch):
     rows = g.standard_normal((256, 4)).astype(np.float32) * 2.0
     cfg = fa.FlowConfig(rounds=2, train_steps=800, batch_size=128, seed=11)
     _, _, pipe = fa.run_subdivisive_flow(
-        fs("clip_like", rows), fs("vgg_like", rows), cfg)
+        fs("clip_like", rows), fs("vgg_like", rows), cfg, calibration(4))
     x = rows[0]
-    out = pipe.align(x)
+    out = pipe.align(x[None])[0]
     assert np.linalg.norm(out - x) < 0.05 * np.linalg.norm(x) + 0.05 * rows.std()
 
 
@@ -274,8 +274,8 @@ def test_aligned_text_and_image_features_stay_close(slab_run, session_encoders):
     cosines = []
     for i in range(100):
         img, caption = gen.pair(i)
-        a = pipe.align(session_encoders.encode_text([caption]).vectors[0])
-        b = pipe.align(session_encoders.encode_clip_like(img).vectors[0])
+        a = pipe.align(session_encoders.encode_text([caption]).vectors)[0]
+        b = pipe.align(session_encoders.encode_clip_like(img).vectors)[0]
         cosines.append(float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b))))
     assert float(np.mean(cosines)) >= 0.8
     assert min(cosines) >= 0.8
@@ -284,9 +284,11 @@ def test_aligned_text_and_image_features_stay_close(slab_run, session_encoders):
 def test_align_feature_dim_mismatch():
     m = identity_mapping(4)
     vf = fa.VelocityField(4, hidden=(8,), seed=0)
-    pipe = fa.FlowPipeline(m, [vf], fa.FlowConfig(rounds=1))
+    pipe = fa.FlowPipeline(m, [vf], fa.FlowConfig(rounds=1), calibration(4))
     with pytest.raises(ShapeError, match="dim"):
-        pipe.align(np.zeros(6))
+        pipe.align(np.zeros((2, 6)))
+    with pytest.raises(ShapeError, match="rows of dim 4"):     # one vector is not rows
+        pipe.align(np.zeros(4))
 
 
 def test_pipeline_save_load_round_trip(tmp_path):
@@ -294,8 +296,9 @@ def test_pipeline_save_load_round_trip(tmp_path):
     x = g.standard_normal((64, 3)).astype(np.float32)
     y = (x + 1.5).astype(np.float32)
     cfg = fa.FlowConfig(rounds=2, train_steps=200, batch_size=64, mapping_steps=100, seed=12)
-    _, _, pipe = fa.run_subdivisive_flow(fs("clip_like", x), fs("vgg_like", y), cfg)
-    with_calibration(pipe).save(tmp_path / "pipe")
+    _, _, pipe = fa.run_subdivisive_flow(fs("clip_like", x), fs("vgg_like", y), cfg,
+                                         calibration(3))
+    pipe.save(tmp_path / "pipe")
     back = fa.FlowPipeline.load(tmp_path / "pipe")
     probe = g.standard_normal((5, 3)).astype(np.float32)
     assert np.allclose(pipe.align(probe), back.align(probe), atol=1e-6)
@@ -305,12 +308,18 @@ def test_pipeline_save_load_round_trip(tmp_path):
     assert norm_back == norm
 
 
-def test_pipeline_save_without_calibration_rejected(tmp_path):
-    pipe = fa.FlowPipeline(identity_mapping(4), [fa.VelocityField(4, hidden=(8,))],
-                           fa.FlowConfig(rounds=1))
-    with pytest.raises(StateError, match="calibration"):
-        pipe.save(tmp_path / "pipe")
-    assert not (tmp_path / "pipe").exists()
+def test_pipeline_saves_as_flow_returns_it(tmp_path):
+    # the calibration goes in with the rows; nothing is set between training and save
+    x = named_stream(22, "save-task").standard_normal((32, 3)).astype(np.float32)
+    y = np.concatenate([x, x[:, :2] - 1.0], axis=1)
+    cfg = fa.FlowConfig(rounds=1, train_steps=5, batch_size=16, mapping_steps=5, seed=16)
+    _, _, pipe = fa.run_subdivisive_flow(fs("clip_like", x), fs("vgg_like", y), cfg,
+                                         calibration(3))
+    pipe.save(tmp_path / "pipe")
+    back = fa.FlowPipeline.load(tmp_path / "pipe")
+    assert (back.clip_dim, back.style_dim) == (pipe.clip_dim, pipe.style_dim) == (3, 5)
+    (center, norm), (center_back, norm_back) = calibration(3), back.clip_calibration
+    assert center_back.tobytes() == center.tobytes() and norm_back == norm
 
 
 def test_align_reproduces_training_endpoints():
@@ -320,22 +329,24 @@ def test_align_reproduces_training_endpoints():
     y = (np.tanh(x) * 2.0 + 0.5).astype(np.float32)
     cfg = fa.FlowConfig(rounds=3, train_steps=150, batch_size=64, mapping_steps=100, seed=13)
     clip = fs("clip_like", x)
-    aligned, _, pipe = fa.run_subdivisive_flow(clip, fs("vgg_like", y), cfg)
+    aligned, _, pipe = fa.run_subdivisive_flow(clip, fs("vgg_like", y), cfg, calibration(3))
     out = pipe.align(clip.vectors)
     assert out.dtype == aligned.vectors.dtype == np.float32
     assert out.tobytes() == aligned.vectors.tobytes()
     # one row takes another matmul kernel than the batch: equal only to rounding
-    assert np.allclose(pipe.align(clip.vectors[7]), aligned.vectors[7], rtol=1e-5, atol=1e-6)
+    assert np.allclose(pipe.align(clip.vectors[7][None])[0], aligned.vectors[7],
+                       rtol=1e-5, atol=1e-6)
 
 
 def test_trajectory_yields_mapped_rows_then_each_round():
     g = named_stream(20, "traj-task")
     x = g.standard_normal((32, 3)).astype(np.float32)
     cfg = fa.FlowConfig(rounds=2, train_steps=50, batch_size=32, mapping_steps=50, seed=14)
-    _, reports, pipe = fa.run_subdivisive_flow(fs("clip_like", x), fs("vgg_like", x + 1.0), cfg)
+    _, reports, pipe = fa.run_subdivisive_flow(fs("clip_like", x), fs("vgg_like", x + 1.0), cfg,
+                                               calibration(3))
     stages = list(pipe.trajectory(x))
     assert len(stages) == 3
-    assert np.array_equal(stages[0], pipe.mapping.apply(x))
+    assert np.array_equal(stages[0], pipe.mapping.infer(x))
     for vf, start, end in zip(pipe.fields, stages, stages[1:]):
         want = fa.euler_integrate(vf, start.astype(np.float32), cfg.euler_steps)[-1]
         assert np.array_equal(end, want)
@@ -349,9 +360,10 @@ def saved_pipeline(tmp_path_factory):
     g = named_stream(21, "manifest-task")
     x = g.standard_normal((32, 3)).astype(np.float32)
     cfg = fa.FlowConfig(rounds=2, train_steps=20, batch_size=16, mapping_steps=20, seed=15)
-    _, _, pipe = fa.run_subdivisive_flow(fs("clip_like", x), fs("vgg_like", x + 1.0), cfg)
+    _, _, pipe = fa.run_subdivisive_flow(fs("clip_like", x), fs("vgg_like", x + 1.0), cfg,
+                                         calibration(3))
     root = tmp_path_factory.mktemp("manifest") / "pipe"
-    with_calibration(pipe).save(root)
+    pipe.save(root)
     return root
 
 

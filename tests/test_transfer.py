@@ -160,6 +160,8 @@ def test_decoder_refuses_rows_of_another_width():
     decoder = tr.DecoderNet(4, hidden=(8,), seed=0)
     with pytest.raises(ShapeError, match="dim"):
         decoder.decode(np.zeros((2, 6), dtype=np.float32))
+    with pytest.raises(ShapeError, match="rows of dim 4"):     # one vector is not rows
+        decoder.decode(np.zeros(4, dtype=np.float32))
 
 
 def style_for(dim, seed=9):
