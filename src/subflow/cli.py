@@ -306,11 +306,11 @@ def cmd_train_flow(args, cfg) -> int:
     if args.feat_clip:      # the pipeline saves the config's encoders' calibration
         _agree(args.feat_clip, "dim", clip_fs.dim, _config_key(args, "clip_dim"), cfg["clip_dim"])
     out = _output(args.out, "--out", "dir")       # a bad --out fails before training
-    aligned, reports, pipe = fa.run_subdivisive_flow(clip_fs, vgg_fs, _flow_cfg(cfg),
-                                                     encoders.clip_calibration)
+    aligned, reports, pipe = fa.run_subdivisive_flow(clip_fs.vectors, vgg_fs.vectors,
+                                                     _flow_cfg(cfg), encoders.clip_calibration)
     pipe.save(out)
     mt.write_csv(out / "rounds.csv", fa.ROUND_COLUMNS, map(astuple, reports))
-    export_features(out / "aligned.feat", FeatureSet("vgg_like", aligned.vectors))
+    export_features(out / "aligned.feat", FeatureSet("vgg_like", aligned))
     for r in reports:
         print(f"round {r.round_index}: SIM {r.sim_before:.4f}->{r.sim_after:.4f} "
               f"FID {r.fid_before:.4f}->{r.fid_after:.4f}")
@@ -327,15 +327,11 @@ def cmd_train_style(args, cfg) -> int:
     out = _output(args.out, "--out", "reused")
     dec2d = _decoder2d(cfg, encoders, out) if weights.uses_prior else None
     style = _style_stats(pipe, encoders.encode_clip_like(style_img))
-    decoder, disc, log = ls.train_stylization(
+    decoder, log = ls.train_stylization(
         scene, views, style_img, style, decoder, encoders,
         weights, steps=cfg["style.steps"], decoder2d=dec2d, seed=cfg["seed"],
         lr=cfg["style.learning_rate"])
     save_params(out / "decoder.prms", decoder.parameters())
-    if disc is not None:
-        save_params(out / "discriminator.prms", disc.parameters())
-    else:                   # an earlier run's discriminator is not this decoder's
-        (out / "discriminator.prms").unlink(missing_ok=True)
     mt.write_csv(out / "train_log.csv", ls.LOG_COLUMNS,
                  ([r[k] for k in ls.LOG_COLUMNS] for r in log))
     last = log[-1] if log else {"total": float("nan")}
@@ -397,11 +393,11 @@ def cmd_eval_align(args, cfg) -> int:
         for path, fs, key in ((args.feat_clip, clip_fs, "clip_dim"),
                               (args.feat_vgg, vgg_fs, "style_dim")):
             _agree(path, "dim", fs.dim, f"{_manifest(args)} ('{key}')", getattr(pipe, key))
-    rows = []
-    for k, stage in enumerate(pipe.trajectory(clip_fs.vectors)):
-        fs, tag = FeatureSet("clip_mapped", stage), (f"round{k}" if k else "mapped")
-        rows += [("sim", tag, mt.cosine_sim(fs, vgg_fs)),
-                 ("fid", tag, mt.frechet_distance(fs, vgg_fs))]
+    rows, vgg = [], vgg_fs.vectors
+    for k, stage in enumerate(pipe.trajectory(clip_fs.vectors)):    # float32, as train-flow scores
+        stage, tag = stage.astype(np.float32), (f"round{k}" if k else "mapped")
+        rows += [("sim", tag, mt.cosine_sim(stage, vgg)),
+                 ("fid", tag, mt.frechet_distance(stage, vgg))]
     sys.stdout.write(mt.write_csv(out, mt.METRIC_COLUMNS, rows))
     return 0
 

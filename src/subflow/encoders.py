@@ -33,15 +33,12 @@ from . import binfile
 from .diffcore import Conv2dLayer, Tensor
 from .diffcore import tensor as dt
 from .diffcore.rng import named_stream
-from .errors import FormatError, NumericsError, ShapeError
+from .errors import NumericsError, ShapeError
 
 FEAT_MAGIC = b"FEAT"
 FEAT_VERSION = 1
 
-DOMAINS = ("clip_like", "clip_mapped", "vgg_like")
-
-_DOMAIN_TAGS = {"clip_like": 0, "vgg_like": 1}
-_TAG_DOMAINS = {0: "clip_like", 1: "vgg_like"}
+DOMAINS = ("clip_like", "vgg_like")    # a FEAT file's domain tag is the index here
 
 DEFAULT_CLIP_DIM = 64
 DEFAULT_STYLE_DIM = 64
@@ -282,17 +279,15 @@ class FeatureEncoders:
 # -- FEAT import/export ----------------------------------------------------------------------
 
 def export_features(path, fs: FeatureSet) -> None:
-    if fs.domain not in _DOMAIN_TAGS:
-        raise FormatError(f"FEAT files carry clip_like/vgg_like rows, not '{fs.domain}'")
     binfile.write(path, [FEAT_MAGIC, (FEAT_VERSION, fs.count, fs.dim),
-                         bytes([_DOMAIN_TAGS[fs.domain]]), fs.vectors])
+                         bytes([DOMAINS.index(fs.domain)]), fs.vectors])
 
 
 def import_features(path) -> FeatureSet:
     r = binfile.Reader(path, FEAT_MAGIC, 3, version=FEAT_VERSION)
     (count, dim), (tag,) = r.header, r.ints(1, "B")
-    if tag not in _TAG_DOMAINS:
+    if tag >= len(DOMAINS):
         r.fail(f"unknown domain tag {tag} at byte 16")
     rows = r.f32((count, dim), count=count, dim=dim)
     r.end()
-    return FeatureSet(_TAG_DOMAINS[tag], rows.astype(np.float32))
+    return FeatureSet(DOMAINS[tag], rows.astype(np.float32))

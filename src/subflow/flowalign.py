@@ -28,7 +28,6 @@ from .diffcore import Adam, DenseNet, Tensor, dense_shapes
 from .diffcore import tensor as dt
 from .diffcore.checkpoint import load_params, save_params
 from .diffcore.rng import named_stream
-from .encoders import FeatureSet
 from .errors import FormatError, NumericsError, ShapeError
 from .metrics import cosine_sim, frechet_distance
 
@@ -117,42 +116,44 @@ class VelocityField:
         return self.net.infer(self._input(x_rows, t_rows))
 
 
-def _check_paired(a: FeatureSet, b: FeatureSet, op: str) -> None:
-    if a.count != b.count:
-        raise ShapeError(f"{op}: paired sets must have equal rows ({a.count} vs {b.count})")
+def _check_paired(a: np.ndarray, b: np.ndarray, op: str) -> None:
+    if len(a) != len(b):
+        raise ShapeError(f"{op}: paired sets must have equal rows ({len(a)} vs {len(b)})")
 
 
-def train_mapping(clip: FeatureSet, vgg: FeatureSet, cfg: FlowConfig) -> DenseNet:
+def train_mapping(clip: np.ndarray, vgg: np.ndarray, cfg: FlowConfig) -> DenseNet:
     """Fit the baseline domain map, a ReLU `DenseNet`, by Adam on mean
-    squared error over paired rows."""
+    squared error over paired (M, d) rows."""
     _check_paired(clip, vgg, "train_mapping")
-    net = DenseNet((clip.dim, *cfg.mapping_hidden, vgg.dim), "relu", cfg.seed, name="mapping")
+    net = DenseNet((clip.shape[1], *cfg.mapping_hidden, vgg.shape[1]), "relu", cfg.seed,
+                   name="mapping")
     opt = Adam(net.parameters(), lr=cfg.learning_rate)
     g = named_stream(cfg.seed, "mapping.batches")
-    x_all = clip.vectors.astype(np.float32)
-    y_all = vgg.vectors.astype(np.float32)
-    m = clip.count
+    x_all = clip.astype(np.float32)
+    y_all = vgg.astype(np.float32)
+    m = len(clip)
     for _ in range(cfg.mapping_steps):
         idx = g.integers(0, m, size=min(cfg.batch_size, m))
         opt.step(dt.mse(net(Tensor(x_all[idx])), Tensor(y_all[idx])))
     return net
 
 
-def train_velocity(start: FeatureSet, target: FeatureSet, cfg: FlowConfig,
+def train_velocity(start: np.ndarray, target: np.ndarray, cfg: FlowConfig,
                    round_index: int = 1) -> tuple[VelocityField, float]:
     """Regress the drift on interpolants of the paired rows (fresh field).
     Returns the field and its loss at the last step (NaN after no step)."""
     _check_paired(start, target, "train_velocity")
-    if start.dim != target.dim:
-        raise ShapeError(f"train_velocity: dims differ ({start.dim} vs {target.dim})")
-    vf = VelocityField(start.dim, hidden=cfg.velocity_hidden,
+    dim = start.shape[1]
+    if dim != target.shape[1]:
+        raise ShapeError(f"train_velocity: dims differ ({dim} vs {target.shape[1]})")
+    vf = VelocityField(dim, hidden=cfg.velocity_hidden,
                        seed=cfg.seed + round_index, name=f"velocity.r{round_index}")
     opt = Adam(vf.parameters(), lr=cfg.learning_rate)
     g = named_stream(cfg.seed, f"velocity.batches.r{round_index}")
-    x0 = start.vectors.astype(np.float64)
-    x1 = target.vectors.astype(np.float64)
+    x0 = start.astype(np.float64)
+    x1 = target.astype(np.float64)
     drift_all = x1 - x0
-    m = start.count
+    m = len(start)
     loss = Tensor(float("nan"))           # what no step reports
     for _ in range(cfg.train_steps):
         idx = g.integers(0, m, size=min(cfg.batch_size, m))
@@ -265,31 +266,31 @@ class FlowPipeline:
         return FlowPipeline(mapping, fields, cfg, (center, text_norm))
 
 
-def run_subdivisive_flow(clip: FeatureSet, vgg: FeatureSet, cfg: FlowConfig,
+def run_subdivisive_flow(clip: np.ndarray, vgg: np.ndarray, cfg: FlowConfig,
                          clip_calibration: tuple[np.ndarray, float]):
-    """Full multi-round alignment on paired sets.
+    """Full multi-round alignment on paired (M, d) rows.
 
-    Returns (aligned endpoints as a FeatureSet, per-round reports, pipeline).
+    Returns (aligned endpoints as float32 rows, per-round reports, pipeline).
     Each round's field is trained on the rows the pipeline's trajectory
     starts that round from, then the trajectory advances through it. The
     pipeline carries `clip_calibration`, that of the encoders of `clip`'s
     rows, so it can be saved as it is returned.
     """
     pipe = FlowPipeline(train_mapping(clip, vgg, cfg), [], cfg, clip_calibration)
-    stages = pipe.trajectory(clip.vectors)
-    start = FeatureSet("clip_mapped", next(stages))
+    stages = pipe.trajectory(clip)
+    start = next(stages)
     sim, fid = cosine_sim(start, vgg), frechet_distance(start, vgg)
     reports: list[FlowRoundReport] = []
     for k in range(1, cfg.rounds + 1):
         vf, velocity_loss = train_velocity(start, vgg, cfg, round_index=k)
         pipe.fields.append(vf)
         endpoints = next(stages)
-        end = FeatureSet("clip_mapped", endpoints)
+        end = endpoints.astype(np.float32)
         sim_after, fid_after = cosine_sim(end, vgg), frechet_distance(end, vgg)
         reports.append(FlowRoundReport(
             round_index=k, velocity_loss=velocity_loss, sim_before=sim, sim_after=sim_after,
             fid_before=fid, fid_after=fid_after,
-            displacement=float(np.linalg.norm(endpoints - start.vectors, axis=1).mean()),
+            displacement=float(np.linalg.norm(endpoints - start, axis=1).mean()),
         ))
         start, sim, fid = end, sim_after, fid_after
     return start, reports, pipe

@@ -256,8 +256,7 @@ def train_stylization(scene: GaussianScene, views: Sequence[TileWeights],
     `weights.uses_prior` is false) renders the 2D prior only for the terms
     that read it. Each row's `total` is content + lambda_style*style +
     lambda_obs*obs.
-    Returns (decoder, discriminator or None, one dict per step keyed by
-    `LOG_COLUMNS`).
+    Returns (decoder, one dict per step keyed by `LOG_COLUMNS`).
     """
     h, w = views[0].rgb.shape[:2]
     moved = Tensor(adain(scene.embeddings, style).values)
@@ -301,4 +300,4 @@ def train_stylization(scene: GaussianScene, views: Sequence[TileWeights],
         row["total"] = (row["content"] + weights.lambda_style * row["style"]
                         + weights.lambda_obs * row["obs"])
         log.append(row)
-    return decoder, disc, log
+    return decoder, log

@@ -1,5 +1,5 @@
 """Evaluation protocol: paired cosine similarity, Frechet distance between
-feature sets, and depth-warp masked RMSE for multi-view consistency."""
+sets of feature rows, and depth-warp masked RMSE for multi-view consistency."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import rasterizer
-from .encoders import FeatureSet
 from .errors import NumericsError, ShapeError
 from .rasterizer import bilinear_sample, warp_map
 from .scene import Camera, GaussianScene
@@ -20,37 +19,32 @@ METRIC_COLUMNS = ("metric", "range_or_round", "value")
 
 
 @dataclass
-class GaussianFit:
-    mean: np.ndarray          # (d,)
-    covariance: np.ndarray    # (d, d) symmetric PSD
-
-
-@dataclass
 class ConsistencyReport:
     range: str                 # "short" | "long"
     masked_rmse: float
     valid_pixel_fraction: float
 
 
-def cosine_sim(a: FeatureSet, b: FeatureSet) -> float:
-    """Mean row-wise cosine between paired sets; zero rows contribute 0."""
-    if a.count != b.count:
-        raise ShapeError(f"cosine_sim: row counts differ ({a.count} vs {b.count})")
-    if a.dim != b.dim:
-        raise ShapeError(f"cosine_sim: dims differ ({a.dim} vs {b.dim})")
-    x = a.vectors.astype(np.float64)
-    y = b.vectors.astype(np.float64)
+def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean row-wise cosine between paired (M, d) rows; zero rows contribute 0."""
+    if len(a) != len(b):
+        raise ShapeError(f"cosine_sim: row counts differ ({len(a)} vs {len(b)})")
+    if a.shape[1] != b.shape[1]:
+        raise ShapeError(f"cosine_sim: dims differ ({a.shape[1]} vs {b.shape[1]})")
+    x = a.astype(np.float64)
+    y = b.astype(np.float64)
     nx = np.linalg.norm(x, axis=1)
     ny = np.linalg.norm(y, axis=1)
     ok = (nx > 0) & (ny > 0)
-    dots = np.zeros(a.count)
+    dots = np.zeros(len(a))
     dots[ok] = (x[ok] * y[ok]).sum(axis=1) / (nx[ok] * ny[ok])
     return float(dots.mean())
 
 
-def fit_gaussian(fs: FeatureSet) -> GaussianFit:
-    """Moment summary with the unbiased covariance, eigen-floored to PSD."""
-    x = fs.vectors.astype(np.float64)
+def fit_gaussian(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, covariance) of (M, d) rows: the unbiased covariance,
+    eigen-floored to symmetric PSD."""
+    x = rows.astype(np.float64)
     mean = x.mean(axis=0)
     if x.shape[0] < 2:
         cov = np.zeros((x.shape[1], x.shape[1]))
@@ -60,7 +54,7 @@ def fit_gaussian(fs: FeatureSet) -> GaussianFit:
     cov = (cov + cov.T) / 2.0
     vals, vecs = np.linalg.eigh(cov)
     cov = (vecs * np.maximum(vals, 0.0)) @ vecs.T
-    return GaussianFit(mean=mean, covariance=(cov + cov.T) / 2.0)
+    return mean, (cov + cov.T) / 2.0
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -68,24 +62,24 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
 
 
-def frechet_distance(a: FeatureSet, b: FeatureSet) -> float:
+def frechet_distance(a: np.ndarray, b: np.ndarray) -> float:
     """||mu_a - mu_b||^2 + Tr(S_a + S_b - 2 (S_a S_b)^{1/2}), all in float64.
 
     The cross-covariance square root is taken via the symmetric form
     S_a^{1/2} S_b S_a^{1/2}; eigenvalues below -1e-8 are a numerics error,
     small negatives are floored to zero.
     """
-    if a.dim != b.dim:
-        raise ShapeError(f"frechet_distance: dims differ ({a.dim} vs {b.dim})")
-    fa, fb = fit_gaussian(a), fit_gaussian(b)
-    mean_term = float(((fa.mean - fb.mean) ** 2).sum())
-    ra = _psd_sqrt(fa.covariance)
-    inner = ra @ fb.covariance @ ra
+    if a.shape[1] != b.shape[1]:
+        raise ShapeError(f"frechet_distance: dims differ ({a.shape[1]} vs {b.shape[1]})")
+    (mean_a, cov_a), (mean_b, cov_b) = fit_gaussian(a), fit_gaussian(b)
+    mean_term = float(((mean_a - mean_b) ** 2).sum())
+    ra = _psd_sqrt(cov_a)
+    inner = ra @ cov_b @ ra
     vals = np.linalg.eigvalsh((inner + inner.T) / 2.0)
     if np.any(vals < -1e-8):
         raise NumericsError(f"frechet_distance: cross term eigenvalue {vals.min():.3e} < -1e-8")
     cross = np.sqrt(np.maximum(vals, 0.0)).sum()
-    trace_term = float(np.trace(fa.covariance) + np.trace(fb.covariance) - 2.0 * cross)
+    trace_term = float(np.trace(cov_a) + np.trace(cov_b) - 2.0 * cross)
     return mean_term + trace_term
 
 

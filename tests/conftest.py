@@ -47,7 +47,7 @@ def slab_run(session_encoders):
     cfg = fa.FlowConfig(rounds=2, train_steps=900, mapping_steps=900,
                         batch_size=128, seed=2)
     _, flow_reports, pipe = fa.run_subdivisive_flow(
-        enc.encode_clip_like(style_imgs), enc.encode_vgg_like(style_imgs), cfg,
+        enc.encode_clip_like(style_imgs).vectors, enc.encode_vgg_like(style_imgs).vectors, cfg,
         enc.clip_calibration)
 
     style_img = procedural_texture(7, 100)

@@ -20,7 +20,7 @@ from subflow import transfer as tr
 from subflow.diffcore import DenseNet, Tensor
 from subflow.diffcore import tensor as dt
 from subflow.diffcore.rng import named_stream
-from subflow.encoders import FeatureEncoders, FeatureSet
+from subflow.encoders import FeatureEncoders
 
 from gradcheck import finite_diff_check, finite_diff_max_rel_error
 from oracle_render import reference_render
@@ -196,8 +196,8 @@ def test_ac04a_point_mass_constant_drift_endpoint():
     a = np.array([0.5, -1.0, 2.0])
     b = np.array([2.5, 1.0, -1.0])
     cfg = fa.FlowConfig(train_steps=600, batch_size=64, seed=5)
-    vf, _ = fa.train_velocity(FeatureSet("clip_mapped", np.tile(a, (64, 1))),
-                              FeatureSet("vgg_like", np.tile(b, (64, 1))), cfg)
+    vf, _ = fa.train_velocity(np.tile(a, (64, 1)).astype(np.float32),
+                              np.tile(b, (64, 1)).astype(np.float32), cfg)
     end = fa.euler_integrate(vf, a[None], cfg.euler_steps)[-1]
     rel = float(np.abs(end - b).max() / np.abs(b - a).max())
     check("AC4a point-mass endpoint within 2%", rel <= 0.02, f"relative miss {rel:.4f}")
@@ -208,7 +208,7 @@ def test_ac04b_1d_gaussian_monotone_transport():
     x0 = np.sort(g.normal(0, 1, size=512))[:, None]
     x1 = np.sort(g.normal(5, 1, size=512))[:, None]
     cfg = fa.FlowConfig(train_steps=1500, batch_size=256, seed=6)
-    vf, _ = fa.train_velocity(FeatureSet("clip_mapped", x0), FeatureSet("vgg_like", x1), cfg)
+    vf, _ = fa.train_velocity(x0.astype(np.float32), x1.astype(np.float32), cfg)
     ends = fa.euler_integrate(vf, x0, cfg.euler_steps)[-1]
     mean, std = float(ends.mean()), float(ends.std())
     check("AC4b 1D N(0,1)->N(5,1): mean 5+-0.2, std 1+-0.2",
@@ -238,7 +238,7 @@ def test_ac05_flow_segmentation_trend_default_config():
     spec = PairedDistributionSpec(
         MixtureSpec.isotropic(means, sigma=1.2, weights=[0.4, 0.35, 0.25]),
         MixtureSpec.isotropic([np.linspace(-2, 2, dim)], sigma=1.0), seed=21)
-    clip, vgg = sample_paired(spec, 1024)
+    clip, vgg = (side.vectors for side in sample_paired(spec, 1024))
     cfg = fa.FlowConfig(seed=5)  # defaults: H=8, r=3
     # synthetic rows: no encoder calibrated them, and training never reads the calibration
     _, reports, _ = fa.run_subdivisive_flow(clip, vgg, cfg, (np.zeros(dim, np.float32), 1.0))
@@ -259,18 +259,17 @@ def test_ac05_flow_segmentation_trend_default_config():
 
 
 def test_ac06_frechet_closed_forms():
-    rows = named_stream(3, "ac6").standard_normal((64, 6))
-    same = mt.frechet_distance(FeatureSet("vgg_like", rows), FeatureSet("vgg_like", rows))
+    rows = named_stream(3, "ac6").standard_normal((64, 6)).astype(np.float32)
+    same = mt.frechet_distance(rows, rows)
 
     base = named_stream(4, "ac6b").standard_normal((200, 5))
     delta = np.array([1.0, -2.0, 0.5, 0.0, 3.0])
-    shift = mt.frechet_distance(FeatureSet("vgg_like", base),
-                                FeatureSet("vgg_like", base + delta))
+    shift = mt.frechet_distance(base.astype(np.float32), (base + delta).astype(np.float32))
     shift_err = abs(shift - float((delta ** 2).sum()))
 
     a = np.array([[-np.sqrt(0.5)], [np.sqrt(0.5)]])
     b = np.array([[-np.sqrt(2.0)], [np.sqrt(2.0)]])
-    var_case = mt.frechet_distance(FeatureSet("vgg_like", a), FeatureSet("vgg_like", b))
+    var_case = mt.frechet_distance(a.astype(np.float32), b.astype(np.float32))
     var_err = abs(var_case - 1.0)
 
     check("AC6 FID closed forms: identical<1e-6, mean shift (1e-5), 1D variance (1e-5)",
@@ -313,7 +312,7 @@ def styled_runs(slab_run, session_encoders, session_decoder2d):
     for name, weights in (("full", ls.LossWeights()),
                           ("ablated", ls.LossWeights(lambda_obs=0.0, suppression_weight=0.0))):
         decoder = copy.deepcopy(slab_run["decoder0"])
-        decoder, _, log = ls.train_stylization(
+        decoder, log = ls.train_stylization(
             slab_run["distilled"], slab_run["views"], slab_run["style_img"],
             slab_run["style_stats"], decoder, session_encoders, weights,
             steps=250, decoder2d=session_decoder2d, seed=3, lr=2e-3)

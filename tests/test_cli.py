@@ -143,33 +143,30 @@ def pipeline_artifacts(tmp_path_factory):
 def test_pipeline_produces_all_artifacts(pipeline_artifacts):
     root = pipeline_artifacts
     for rel in ("s.gscn", "sd.gscn", "dec.prms", "pipe/manifest.txt", "pipe/rounds.csv",
-                "pipe/mapping.prms", "pipe/velocity_1.prms", "styled/decoder.prms",
-                "styled/discriminator.prms", "styled/train_log.csv", "stylized.gscn",
+                "pipe/mapping.prms", "pipe/velocity_1.prms", "stylized.gscn",
                 "views/view_00.ppm", "views/depth_00.fmap", "align.csv", "cons.csv"):
         assert (root / rel).exists(), rel
+    # train-style writes its decoder and log; the 2D prior is cached beside them
+    assert sorted(p.name for p in (root / "styled").iterdir()) == [
+        "decoder.prms", "decoder2d_seed0.prms", "train_log.csv"]
 
 
 def test_train_style_zero_weights_switch_terms_off(pipeline_artifacts, tmp_path, monkeypatch):
     # weights.obs = 0 and weights.suppression = 0 skip both terms: no discriminator
-    # is trained or written (one an earlier run left in --out is removed), no 2D
-    # prior is trained, loaded or run, and the skipped log columns read 0
+    # is built, no 2D prior is trained, loaded or run, and the skipped log columns read 0
     from subflow import losses as ls
     root = pipeline_artifacts
     cfg = tmp_path / "ablated.cfg"
     cfg.write_text(SMALL_CFG + "weights.obs = 0\nweights.suppression = 0\n")
     out = tmp_path / "styled"
-    out.mkdir()
-    disc = "discriminator.prms"
-    (out / disc).write_bytes((root / "styled" / disc).read_bytes())
     calls = []
     monkeypatch.setattr(cli, "_decoder2d", lambda *a: calls.append("_decoder2d"))
     monkeypatch.setattr(ls, "generator_2d", lambda *a: calls.append("generator_2d"))
+    monkeypatch.setattr(ls, "DiscriminatorNet", lambda **_: calls.append("DiscriminatorNet"))
     assert run("train-style", "--config", cfg, "--scene", root / "sd.gscn",
                "--decoder", root / "dec.prms", "--pipeline", root / "pipe", "--out", out) == 0
     assert calls == []
-    assert (out / "decoder.prms").exists()
-    assert not (out / disc).exists()
-    assert not list(out.glob("decoder2d_seed*.prms"))
+    assert sorted(p.name for p in out.iterdir()) == ["decoder.prms", "train_log.csv"]
     with open(out / "train_log.csv", newline="", encoding="ascii") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 25
@@ -223,6 +220,22 @@ def test_pipeline_csvs_have_expected_headers(pipeline_artifacts):
     assert (root / "align.csv").read_text().splitlines()[0] == "metric,range_or_round,value"
     assert (root / "styled" / "train_log.csv").read_text().splitlines()[0] == \
         "step,content,style,obs,sup_disc,sup_gen,total"
+
+
+def test_eval_align_on_the_corpus_reproduces_rounds_csv(pipeline_artifacts):
+    # eval-align scores the trajectory train-flow scored, from the same float32
+    # rows, so each of its cells is rounds.csv's text
+    root = pipeline_artifacts
+    with open(root / "pipe" / "rounds.csv", newline="", encoding="ascii") as fh:
+        rounds = list(csv.DictReader(fh))
+    with open(root / "align.csv", newline="", encoding="ascii") as fh:
+        align = {(r["metric"], r["range_or_round"]): r["value"] for r in csv.DictReader(fh)}
+    want = {("sim", "mapped"): rounds[0]["sim_before"], ("fid", "mapped"): rounds[0]["fid_before"]}
+    for r in rounds:
+        for metric in ("sim", "fid"):
+            want[(metric, f"round{r['round']}")] = r[f"{metric}_after"]
+    assert len(rounds) == 2
+    assert align == want
 
 
 def test_feat_driven_stylize(pipeline_artifacts, tmp_path):
@@ -777,7 +790,7 @@ def test_train_style_composites_nothing(pipeline_artifacts, tmp_path, monkeypatc
     (out / dec2d).write_bytes((root / "styled" / dec2d).read_bytes())
     assert run("train-style", "--config", root / "small.cfg", "--scene", root / "sd.gscn",
                "--decoder", root / "dec.prms", "--pipeline", root / "pipe", "--out", out) == 0
-    for name in ("decoder.prms", "discriminator.prms", "train_log.csv"):
+    for name in ("decoder.prms", "train_log.csv"):
         assert (out / name).read_bytes() == (root / "styled" / name).read_bytes(), name
 
 

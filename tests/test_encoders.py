@@ -165,6 +165,26 @@ def test_feat_round_trip(tmp_path, encoders):
     assert np.array_equal(back.vectors, fs.vectors)
 
 
+@pytest.mark.parametrize("domain", enc.DOMAINS)
+def test_feat_round_trips_every_domain(tmp_path, domain):
+    rows = named_stream(5, "feat-domains").standard_normal((3, 5)).astype(np.float32)
+    path = tmp_path / "f.feat"
+    enc.export_features(path, enc.FeatureSet(domain, rows))
+    assert path.read_bytes()[16] == {"clip_like": 0, "vgg_like": 1}[domain]    # the tag byte
+    back = enc.import_features(path)
+    assert back.domain == domain
+    assert back.vectors.tobytes() == rows.tobytes()
+
+
+def test_feat_unknown_domain_tag_names_its_byte(tmp_path):
+    import struct
+    path = tmp_path / "t.feat"
+    path.write_bytes(enc.FEAT_MAGIC + struct.pack("<IIIB", 1, 1, 2, len(enc.DOMAINS))
+                     + np.zeros(2, dtype="<f4").tobytes())
+    with pytest.raises(FormatError, match=f"unknown domain tag {len(enc.DOMAINS)} at byte 16"):
+        enc.import_features(path)
+
+
 def test_feat_header_payload_mismatch(tmp_path):
     fs = enc.FeatureSet("vgg_like", np.ones((2, 4), dtype=np.float32))
     path = tmp_path / "f.feat"

@@ -7,14 +7,13 @@ from subflow import flowalign as fa
 from subflow import metrics as mt
 from subflow.diffcore import DenseNet
 from subflow.diffcore.rng import named_stream
-from subflow.encoders import FeatureSet
 from subflow.errors import FormatError, NumericsError, ShapeError
 
 from synthetic import ConceptPairGenerator, MixtureSpec, PairedDistributionSpec, sample_paired
 
 
-def fs(domain, rows):
-    return FeatureSet(domain, np.asarray(rows, dtype=np.float32))
+def fs(rows):
+    return np.asarray(rows, dtype=np.float32)
 
 
 def calibration(dim):
@@ -102,7 +101,7 @@ def test_train_mapping_recovers_affine_target():
     x = g.standard_normal((512, 4))
     y = x @ a.T + b
     cfg = fa.FlowConfig(mapping_hidden=(), mapping_steps=2000, learning_rate=1e-2, seed=1)
-    net = fa.train_mapping(fs("clip_like", x), fs("vgg_like", y), cfg)
+    net = fa.train_mapping(fs(x), fs(y), cfg)
     x_held = g.standard_normal((256, 4))
     pred = net.infer(x_held.astype(np.float32))
     mse = float(((pred - (x_held @ a.T + b)) ** 2).mean())
@@ -113,7 +112,7 @@ def test_train_mapping_identity_task():
     g = named_stream(8, "identity-task")
     x = g.standard_normal((512, 6))
     cfg = fa.FlowConfig(mapping_hidden=(), mapping_steps=2500, learning_rate=1e-2, seed=2)
-    net = fa.train_mapping(fs("clip_like", x), fs("vgg_like", x), cfg)
+    net = fa.train_mapping(fs(x), fs(x), cfg)
     x_held = g.standard_normal((256, 6)).astype(np.float32)
     mse = float(((net.infer(x_held) - x_held) ** 2).mean())
     assert mse < 1e-4
@@ -123,7 +122,7 @@ def test_train_mapping_zero_steps_leaves_init():
     g = named_stream(9, "zero-steps")
     x = g.standard_normal((32, 4)).astype(np.float32)
     cfg = fa.FlowConfig(mapping_steps=0, seed=3)
-    net = fa.train_mapping(fs("clip_like", x), fs("vgg_like", x), cfg)
+    net = fa.train_mapping(fs(x), fs(x), cfg)
     fresh = DenseNet((4, *cfg.mapping_hidden, 4), "relu", 3, name="mapping")
     for a, b in zip(net.parameters(), fresh.parameters()):
         assert np.array_equal(a.data, b.data)
@@ -132,7 +131,7 @@ def test_train_mapping_zero_steps_leaves_init():
 def test_train_mapping_row_mismatch():
     cfg = fa.FlowConfig()
     with pytest.raises(ShapeError, match="equal rows"):
-        fa.train_mapping(fs("clip_like", np.ones((3, 2))), fs("vgg_like", np.ones((4, 2))), cfg)
+        fa.train_mapping(fs(np.ones((3, 2))), fs(np.ones((4, 2))), cfg)
 
 
 # -- velocity field ----------------------------------------------------------------------
@@ -141,7 +140,7 @@ def test_velocity_zero_drift_task():
     g = named_stream(11, "zero-drift")
     rows = g.standard_normal((256, 6))
     cfg = fa.FlowConfig(train_steps=800, batch_size=128, seed=4)
-    vf, _ = fa.train_velocity(fs("clip_mapped", rows), fs("vgg_like", rows), cfg)
+    vf, _ = fa.train_velocity(fs(rows), fs(rows), cfg)
     t_eval = named_stream(11, "zero-drift-eval").uniform(0, 1, size=256)
     speeds = np.linalg.norm(vf.forward(rows.astype(np.float32), t_eval).data, axis=1)
     assert speeds.mean() < 0.05 * rows.std() * np.sqrt(rows.shape[1])
@@ -160,7 +159,7 @@ def test_velocity_training_step_is_float32(monkeypatch):
     monkeypatch.setattr(dt, "_make", recording)
     rows = named_stream(12, "f32-step").standard_normal((32, 6))
     cfg = fa.FlowConfig(train_steps=1, batch_size=16, seed=4)
-    fa.train_velocity(fs("clip_mapped", rows), fs("vgg_like", rows + 1.0), cfg)
+    fa.train_velocity(fs(rows), fs(rows + 1.0), cfg)
     assert len(seen) > 5
     assert all(dtype == np.float32 for _, dtype in seen), seen
 
@@ -169,8 +168,8 @@ def test_velocity_point_mass_constant_drift():
     a = np.array([0.5, -1.0, 2.0])
     b = np.array([2.5, 1.0, -1.0])
     cfg = fa.FlowConfig(train_steps=600, batch_size=64, seed=5)
-    vf, _ = fa.train_velocity(fs("clip_mapped", np.tile(a, (64, 1))),
-                              fs("vgg_like", np.tile(b, (64, 1))), cfg)
+    vf, _ = fa.train_velocity(fs(np.tile(a, (64, 1))),
+                              fs(np.tile(b, (64, 1))), cfg)
     end = fa.euler_integrate(vf, a[None], cfg.euler_steps)[-1]
     assert np.abs(end - b).max() <= 0.02 * np.abs(b - a).max()
 
@@ -180,7 +179,7 @@ def test_velocity_1d_monotone_transport():
     x0 = np.sort(g.normal(0, 1, size=512))[:, None]
     x1 = np.sort(g.normal(5, 1, size=512))[:, None]
     cfg = fa.FlowConfig(train_steps=1500, batch_size=256, seed=6)
-    vf, _ = fa.train_velocity(fs("clip_mapped", x0), fs("vgg_like", x1), cfg)
+    vf, _ = fa.train_velocity(fs(x0), fs(x1), cfg)
     ends = fa.euler_integrate(vf, x0, cfg.euler_steps)[-1]
     assert ends.mean() == pytest.approx(5.0, abs=0.2)
     assert ends.std() == pytest.approx(1.0, abs=0.2)
@@ -189,7 +188,7 @@ def test_velocity_1d_monotone_transport():
 def test_velocity_dim_mismatch():
     cfg = fa.FlowConfig()
     with pytest.raises(ShapeError, match="dims differ"):
-        fa.train_velocity(fs("clip_mapped", np.ones((4, 2))), fs("vgg_like", np.ones((4, 3))), cfg)
+        fa.train_velocity(fs(np.ones((4, 2))), fs(np.ones((4, 3))), cfg)
 
 
 # -- multi-round flow ------------------------------------------------------------------------
@@ -200,14 +199,12 @@ def test_single_round_degenerates_to_one_velocity_fit(monkeypatch):
     x = g.standard_normal((128, 4))
     y = x + 2.0
     cfg = fa.FlowConfig(rounds=1, train_steps=500, batch_size=64, seed=7)
-    aligned, reports, pipe = fa.run_subdivisive_flow(
-        fs("clip_like", x), fs("vgg_like", y), cfg, calibration(4))
+    aligned, reports, pipe = fa.run_subdivisive_flow(fs(x), fs(y), cfg, calibration(4))
     assert len(reports) == 1
     assert len(pipe.fields) == 1
-    vf, _ = fa.train_velocity(fs("clip_mapped", x.astype(np.float32)), fs("vgg_like", y), cfg,
-                              round_index=1)
+    vf, _ = fa.train_velocity(fs(x), fs(y), cfg, round_index=1)
     direct = fa.euler_integrate(vf, x.astype(np.float32), cfg.euler_steps)[-1]
-    assert np.allclose(aligned.vectors, direct, atol=1e-5)
+    assert np.allclose(aligned, direct, atol=1e-5)
 
 
 def test_already_aligned_inputs_nothing_to_move(monkeypatch):
@@ -215,8 +212,7 @@ def test_already_aligned_inputs_nothing_to_move(monkeypatch):
     g = named_stream(14, "aligned-task")
     rows = g.standard_normal((256, 5)).astype(np.float32)
     cfg = fa.FlowConfig(rounds=3, train_steps=600, batch_size=128, seed=8)
-    _, reports, _ = fa.run_subdivisive_flow(
-        fs("clip_like", rows), fs("vgg_like", rows), cfg, calibration(5))
+    _, reports, _ = fa.run_subdivisive_flow(rows, rows, cfg, calibration(5))
     scale = float(rows.std())
     for r in reports:
         assert r.fid_after < 0.01 * rows.shape[1] * scale ** 2
@@ -229,7 +225,7 @@ def test_mixture_to_gaussian_fid_decreases():
     spec = PairedDistributionSpec(
         MixtureSpec.isotropic(means, sigma=0.6, weights=[0.4, 0.35, 0.25]),
         MixtureSpec.isotropic([[0.5, -0.5, 1.0]], sigma=1.0), seed=15)
-    clip, vgg = sample_paired(spec, 512)
+    clip, vgg = (side.vectors for side in sample_paired(spec, 512))
     cfg = fa.FlowConfig(rounds=3, train_steps=1200, batch_size=256,
                         mapping_steps=1200, seed=9)
     _, reports, _ = fa.run_subdivisive_flow(clip, vgg, cfg, calibration(3))
@@ -245,7 +241,7 @@ def test_flow_reports_deterministic():
     cfg = fa.FlowConfig(rounds=2, train_steps=300, batch_size=64, mapping_steps=200, seed=10)
 
     def run():
-        _, reports, _ = fa.run_subdivisive_flow(fs("clip_like", x), fs("vgg_like", y), cfg,
+        _, reports, _ = fa.run_subdivisive_flow(fs(x), fs(y), cfg,
                                                 calibration(3))
         return [(r.sim_after, r.fid_after, r.displacement) for r in reports]
 
@@ -260,7 +256,7 @@ def test_align_feature_identity_pipeline_close_to_input(monkeypatch):
     rows = g.standard_normal((256, 4)).astype(np.float32) * 2.0
     cfg = fa.FlowConfig(rounds=2, train_steps=800, batch_size=128, seed=11)
     _, _, pipe = fa.run_subdivisive_flow(
-        fs("clip_like", rows), fs("vgg_like", rows), cfg, calibration(4))
+        fs(rows), fs(rows), cfg, calibration(4))
     x = rows[0]
     out = pipe.align(x[None])[0]
     assert np.linalg.norm(out - x) < 0.05 * np.linalg.norm(x) + 0.05 * rows.std()
@@ -296,7 +292,7 @@ def test_pipeline_save_load_round_trip(tmp_path):
     x = g.standard_normal((64, 3)).astype(np.float32)
     y = (x + 1.5).astype(np.float32)
     cfg = fa.FlowConfig(rounds=2, train_steps=200, batch_size=64, mapping_steps=100, seed=12)
-    _, _, pipe = fa.run_subdivisive_flow(fs("clip_like", x), fs("vgg_like", y), cfg,
+    _, _, pipe = fa.run_subdivisive_flow(fs(x), fs(y), cfg,
                                          calibration(3))
     pipe.save(tmp_path / "pipe")
     back = fa.FlowPipeline.load(tmp_path / "pipe")
@@ -313,7 +309,7 @@ def test_pipeline_saves_as_flow_returns_it(tmp_path):
     x = named_stream(22, "save-task").standard_normal((32, 3)).astype(np.float32)
     y = np.concatenate([x, x[:, :2] - 1.0], axis=1)
     cfg = fa.FlowConfig(rounds=1, train_steps=5, batch_size=16, mapping_steps=5, seed=16)
-    _, _, pipe = fa.run_subdivisive_flow(fs("clip_like", x), fs("vgg_like", y), cfg,
+    _, _, pipe = fa.run_subdivisive_flow(fs(x), fs(y), cfg,
                                          calibration(3))
     pipe.save(tmp_path / "pipe")
     back = fa.FlowPipeline.load(tmp_path / "pipe")
@@ -328,13 +324,12 @@ def test_align_reproduces_training_endpoints():
     x = g.standard_normal((96, 3)).astype(np.float32)
     y = (np.tanh(x) * 2.0 + 0.5).astype(np.float32)
     cfg = fa.FlowConfig(rounds=3, train_steps=150, batch_size=64, mapping_steps=100, seed=13)
-    clip = fs("clip_like", x)
-    aligned, _, pipe = fa.run_subdivisive_flow(clip, fs("vgg_like", y), cfg, calibration(3))
-    out = pipe.align(clip.vectors)
-    assert out.dtype == aligned.vectors.dtype == np.float32
-    assert out.tobytes() == aligned.vectors.tobytes()
+    aligned, _, pipe = fa.run_subdivisive_flow(x, y, cfg, calibration(3))
+    out = pipe.align(x)
+    assert out.dtype == aligned.dtype == np.float32
+    assert out.tobytes() == aligned.tobytes()
     # one row takes another matmul kernel than the batch: equal only to rounding
-    assert np.allclose(pipe.align(clip.vectors[7][None])[0], aligned.vectors[7],
+    assert np.allclose(pipe.align(x[7][None])[0], aligned[7],
                        rtol=1e-5, atol=1e-6)
 
 
@@ -342,7 +337,7 @@ def test_trajectory_yields_mapped_rows_then_each_round():
     g = named_stream(20, "traj-task")
     x = g.standard_normal((32, 3)).astype(np.float32)
     cfg = fa.FlowConfig(rounds=2, train_steps=50, batch_size=32, mapping_steps=50, seed=14)
-    _, reports, pipe = fa.run_subdivisive_flow(fs("clip_like", x), fs("vgg_like", x + 1.0), cfg,
+    _, reports, pipe = fa.run_subdivisive_flow(fs(x), fs(x + 1.0), cfg,
                                                calibration(3))
     stages = list(pipe.trajectory(x))
     assert len(stages) == 3
@@ -351,7 +346,7 @@ def test_trajectory_yields_mapped_rows_then_each_round():
         want = fa.euler_integrate(vf, start.astype(np.float32), cfg.euler_steps)[-1]
         assert np.array_equal(end, want)
     for k, (report, start) in enumerate(zip(reports, stages), start=1):
-        _, loss = fa.train_velocity(fs("clip_mapped", start), fs("vgg_like", x + 1.0), cfg, k)
+        _, loss = fa.train_velocity(fs(start), fs(x + 1.0), cfg, k)
         assert report.velocity_loss == loss
 
 
@@ -360,7 +355,7 @@ def saved_pipeline(tmp_path_factory):
     g = named_stream(21, "manifest-task")
     x = g.standard_normal((32, 3)).astype(np.float32)
     cfg = fa.FlowConfig(rounds=2, train_steps=20, batch_size=16, mapping_steps=20, seed=15)
-    _, _, pipe = fa.run_subdivisive_flow(fs("clip_like", x), fs("vgg_like", x + 1.0), cfg,
+    _, _, pipe = fa.run_subdivisive_flow(fs(x), fs(x + 1.0), cfg,
                                          calibration(3))
     root = tmp_path_factory.mktemp("manifest") / "pipe"
     pipe.save(root)

@@ -76,9 +76,7 @@ def valid(tmp_path_factory):
     x = np.linspace(-1.0, 1.0, 24, dtype=np.float32).reshape(8, 3)
     cfg = fa.FlowConfig(rounds=2, train_steps=2, batch_size=4, mapping_steps=2, seed=4,
                         velocity_hidden=(5,), mapping_hidden=(4,))
-    _, _, pipe = fa.run_subdivisive_flow(FeatureSet("clip_like", x),
-                                         FeatureSet("vgg_like", x + 1.0), cfg,
-                                         (x.mean(axis=0), 0.75))
+    _, _, pipe = fa.run_subdivisive_flow(x, x + 1.0, cfg, (x.mean(axis=0), 0.75))
     pipe.save(root / "pipe")
     list(ras.write_weights(root / "v.twts", *_twts_views(), "camera.count = 8\n"))
     return root
