@@ -326,7 +326,7 @@ def cmd_train_style(args, cfg) -> int:
     weights = _weights(cfg)
     out = _output(args.out, "--out", "reused")
     dec2d = _decoder2d(cfg, encoders, out) if weights.uses_prior else None
-    style = _style_stats(pipe, encoders.encode_clip_like(style_img))
+    style = _style_stats(pipe, encoders.encode_clip_like([style_img]))
     decoder, log = ls.train_stylization(
         scene, views, style_img, style, decoder, encoders,
         weights, steps=cfg["style.steps"], decoder2d=dec2d, seed=cfg["seed"],
@@ -351,7 +351,7 @@ def cmd_stylize(args, cfg) -> int:
     scene, decoder, pipe = _load_styling(args, cfg)
     out = _output(args.out, "--out")
     if args.image is not None:
-        fs = _encoders(cfg, pipe).encode_clip_like(_read_image(args.image, "reference image"))
+        fs = _encoders(cfg, pipe).encode_clip_like([_read_image(args.image, "reference image")])
     elif args.text is not None:
         fs = _encoders(cfg, pipe).encode_text(args.text.split())
     else:
@@ -393,11 +393,11 @@ def cmd_eval_align(args, cfg) -> int:
         for path, fs, key in ((args.feat_clip, clip_fs, "clip_dim"),
                               (args.feat_vgg, vgg_fs, "style_dim")):
             _agree(path, "dim", fs.dim, f"{_manifest(args)} ('{key}')", getattr(pipe, key))
-    rows, vgg = [], vgg_fs.vectors
-    for k, stage in enumerate(pipe.trajectory(clip_fs.vectors)):    # float32, as train-flow scores
-        stage, tag = stage.astype(np.float32), (f"round{k}" if k else "mapped")
-        rows += [("sim", tag, mt.cosine_sim(stage, vgg)),
-                 ("fid", tag, mt.frechet_distance(stage, vgg))]
+    rows = []
+    for k, stage in enumerate(pipe.trajectory(clip_fs.vectors)):
+        _, sim, fid = fa.score(stage, vgg_fs.vectors)
+        tag = f"round{k}" if k else "mapped"
+        rows += [("sim", tag, sim), ("fid", tag, fid)]
     sys.stdout.write(mt.write_csv(out, mt.METRIC_COLUMNS, rows))
     return 0
 

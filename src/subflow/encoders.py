@@ -84,6 +84,11 @@ def _chw(image) -> Tensor:
     return Tensor(np.transpose(img, (2, 0, 1)))
 
 
+def _rows(raw, images) -> np.ndarray:
+    """`raw` of each image in the list `images`, stacked as rows."""
+    return np.stack([raw(img) for img in images])
+
+
 def _frozen(*layers: Conv2dLayer) -> list[Conv2dLayer]:
     for layer in layers:
         for p in layer.parameters():
@@ -183,7 +188,7 @@ class FeatureEncoders:
     @cached_property
     def clip_calibration(self) -> tuple[np.ndarray, float]:
         """The CLIP-like center (float32) and the text-embedding norm target."""
-        clip_raw = np.stack([self._clip_raw(img) for img in self._calibration_images])
+        clip_raw = _rows(self._clip_raw, self._calibration_images)
         center = clip_raw.mean(axis=0).astype(np.float32)
         return center, float(np.linalg.norm(clip_raw - center, axis=1).mean())
 
@@ -197,8 +202,7 @@ class FeatureEncoders:
 
     @cached_property
     def _vgg_center(self) -> np.ndarray:
-        vgg_raw = np.stack([self._vgg_raw(img) for img in self._calibration_images])
-        return vgg_raw.mean(axis=0).astype(np.float32)
+        return _rows(self._vgg_raw, self._calibration_images).mean(axis=0).astype(np.float32)
 
     # -- style (VGG-like) domain ------------------------------------------------
 
@@ -225,11 +229,8 @@ class FeatureEncoders:
         return self._vgg_proj @ vec
 
     def encode_vgg_like(self, images) -> FeatureSet:
-        """Pooled style-statistics vector(s); one row per image."""
-        if isinstance(images, np.ndarray) and images.ndim == 3:
-            images = [images]
-        rows = np.stack([self._vgg_raw(img) - self._vgg_center for img in images])
-        return FeatureSet("vgg_like", rows)
+        """Pooled style-statistics vectors of a list of images; one row each."""
+        return FeatureSet("vgg_like", _rows(self._vgg_raw, images) - self._vgg_center)
 
     # -- CLIP-like domain ----------------------------------------------------------
 
@@ -253,10 +254,8 @@ class FeatureEncoders:
         return self._clip_proj @ grid + self._clip_refine_vec(image)
 
     def encode_clip_like(self, images) -> FeatureSet:
-        if isinstance(images, np.ndarray) and images.ndim == 3:
-            images = [images]
-        rows = np.stack([self._clip_raw(img) - self._clip_center for img in images])
-        return FeatureSet("clip_like", rows)
+        """Embedding vectors of a list of images; one row each."""
+        return FeatureSet("clip_like", _rows(self._clip_raw, images) - self._clip_center)
 
     # -- text domain ------------------------------------------------------------------
 

@@ -18,4 +18,4 @@ class FormatError(SubflowError):
 
 
 class StateError(SubflowError):
-    """An operation was invoked on an object in the wrong lifecycle state."""
+    """An optimizer step found a parameter with no gradient (`Adam.step`)."""

@@ -166,23 +166,25 @@ def train_velocity(start: np.ndarray, target: np.ndarray, cfg: FlowConfig,
 
 
 def euler_integrate(v: Union[VelocityField, Callable], x0: np.ndarray, steps: int) -> np.ndarray:
-    """Forward Euler trajectory of the rows x0, all intermediate states included.
-
-    Returns (steps+1, rows, dim) stacked float64 states. Non-finite states
-    name the offending step.
-    """
+    """The rows x0 after `steps` forward Euler steps of size 1/steps, as
+    float64 rows. A non-finite state names the offending step."""
     if steps < 1:
         raise ShapeError(f"euler_integrate needs steps >= 1, got {steps}")
     x = np.asarray(x0, dtype=np.float64)
-    traj = [x.copy()]
     dt_step = 1.0 / steps
     for i in range(steps):
         drift = np.asarray(v(x, i * dt_step), dtype=np.float64)
         x = x + drift * dt_step
         if not np.all(np.isfinite(x)):
             raise NumericsError(f"euler_integrate: non-finite state at step {i + 1}")
-        traj.append(x.copy())
-    return np.stack(traj)
+    return x
+
+
+def score(stage: np.ndarray, vgg: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """A trajectory stage as float32 rows, with their SIM and FID against the
+    style rows `vgg`. The float32 rows are what the next round starts from."""
+    rows = stage.astype(np.float32)
+    return rows, cosine_sim(rows, vgg), frechet_distance(rows, vgg)
 
 
 def _read_params(path, want: list[tuple[int, ...]]) -> list[np.ndarray]:
@@ -222,7 +224,7 @@ class FlowPipeline:
         cur = self.mapping.infer(np.asarray(rows, dtype=np.float32))
         yield cur
         for vf in self.fields:
-            end = euler_integrate(vf, cur, self.cfg.euler_steps)[-1]
+            end = euler_integrate(vf, cur, self.cfg.euler_steps)
             yield end
             cur = end.astype(np.float32)
 
@@ -278,15 +280,13 @@ def run_subdivisive_flow(clip: np.ndarray, vgg: np.ndarray, cfg: FlowConfig,
     """
     pipe = FlowPipeline(train_mapping(clip, vgg, cfg), [], cfg, clip_calibration)
     stages = pipe.trajectory(clip)
-    start = next(stages)
-    sim, fid = cosine_sim(start, vgg), frechet_distance(start, vgg)
+    start, sim, fid = score(next(stages), vgg)
     reports: list[FlowRoundReport] = []
     for k in range(1, cfg.rounds + 1):
         vf, velocity_loss = train_velocity(start, vgg, cfg, round_index=k)
         pipe.fields.append(vf)
         endpoints = next(stages)
-        end = endpoints.astype(np.float32)
-        sim_after, fid_after = cosine_sim(end, vgg), frechet_distance(end, vgg)
+        end, sim_after, fid_after = score(endpoints, vgg)
         reports.append(FlowRoundReport(
             round_index=k, velocity_loss=velocity_loss, sim_before=sim, sim_after=sim_after,
             fid_before=fid, fid_after=fid_after,

@@ -219,16 +219,12 @@ def suppression_loss(i_g, i_f, disc: DiscriminatorNet) -> tuple[Tensor, Tensor]:
     def clamped_log(t: Tensor) -> Tensor:
         return dt.log(dt.clamp(t, LOG_CLAMP, 1.0 - LOG_CLAMP))
 
-    terms = []
-    for sg, sf in zip(scores_g, scores_f):
-        terms.append(dt.add(clamped_log(sg), clamped_log(dt.sub(1.0, sf))))
-    stacked = dt.concat([dt.reshape(t, (1,)) for t in terms])
-    disc_loss = dt.mul(dt.tmean(stacked), -1.0)
+    def neg_mean(terms: list[Tensor]) -> Tensor:
+        return dt.mul(dt.tmean(dt.concat([dt.reshape(t, (1,)) for t in terms])), -1.0)
 
-    gen_terms = [clamped_log(sf) for sf in scores_f]
-    gen_stacked = dt.concat([dt.reshape(t, (1,)) for t in gen_terms])
-    gen_signal = dt.mul(dt.tmean(gen_stacked), -1.0)
-    return disc_loss, gen_signal
+    disc_loss = neg_mean([dt.add(clamped_log(sg), clamped_log(dt.sub(1.0, sf)))
+                          for sg, sf in zip(scores_g, scores_f)])
+    return disc_loss, neg_mean([clamped_log(sf) for sf in scores_f])
 
 
 # -- stylization training loop -----------------------------------------------------------------

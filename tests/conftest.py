@@ -52,7 +52,7 @@ def slab_run(session_encoders):
 
     style_img = procedural_texture(7, 100)
     style_stats = tr.stats_from_feature(
-        pipe.align(enc.encode_clip_like(style_img).vectors)[0])
+        pipe.align(enc.encode_clip_like([style_img]).vectors)[0])
     return {
         "scene": scene, "cams": cams, "views": views, "distilled": distilled,
         "decoder0": decoder0, "distill_report": distill_report,

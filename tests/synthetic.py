@@ -23,7 +23,7 @@ class ConceptPairGenerator:
 
     The caption is a single synthetic token; the image is solved from the
     caption's embedding through the encoder's dominant linear path, so
-    cosine(encode_text(caption), encode_clip_like(image)) is high by
+    cosine(encode_text([caption]), encode_clip_like([image])) is high by
     construction.
     """
 

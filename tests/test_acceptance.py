@@ -198,7 +198,7 @@ def test_ac04a_point_mass_constant_drift_endpoint():
     cfg = fa.FlowConfig(train_steps=600, batch_size=64, seed=5)
     vf, _ = fa.train_velocity(np.tile(a, (64, 1)).astype(np.float32),
                               np.tile(b, (64, 1)).astype(np.float32), cfg)
-    end = fa.euler_integrate(vf, a[None], cfg.euler_steps)[-1]
+    end = fa.euler_integrate(vf, a[None], cfg.euler_steps)
     rel = float(np.abs(end - b).max() / np.abs(b - a).max())
     check("AC4a point-mass endpoint within 2%", rel <= 0.02, f"relative miss {rel:.4f}")
 
@@ -209,7 +209,7 @@ def test_ac04b_1d_gaussian_monotone_transport():
     x1 = np.sort(g.normal(5, 1, size=512))[:, None]
     cfg = fa.FlowConfig(train_steps=1500, batch_size=256, seed=6)
     vf, _ = fa.train_velocity(x0.astype(np.float32), x1.astype(np.float32), cfg)
-    ends = fa.euler_integrate(vf, x0, cfg.euler_steps)[-1]
+    ends = fa.euler_integrate(vf, x0, cfg.euler_steps)
     mean, std = float(ends.mean()), float(ends.std())
     check("AC4b 1D N(0,1)->N(5,1): mean 5+-0.2, std 1+-0.2",
           abs(mean - 5) <= 0.2 and abs(std - 1) <= 0.2,
@@ -219,7 +219,7 @@ def test_ac04b_1d_gaussian_monotone_transport():
 def test_ac04c_euler_order_of_convergence():
     errs = []
     for steps in (8, 16, 32, 64):
-        end = fa.euler_integrate(lambda x, t: x, np.array([1.0]), steps)[-1][0]
+        end = fa.euler_integrate(lambda x, t: x, np.array([1.0]), steps)[0]
         errs.append(abs(end - math.e))
     ratios = [c / f for c, f in zip(errs, errs[1:])]
     ok = all(1.6 <= r <= 2.4 for r in ratios)

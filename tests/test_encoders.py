@@ -15,11 +15,11 @@ def encoders():
 
 def test_encoding_is_deterministic(encoders):
     img = enc.procedural_texture(3, 0)
-    a = encoders.encode_clip_like(img).vectors
-    b = encoders.encode_clip_like(img).vectors
+    a = encoders.encode_clip_like([img]).vectors
+    b = encoders.encode_clip_like([img]).vectors
     assert np.array_equal(a, b)
-    va = encoders.encode_vgg_like(img).vectors
-    vb = encoders.encode_vgg_like(img).vectors
+    va = encoders.encode_vgg_like([img]).vectors
+    vb = encoders.encode_vgg_like([img]).vectors
     assert np.array_equal(va, vb)
 
 
@@ -39,10 +39,19 @@ def test_tap0_pooled_mean_invariant_to_pixel_permutation(encoders):
     assert np.allclose(mean_a, mean_b, atol=1e-6)
 
 
+@pytest.mark.parametrize("encode", ["encode_clip_like", "encode_vgg_like"])
+def test_list_encodes_as_one_image_lists_do(encoders, encode):
+    imgs = [enc.procedural_texture(4, i) for i in range(3)]
+    rows = getattr(encoders, encode)(imgs).vectors
+    assert rows.shape[0] == len(imgs)
+    for row, img in zip(rows, imgs):
+        assert getattr(encoders, encode)([img]).vectors[0].tobytes() == row.tobytes()
+
+
 def test_nonfinite_image_rejected(encoders):
     img = np.full((64, 64, 3), np.nan, dtype=np.float32)
     with pytest.raises(NumericsError):
-        encoders.encode_vgg_like(img)
+        encoders.encode_vgg_like([img])
 
 
 def test_vgg_exposes_at_least_two_taps(encoders):
@@ -78,7 +87,7 @@ def test_concept_pairs_text_image_cosine(encoders):
     for i in range(100):
         img, caption = gen.pair(i)
         u = encoders.encode_text([caption]).vectors[0]
-        v = encoders.encode_clip_like(img).vectors[0]
+        v = encoders.encode_clip_like([img]).vectors[0]
         cosines.append(float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v))))
     assert min(cosines) >= 0.8
     assert float(np.mean(cosines)) >= 0.95
@@ -97,7 +106,7 @@ def test_domain_separation_on_default_seeds(encoders):
 def test_lazy_calibration_matches_eager_reference(seed, clip_first):
     encoders = enc.FeatureEncoders(seed=seed)
     img = enc.procedural_texture(seed, 99)
-    touches = [lambda: encoders.encode_text(["dusk"]), lambda: encoders.encode_vgg_like(img)]
+    touches = [lambda: encoders.encode_text(["dusk"]), lambda: encoders.encode_vgg_like([img])]
     for touch in (touches if clip_first else touches[::-1]):
         touch()
     # the calibration as computed eagerly at construction before it was lazy
