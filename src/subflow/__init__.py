@@ -6,4 +6,8 @@ domain, AdaIN re-normalizes the embeddings, and a shared decoder emits the
 stylized colors. Rendering, metrics, and a CLI round the package out.
 """
 
+from . import runtime
+
 __version__ = "0.1.0"
+
+runtime.pin_blas_threads()

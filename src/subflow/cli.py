@@ -21,6 +21,7 @@ from . import flowalign as fa
 from . import losses as ls
 from . import metrics as mt
 from . import rasterizer as ras
+from . import runtime
 from . import scene as sc
 from . import transfer as tr
 from .diffcore import dense_shapes
@@ -477,6 +478,7 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
+    runtime.set_allocator_policy()
     try:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:

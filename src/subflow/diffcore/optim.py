@@ -32,15 +32,7 @@ class Adam:
 
     def step(self, loss: Tensor) -> None:
         """Backprop `loss` into the parameters, apply one Adam update and
-        clear the grads it applied.
-
-        The optimizer holds `loss`, and with it this step's graph, until its
-        next step: freed at once, the graph's buffers went back to the OS and
-        were faulted in again every step, and a training loop ran 1.3x as long.
-        The hold is replaced first, so the last graph is freed before this
-        one's backward runs, not after it; it does live through the forward
-        that built this one, which is the hold's cost in memory."""
-        self._held = loss
+        clear the grads it applied."""
         loss.backward(self.params)
         for p in self.params:
             if p.grad is None:

@@ -71,14 +71,20 @@ class FeatureSet:
         return self.vectors.shape[1]
 
 
+def _hwc(image) -> np.ndarray:
+    """`image` as a float32 array, checked to be (H, W, 3)."""
+    img = np.asarray(image, dtype=np.float32)
+    if img.ndim != 3 or img.shape[2] != 3:
+        raise ShapeError(f"encoders expect (H, W, 3) images, got {img.shape}")
+    return img
+
+
 def _chw(image) -> Tensor:
     """`image` as a (C, H, W) Tensor: a Tensor passes as it is, an (H, W, 3)
     array is checked and transposed."""
     if isinstance(image, Tensor):
         return image
-    img = np.asarray(image, dtype=np.float32)
-    if img.ndim != 3 or img.shape[2] != 3:
-        raise ShapeError(f"encoders expect (H, W, 3) images, got {img.shape}")
+    img = _hwc(image)
     if not np.all(np.isfinite(img)):
         raise NumericsError("image contains non-finite pixels")
     return Tensor(np.transpose(img, (2, 0, 1)))
@@ -235,7 +241,7 @@ class FeatureEncoders:
     # -- CLIP-like domain ----------------------------------------------------------
 
     def _block_grid(self, image: np.ndarray) -> np.ndarray:
-        img = np.asarray(image, dtype=np.float32)
+        img = _hwc(image)
         h, w = img.shape[:2]
         if h % _CLIP_GRID or w % _CLIP_GRID:
             raise ShapeError(f"image size {h}x{w} must be divisible by {_CLIP_GRID}")

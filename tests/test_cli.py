@@ -1,5 +1,6 @@
 import argparse
 import csv
+import ctypes
 import importlib
 import os
 import struct
@@ -13,6 +14,7 @@ import pytest
 from subflow import cli
 from subflow import config as cfgmod
 from subflow import rasterizer as ras
+from subflow import runtime
 from subflow import scene as sc
 from subflow.diffcore import load_params
 from subflow.diffcore.rng import named_stream
@@ -44,6 +46,13 @@ def small_cfg(tmp_path):
 
 def run(*argv):
     return cli.main([str(a) for a in argv])
+
+
+def _child_env(**extra):
+    """This process's environment for a child Python that imports this subflow."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
 def test_dump_config_round_trips_byte_identical(capsys):
@@ -304,13 +313,10 @@ def test_numeric_failure_prints_one_line(pipeline_artifacts, tmp_path):
     out.mkdir()
     prior = "decoder2d_seed0.prms"
     (out / prior).write_bytes((root / "styled" / prior).read_bytes())
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "subflow.cli", "train-style", "--config", str(root / "small.cfg"),
          "--scene", str(root / "sd.gscn"), "--decoder", str(bad), "--pipeline",
-         str(root / "pipe"), "--out", str(out)], env=env, capture_output=True, text=True)
+         str(root / "pipe"), "--out", str(out)], env=_child_env(), capture_output=True, text=True)
     assert proc.returncode == 3, proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("numeric failure: "), proc.stderr
@@ -456,18 +462,65 @@ def test_calls_in_one_process_share_no_state(pipeline_artifacts, tmp_path):
     stylize = [str(a) for a in _stylize_argv(root)]
     assert run(*stylize, "--image", ref, "--out", tmp_path / "image.gscn") == 0
     assert run(*stylize, "--text", "molten glass", "--out", tmp_path / "text.gscn") == 0
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     fresh = subprocess.run([sys.executable, "-m", "subflow.cli", *stylize, "--text",
                             "molten glass", "--out", str(tmp_path / "fresh.gscn")],
-                           env=env, capture_output=True, text=True)
+                           env=_child_env(), capture_output=True, text=True)
     assert fresh.returncode == 0, fresh.stderr
     assert (tmp_path / "text.gscn").read_bytes() == (tmp_path / "fresh.gscn").read_bytes()
 
     for _ in range(2):
         assert run("--help") == 0
         assert run("render", "--no-such-flag") == 2
+
+
+def test_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # at N=600 two OpenBLAS threads sum the distill decoder's float32 GEMMs in
+    # another order than one does; the package pins one thread on import
+    cfg = tmp_path / "n600.cfg"
+    cfg.write_text("scene.n = 600\ndistill.steps = 5\n")
+    chain = ("import sys\nfrom subflow import cli\n"
+             "sys.exit(cli.main(['gen-scene', '--config', sys.argv[1], '--out', 's.gscn'])\n"
+             "         or cli.main(['embed', '--config', sys.argv[1], '--scene', 's.gscn',\n"
+             "                      '--out-scene', 'd.gscn', '--out-decoder', 'd.prms']))\n")
+    trees = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        proc = subprocess.run([sys.executable, "-c", chain, str(cfg)], cwd=out,
+                              env=_child_env(OPENBLAS_NUM_THREADS=threads),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(trees[0]) == ["d.gscn", "d.gscn.twts", "d.prms", "s.gscn"]
+    assert [name for name in trees[0] if trees[0][name] != trees[1][name]] == []
+
+
+@pytest.mark.skipif(sys.platform != "linux" or getattr(ctypes.CDLL(None), "mallinfo2", None)
+                    is None, reason="the allocator policy is glibc's")
+def test_cli_main_keeps_a_48_mib_buffer_on_the_heap():
+    # glibc grows its own mmap threshold to 32 MiB at most, so it mmaps 48 MiB
+    # until cli.main's policy sets the threshold to runtime.MMAP_THRESHOLD
+    probe = (
+        "import ctypes\nfrom subflow import cli, runtime\nlibc = ctypes.CDLL(None)\n"
+        "class Info(ctypes.Structure):\n"
+        "    _fields_ = [(name, ctypes.c_size_t) for name in ('arena', 'ordblks', 'smblks',\n"
+        "        'hblks', 'hblkhd', 'usmblks', 'fsmblks', 'uordblks', 'fordblks', 'keepcost')]\n"
+        "libc.mallinfo2.restype = Info\n"
+        "libc.malloc.argtypes, libc.malloc.restype = [ctypes.c_size_t], ctypes.c_void_p\n"
+        "libc.free.argtypes = [ctypes.c_void_p]\n"
+        "def mmapped(size):\n"
+        "    block = libc.malloc(size)\n"
+        "    held = libc.mallinfo2().hblkhd\n"
+        "    libc.free(block)\n"
+        "    return held >= size\n"
+        "before = mmapped(48 << 20)\n"
+        "cli.main(['dump-config'])\n"
+        "print(before, mmapped(48 << 20), runtime.set_allocator_policy())\n")
+    assert 48 << 20 < runtime.MMAP_THRESHOLD
+    proc = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "True False True"
 
 
 @pytest.mark.parametrize("source, message", [

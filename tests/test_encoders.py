@@ -48,6 +48,13 @@ def test_list_encodes_as_one_image_lists_do(encoders, encode):
         assert getattr(encoders, encode)([img]).vectors[0].tobytes() == row.tobytes()
 
 
+@pytest.mark.parametrize("encode", ["encode_clip_like", "encode_vgg_like"])
+def test_bare_image_fails_as_a_wrong_shape(encoders, encode):
+    # the encoders take a list: a bare image's rows are not images
+    with pytest.raises(ShapeError, match=r"expect \(H, W, 3\) images, got \(64, 3\)"):
+        getattr(encoders, encode)(enc.procedural_texture(0, 1))
+
+
 def test_nonfinite_image_rejected(encoders):
     img = np.full((64, 64, 3), np.nan, dtype=np.float32)
     with pytest.raises(NumericsError):
