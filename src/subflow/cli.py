@@ -395,8 +395,8 @@ def cmd_eval_align(args, cfg) -> int:
                               (args.feat_vgg, vgg_fs, "style_dim")):
             _agree(path, "dim", fs.dim, f"{_manifest(args)} ('{key}')", getattr(pipe, key))
     rows = []
-    for k, stage in enumerate(pipe.trajectory(clip_fs.vectors)):
-        _, sim, fid = fa.score(stage, vgg_fs.vectors)
+    for k, (stage, _) in enumerate(pipe.trajectory(clip_fs.vectors)):
+        sim, fid = fa.score(stage, vgg_fs.vectors)
         tag = f"round{k}" if k else "mapped"
         rows += [("sim", tag, sim), ("fid", tag, fid)]
     sys.stdout.write(mt.write_csv(out, mt.METRIC_COLUMNS, rows))

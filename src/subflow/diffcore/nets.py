@@ -38,8 +38,8 @@ class DenseNet:
 
     There are two forwards with the same expressions and the same bits:
     calling the net records the tape that training backpropagates through,
-    and `infer` evaluates plain arrays for inference, checking every
-    intermediate finite and naming the op as the tape does.
+    and `infer` evaluates plain arrays for inference. It checks each layer's
+    output finite once and, where that fails, names the op the tape would.
     """
 
     def __init__(self, widths: tuple[int, ...], activation: str = "relu", seed: int = 0,
@@ -86,21 +86,36 @@ class DenseNet:
                 h = act(h)
         return h
 
+    def evaluator(self, dtype) -> Callable[[np.ndarray], np.ndarray]:
+        """`infer` on rows of `dtype`, through the weights and biases cast to
+        `dtype` once, here: calls repeated over the same weights (the Euler
+        steps of one integration) do not cast them again. It holds the arrays
+        the net has now, so weights rebound later need a new evaluator."""
+        layers = [(w.data.astype(dtype, copy=False), b.data.astype(dtype, copy=False))
+                  for w, b in zip(self.weights, self.biases)]
+        act = _ACTIVATIONS[self.activation][1]
+        last = len(layers) - 1
+
+        def evaluate(rows: np.ndarray) -> np.ndarray:
+            self._check_rows(rows)
+            h = rows
+            for i, (w, b) in enumerate(layers):
+                product = h @ w
+                h = product + b
+                # one check per layer: a non-finite product makes a non-finite
+                # sum, and relu and tanh of finite values are finite
+                if not np.isfinite(h).all():
+                    _finite_or_raise(product, "matmul")
+                    _finite_or_raise(h, "add")
+                if i != last:
+                    h = act(h)
+            return h
+        return evaluate
+
     def infer(self, x) -> np.ndarray:
         """`self(Tensor(x)).data`, bit for bit, without recording a tape."""
-        h = T.as_tensor(x).data
-        self._check_rows(h)
-        act = _ACTIVATIONS[self.activation][1]
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.data
-            _finite_or_raise(h, "matmul")
-            h = h + b.data
-            _finite_or_raise(h, "add")
-            if i != last:
-                h = act(h)
-                _finite_or_raise(h, self.activation)
-        return h
+        rows = T.as_tensor(x).data
+        return self.evaluator(rows.dtype)(rows)
 
 
 def conv_shapes(cin: int, cout: int, k: int) -> list[tuple[int, ...]]:

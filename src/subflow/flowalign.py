@@ -93,8 +93,9 @@ def interpolate(x0: np.ndarray, x1: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 class VelocityField:
     """Time-conditioned drift v(x, t) over the style domain. `forward` tapes
-    the drift for training; calling the field evaluates it on arrays, as the
-    Euler steps do."""
+    the drift for training; calling the field evaluates it on arrays, and
+    `drift` binds that evaluation to one dtype for the Euler steps of one
+    integration."""
 
     def __init__(self, style_dim: int, hidden: tuple[int, ...] = (64, 64), seed: int = 0,
                  name: str = "velocity", params: Sequence[np.ndarray] | None = None):
@@ -112,8 +113,14 @@ class VelocityField:
         return self.net(Tensor(self._input(x_rows, t_rows)))
 
     def __call__(self, x_rows: np.ndarray, t: float) -> np.ndarray:
-        t_rows = np.full(x_rows.shape[0], float(t))
-        return self.net.infer(self._input(x_rows, t_rows))
+        # the dtype of the input rows, whose time features are float32
+        return self.drift(np.result_type(x_rows, np.float32))(x_rows, t)
+
+    def drift(self, dtype) -> Callable[[np.ndarray, float], np.ndarray]:
+        """`self` on rows of `dtype`, through the weights cast to `dtype` once,
+        now (`DenseNet.evaluator`): weights rebound later need a new drift."""
+        net = self.net.evaluator(dtype)
+        return lambda x_rows, t: net(self._input(x_rows, np.full(x_rows.shape[0], float(t))))
 
 
 def _check_paired(a: np.ndarray, b: np.ndarray, op: str) -> None:
@@ -175,16 +182,14 @@ def euler_integrate(v: Union[VelocityField, Callable], x0: np.ndarray, steps: in
     for i in range(steps):
         drift = np.asarray(v(x, i * dt_step), dtype=np.float64)
         x = x + drift * dt_step
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise NumericsError(f"euler_integrate: non-finite state at step {i + 1}")
     return x
 
 
-def score(stage: np.ndarray, vgg: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """A trajectory stage as float32 rows, with their SIM and FID against the
-    style rows `vgg`. The float32 rows are what the next round starts from."""
-    rows = stage.astype(np.float32)
-    return rows, cosine_sim(rows, vgg), frechet_distance(rows, vgg)
+def score(rows: np.ndarray, vgg: np.ndarray) -> tuple[float, float]:
+    """SIM and FID of a trajectory stage's float32 rows against the style rows `vgg`."""
+    return cosine_sim(rows, vgg), frechet_distance(rows, vgg)
 
 
 def _read_params(path, want: list[tuple[int, ...]]) -> list[np.ndarray]:
@@ -214,24 +219,27 @@ class FlowPipeline:
         self.clip_dim = mapping.in_width
         self.style_dim = mapping.weights[-1].data.shape[1]
 
-    def trajectory(self, rows: np.ndarray) -> Iterator[np.ndarray]:
-        """Yield the mapped rows, then each round's Euler endpoints (float64).
+    def trajectory(self, rows: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield each stage as (its float32 rows, the stage): the mapped rows,
+        then each round's Euler endpoints, which are float64.
 
-        Every round starts from the float32 rows of the stage before it, as
-        the next round's training does. `self.fields` is read as the rounds
-        go, so a field appended during iteration is the next round.
+        The float32 rows are what the stage is scored on and what the next
+        round starts from, as that round's training does. `self.fields` is
+        read as the rounds go, so a field appended during iteration is the
+        next round.
         """
         cur = self.mapping.infer(np.asarray(rows, dtype=np.float32))
-        yield cur
+        yield cur, cur
         for vf in self.fields:
-            end = euler_integrate(vf, cur, self.cfg.euler_steps)
-            yield end
+            # the Euler state is float64: each integration casts the weights once
+            end = euler_integrate(vf.drift(np.float64), cur, self.cfg.euler_steps)
             cur = end.astype(np.float32)
+            yield cur, end
 
     def align(self, rows: np.ndarray) -> np.ndarray:
         """Map embedding-domain rows into the style domain (float32 rows)."""
-        *_, last = self.trajectory(rows)
-        return last.astype(np.float32)
+        *_, (last, _) = self.trajectory(rows)
+        return last
 
     def save(self, out_dir) -> None:
         center, text_norm = self.clip_calibration
@@ -280,13 +288,14 @@ def run_subdivisive_flow(clip: np.ndarray, vgg: np.ndarray, cfg: FlowConfig,
     """
     pipe = FlowPipeline(train_mapping(clip, vgg, cfg), [], cfg, clip_calibration)
     stages = pipe.trajectory(clip)
-    start, sim, fid = score(next(stages), vgg)
+    start, _ = next(stages)
+    sim, fid = score(start, vgg)
     reports: list[FlowRoundReport] = []
     for k in range(1, cfg.rounds + 1):
         vf, velocity_loss = train_velocity(start, vgg, cfg, round_index=k)
         pipe.fields.append(vf)
-        endpoints = next(stages)
-        end, sim_after, fid_after = score(endpoints, vgg)
+        end, endpoints = next(stages)
+        sim_after, fid_after = score(end, vgg)
         reports.append(FlowRoundReport(
             round_index=k, velocity_loss=velocity_loss, sim_before=sim, sim_after=sim_after,
             fid_before=fid, fid_after=fid_after,

@@ -11,6 +11,13 @@ settings.register_profile("tier1", derandomize=True, deadline=None)
 settings.load_profile("tier1")
 
 
+def pytest_configure(config):
+    # the allocator policy `cli.main` sets, set once for the whole session, so
+    # a trainer test runs under it whichever test ran first; it never touches values
+    from subflow import runtime
+    runtime.set_allocator_policy()
+
+
 @pytest.fixture(scope="session")
 def session_encoders():
     from subflow.encoders import FeatureEncoders

@@ -116,17 +116,26 @@ def test_dense_net_from_params_holds_them():
     assert all(p.data is a and p.requires_grad for p, a in zip(net.parameters(), arrays))
 
 
-@pytest.mark.parametrize("weight, bias, op", [(3e38, 0.0, "matmul"), (1e38, 3e38, "add")])
-def test_dense_infer_names_overflowing_op(weight, bias, op):
-    # inputs of 1 make the first pre-activation 3 * weight, then + bias
-    net = dc.DenseNet((3, 4, 2), "relu", seed=1)
-    net.weights[0].data = np.full((3, 4), weight, dtype=np.float32)
-    net.biases[0].data = np.full(4, bias, dtype=np.float32)
-    x = np.ones((2, 3), dtype=np.float32)
+@pytest.mark.parametrize("activation, layer, weight, bias, x, op", [
+    pytest.param("relu", 0, 3e38, 0.0, np.float32(1), "matmul", id="3e+38-0.0-matmul"),
+    pytest.param("relu", 0, 1e38, 3e38, np.float32(1), "add", id="1e+38-3e+38-add"),
+    # tanh maps the overflow to 1, so the net's output is finite
+    pytest.param("tanh", 0, 3e38, 0.0, np.float32(1), "matmul", id="tanh-hidden-matmul"),
+    pytest.param("relu", 1, 3e38, 0.0, np.float32(1), "matmul", id="last-layer-matmul"),
+    pytest.param("relu", 0, 1e10, 0.0, np.float64(1e300), "matmul", id="float64-matmul"),
+])
+def test_dense_infer_names_overflowing_op(activation, layer, weight, bias, x, op):
+    # every other weight is 1 and every other bias 0: rows of x make the
+    # first pre-activation 3 * x * weight, then + bias
+    net = dc.DenseNet((3, 4, 2), activation, seed=1)
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        w.data = np.full_like(w.data, weight if i == layer else 1.0)
+        b.data = np.full_like(b.data, bias if i == layer else 0.0)
+    rows = np.full((2, 3), x)
     with np.errstate(over="ignore"):
         for forward in (net.infer, lambda rows: net(dc.Tensor(rows))):
             with pytest.raises(NumericsError, match=f"op '{op}'"):
-                forward(x)
+                forward(rows)
 
 
 def test_conv_stack_gradients_match_finite_differences():

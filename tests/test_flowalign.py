@@ -74,6 +74,41 @@ def test_euler_rejects_zero_steps():
         fa.euler_integrate(lambda x, t: x, np.array([0.0]), 0)
 
 
+def _taped_euler(vf, x0, steps):
+    """Euler steps of `vf` through its taped forward: the reference bits."""
+    x = np.asarray(x0, dtype=np.float64)
+    for i in range(steps):
+        t = np.full(len(x), i * (1.0 / steps))
+        x = x + vf.forward(x, t).data * (1.0 / steps)
+    return x
+
+
+@pytest.mark.parametrize("rows", [1, 37])
+def test_integrating_a_field_matches_its_taped_forward_bits(rows):
+    vf = fa.VelocityField(6, hidden=(64, 64), seed=3)
+    x0 = 2.0 * named_stream(rows, "euler-rows").standard_normal((rows, 6))
+    want = _taped_euler(vf, x0, 8)
+    for v in (vf, vf.drift(np.float64)):
+        assert fa.euler_integrate(v, x0, 8).tobytes() == want.tobytes()
+    # the pipeline's path: the mapped float32 rows, then the field's endpoints
+    pipe = fa.FlowPipeline(identity_mapping(6), [vf], fa.FlowConfig(rounds=1), calibration(6))
+    (mapped, _), (_, end) = pipe.trajectory(x0)
+    assert end.tobytes() == _taped_euler(vf, mapped, 8).tobytes()
+
+
+def test_a_rebound_field_integrates_with_its_new_weights():
+    vf = fa.VelocityField(4, hidden=(8,), seed=5)
+    pipe = fa.FlowPipeline(identity_mapping(4), [vf], fa.FlowConfig(rounds=1), calibration(4))
+    x = np.abs(named_stream(9, "rebind-rows").standard_normal((3, 4))).astype(np.float32)
+    before = [pipe.align(x), fa.euler_integrate(vf, x, 8)]
+    for p in vf.parameters():
+        p.data = p.data * np.float32(1.5) + np.float32(0.25)
+    want = _taped_euler(vf, x, 8)
+    after = [pipe.align(x), fa.euler_integrate(vf, x, 8)]
+    for got, old, ref in zip(after, before, (want.astype(np.float32), want)):
+        assert got.tobytes() == ref.tobytes() != old.tobytes()
+
+
 def test_interpolation_endpoints_exact():
     g = named_stream(3, "interp")
     x0 = g.standard_normal((16, 5))
@@ -336,11 +371,13 @@ def test_trajectory_yields_mapped_rows_then_each_round():
                                                calibration(3))
     stages = list(pipe.trajectory(x))
     assert len(stages) == 3
-    assert np.array_equal(stages[0], pipe.mapping.infer(x))
-    for vf, start, end in zip(pipe.fields, stages, stages[1:]):
-        want = fa.euler_integrate(vf, start.astype(np.float32), cfg.euler_steps)
-        assert np.array_equal(end, want)
-    for k, (report, start) in enumerate(zip(reports, stages), start=1):
+    mapped = pipe.mapping.infer(x)
+    assert all(a.tobytes() == mapped.tobytes() for a in stages[0])
+    for vf, (start, _), (end_rows, end) in zip(pipe.fields, stages, stages[1:]):
+        want = fa.euler_integrate(vf, start, cfg.euler_steps)
+        assert end.dtype == np.float64 and end.tobytes() == want.tobytes()
+        assert end_rows.tobytes() == want.astype(np.float32).tobytes()
+    for k, (report, (start, _)) in enumerate(zip(reports, stages), start=1):
         _, loss = fa.train_velocity(fs(start), fs(x + 1.0), cfg, k)
         assert report.velocity_loss == loss
 
