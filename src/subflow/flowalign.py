@@ -32,6 +32,7 @@ from .errors import FormatError, NumericsError, ShapeError
 from .metrics import cosine_sim, frechet_distance
 
 TIME_FEATURES = 8  # four sin/cos pairs
+_FREQUENCIES = np.pi * (2.0 ** np.arange(TIME_FEATURES // 2))
 
 
 def _widths(text: str) -> tuple[int, ...]:
@@ -80,8 +81,7 @@ def time_embedding(t: np.ndarray) -> np.ndarray:
     """Fourier features of t in [0,1]: sin/cos at frequencies pi * 2^k, in
     float32 so that float32 rows make a float32 velocity graph."""
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    freqs = np.pi * (2.0 ** np.arange(TIME_FEATURES // 2))
-    ang = t[:, None] * freqs[None, :]
+    ang = t[:, None] * _FREQUENCIES
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1).astype(np.float32)
 
 
