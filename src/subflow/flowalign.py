@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -91,36 +91,22 @@ def interpolate(x0: np.ndarray, x1: np.ndarray, t: np.ndarray) -> np.ndarray:
     return (1.0 - t) * x0 + t * x1
 
 
-class VelocityField:
-    """Time-conditioned drift v(x, t) over the style domain. `forward` tapes
-    the drift for training; calling the field evaluates it on arrays, and
-    `drift` binds that evaluation to one dtype for the Euler steps of one
-    integration."""
+def velocity_widths(style_dim: int, hidden: tuple[int, ...]) -> tuple[int, ...]:
+    """Widths of a velocity field, a tanh `DenseNet` from `velocity_rows` to a drift."""
+    return (style_dim + TIME_FEATURES, *hidden, style_dim)
 
-    def __init__(self, style_dim: int, hidden: tuple[int, ...] = (64, 64), seed: int = 0,
-                 name: str = "velocity", params: Sequence[np.ndarray] | None = None):
-        widths = (style_dim + TIME_FEATURES, *hidden, style_dim)
-        self.net = DenseNet(widths, "tanh", seed, name=name, params=params)
 
-    def parameters(self):
-        return self.net.parameters()
+def velocity_rows(x_rows: np.ndarray, t_rows: np.ndarray) -> np.ndarray:
+    """A field's input: the rows with the time features of `t_rows` appended."""
+    return np.concatenate([x_rows, time_embedding(t_rows)], axis=1)
 
-    @staticmethod
-    def _input(x_rows: np.ndarray, t_rows: np.ndarray) -> np.ndarray:
-        return np.concatenate([x_rows, time_embedding(t_rows)], axis=1)
 
-    def forward(self, x_rows: np.ndarray, t_rows: np.ndarray) -> Tensor:
-        return self.net(Tensor(self._input(x_rows, t_rows)))
-
-    def __call__(self, x_rows: np.ndarray, t: float) -> np.ndarray:
-        # the dtype of the input rows, whose time features are float32
-        return self.drift(np.result_type(x_rows, np.float32))(x_rows, t)
-
-    def drift(self, dtype) -> Callable[[np.ndarray, float], np.ndarray]:
-        """`self` on rows of `dtype`, through the weights cast to `dtype` once,
-        now (`DenseNet.evaluator`): weights rebound later need a new drift."""
-        net = self.net.evaluator(dtype)
-        return lambda x_rows, t: net(self._input(x_rows, np.full(x_rows.shape[0], float(t))))
+def drift(field: DenseNet, dtype) -> Callable[[np.ndarray, float], np.ndarray]:
+    """The field's drift v(x, t) on rows of `dtype`, through its weights cast
+    to `dtype` once, now (`DenseNet.evaluator`): weights rebound later need a
+    new drift."""
+    net = field.evaluator(dtype)
+    return lambda x_rows, t: net(velocity_rows(x_rows, np.full(x_rows.shape[0], float(t))))
 
 
 def _check_paired(a: np.ndarray, b: np.ndarray, op: str) -> None:
@@ -146,16 +132,16 @@ def train_mapping(clip: np.ndarray, vgg: np.ndarray, cfg: FlowConfig) -> DenseNe
 
 
 def train_velocity(start: np.ndarray, target: np.ndarray, cfg: FlowConfig,
-                   round_index: int = 1) -> tuple[VelocityField, float]:
-    """Regress the drift on interpolants of the paired rows (fresh field).
+                   round_index: int = 1) -> tuple[DenseNet, float]:
+    """Regress a fresh field's drift on interpolants of the paired rows.
     Returns the field and its loss at the last step (NaN after no step)."""
     _check_paired(start, target, "train_velocity")
     dim = start.shape[1]
     if dim != target.shape[1]:
         raise ShapeError(f"train_velocity: dims differ ({dim} vs {target.shape[1]})")
-    vf = VelocityField(dim, hidden=cfg.velocity_hidden,
-                       seed=cfg.seed + round_index, name=f"velocity.r{round_index}")
-    opt = Adam(vf.parameters(), lr=cfg.learning_rate)
+    field = DenseNet(velocity_widths(dim, cfg.velocity_hidden), "tanh", cfg.seed + round_index,
+                     name=f"velocity.r{round_index}")
+    opt = Adam(field.parameters(), lr=cfg.learning_rate)
     g = named_stream(cfg.seed, f"velocity.batches.r{round_index}")
     x0 = start.astype(np.float64)
     x1 = target.astype(np.float64)
@@ -166,22 +152,23 @@ def train_velocity(start: np.ndarray, target: np.ndarray, cfg: FlowConfig,
         idx = g.integers(0, m, size=min(cfg.batch_size, m))
         t = g.uniform(0.0, 1.0, size=idx.size)
         xt = interpolate(x0[idx], x1[idx], t)
-        loss = dt.mse(vf.forward(xt.astype(np.float32), t),
+        loss = dt.mse(field(Tensor(velocity_rows(xt.astype(np.float32), t))),
                       Tensor(drift_all[idx].astype(np.float32)))
         opt.step(loss)
-    return vf, loss.item()
+    return field, loss.item()
 
 
-def euler_integrate(v: Union[VelocityField, Callable], x0: np.ndarray, steps: int) -> np.ndarray:
-    """The rows x0 after `steps` forward Euler steps of size 1/steps, as
-    float64 rows. A non-finite state names the offending step."""
+def euler_integrate(v: Callable[[np.ndarray, float], np.ndarray], x0: np.ndarray,
+                    steps: int) -> np.ndarray:
+    """The rows x0 after `steps` forward Euler steps of size 1/steps of the
+    drift v(x, t), as float64 rows. A non-finite state names the offending step."""
     if steps < 1:
         raise ShapeError(f"euler_integrate needs steps >= 1, got {steps}")
     x = np.asarray(x0, dtype=np.float64)
     dt_step = 1.0 / steps
     for i in range(steps):
-        drift = np.asarray(v(x, i * dt_step), dtype=np.float64)
-        x = x + drift * dt_step
+        velocity = np.asarray(v(x, i * dt_step), dtype=np.float64)
+        x = x + velocity * dt_step
         if not np.isfinite(x).all():
             raise NumericsError(f"euler_integrate: non-finite state at step {i + 1}")
     return x
@@ -210,7 +197,7 @@ class FlowPipeline:
     it is saved with the nets and read back by `load`.
     """
 
-    def __init__(self, mapping: DenseNet, fields: list[VelocityField], cfg: FlowConfig,
+    def __init__(self, mapping: DenseNet, fields: list[DenseNet], cfg: FlowConfig,
                  clip_calibration: tuple[np.ndarray, float]):
         self.mapping = mapping
         self.fields = fields
@@ -230,9 +217,9 @@ class FlowPipeline:
         """
         cur = self.mapping.infer(np.asarray(rows, dtype=np.float32))
         yield cur, cur
-        for vf in self.fields:
+        for field in self.fields:
             # the Euler state is float64: each integration casts the weights once
-            end = euler_integrate(vf.drift(np.float64), cur, self.cfg.euler_steps)
+            end = euler_integrate(drift(field, np.float64), cur, self.cfg.euler_steps)
             cur = end.astype(np.float32)
             yield cur, end
 
@@ -246,8 +233,8 @@ class FlowPipeline:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         save_params(out / "mapping.prms", self.mapping.parameters())
-        for i, vf in enumerate(self.fields, start=1):
-            save_params(out / f"velocity_{i}.prms", vf.parameters())
+        for i, field in enumerate(self.fields, start=1):
+            save_params(out / f"velocity_{i}.prms", field.parameters())
         save_params(out / CLIP_CENTER_FILE, [center])
         values = {"clip_dim": self.clip_dim, "style_dim": self.style_dim,
                   "rounds": len(self.fields), "text_norm": text_norm}
@@ -264,13 +251,12 @@ class FlowPipeline:
         clip_dim, style_dim = kv.pop("clip_dim"), kv.pop("style_dim")
         text_norm = kv.pop("text_norm")
         cfg = FlowConfig(**kv)
-        mapping_widths = (clip_dim, *cfg.mapping_hidden, style_dim)
-        mapping = DenseNet(mapping_widths, "relu", params=_read_params(
-            src / "mapping.prms", dense_shapes(mapping_widths)))
-        velocity_shapes = dense_shapes((style_dim + TIME_FEATURES, *cfg.velocity_hidden,
-                                        style_dim))
-        fields = [VelocityField(style_dim, hidden=cfg.velocity_hidden,
-                                params=_read_params(src / f"velocity_{i}.prms", velocity_shapes))
+
+        def net(name: str, widths: tuple[int, ...], activation: str) -> DenseNet:
+            return DenseNet(widths, activation,
+                            params=_read_params(src / name, dense_shapes(widths)))
+        mapping = net("mapping.prms", (clip_dim, *cfg.mapping_hidden, style_dim), "relu")
+        fields = [net(f"velocity_{i}.prms", velocity_widths(style_dim, cfg.velocity_hidden), "tanh")
                   for i in range(1, cfg.rounds + 1)]
         (center,) = _read_params(src / CLIP_CENTER_FILE, [(clip_dim,)])
         return FlowPipeline(mapping, fields, cfg, (center, text_norm))
@@ -292,8 +278,8 @@ def run_subdivisive_flow(clip: np.ndarray, vgg: np.ndarray, cfg: FlowConfig,
     sim, fid = score(start, vgg)
     reports: list[FlowRoundReport] = []
     for k in range(1, cfg.rounds + 1):
-        vf, velocity_loss = train_velocity(start, vgg, cfg, round_index=k)
-        pipe.fields.append(vf)
+        field, velocity_loss = train_velocity(start, vgg, cfg, round_index=k)
+        pipe.fields.append(field)
         end, endpoints = next(stages)
         sim_after, fid_after = score(end, vgg)
         reports.append(FlowRoundReport(

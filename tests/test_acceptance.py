@@ -84,9 +84,10 @@ def test_ac01_autodiff_finite_difference_all_architectures():
     margins["mapping"] = _dense_preact_margin(mapping, x)
     worst["mapping"] = finite_diff_check(mapping, x, 1e-3)
 
-    vf = fa.VelocityField(6, hidden=(12, 12), seed=4)  # tanh: smooth everywhere
+    # tanh: smooth everywhere
+    field = DenseNet(fa.velocity_widths(6, (12, 12)), "tanh", 4, name="velocity")
     xv = named_stream(1, "ac1.vel").standard_normal((4, 6 + fa.TIME_FEATURES))
-    worst["velocity"] = finite_diff_check(vf.net, xv, 1e-3)
+    worst["velocity"] = finite_diff_check(field, xv, 1e-3)
 
     dec = tr.DecoderNet(8, hidden=(12,), seed=5)
     pin_dense(dec.net, weight_scale=0.15)
@@ -196,9 +197,9 @@ def test_ac04a_point_mass_constant_drift_endpoint():
     a = np.array([0.5, -1.0, 2.0])
     b = np.array([2.5, 1.0, -1.0])
     cfg = fa.FlowConfig(train_steps=600, batch_size=64, seed=5)
-    vf, _ = fa.train_velocity(np.tile(a, (64, 1)).astype(np.float32),
-                              np.tile(b, (64, 1)).astype(np.float32), cfg)
-    end = fa.euler_integrate(vf, a[None], cfg.euler_steps)
+    field, _ = fa.train_velocity(np.tile(a, (64, 1)).astype(np.float32),
+                                 np.tile(b, (64, 1)).astype(np.float32), cfg)
+    end = fa.euler_integrate(fa.drift(field, np.float64), a[None], cfg.euler_steps)
     rel = float(np.abs(end - b).max() / np.abs(b - a).max())
     check("AC4a point-mass endpoint within 2%", rel <= 0.02, f"relative miss {rel:.4f}")
 
@@ -208,8 +209,8 @@ def test_ac04b_1d_gaussian_monotone_transport():
     x0 = np.sort(g.normal(0, 1, size=512))[:, None]
     x1 = np.sort(g.normal(5, 1, size=512))[:, None]
     cfg = fa.FlowConfig(train_steps=1500, batch_size=256, seed=6)
-    vf, _ = fa.train_velocity(x0.astype(np.float32), x1.astype(np.float32), cfg)
-    ends = fa.euler_integrate(vf, x0, cfg.euler_steps)
+    field, _ = fa.train_velocity(x0.astype(np.float32), x1.astype(np.float32), cfg)
+    ends = fa.euler_integrate(fa.drift(field, np.float64), x0, cfg.euler_steps)
     mean, std = float(ends.mean()), float(ends.std())
     check("AC4b 1D N(0,1)->N(5,1): mean 5+-0.2, std 1+-0.2",
           abs(mean - 5) <= 0.2 and abs(std - 1) <= 0.2,

@@ -5,7 +5,8 @@ import pytest
 
 from subflow import flowalign as fa
 from subflow import metrics as mt
-from subflow.diffcore import DenseNet
+from subflow.diffcore import Adam, DenseNet, Tensor
+from subflow.diffcore import tensor as dt
 from subflow.diffcore.rng import named_stream
 from subflow.errors import FormatError, NumericsError, ShapeError
 
@@ -20,6 +21,10 @@ def calibration(dim):
     """A CLIP-like calibration for rows of `dim`, as `train-flow` passes its
     encoders' to the pipeline; the norm has no short decimal form."""
     return np.linspace(-1.0, 1.0, dim, dtype=np.float32), 1.0 / 3.0 + 0.1
+
+
+def velocity_field(dim, hidden, seed):
+    return DenseNet(fa.velocity_widths(dim, hidden), "tanh", seed, name="velocity")
 
 
 def identity_mapping(dim):
@@ -74,37 +79,36 @@ def test_euler_rejects_zero_steps():
         fa.euler_integrate(lambda x, t: x, np.array([0.0]), 0)
 
 
-def _taped_euler(vf, x0, steps):
-    """Euler steps of `vf` through its taped forward: the reference bits."""
+def _taped_euler(field, x0, steps):
+    """Euler steps of `field` through its taped forward: the reference bits."""
     x = np.asarray(x0, dtype=np.float64)
     for i in range(steps):
         t = np.full(len(x), i * (1.0 / steps))
-        x = x + vf.forward(x, t).data * (1.0 / steps)
+        x = x + field(Tensor(fa.velocity_rows(x, t))).data * (1.0 / steps)
     return x
 
 
 @pytest.mark.parametrize("rows", [1, 37])
 def test_integrating_a_field_matches_its_taped_forward_bits(rows):
-    vf = fa.VelocityField(6, hidden=(64, 64), seed=3)
+    field = velocity_field(6, (64, 64), 3)
     x0 = 2.0 * named_stream(rows, "euler-rows").standard_normal((rows, 6))
-    want = _taped_euler(vf, x0, 8)
-    for v in (vf, vf.drift(np.float64)):
-        assert fa.euler_integrate(v, x0, 8).tobytes() == want.tobytes()
+    want = _taped_euler(field, x0, 8)
+    assert fa.euler_integrate(fa.drift(field, np.float64), x0, 8).tobytes() == want.tobytes()
     # the pipeline's path: the mapped float32 rows, then the field's endpoints
-    pipe = fa.FlowPipeline(identity_mapping(6), [vf], fa.FlowConfig(rounds=1), calibration(6))
+    pipe = fa.FlowPipeline(identity_mapping(6), [field], fa.FlowConfig(rounds=1), calibration(6))
     (mapped, _), (_, end) = pipe.trajectory(x0)
-    assert end.tobytes() == _taped_euler(vf, mapped, 8).tobytes()
+    assert end.tobytes() == _taped_euler(field, mapped, 8).tobytes()
 
 
 def test_a_rebound_field_integrates_with_its_new_weights():
-    vf = fa.VelocityField(4, hidden=(8,), seed=5)
-    pipe = fa.FlowPipeline(identity_mapping(4), [vf], fa.FlowConfig(rounds=1), calibration(4))
+    field = velocity_field(4, (8,), 5)
+    pipe = fa.FlowPipeline(identity_mapping(4), [field], fa.FlowConfig(rounds=1), calibration(4))
     x = np.abs(named_stream(9, "rebind-rows").standard_normal((3, 4))).astype(np.float32)
-    before = [pipe.align(x), fa.euler_integrate(vf, x, 8)]
-    for p in vf.parameters():
+    before = [pipe.align(x), fa.euler_integrate(fa.drift(field, np.float64), x, 8)]
+    for p in field.parameters():
         p.data = p.data * np.float32(1.5) + np.float32(0.25)
-    want = _taped_euler(vf, x, 8)
-    after = [pipe.align(x), fa.euler_integrate(vf, x, 8)]
+    want = _taped_euler(field, x, 8)
+    after = [pipe.align(x), fa.euler_integrate(fa.drift(field, np.float64), x, 8)]
     for got, old, ref in zip(after, before, (want.astype(np.float32), want)):
         assert got.tobytes() == ref.tobytes() != old.tobytes()
 
@@ -170,16 +174,15 @@ def test_velocity_zero_drift_task():
     g = named_stream(11, "zero-drift")
     rows = g.standard_normal((256, 6))
     cfg = fa.FlowConfig(train_steps=800, batch_size=128, seed=4)
-    vf, _ = fa.train_velocity(fs(rows), fs(rows), cfg)
+    field, _ = fa.train_velocity(fs(rows), fs(rows), cfg)
     t_eval = named_stream(11, "zero-drift-eval").uniform(0, 1, size=256)
-    speeds = np.linalg.norm(vf.forward(rows.astype(np.float32), t_eval).data, axis=1)
+    speeds = np.linalg.norm(field.infer(fa.velocity_rows(fs(rows), t_eval)), axis=1)
     assert speeds.mean() < 0.05 * rows.std() * np.sqrt(rows.shape[1])
 
 
 def test_velocity_training_step_is_float32(monkeypatch):
     # float32 rows and the float32 time embedding keep every op of a
     # velocity training step, the loss included, in float32
-    from subflow.diffcore import tensor as dt
     seen = []
     make = dt._make
 
@@ -198,9 +201,9 @@ def test_velocity_point_mass_constant_drift():
     a = np.array([0.5, -1.0, 2.0])
     b = np.array([2.5, 1.0, -1.0])
     cfg = fa.FlowConfig(train_steps=600, batch_size=64, seed=5)
-    vf, _ = fa.train_velocity(fs(np.tile(a, (64, 1))),
-                              fs(np.tile(b, (64, 1))), cfg)
-    end = fa.euler_integrate(vf, a[None], cfg.euler_steps)
+    field, _ = fa.train_velocity(fs(np.tile(a, (64, 1))),
+                                 fs(np.tile(b, (64, 1))), cfg)
+    end = fa.euler_integrate(fa.drift(field, np.float64), a[None], cfg.euler_steps)
     assert np.abs(end - b).max() <= 0.02 * np.abs(b - a).max()
 
 
@@ -209,8 +212,8 @@ def test_velocity_1d_monotone_transport():
     x0 = np.sort(g.normal(0, 1, size=512))[:, None]
     x1 = np.sort(g.normal(5, 1, size=512))[:, None]
     cfg = fa.FlowConfig(train_steps=1500, batch_size=256, seed=6)
-    vf, _ = fa.train_velocity(fs(x0), fs(x1), cfg)
-    ends = fa.euler_integrate(vf, x0, cfg.euler_steps)
+    field, _ = fa.train_velocity(fs(x0), fs(x1), cfg)
+    ends = fa.euler_integrate(fa.drift(field, np.float64), x0, cfg.euler_steps)
     assert ends.mean() == pytest.approx(5.0, abs=0.2)
     assert ends.std() == pytest.approx(1.0, abs=0.2)
 
@@ -219,6 +222,70 @@ def test_velocity_dim_mismatch():
     cfg = fa.FlowConfig()
     with pytest.raises(ShapeError, match="dims differ"):
         fa.train_velocity(fs(np.ones((4, 2))), fs(np.ones((4, 3))), cfg)
+
+
+# -- both trainers against the tape loop -----------------------------------------------------
+
+def _tape_fit(net, batches, steps, lr):
+    """Adam on the tape's mean squared error of `net` over `steps` batches
+    drawn by `batches()`: the loop both flow trainers must equal bit for bit.
+    Returns the net and the last step's loss (NaN after no step)."""
+    opt = Adam(net.parameters(), lr=lr)
+    last = float("nan")
+    for _ in range(steps):
+        x, y = batches()
+        loss = dt.mse(net(Tensor(x)), Tensor(y))
+        opt.step(loss)
+        last = loss.item()
+    return net, last
+
+
+def _same_params(a, b):
+    return [(p.data.dtype, p.data.tobytes()) for p in a.parameters()] == \
+        [(p.data.dtype, p.data.tobytes()) for p in b.parameters()]
+
+
+@pytest.mark.parametrize("steps", [0, 6])
+@pytest.mark.parametrize("batch_size", [5, 20], ids=["batch<rows", "batch>rows"])
+@pytest.mark.parametrize("style_dim", [3, 1], ids=["dim3", "one-column"])
+@pytest.mark.parametrize("hidden", [(7,), (6, 5)], ids=["one-hidden", "two-hidden"])
+def test_flow_trainers_equal_the_tape_loop(hidden, style_dim, batch_size, steps):
+    rows, clip_dim, k = 12, 4, 2
+    g = named_stream(23, "tape-loop-rows")
+    clip = g.standard_normal((rows, clip_dim)).astype(np.float32)
+    start = g.standard_normal((rows, style_dim)).astype(np.float32)
+    target = (2.0 * g.standard_normal((rows, style_dim)) + 1.0).astype(np.float32)
+    cfg = fa.FlowConfig(train_steps=steps, mapping_steps=steps, batch_size=batch_size,
+                        learning_rate=1e-2, seed=5, velocity_hidden=hidden, mapping_hidden=hidden)
+    n = min(batch_size, rows)
+
+    mapping_draws = named_stream(cfg.seed, "mapping.batches")
+
+    def mapping_batch():
+        idx = mapping_draws.integers(0, rows, size=n)
+        return clip[idx], target[idx]
+    want, _ = _tape_fit(DenseNet((clip_dim, *hidden, style_dim), "relu", cfg.seed, name="mapping"),
+                        mapping_batch, steps, cfg.learning_rate)
+    assert _same_params(fa.train_mapping(clip, target, cfg), want)
+
+    x0, x1 = start.astype(np.float64), target.astype(np.float64)
+    velocity_draws = named_stream(cfg.seed, f"velocity.batches.r{k}")
+
+    def velocity_batch():
+        idx = velocity_draws.integers(0, rows, size=n)
+        t = velocity_draws.uniform(0.0, 1.0, size=n)
+        xt = (1.0 - t[:, None]) * x0[idx] + t[:, None] * x1[idx]
+        return (fa.velocity_rows(xt.astype(np.float32), t),
+                (x1 - x0)[idx].astype(np.float32))
+    fresh = DenseNet(fa.velocity_widths(style_dim, hidden), "tanh", cfg.seed + k,
+                     name=f"velocity.r{k}")
+    want, want_loss = _tape_fit(fresh, velocity_batch, steps, cfg.learning_rate)
+    field, loss = fa.train_velocity(start, target, cfg, round_index=k)
+    assert _same_params(field, want)
+    if steps:
+        assert loss == want_loss
+    else:                               # the Glorot init is kept, and no step has a loss
+        assert np.isnan(loss) and np.isnan(want_loss)
 
 
 # -- multi-round flow ------------------------------------------------------------------------
@@ -232,8 +299,8 @@ def test_single_round_degenerates_to_one_velocity_fit(monkeypatch):
     aligned, reports, pipe = fa.run_subdivisive_flow(fs(x), fs(y), cfg, calibration(4))
     assert len(reports) == 1
     assert len(pipe.fields) == 1
-    vf, _ = fa.train_velocity(fs(x), fs(y), cfg, round_index=1)
-    direct = fa.euler_integrate(vf, x.astype(np.float32), cfg.euler_steps)
+    field, _ = fa.train_velocity(fs(x), fs(y), cfg, round_index=1)
+    direct = fa.euler_integrate(fa.drift(field, np.float64), fs(x), cfg.euler_steps)
     assert np.allclose(aligned, direct, atol=1e-5)
 
 
@@ -309,8 +376,8 @@ def test_aligned_text_and_image_features_stay_close(slab_run, session_encoders):
 
 def test_align_feature_dim_mismatch():
     m = identity_mapping(4)
-    vf = fa.VelocityField(4, hidden=(8,), seed=0)
-    pipe = fa.FlowPipeline(m, [vf], fa.FlowConfig(rounds=1), calibration(4))
+    pipe = fa.FlowPipeline(m, [velocity_field(4, (8,), 0)], fa.FlowConfig(rounds=1),
+                           calibration(4))
     with pytest.raises(ShapeError, match="dim"):
         pipe.align(np.zeros((2, 6)))
     with pytest.raises(ShapeError, match="rows of dim 4"):     # one vector is not rows
@@ -373,8 +440,8 @@ def test_trajectory_yields_mapped_rows_then_each_round():
     assert len(stages) == 3
     mapped = pipe.mapping.infer(x)
     assert all(a.tobytes() == mapped.tobytes() for a in stages[0])
-    for vf, (start, _), (end_rows, end) in zip(pipe.fields, stages, stages[1:]):
-        want = fa.euler_integrate(vf, start, cfg.euler_steps)
+    for field, (start, _), (end_rows, end) in zip(pipe.fields, stages, stages[1:]):
+        want = fa.euler_integrate(fa.drift(field, np.float64), start, cfg.euler_steps)
         assert end.dtype == np.float64 and end.tobytes() == want.tobytes()
         assert end_rows.tobytes() == want.astype(np.float32).tobytes()
     for k, (report, (start, _)) in enumerate(zip(reports, stages), start=1):
