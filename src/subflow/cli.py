@@ -35,6 +35,13 @@ class CliError(SubflowError):
     """Invalid invocation or inputs; maps to exit code 2."""
 
 
+def _refuse_empty(args, *flags: str) -> None:
+    """Refuse each of the optional path `flags` given as "", which reads as absent."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_"), None) == "":
+            raise CliError(f"{flag} is empty")
+
+
 def _load_config(args) -> dict:
     cfg = (cfgmod.load_config(args.config) if args.config
            else cfgmod.read_key_values("", cfgmod.SCHEMA, "defaults"))
@@ -346,9 +353,7 @@ def cmd_stylize(args, cfg) -> int:
         raise CliError("stylize needs exactly one of --image, --text, --feat")
     if args.text is not None and not args.text.split():
         raise CliError(f"--text {args.text!r} holds no words")
-    for flag, path in (("--image", args.image), ("--feat", args.feat)):
-        if path == "":
-            raise CliError(f"{flag} is empty")
+    _refuse_empty(args, "--image", "--feat")
     scene, decoder, pipe = _load_styling(args, cfg)
     out = _output(args.out, "--out")
     if args.image is not None:
@@ -486,6 +491,7 @@ def main(argv=None) -> int:
     try:
         # numpy's warnings would only precede the NumericsError a finite check raises
         with np.errstate(all="ignore"):
+            _refuse_empty(args, "--config", "--style-image", "--feat-clip", "--feat-vgg")
             return args.fn(args, _load_config(args))
     except NumericsError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

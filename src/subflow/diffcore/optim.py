@@ -31,17 +31,16 @@ class Adam:
         self.second_moment = np.zeros_like(self.first_moment)
 
     def step(self, loss: Tensor) -> None:
-        """Backprop `loss` into the parameters, apply one Adam update and
-        clear the grads it applied."""
-        loss.backward(self.params)
-        for p in self.params:
-            if p.grad is None:
-                raise StateError("adam_step: parameter has no gradient")
+        """Apply one Adam update with the gradients of `loss` that
+        `loss.backward(params)` returns; every parameter needs one."""
+        grads = loss.backward(self.params)
+        if any(g is None for g in grads):
+            raise StateError("adam_step: parameter has no gradient")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - BETA1 ** t
         bc2 = 1.0 - BETA2 ** t
-        g = np.concatenate([p.grad.reshape(-1) for p in self.params])
+        g = np.concatenate([grad.reshape(-1) for grad in grads])
         data = np.concatenate([p.data.reshape(-1) for p in self.params])
         # in place, each op as in m = BETA1 m + (1 - BETA1) g,
         # v = BETA2 v + (1 - BETA2) g g, data -= lr m_hat / (sqrt(v_hat) + EPSILON)
@@ -61,4 +60,3 @@ class Adam:
         data -= m_hat.astype(data.dtype, copy=False)
         for p, lo, hi in zip(self.params, self._bounds, self._bounds[1:]):
             p.data = data[lo:hi].reshape(p.data.shape)
-            p.grad = None

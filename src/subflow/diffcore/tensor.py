@@ -1,16 +1,15 @@
 """Reverse-mode autodiff on dense numpy arrays.
 
-A `Tensor` wraps a float array. An op's output records its tape as
-`_vjps`: one `(operand, vjp)` pair per operand that requires a gradient,
-where `vjp(g)` maps the output's gradient to that operand's. A constant
-operand gets no pair, so its gradient is never formed. `backward(wrt)` on a
-scalar walks the pairs in reverse topological order, runs a vjp only where
-its operand leads to one of the leaves in `wrt`, and accumulates into those
-leaves' `.grad`; other leaves keep `.grad` unchanged and intermediate nodes
-keep no gradient buffer. `Adam.step(loss)` backprops into its own parameters
-and clears the grads it applied. A vjp reads operand `.data` when it runs,
-so a graph backpropagated after an optimizer step sees the updated
-parameters.
+A `Tensor` holds its data and its tape, nothing else. An op's output records
+its tape as `_vjps`: one `(operand, vjp)` pair per operand that requires a
+gradient, where `vjp(g)` maps the output's gradient to that operand's. A
+constant operand gets no pair, so its gradient is never formed.
+`backward(wrt)` on a scalar walks the pairs in reverse topological order,
+runs a vjp only where its operand leads to one of the leaves in `wrt`, and
+returns the gradients of those leaves as values; no tensor stores one.
+`Adam.step(loss)` takes the gradients of its own parameters from `backward`.
+A vjp reads operand `.data` when it runs, so a graph backpropagated after an
+optimizer step sees the updated parameters.
 
 Forward values are checked finite after every op: NaN/Inf raises
 `NumericsError` instead of propagating silently. Shape violations raise
@@ -32,7 +31,7 @@ Vjp = Callable[[np.ndarray], np.ndarray]
 class Tensor:
     """Dense float tensor with optional participation in the gradient tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_vjps", "_op")
+    __slots__ = ("data", "requires_grad", "_vjps")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -40,21 +39,16 @@ class Tensor:
             arr = arr.astype(np.float32)
         self.data: np.ndarray = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: Optional[np.ndarray] = None
         self._vjps: tuple[tuple[Tensor, Vjp], ...] = ()
-        self._op = "leaf"
-
-    def __repr__(self) -> str:
-        flag = ", grad" if self.requires_grad else ""
-        return f"Tensor({self._op}, shape={self.data.shape}{flag})"
 
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def backward(self, wrt: Sequence[Tensor]) -> None:
-        """Backprop from this scalar into the `.grad` of the leaves in `wrt`."""
+    def backward(self, wrt: Sequence[Tensor]) -> list[Optional[np.ndarray]]:
+        """This scalar's gradient for each leaf of `wrt`, in order and in the
+        leaf's dtype, or None where it does not reach the leaf; new arrays."""
         if self.data.size != 1:
             raise ShapeError(
                 f"backward() requires a scalar loss, got shape {self.data.shape}")
@@ -84,15 +78,13 @@ class Tensor:
             for operand, _ in node._vjps:
                 if operand not in seen:
                     stack.append((operand, False))
+        found: dict[Tensor, np.ndarray] = {}
         grads: dict[Tensor, np.ndarray] = {self: np.ones_like(self.data)}
         for node in reversed(order):
             g = grads.pop(node)         # set by its consumers, which come first
             if node in wanted:
-                if node.grad is None:
-                    node.grad = g.astype(node.data.dtype)
-                    node.grad += 0.0    # g + 0 as onto a zeroed buffer: -0.0 becomes +0.0
-                else:
-                    node.grad += g.astype(node.data.dtype, copy=False)
+                found[node] = leaf_grad = g.astype(node.data.dtype)
+                leaf_grad += 0.0        # g + 0 as onto a zeroed buffer: -0.0 becomes +0.0
             for operand, vjp in node._vjps:
                 if operand not in reaches:
                     continue
@@ -104,6 +96,7 @@ class Tensor:
                 else:
                     # never in place: `acc` may be shared with another operand
                     grads[operand] = np.add(acc, pg, out=np.empty_like(acc))
+        return [found.get(leaf) for leaf in wrt]
 
 
 def as_tensor(x: Arrayish) -> Tensor:
@@ -137,8 +130,6 @@ def _make(op: str, data: np.ndarray, *pairs: tuple[Tensor, Vjp]) -> Tensor:
     _finite_or_raise(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
-    out._op = op
     out._vjps = tuple(pair for pair in pairs if pair[0].requires_grad)
     out.requires_grad = bool(out._vjps)
     return out

@@ -91,6 +91,11 @@ def interpolate(x0: np.ndarray, x1: np.ndarray, t: np.ndarray) -> np.ndarray:
     return (1.0 - t) * x0 + t * x1
 
 
+def mapping_widths(clip_dim: int, hidden: tuple[int, ...], style_dim: int) -> tuple[int, ...]:
+    """Widths of the mapping, a ReLU `DenseNet` from clip-domain to style-domain rows."""
+    return (clip_dim, *hidden, style_dim)
+
+
 def velocity_widths(style_dim: int, hidden: tuple[int, ...]) -> tuple[int, ...]:
     """Widths of a velocity field, a tanh `DenseNet` from `velocity_rows` to a drift."""
     return (style_dim + TIME_FEATURES, *hidden, style_dim)
@@ -118,8 +123,8 @@ def train_mapping(clip: np.ndarray, vgg: np.ndarray, cfg: FlowConfig) -> DenseNe
     """Fit the baseline domain map, a ReLU `DenseNet`, by Adam on mean
     squared error over paired (M, d) rows."""
     _check_paired(clip, vgg, "train_mapping")
-    net = DenseNet((clip.shape[1], *cfg.mapping_hidden, vgg.shape[1]), "relu", cfg.seed,
-                   name="mapping")
+    net = DenseNet(mapping_widths(clip.shape[1], cfg.mapping_hidden, vgg.shape[1]), "relu",
+                   cfg.seed, name="mapping")
     opt = Adam(net.parameters(), lr=cfg.learning_rate)
     g = named_stream(cfg.seed, "mapping.batches")
     x_all = clip.astype(np.float32)
@@ -255,7 +260,8 @@ class FlowPipeline:
         def net(name: str, widths: tuple[int, ...], activation: str) -> DenseNet:
             return DenseNet(widths, activation,
                             params=_read_params(src / name, dense_shapes(widths)))
-        mapping = net("mapping.prms", (clip_dim, *cfg.mapping_hidden, style_dim), "relu")
+        mapping = net("mapping.prms", mapping_widths(clip_dim, cfg.mapping_hidden, style_dim),
+                      "relu")
         fields = [net(f"velocity_{i}.prms", velocity_widths(style_dim, cfg.velocity_hidden), "tanh")
                   for i in range(1, cfg.rounds + 1)]
         (center,) = _read_params(src / CLIP_CENTER_FILE, [(clip_dim,)])

@@ -21,7 +21,6 @@ import numpy as np
 from .diffcore import Adam, DenseNet, Tensor
 from .diffcore import tensor as dt
 from .diffcore.rng import named_stream
-from .diffcore.tensor import _finite_or_raise
 from .encoders import FeatureEncoders
 from .errors import ShapeError
 from .rasterizer import TileWeights
@@ -104,9 +103,7 @@ class DecoderNet:
         return dt.sigmoid(self.net(embeddings))
 
     def decode(self, embeddings: np.ndarray) -> np.ndarray:
-        out = 1.0 / (1.0 + np.exp(-self.net.infer(embeddings)))     # as `dt.sigmoid`
-        _finite_or_raise(out, "sigmoid")
-        return out
+        return dt.sigmoid(self.net.infer(embeddings)).data
 
 
 @dataclass

@@ -28,11 +28,8 @@ def finite_diff_max_rel_error(params: Sequence[Tensor],
     saved = [p.data for p in params]
     for p in params:
         p.data = p.data.astype(np.float64)
-        p.grad = None
     try:
-        loss = loss_fn()
-        loss.backward(params)
-        analytic = [np.array(p.grad, copy=True) for p in params]
+        analytic = loss_fn().backward(params)
         worst = 0.0
         for p, ana in zip(params, analytic):
             flat = p.data.reshape(-1)
@@ -50,7 +47,6 @@ def finite_diff_max_rel_error(params: Sequence[Tensor],
     finally:
         for p, s in zip(params, saved):
             p.data = s
-            p.grad = None
 
 
 def finite_diff_check(net, x, h: float) -> float:

@@ -110,6 +110,32 @@ def test_empty_input_path_names_its_kind(tmp_path, small_cfg, capsys):
     assert "scene path is empty" in capsys.readouterr().err
 
 
+_STYLE_INPUTS = ("--scene", "s.gscn", "--decoder", "d.prms", "--pipeline", "pipe")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["dump-config", "--config", ""], "--config"),
+    (["gen-scene", "--config", "", "--out", "s.gscn"], "--config"),
+    (["train-style", "--config", "", *_STYLE_INPUTS, "--out", "styled"], "--config"),
+    (["train-style", *_STYLE_INPUTS, "--style-image", "", "--out", "styled"], "--style-image"),
+    (["train-flow", "--feat-clip", "", "--feat-vgg", "v.feat", "--out", "pipe"], "--feat-clip"),
+    (["train-flow", "--feat-clip", "c.feat", "--feat-vgg", "", "--out", "pipe"], "--feat-vgg"),
+    (["eval-align", "--pipeline", "pipe", "--feat-clip", "", "--out", "m.csv"], "--feat-clip"),
+    (["eval-align", "--pipeline", "pipe", "--feat-vgg", "", "--out", "m.csv"], "--feat-vgg"),
+], ids=["dump-config", "gen-scene", "train-style-config", "style-image",
+        "train-flow-clip", "train-flow-vgg", "eval-align-clip", "eval-align-vgg"])
+def test_empty_optional_path_flag_is_refused(tmp_path, capsys, monkeypatch, argv, flag):
+    # an empty optional path is refused by name before the config is read,
+    # not taken as the flag left out
+    def load_config(args):
+        raise AssertionError("read the config")
+    monkeypatch.setattr(cli, "_load_config", load_config)
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 2
+    assert f"{flag} is empty" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_bad_config_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     for line, key in (("whatever = 3", "whatever"), ("scene.kind = blob", "scene.kind"),

@@ -52,17 +52,17 @@ def test_nonfinite_forward_raises():
 
 def test_backward_square():
     x = dc.Tensor(3.0, requires_grad=True)
-    dc.mul(x, x).backward([x])
-    assert x.grad == pytest.approx(6.0)
+    (gx,) = dc.mul(x, x).backward([x])
+    assert gx == pytest.approx(6.0)
 
 
 def test_backward_relu_subgradient_zero_at_zero():
     x = dc.Tensor([-1.0, 2.0], requires_grad=True)
-    dc.tsum(dc.relu(x)).backward([x])
-    assert np.array_equal(x.grad, [0.0, 1.0])
+    (gx,) = dc.tsum(dc.relu(x)).backward([x])
+    assert np.array_equal(gx, [0.0, 1.0])
     z = dc.Tensor([0.0], requires_grad=True)
-    dc.tsum(dc.relu(z)).backward([z])
-    assert z.grad[0] == 0.0
+    (gz,) = dc.tsum(dc.relu(z)).backward([z])
+    assert gz[0] == 0.0
 
 
 def test_backward_requires_scalar():
@@ -77,16 +77,21 @@ def test_backward_terminates_on_deep_chains():
     y = x
     for _ in range(5000):
         y = dc.mul(y, 1.0001)
-    y.backward([x])
-    assert x.grad is not None and np.isfinite(x.grad)
+    (gx,) = y.backward([x])
+    assert gx is not None and np.isfinite(gx)
 
 
-def test_backward_accumulates_without_zeroing():
+def test_backward_returns_gradients_and_stores_none():
     x = dc.Tensor(2.0, requires_grad=True)
-    dc.mul(x, x).backward([x])
-    first = float(x.grad)
-    dc.mul(x, x).backward([x])
-    assert float(x.grad) == pytest.approx(2 * first)
+    unreached = dc.Tensor(1.0, requires_grad=True)
+    loss = dc.mul(x, x)
+    first = loss.backward([x, unreached])
+    second = loss.backward([x, unreached])
+    assert float(first[0]) == 4.0
+    assert np.array_equal(first[0], second[0]) and first[0] is not second[0]
+    assert first[1] is None and second[1] is None
+    dc.Adam([x], lr=0.1).step(loss)
+    assert not any(hasattr(t, "grad") for t in (x, unreached, loss))
 
 
 def test_dense_net_gradients_match_finite_differences():
@@ -154,8 +159,7 @@ def test_conv2d_input_gradient():
     layer = dc.Conv2dLayer(1, 2, 3, stride=2, padding=1, seed=4, name="cx")
     x0 = dc.named_stream(7, "gc-dx").standard_normal((1, 5, 5))
     xt = dc.Tensor(x0.astype(np.float64), requires_grad=True)
-    dc.tsum(layer(xt)).backward([xt])
-    analytic = xt.grad.copy()
+    (analytic,) = dc.tsum(layer(xt)).backward([xt])
     h = 1e-4
     for idx in [(0, 0, 0), (0, 2, 3), (0, 4, 4), (0, 1, 2)]:
         bumped = x0.copy()
@@ -195,15 +199,6 @@ def test_adam_missing_grad_raises():
     q = dc.Tensor(1.0, requires_grad=True)
     with pytest.raises(StateError, match="grad"):
         dc.Adam([p, q]).step(dc.mul(p, 2.0))    # the loss does not reach q
-
-
-def test_adam_clears_grads_it_applied():
-    p = dc.Tensor(1.0, requires_grad=True)
-    q = dc.Tensor(3.0, requires_grad=True)
-    q.grad = np.array(2.0)
-    dc.Adam([p], lr=0.1).step(dc.mul(p, q))
-    assert p.grad is None
-    assert float(q.grad) == 2.0     # a leaf the optimizer does not own is left alone
 
 
 def test_adam_keeps_no_graph_after_its_step():
@@ -350,9 +345,9 @@ def test_conv2d_bits_match_reference_formula(k, stride, padding, dtype):
         xt, wt, bt = (dc.Tensor(a, requires_grad=True) for a in (x, w, b))
         out = dc.conv2d(xt, wt, bt, stride=stride, padding=padding)
         g = rng.standard_normal(out.data.shape).astype(dtype)
-        dc.tsum(dc.mul(out, dc.Tensor(g))).backward([xt, wt, bt])
+        grads = dc.tsum(dc.mul(out, dc.Tensor(g))).backward([xt, wt, bt])
         want = _conv2d_reference(x, w, b, g, stride, padding)
-        for got, ref in zip((out.data, xt.grad, wt.grad, bt.grad), want):
+        for got, ref in zip((out.data, *grads), want):
             assert got.dtype == ref.dtype and got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
 
@@ -376,13 +371,12 @@ def test_constant_operand_gradient_is_never_formed():
     loss = dc.tsum(out)
     tracemalloc.start()
     try:
-        loss.backward([x])
+        (gx,) = loss.backward([x])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert w.grad is None and out.grad is None and loss.grad is None
-    assert np.array_equal(x.grad, np.full((2000, 3), 4096.0, dtype=np.float32))
+    assert np.array_equal(gx, np.full((2000, 3), 4096.0, dtype=np.float32))
 
 
 def test_backward_forms_only_the_requested_gradients():
@@ -401,22 +395,17 @@ def test_backward_forms_only_the_requested_gradients():
         b = dc.tmean(dc.add(dc.matmul(b1, x), b2))
         return dc.add(dc.mul(a, b), a)
 
-    full = loss()
-    full.backward([a1, a2, b1, b2])
-    want = [a1.grad, a2.grad]
-    assert b1.grad is not None and b2.grad is not None
-    for t in (a1, a2, b1, b2):
-        t.grad = None
+    want = loss().backward([a1, a2, b1, b2])
+    assert want[2] is not None and want[3] is not None
     part = loss()
     tracemalloc.start()
     try:
-        part.backward([a1, a2])
+        got = part.backward([a1, a2])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert b1.grad is None and b2.grad is None
-    assert np.array_equal(a1.grad, want[0]) and np.array_equal(a2.grad, want[1])
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_python_number_keeps_a_float32_graph_float32():
@@ -486,7 +475,6 @@ def test_op_gradients_with_each_operand_constant(name, const):
     err = finite_diff_max_rel_error(params, lambda: dc.tsum(dc.mul(op(*operands), weight)),
                                     1e-4)
     assert err < 1e-5
-    assert all(t.grad is None for t in operands)
 
 
 # -- the flat Adam update and the one-pass backward against their old forms --
@@ -502,25 +490,24 @@ class _AdamReference:
         self.second_moment = [np.zeros_like(p.data) for p in self.params]
 
     def step(self, loss):
-        _backward_reference(loss, self.params)
+        grads = _backward_reference(loss, self.params)
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - BETA1 ** t
         bc2 = 1.0 - BETA2 ** t
         m, v = self.first_moment, self.second_moment
-        for i, p in enumerate(self.params):
-            g = p.grad
+        for i, (p, g) in enumerate(zip(self.params, grads)):
             m[i] = BETA1 * m[i] + (1.0 - BETA1) * g
             v[i] = BETA2 * v[i] + (1.0 - BETA2) * (g * g)
             m_hat = m[i] / bc1
             v_hat = v[i] / bc2
             p.data = p.data - (self.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)).astype(p.data.dtype)
-            p.grad = None
 
 
 def _backward_reference(loss, wrt):
     """`Tensor.backward` as it was: a DFS, then a forward pass marking the
-    nodes that reach `wrt`, then the reverse pass, all keyed on `id()`."""
+    nodes that reach `wrt`, then the reverse pass, all keyed on `id()`; each
+    gradient is a zeroed buffer plus the gradient that reaches its leaf."""
     wanted = {id(leaf) for leaf in wrt}
     topo = []
     seen = set()
@@ -541,15 +528,15 @@ def _backward_reference(loss, wrt):
     for node in topo:
         if any(id(operand) in reaches for operand, _ in node._vjps):
             reaches.add(id(node))
+    found = {}
     grads = {id(loss): np.ones_like(loss.data)}
     for node in reversed(topo):
         if id(node) not in reaches:
             continue
         g = grads.pop(id(node))
         if id(node) in wanted:
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
-            node.grad += g.astype(node.data.dtype, copy=False)
+            found[id(node)] = np.zeros_like(node.data)
+            found[id(node)] += g.astype(node.data.dtype, copy=False)
         for operand, vjp in node._vjps:
             if id(operand) not in reaches:
                 continue
@@ -559,6 +546,7 @@ def _backward_reference(loss, wrt):
                 grads[id(operand)] = pg if pg.base is None else np.array(pg)
             else:
                 grads[id(operand)] = np.add(acc, pg, out=np.empty_like(acc))
+    return [found.get(id(leaf)) for leaf in wrt]
 
 
 def _adam_model(dtype):
@@ -629,8 +617,7 @@ def test_backward_matches_reference_bits():
     w = dc.Tensor(rng.standard_normal((5, 3)).astype(np.float32), requires_grad=True)
     b = dc.Tensor(rng.standard_normal(3).astype(np.float32), requires_grad=True)
     out = dc.Tensor(rng.standard_normal((4, 3)).astype(np.float32), requires_grad=True)
-    out.grad = np.full((4, 3), 0.25, dtype=np.float32)    # a leaf outside `wrt`
-    # relu passes -1 * 0 = -0.0 to r's negative entries; r's .grad holds +0.0
+    # relu passes -1 * 0 = -0.0 to r's negative entries; r's gradient holds +0.0
     r = dc.Tensor(np.array([-1.0, 2.0, -3.0], dtype=np.float32), requires_grad=True)
 
     # h's gradient sums terms of 1e4 and 1 that cancel, so it depends on the
@@ -648,11 +635,7 @@ def test_backward_matches_reference_bits():
         return dc.add(dc.add(up, down), rest)
 
     wrt = [a, w, b, r]
-    loss().backward(wrt)
-    got = [t.grad for t in wrt]
-    for t in wrt:
-        t.grad = None
-    _backward_reference(loss(), wrt)
-    assert all(_same_bits(g, t.grad) for g, t in zip(got, wrt))
-    assert _same_bits(out.grad, np.full((4, 3), 0.25, dtype=np.float32))
-    assert _same_bits(r.grad, np.array([0.0, -1.0, 0.0], dtype=np.float32))
+    got = loss().backward(wrt)
+    want = _backward_reference(loss(), wrt)
+    assert all(_same_bits(g, ref) for g, ref in zip(got, want))
+    assert _same_bits(got[3], np.array([0.0, -1.0, 0.0], dtype=np.float32))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from subflow import rasterizer as ras
 from subflow import scene as sc
 from subflow import transfer as tr
+from subflow.diffcore import Tensor
 from subflow.diffcore.rng import named_stream
 from subflow.encoders import FeatureEncoders
 from subflow.errors import ShapeError
@@ -162,6 +163,18 @@ def test_decoder_refuses_rows_of_another_width():
         decoder.decode(np.zeros((2, 6), dtype=np.float32))
     with pytest.raises(ShapeError, match="rows of dim 4"):     # one vector is not rows
         decoder.decode(np.zeros(4, dtype=np.float32))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_decode_matches_forward_bits(dtype):
+    # scaled rows saturate some colors at 0 and 1: exp overflows to inf there
+    decoder = tr.DecoderNet(4, hidden=(8,), seed=0)
+    rows = (20.0 * named_stream(2, "decode-rows").standard_normal((37, 4))).astype(dtype)
+    with np.errstate(over="ignore"):
+        want = decoder.forward(Tensor(rows)).data
+        got = decoder.decode(rows)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def style_for(dim, seed=9):
