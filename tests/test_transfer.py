@@ -167,7 +167,7 @@ def test_decoder_refuses_rows_of_another_width():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_decode_matches_forward_bits(dtype):
-    # scaled rows saturate some colors at 0 and 1: exp overflows to inf there
+    # scaled rows saturate some float32 colors at 0 and 1; exp overflows to inf at 0
     decoder = tr.DecoderNet(4, hidden=(8,), seed=0)
     rows = (20.0 * named_stream(2, "decode-rows").standard_normal((37, 4))).astype(dtype)
     with np.errstate(over="ignore"):
