@@ -24,7 +24,7 @@ from . import rasterizer as ras
 from . import runtime
 from . import scene as sc
 from . import transfer as tr
-from .diffcore import dense_shapes
+from .diffcore import ConvNet, DenseNet, conv_shapes, dense_shapes
 from .diffcore.checkpoint import load_params, save_params
 from .encoders import (_CLIP_GRID, FeatureEncoders, FeatureSet, export_features,
                        import_features, procedural_texture)
@@ -218,16 +218,15 @@ def _load_distilled(path) -> sc.GaussianScene:
     return scene
 
 
-def _load_decoder(path, cfg) -> tr.DecoderNet:
+def _load_decoder(path, cfg) -> DenseNet:
     """The decoder checkpoint at `path`, whose shapes the config's `embed_dim`
     and `distill.hidden` set."""
-    hidden = (cfg["distill.hidden"],)
-    arrays = load_params(_require(path, "decoder checkpoint"),
-                         dense_shapes((cfg["embed_dim"], *hidden, 3)), "config")
-    return tr.DecoderNet(cfg["embed_dim"], hidden=hidden, params=arrays)
+    widths = tr.decoder_widths(cfg["embed_dim"], (cfg["distill.hidden"],))
+    arrays = load_params(_require(path, "decoder checkpoint"), dense_shapes(widths), "config")
+    return DenseNet(widths, "relu", params=arrays)
 
 
-def _load_styling(args, cfg) -> tuple[sc.GaussianScene, tr.DecoderNet, fa.FlowPipeline]:
+def _load_styling(args, cfg) -> tuple[sc.GaussianScene, DenseNet, fa.FlowPipeline]:
     """The distilled scene, its decoder and the pipeline that styles it. The
     decoder reads `embed_dim` channels, which must be the scene's embedding
     width. An aligned style row splits into a mean and a spread per embedding
@@ -253,13 +252,12 @@ def _style_stats(pipe: fa.FlowPipeline, fs: FeatureSet) -> tr.StyleStats:
     return tr.stats_from_feature(pipe.align(fs.vectors).mean(axis=0))
 
 
-def _decoder2d(cfg, encoders, out_dir: Path) -> ls.Decoder2D:
+def _decoder2d(cfg, encoders, out_dir: Path) -> ConvNet:
     """Train (or reload) the 2D generator decoder for this encoder seed."""
     ck = out_dir / f"decoder2d_seed{cfg['seed']}.prms"
     if ck.exists():
-        channels = encoders.tap_widths[ls.GENERATOR_TAP]
-        arrays = load_params(ck, ls.Decoder2D.shapes(channels), "2D decoder")
-        return ls.Decoder2D(channels, params=arrays)
+        layers = ls.decoder2d_layers(encoders.tap_widths[ls.GENERATOR_TAP])
+        return ConvNet(layers, params=load_params(ck, conv_shapes(layers), "2D decoder"))
     dec = ls.train_decoder2d(encoders, corpus=cfg["gen2d.corpus"], steps=cfg["gen2d.steps"],
                              seed=cfg["seed"], size=cfg["camera.width"])
     save_params(ck, dec.parameters())
@@ -498,6 +496,9 @@ def main(argv=None) -> int:
         return 3
     except (SubflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:     # a view or a scene too large for this machine
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,8 +1,13 @@
-"""Small trainable network builders: dense stacks and conv layers.
+"""The two trainable network types: `DenseNet` over rows and `ConvNet` over
+(C, H, W) images. Every net of the pipeline is one of them: the color
+decoder, the mapping and the velocity fields are `DenseNet`s; the encoders'
+two frozen stacks, the 2D prior and the discriminator are `ConvNet`s.
 
-A builder's shape arguments plus its seed and name fully determine the
+A net's shape arguments plus its seed and layer names fully determine the
 initial parameters (Glorot-uniform from the named counter-based streams).
-A net given its parameter arrays (a checkpoint) draws none.
+A net given its parameter arrays (a checkpoint) draws none. Both hold
+`weights` and `biases` lists, and `parameters()` returns them interleaved
+as w, b, w, b, ... (the checkpoint order).
 """
 
 from __future__ import annotations
@@ -15,6 +20,9 @@ from ..errors import ShapeError
 from . import tensor as T
 from .rng import glorot_uniform
 from .tensor import Tensor, _finite_or_raise
+
+# one conv layer: (name, cin, cout, k, stride, padding)
+ConvSpec = tuple[str, int, int, int, int, int]
 
 # name -> (tape op, the same expression on arrays)
 _ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
@@ -64,11 +72,7 @@ class DenseNet:
             self.biases.append(Tensor(b, requires_grad=True))
 
     def parameters(self) -> list[Tensor]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
 
     def _check_rows(self, rows: np.ndarray) -> None:
         if rows.ndim != 2 or rows.shape[1] != self.in_width:
@@ -118,31 +122,43 @@ class DenseNet:
         return self.evaluator(rows.dtype)(rows)
 
 
-def conv_shapes(cin: int, cout: int, k: int) -> list[tuple[int, ...]]:
-    """Parameter shapes of a `Conv2dLayer`, in `parameters()` order."""
-    return [(cout, cin, k, k), (cout,)]
+def conv_shapes(layers: Sequence[ConvSpec]) -> list[tuple[int, ...]]:
+    """Parameter shapes of a `ConvNet` of `layers`, in `parameters()` order."""
+    return [s for _, cin, cout, k, _, _ in layers for s in ((cout, cin, k, k), (cout,))]
 
 
-class Conv2dLayer:
-    """Single conv layer over (C, H, W) images. `params`, arrays of the shapes
-    `conv_shapes(cin, cout, k)` (checked by the caller), stand in for the
-    Glorot init."""
+class ConvNet:
+    """Conv stack over (C, H, W) images, one `(name, cin, cout, k, stride,
+    padding)` per layer. Each layer's Glorot init is drawn from the stream
+    `"{name}.w"`; `params`, arrays of the shapes `conv_shapes(layers)`
+    (checked by the caller, who knows their file), stand in for it."""
 
-    def __init__(self, cin: int, cout: int, k: int, stride: int = 1, padding: int = 0,
-                 seed: int = 0, name: str = "conv", params: Sequence[np.ndarray] | None = None):
-        if params is None:
-            w_shape, b_shape = conv_shapes(cin, cout, k)
-            w = glorot_uniform(seed, f"{name}.w", cin * k * k, cout * k * k, w_shape)
-            b = np.zeros(b_shape, dtype=np.float32)
-        else:
-            w, b = params
-        self.weight = Tensor(w, requires_grad=True)
-        self.bias = Tensor(b, requires_grad=True)
-        self.stride = stride
-        self.padding = padding
+    def __init__(self, layers: Sequence[ConvSpec], seed: int = 0,
+                 params: Sequence[np.ndarray] | None = None):
+        self.layers = tuple(layers)
+        self.weights: list[Tensor] = []
+        self.biases: list[Tensor] = []
+        for i, (name, cin, cout, k, _, _) in enumerate(self.layers):
+            if params is None:
+                w = glorot_uniform(seed, f"{name}.w", cin * k * k, cout * k * k,
+                                   (cout, cin, k, k))
+                b = np.zeros(cout, dtype=np.float32)
+            else:
+                w, b = params[2 * i], params[2 * i + 1]
+            self.weights.append(Tensor(w, requires_grad=True))
+            self.biases.append(Tensor(b, requires_grad=True))
 
-    def parameters(self) -> list[Tensor]:
-        return [self.weight, self.bias]
+    parameters = DenseNet.parameters     # w, b, w, b, ...
 
-    def __call__(self, x) -> Tensor:
-        return T.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
+    def outputs(self, x) -> list[Tensor]:
+        """Each layer's output, with relu after every layer but the last."""
+        h = T.as_tensor(x)
+        outs = []
+        last = len(self.layers) - 1
+        for i, ((*_, stride, padding), w, b) in enumerate(
+                zip(self.layers, self.weights, self.biases)):
+            h = T.conv2d(h, w, b, stride=stride, padding=padding)
+            if i != last:
+                h = T.relu(h)
+            outs.append(h)
+        return outs

@@ -225,7 +225,8 @@ def tanh(a: Arrayish) -> Tensor:
 
 def sigmoid(a: Arrayish) -> Tensor:
     a = as_tensor(a)
-    data = 1.0 / (1.0 + np.exp(-a.data))
+    with _quiet():
+        data = 1.0 / (1.0 + np.exp(-a.data))
     return _make("sigmoid", data, (a, lambda g: g * data * (1.0 - data)))
 
 

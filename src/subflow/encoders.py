@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from . import binfile
-from .diffcore import Conv2dLayer, Tensor
+from .diffcore import ConvNet, Tensor
 from .diffcore import tensor as dt
 from .diffcore.rng import named_stream
 from .errors import NumericsError, ShapeError
@@ -95,11 +95,10 @@ def _rows(raw, images) -> np.ndarray:
     return np.stack([raw(img) for img in images])
 
 
-def _frozen(*layers: Conv2dLayer) -> list[Conv2dLayer]:
-    for layer in layers:
-        for p in layer.parameters():
-            p.requires_grad = False
-    return list(layers)
+def _frozen(net: ConvNet) -> ConvNet:
+    for p in net.parameters():
+        p.requires_grad = False
+    return net
 
 
 def procedural_texture(seed: int, index: int, size: int = 64) -> np.ndarray:
@@ -128,9 +127,9 @@ class FeatureEncoders:
     blocks halve resolution with 2x2 valid convolutions, which keeps constant
     images exactly constant at every tap.
 
-    Construction builds nothing. Each domain builds its layers and
-    projections on first use (`vgg_layers` and `_vgg_proj`; `_clip_proj`,
-    `clip_refine` and `_clip_refine_proj`); text encoding reads none of
+    Construction builds nothing. Each domain builds its conv stack and
+    projections on first use (`vgg_net` and `_vgg_proj`; `_clip_proj`,
+    `clip_refine_net` and `_clip_refine_proj`); text encoding reads none of
     them. The CLIP-like domain (`_clip_center`, `text_norm`) calibrates on
     its first encode, the VGG-like domain (`_vgg_center`) on its first
     `encode_vgg_like`, each from the weights at that moment. `train-flow`
@@ -149,15 +148,15 @@ class FeatureEncoders:
         if clip_calibration is not None:
             self.clip_calibration = clip_calibration
 
-    # -- frozen layers and projections, one domain at a time --------------------------
+    # -- frozen conv stacks and projections, one domain at a time ----------------------
 
     @cached_property
-    def vgg_layers(self) -> list[Conv2dLayer]:
-        w, seed = self.tap_widths, self.seed
-        return _frozen(Conv2dLayer(3, w[0], k=1, stride=1, seed=seed, name="vgg.b0"),
-                       Conv2dLayer(w[0], w[1], k=2, stride=2, seed=seed, name="vgg.b1"),
-                       Conv2dLayer(w[1], w[2], k=2, stride=2, seed=seed, name="vgg.b2"),
-                       Conv2dLayer(w[2], w[3], k=2, stride=2, seed=seed, name="vgg.b3"))
+    def vgg_net(self) -> ConvNet:
+        w = self.tap_widths
+        return _frozen(ConvNet((("vgg.b0", 3, w[0], 1, 1, 0),
+                                ("vgg.b1", w[0], w[1], 2, 2, 0),
+                                ("vgg.b2", w[1], w[2], 2, 2, 0),
+                                ("vgg.b3", w[2], w[3], 2, 2, 0)), self.seed))
 
     @cached_property
     def _vgg_proj(self) -> np.ndarray:
@@ -174,9 +173,9 @@ class FeatureEncoders:
                 ).astype(np.float32)
 
     @cached_property
-    def clip_refine(self) -> list[Conv2dLayer]:
-        return _frozen(Conv2dLayer(3, 8, k=2, stride=2, seed=self.seed, name="clip.r0"),
-                       Conv2dLayer(8, 16, k=2, stride=2, seed=self.seed, name="clip.r1"))
+    def clip_refine_net(self) -> ConvNet:
+        return _frozen(ConvNet((("clip.r0", 3, 8, 2, 2, 0), ("clip.r1", 8, 16, 2, 2, 0)),
+                               self.seed))
 
     @cached_property
     def _clip_refine_proj(self) -> np.ndarray:
@@ -213,13 +212,10 @@ class FeatureEncoders:
     # -- style (VGG-like) domain ------------------------------------------------
 
     def tap_features(self, image) -> list[Tensor]:
-        """All tap feature maps (Tensor path; differentiable w.r.t. the image)."""
-        h = _chw(image)
-        taps = []
-        for layer in self.vgg_layers:
-            h = dt.relu(layer(h))
-            taps.append(h)
-        return taps
+        """All tap feature maps, each layer's output through relu (Tensor path;
+        differentiable w.r.t. the image)."""
+        *hidden, last = self.vgg_net.outputs(_chw(image))
+        return [*hidden, dt.relu(last)]
 
     def tap_stats(self, image) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-tap channel (mean, population std) over spatial positions."""
@@ -249,9 +245,7 @@ class FeatureEncoders:
         return img.reshape(_CLIP_GRID, bh, _CLIP_GRID, bw, 3).mean(axis=(1, 3))
 
     def _clip_refine_vec(self, image: np.ndarray) -> np.ndarray:
-        h = _chw(image)
-        for layer in self.clip_refine:
-            h = dt.relu(layer(h))
+        h = dt.relu(self.clip_refine_net.outputs(_chw(image))[-1])
         pooled = h.data.reshape(h.data.shape[0], -1).mean(axis=1)
         return self._clip_refine_proj @ np.tanh(pooled)
 

@@ -24,15 +24,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .diffcore import Adam, Conv2dLayer, Tensor, conv_shapes
+from .diffcore import Adam, ConvNet, DenseNet, Tensor
 from .diffcore import tensor as dt
+from .diffcore.nets import ConvSpec
 from .diffcore.rng import named_stream
 from .encoders import FeatureEncoders, _chw, procedural_texture
 from .errors import ShapeError
 from .rasterizer import TileWeights
 from .rasterizer import attribute_weights, render  # noqa: F401  wrapped by perfbench
 from .scene import GaussianScene
-from .transfer import DecoderNet, StyleStats, adain
+from .transfer import StyleStats, adain
 
 LOG_CLAMP = 1e-7
 GENERATOR_TAP = 1   # AdaIN space of the 2D prior: second tap (half resolution)
@@ -107,41 +108,22 @@ def observation_loss(i_g, i_f, encoders: FeatureEncoders) -> Tensor:
 
 # -- 2D generator prior -------------------------------------------------------------
 
-class Decoder2D:
-    """Upsampling conv decoder from tap-1 feature maps back to an RGB image.
-    `params`, arrays of the shapes `Decoder2D.shapes(channels)` (checked by
-    the caller, who knows their file), stand in for the Glorot init."""
+def decoder2d_layers(channels: int) -> tuple[ConvSpec, ...]:
+    """The 2D prior's conv stack, from tap-`GENERATOR_TAP` feature maps of
+    `channels` channels (upsampled 2x) back to RGB."""
+    return (("dec2d.c1", channels, channels, 3, 1, 1), ("dec2d.c2", channels, 3, 3, 1, 1))
 
-    def __init__(self, channels: int = 16, seed: int = 0,
-                 params: Sequence[np.ndarray] | None = None):
-        c1, c2 = (None, None) if params is None else (params[:2], params[2:])
-        self.conv1 = Conv2dLayer(channels, channels, k=3, stride=1, padding=1,
-                                 seed=seed, name="dec2d.c1", params=c1)
-        self.conv2 = Conv2dLayer(channels, 3, k=3, stride=1, padding=1,
-                                 seed=seed, name="dec2d.c2", params=c2)
 
-    @staticmethod
-    def shapes(channels: int) -> list[tuple[int, ...]]:
-        """Parameter shapes of a `Decoder2D` over `channels`, in `parameters()` order."""
-        return conv_shapes(channels, channels, 3) + conv_shapes(channels, 3, 3)
-
-    def parameters(self):
-        return self.conv1.parameters() + self.conv2.parameters()
-
-    def forward(self, feats: Tensor) -> Tensor:
-        h = dt.upsample2x(feats)
-        h = dt.relu(self.conv1(h))
-        return dt.sigmoid(self.conv2(h))
-
-    def decode(self, feats: np.ndarray) -> np.ndarray:
-        out = self.forward(Tensor(feats)).data
-        return np.transpose(out, (1, 2, 0))
+def prior_image(net: ConvNet, feats) -> Tensor:
+    """The 2D prior's (3, H, W) image of (C, H/2, W/2) feature maps, in [0, 1]."""
+    return dt.sigmoid(net.outputs(dt.upsample2x(feats))[-1])
 
 
 def train_decoder2d(encoders: FeatureEncoders, corpus: int = 200, steps: int = 2000,
-                    seed: int = 0, size: int = 64) -> Decoder2D:
-    """Pre-train the 2D decoder by reconstruction on procedural textures."""
-    dec = Decoder2D(channels=encoders.tap_widths[GENERATOR_TAP], seed=seed)
+                    seed: int = 0, size: int = 64) -> ConvNet:
+    """Pre-train the 2D prior's net of `decoder2d_layers` by reconstruction on
+    procedural textures."""
+    dec = ConvNet(decoder2d_layers(encoders.tap_widths[GENERATOR_TAP]), seed)
     feats = []
     targets = []
     for i in range(corpus):
@@ -152,54 +134,40 @@ def train_decoder2d(encoders: FeatureEncoders, corpus: int = 200, steps: int = 2
     g = named_stream(seed, "decoder2d.batches")
     for _ in range(steps):
         i = int(g.integers(0, corpus))
-        opt.step(dt.mse(dec.forward(Tensor(feats[i])), Tensor(targets[i])))
+        opt.step(dt.mse(prior_image(dec, Tensor(feats[i])), Tensor(targets[i])))
     return dec
 
 
 def generator_2d(content_img: np.ndarray, style_stats: tuple[np.ndarray, np.ndarray],
-                 encoders: FeatureEncoders, decoder2d: Decoder2D) -> np.ndarray:
+                 encoders: FeatureEncoders, decoder2d: ConvNet) -> np.ndarray:
     """2D AdaIN prior: re-normalize content tap features to the style image's
-    channel (mean, std) at `GENERATOR_TAP`, `style_stats`, and decode.
-    Deterministic given the trained decoder."""
+    channel (mean, std) at `GENERATOR_TAP`, `style_stats`, and decode them to
+    an (H, W, 3) image. Deterministic given the trained decoder."""
     f = encoders.tap_features(content_img)[GENERATOR_TAP].data
     mu_s, sigma_s = style_stats
     c = f.shape[0]
     flat = f.reshape(c, -1).T                       # (HW, C): rows are positions
     moved = adain(flat, StyleStats(mu_s, sigma_s)).values
     f_hat = moved.T.reshape(f.shape)
-    return decoder2d.decode(f_hat)
+    return np.transpose(prior_image(decoder2d, Tensor(f_hat)).data, (1, 2, 0))
 
 
 # -- suppression: multi-scale discriminator -----------------------------------------------
 
-class DiscriminatorNet:
+class DiscriminatorNet(ConvNet):
     """Shared conv stack scored at several image scales (sigmoid scalars)."""
 
     def __init__(self, seed: int = 0):
         w = DISC_WIDTH
-        self.layers = [
-            Conv2dLayer(3, w, k=3, stride=2, padding=1, seed=seed, name="disc.c0"),
-            Conv2dLayer(w, w, k=3, stride=2, padding=1, seed=seed, name="disc.c1"),
-            Conv2dLayer(w, 1, k=3, stride=1, padding=1, seed=seed, name="disc.c2"),
-        ]
-
-    def parameters(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.parameters())
-        return out
+        super().__init__((("disc.c0", 3, w, 3, 2, 1), ("disc.c1", w, w, 3, 2, 1),
+                          ("disc.c2", w, 1, 3, 1, 1)), seed)
 
     def score_scales(self, image) -> list[Tensor]:
         """One sigmoid scalar per scale, strictly inside (0, 1)."""
         h = _chw(image)
         scores = []
         for s in range(DISC_SCALES):
-            f = h
-            for i, layer in enumerate(self.layers):
-                f = layer(f)
-                if i < len(self.layers) - 1:
-                    f = dt.relu(f)
-            scores.append(dt.sigmoid(dt.tmean(f)))
+            scores.append(dt.sigmoid(dt.tmean(self.outputs(h)[-1])))
             if s < DISC_SCALES - 1:
                 h = dt.avg_pool2d(h)
         return scores
@@ -233,9 +201,9 @@ LOG_COLUMNS = ("step", "content", "style", "obs", "sup_disc", "sup_gen", "total"
 
 
 def train_stylization(scene: GaussianScene, views: Sequence[TileWeights],
-                      style_img: np.ndarray, style: StyleStats, decoder: DecoderNet,
+                      style_img: np.ndarray, style: StyleStats, decoder: DenseNet,
                       encoders: FeatureEncoders, weights: LossWeights,
-                      steps: int, decoder2d: Decoder2D | None, seed: int = 0,
+                      steps: int, decoder2d: ConvNet | None, seed: int = 0,
                       lr: float = 1e-3):
     """Alternating decoder/discriminator updates on rendered views.
 
@@ -274,7 +242,7 @@ def train_stylization(scene: GaussianScene, views: Sequence[TileWeights],
 
     for step in range(steps):
         blocks, content_rgb, i_g = cam_data[int(g.integers(0, len(cam_data)))]
-        colors = decoder.forward(moved)                       # (N, 3)
+        colors = dt.sigmoid(decoder(moved))                   # (N, 3)
         i_f = dt.reshape(dt.transpose(dt.tile_matmul(blocks, h * w, colors)), (3, h, w))
 
         c_loss = content_loss(i_f, content_rgb, encoders)

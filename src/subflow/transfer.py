@@ -3,8 +3,10 @@
 The scene carries a frozen color embedding per Gaussian. Styling is a pure
 statistics transfer: embeddings are re-normalized channel-wise (AdaIN) to
 match the target style statistics and decoded back to RGB by a small shared
-net. Geometry, opacity, and the embeddings themselves never change, so any
-two views of a stylized scene differ only by rasterization.
+net, the decoder: a relu `DenseNet` of `decoder_widths`, read through a
+sigmoid (`decode` on arrays, `dt.sigmoid(decoder(x))` on the tape).
+Geometry, opacity, and the embeddings themselves never change, so any two
+views of a stylized scene differ only by rasterization.
 
 Style statistics live in the embedding dimension. A style-domain vector
 (twice that length) yields them by the split convention: first half is the
@@ -14,7 +16,7 @@ mean, softplus of the second half is the (floored) standard deviation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -86,24 +88,15 @@ def stats_from_feature(x: np.ndarray) -> StyleStats:
     return StyleStats(vec[:half], sigma)
 
 
-class DecoderNet:
-    """Shared per-Gaussian decoder: embedding rows -> RGB in [0,1] via sigmoid.
-    `forward` is taped for training, `decode` evaluates arrays. `params` are a
-    checkpoint's arrays, as `DenseNet` takes them."""
+def decoder_widths(embed_dim: int, hidden: tuple[int, ...]) -> tuple[int, ...]:
+    """Widths of the decoder, a relu `DenseNet` from embedding rows to RGB logits."""
+    return (embed_dim, *hidden, 3)
 
-    def __init__(self, embed_dim: int, hidden: tuple[int, ...] = (64,), seed: int = 0,
-                 params: Sequence[np.ndarray] | None = None):
-        self.net = DenseNet((embed_dim, *hidden, 3), "relu", seed, name="decoder",
-                            params=params)
 
-    def parameters(self):
-        return self.net.parameters()
-
-    def forward(self, embeddings) -> Tensor:
-        return dt.sigmoid(self.net(embeddings))
-
-    def decode(self, embeddings: np.ndarray) -> np.ndarray:
-        return dt.sigmoid(self.net.infer(embeddings)).data
+def decode(decoder: DenseNet, rows: np.ndarray) -> np.ndarray:
+    """RGB in [0, 1] of embedding rows, off the tape: `dt.sigmoid(decoder(rows))`,
+    bit for bit."""
+    return dt.sigmoid(decoder.infer(rows)).data
 
 
 @dataclass
@@ -151,7 +144,7 @@ def distill_embeddings(scene: GaussianScene, views: Iterable[TileWeights],
     """
     d = scene.embed_dim
     embed = Tensor(initial_embeddings(scene.colors, d), requires_grad=True)
-    decoder = DecoderNet(d, hidden=decoder_hidden, seed=seed)
+    decoder = DenseNet(decoder_widths(d, decoder_hidden), "relu", seed, name="decoder")
     colors_t = Tensor(scene.colors)
 
     proj = named_stream(seed, "distill.tap_proj").standard_normal(
@@ -167,7 +160,7 @@ def distill_embeddings(scene: GaussianScene, views: Iterable[TileWeights],
     proj_first = proj_last = float("nan")
     for step in range(steps):
         pick = cam_data[int(g.integers(0, len(cam_data)))]
-        loss = dt.mse(decoder.forward(embed), colors_t)
+        loss = dt.mse(dt.sigmoid(decoder(embed)), colors_t)
         if pick is not None:
             blocks, target = pick
             loss_b = dt.mse(dt.tile_matmul(blocks, target.data.shape[0], embed), target)
@@ -178,7 +171,7 @@ def distill_embeddings(scene: GaussianScene, views: Iterable[TileWeights],
         opt.step(loss)
 
     final_embed = embed.data.copy()
-    recon_mse = float(((decoder.decode(final_embed) - scene.colors) ** 2).mean())
+    recon_mse = float(((decode(decoder, final_embed) - scene.colors) ** 2).mean())
     report = DistillReport(reconstruction_mse=recon_mse,
                            projection_mse_first=proj_first,
                            projection_mse_last=proj_last)
@@ -186,8 +179,8 @@ def distill_embeddings(scene: GaussianScene, views: Iterable[TileWeights],
 
 
 def stylize_scene(scene: GaussianScene, style: StyleStats,
-                  decoder: DecoderNet) -> GaussianScene:
+                  decoder: DenseNet) -> GaussianScene:
     """Replace colors by decode(adain(embeddings)); geometry is untouched."""
     transferred = adain(scene.embeddings, style)
-    colors = decoder.decode(transferred.values)
+    colors = decode(decoder, transferred.values)
     return scene.with_colors(colors)

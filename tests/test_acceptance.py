@@ -17,7 +17,7 @@ from subflow import metrics as mt
 from subflow import rasterizer as ras
 from subflow import scene as sc
 from subflow import transfer as tr
-from subflow.diffcore import DenseNet, Tensor
+from subflow.diffcore import ConvNet, DenseNet, Tensor
 from subflow.diffcore import tensor as dt
 from subflow.diffcore.rng import named_stream
 from subflow.encoders import FeatureEncoders
@@ -35,22 +35,23 @@ def check(name: str, condition: bool, detail: str) -> None:
 # -- 1. autodiff gradient checks on every architecture ------------------------------
 
 
-def _pin_away_from_kinks(conv_layers, magnitude=0.8, weight_scale=0.3):
+def _pin_away_from_kinks(net, count, magnitude=0.8, weight_scale=0.3):
     """Central differences are only valid where the relu pattern is locally
-    constant; push every preactivation away from 0 by a margin much larger
-    than any h-induced shift (mixed signs keep both relu branches active)."""
-    for layer in conv_layers:
-        b = layer.bias.data
-        signs = np.where(np.arange(b.size) % 2 == 0, 1.0, -1.0)
-        layer.bias.data = (magnitude * signs).astype(np.float32)
-        layer.weight.data = (weight_scale * layer.weight.data).astype(np.float32)
+    constant; push every preactivation of the first `count` conv layers of
+    `net` (those a relu follows) away from 0 by a margin much larger than any
+    h-induced shift (mixed signs keep both relu branches active)."""
+    for w, b in list(zip(net.weights, net.biases))[:count]:
+        signs = np.where(np.arange(b.data.size) % 2 == 0, 1.0, -1.0)
+        b.data = (magnitude * signs).astype(np.float32)
+        w.data = (weight_scale * w.data).astype(np.float32)
 
 
-def _conv_stack_preact_margin(layers, x_chw):
+def _conv_stack_preact_margin(net, count, x_chw):
+    """The smallest |preactivation| of the first `count` conv layers of `net`."""
     h = Tensor(np.asarray(x_chw, dtype=np.float32))
     margin = np.inf
-    for layer in layers:
-        h = layer(h)
+    for (*_, stride, padding), w, b in list(zip(net.layers, net.weights, net.biases))[:count]:
+        h = dt.conv2d(h, w, b, stride=stride, padding=padding)
         margin = min(margin, float(np.abs(h.data).min()))
         h = dt.relu(h)
     return margin
@@ -89,18 +90,18 @@ def test_ac01_autodiff_finite_difference_all_architectures():
     xv = named_stream(1, "ac1.vel").standard_normal((4, 6 + fa.TIME_FEATURES))
     worst["velocity"] = finite_diff_check(field, xv, 1e-3)
 
-    dec = tr.DecoderNet(8, hidden=(12,), seed=5)
-    pin_dense(dec.net, weight_scale=0.15)
+    dec = DenseNet(tr.decoder_widths(8, (12,)), "relu", 5, name="decoder")
+    pin_dense(dec, weight_scale=0.15)
     xd = named_stream(1, "ac1.dec").standard_normal((4, 8))
-    margins["decoder"] = _dense_preact_margin(dec.net, xd)
+    margins["decoder"] = _dense_preact_margin(dec, xd)
     worst["decoder"] = finite_diff_max_rel_error(
-        dec.parameters(), lambda: dt.tsum(dec.forward(Tensor(xd))), 1e-3)
+        dec.parameters(), lambda: dt.tsum(dt.sigmoid(dec(Tensor(xd)))), 1e-3)
 
     disc = ls.DiscriminatorNet(seed=6)
-    _pin_away_from_kinks(disc.layers[:2])
+    _pin_away_from_kinks(disc, 2)
     img = named_stream(1, "ac1.disc").uniform(0, 1, size=(16, 16, 3))
     img_chw = np.transpose(img, (2, 0, 1))
-    margins["discriminator"] = _conv_stack_preact_margin(disc.layers[:2], img_chw)
+    margins["discriminator"] = _conv_stack_preact_margin(disc, 2, img_chw)
 
     def disc_loss():
         scores = disc.score_scales(img)
@@ -108,35 +109,29 @@ def test_ac01_autodiff_finite_difference_all_architectures():
     worst["discriminator"] = finite_diff_max_rel_error(disc.parameters(), disc_loss, 1e-3)
 
     enc = FeatureEncoders(seed=7)
-    for layer in enc.vgg_layers + enc.clip_refine:      # the encoders are frozen
-        for p in layer.parameters():
-            p.requires_grad = True
-    _pin_away_from_kinks(enc.vgg_layers)
-    _pin_away_from_kinks(enc.clip_refine)
+    vgg, clip = enc.vgg_net, enc.clip_refine_net
+    for p in vgg.parameters() + clip.parameters():      # the encoders are frozen
+        p.requires_grad = True
+    _pin_away_from_kinks(vgg, 4)        # a relu follows every encoder layer
+    _pin_away_from_kinks(clip, 2)
     img8 = named_stream(1, "ac1.enc").uniform(0, 1, size=(8, 8, 3))
     img8_chw = np.transpose(img8, (2, 0, 1))
-    margins["encoder_vgg"] = _conv_stack_preact_margin(enc.vgg_layers, img8_chw)
-    vgg_params = [p for layer in enc.vgg_layers for p in layer.parameters()]
+    margins["encoder_vgg"] = _conv_stack_preact_margin(vgg, 4, img8_chw)
     worst["encoder_vgg"] = finite_diff_max_rel_error(
-        vgg_params, lambda: dt.tsum(enc.tap_features(img8)[-1]), 1e-3)
+        vgg.parameters(), lambda: dt.tsum(enc.tap_features(img8)[-1]), 1e-3)
 
-    margins["encoder_clip"] = _conv_stack_preact_margin(enc.clip_refine, img8_chw)
-    clip_params = [p for layer in enc.clip_refine for p in layer.parameters()]
+    margins["encoder_clip"] = _conv_stack_preact_margin(clip, 2, img8_chw)
+    worst["encoder_clip"] = finite_diff_max_rel_error(
+        clip.parameters(),
+        lambda: dt.tsum(dt.relu(clip.outputs(Tensor(img8_chw.astype(np.float32)))[-1])), 1e-3)
 
-    def clip_loss():
-        h = Tensor(img8_chw.astype(np.float32))
-        for layer in enc.clip_refine:
-            h = dt.relu(layer(h))
-        return dt.tsum(h)
-    worst["encoder_clip"] = finite_diff_max_rel_error(clip_params, clip_loss, 1e-3)
-
-    dec2d = ls.Decoder2D(channels=8, seed=8)
-    _pin_away_from_kinks([dec2d.conv1], magnitude=1.0, weight_scale=0.08)
+    dec2d = ConvNet(ls.decoder2d_layers(8), seed=8)
+    _pin_away_from_kinks(dec2d, 1, magnitude=1.0, weight_scale=0.08)
     feats = named_stream(1, "ac1.dec2d").standard_normal((8, 6, 6))
     margins["decoder2d"] = _conv_stack_preact_margin(
-        [dec2d.conv1], dt.upsample2x(Tensor(feats.astype(np.float32))).data)
+        dec2d, 1, dt.upsample2x(Tensor(feats.astype(np.float32))).data)
     worst["decoder2d"] = finite_diff_max_rel_error(
-        dec2d.parameters(), lambda: dt.tsum(dec2d.forward(Tensor(feats))), 1e-3)
+        dec2d.parameters(), lambda: dt.tsum(ls.prior_image(dec2d, Tensor(feats))), 1e-3)
 
     thin = {k: v for k, v in margins.items() if v < 0.03}
     assert not thin, f"gradcheck points sit too close to relu kinks: {thin}"

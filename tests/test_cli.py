@@ -570,13 +570,13 @@ def test_stylize_empty_source_flag_is_given(pipeline_artifacts, tmp_path, capsys
 
 def test_train_style_misshaped_decoder2d_names_file(pipeline_artifacts, tmp_path, capsys):
     # a prior over other tap widths, left in --out, is refused before training
-    from subflow.diffcore import save_params
-    from subflow.losses import Decoder2D
+    from subflow.diffcore import ConvNet, save_params
+    from subflow.losses import decoder2d_layers
     root = pipeline_artifacts
     out = tmp_path / "styled"
     out.mkdir()
     bad = out / "decoder2d_seed0.prms"
-    save_params(bad, Decoder2D(channels=5).parameters())
+    save_params(bad, ConvNet(decoder2d_layers(5)).parameters())
     assert run("train-style", "--config", root / "small.cfg", "--scene", root / "sd.gscn",
                "--decoder", root / "dec.prms", "--pipeline", root / "pipe", "--out", out) == 2
     assert str(bad) in capsys.readouterr().err
@@ -1160,10 +1160,10 @@ def test_input_that_does_not_fit_names_file(pipeline_artifacts, tmp_path, capsys
         # the D=32 scene against a decoder that reads embed_dim = 64 channels
         config = tmp_path / "wide.cfg"
         config.write_text(SMALL_CFG + "embed_dim = 64\n")
-        from subflow.diffcore import save_params
-        from subflow.transfer import DecoderNet
+        from subflow.diffcore import DenseNet, save_params
+        from subflow.transfer import decoder_widths
         named = [root / "sd.gscn", tmp_path / "dec64.prms", "'embed_dim'"]
-        save_params(named[1], DecoderNet(64, hidden=(64,), seed=0).parameters())
+        save_params(named[1], DenseNet(decoder_widths(64, (64,)), name="decoder").parameters())
         argv = ["stylize", "--text", "wide"] if case.startswith("stylize") else ["train-style"]
         argv += ["--decoder", named[1]] + styled
     else:
@@ -1241,3 +1241,19 @@ def test_non_finite_elevation_exits_2(small_cfg, tmp_path, capsys, value):
     line = SMALL_CFG.count("\n") + 1
     assert f"{path} line {line}:" in err and "'camera.elevation'" in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["render", "embed"])
+def test_view_too_large_for_memory_exits_2(small_cfg, tmp_path, capsys, command):
+    # numpy refuses the 107 PiB image of a 99999992-pixel square view before
+    # allocating any of it; the refusal is one error line, not a traceback
+    scene = tmp_path / "s.gscn"
+    assert run("gen-scene", "--config", small_cfg, "--out", scene) == 0
+    path = tmp_path / "big.cfg"
+    path.write_text(SMALL_CFG + "camera.width = 99999992\ncamera.height = 99999992\n")
+    argv = {"render": ["--out", tmp_path / "views"],
+            "embed": ["--out-scene", tmp_path / "sd.gscn", "--out-decoder", tmp_path / "d.prms"]}
+    capsys.readouterr()
+    assert run(command, "--config", path, "--scene", scene, *argv[command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1, err

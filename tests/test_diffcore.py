@@ -20,6 +20,13 @@ def test_relu_definition():
     assert np.array_equal(out.data, [0.0, 0.0, 2.0])
 
 
+def test_sigmoid_saturates_without_a_warning():
+    # exp(100) overflows float32 to inf on the way to a correct 0
+    with np.errstate(all="raise"):
+        out = dc.sigmoid(dc.Tensor(np.float32([-100.0, 0.0])))
+    assert out.data.dtype == np.float32 and np.array_equal(out.data, [0.0, 0.5])
+
+
 def test_conv2d_all_ones_no_padding():
     out = dc.conv2d(dc.Tensor(np.ones((1, 3, 3))), dc.Tensor(np.ones((1, 1, 3, 3))),
                     dc.Tensor(np.zeros(1)))
@@ -144,29 +151,45 @@ def test_dense_infer_names_overflowing_op(activation, layer, weight, bias, x, op
 
 
 def test_conv_stack_gradients_match_finite_differences():
-    layers = [
-        dc.Conv2dLayer(2, 3, 3, stride=2, padding=1, seed=9, name="c0"),
-        dc.Conv2dLayer(3, 2, 2, stride=1, padding=0, seed=9, name="c1"),
-    ]
+    net = dc.ConvNet((("c0", 2, 3, 3, 2, 1), ("c1", 3, 2, 2, 1, 0)), seed=9)
     x = dc.Tensor(dc.named_stream(2, "gc-conv").uniform(0.1, 1.0, size=(2, 6, 6)))
-    params = layers[0].parameters() + layers[1].parameters()
-    loss_fn = lambda: dc.tsum(dc.relu(layers[1](dc.relu(layers[0](x)))))
-    assert finite_diff_max_rel_error(params, loss_fn, 1e-3) < 1e-3
+    loss_fn = lambda: dc.tsum(dc.relu(net.outputs(x)[-1]))
+    assert finite_diff_max_rel_error(net.parameters(), loss_fn, 1e-3) < 1e-3
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_net_outputs_equal_the_written_out_loop(dtype):
+    # the stack's one forward is conv2d then relu per layer, relu skipped on
+    # the last; it adds nothing and reorders nothing
+    layers = (("k0", 3, 4, 3, 2, 1), ("k1", 4, 5, 2, 1, 0), ("k2", 5, 2, 1, 1, 0))
+    net = dc.ConvNet(layers, seed=3)
+    x = dc.named_stream(3, "convnet-x").standard_normal((3, 9, 9)).astype(dtype)
+    got = net.outputs(dc.Tensor(x))
+    h, want = dc.Tensor(x), []
+    for i, (*_, stride, padding) in enumerate(layers):
+        w, b = net.parameters()[2 * i: 2 * i + 2]
+        h = dc.conv2d(h, w, b, stride=stride, padding=padding)
+        if i < len(layers) - 1:
+            h = dc.relu(h)
+        want.append(h)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.data.dtype == w.data.dtype and g.data.tobytes() == w.data.tobytes()
 
 
 def test_conv2d_input_gradient():
     # dx path checked against central differences on the input image
-    layer = dc.Conv2dLayer(1, 2, 3, stride=2, padding=1, seed=4, name="cx")
+    net = dc.ConvNet((("cx", 1, 2, 3, 2, 1),), seed=4)
     x0 = dc.named_stream(7, "gc-dx").standard_normal((1, 5, 5))
     xt = dc.Tensor(x0.astype(np.float64), requires_grad=True)
-    (analytic,) = dc.tsum(layer(xt)).backward([xt])
+    (analytic,) = dc.tsum(net.outputs(xt)[-1]).backward([xt])
     h = 1e-4
     for idx in [(0, 0, 0), (0, 2, 3), (0, 4, 4), (0, 1, 2)]:
         bumped = x0.copy()
         bumped[idx] += h
-        up = dc.tsum(layer(dc.Tensor(bumped))).item()
+        up = dc.tsum(net.outputs(dc.Tensor(bumped))[-1]).item()
         bumped[idx] -= 2 * h
-        dn = dc.tsum(layer(dc.Tensor(bumped))).item()
+        dn = dc.tsum(net.outputs(dc.Tensor(bumped))[-1]).item()
         numeric = (up - dn) / (2 * h)
         assert analytic[idx] == pytest.approx(numeric, rel=1e-3, abs=1e-5)
 
@@ -552,7 +575,7 @@ def _backward_reference(loss, wrt):
 def _adam_model(dtype):
     """A DenseNet, a conv layer and a 0-d scale; the loss over all three."""
     net = dc.DenseNet((6, 8, 3), "tanh", seed=5)
-    conv = dc.Conv2dLayer(2, 3, 3, padding=1, seed=5)
+    conv = dc.ConvNet((("conv", 2, 3, 3, 1, 1),), seed=5)
     scale = dc.Tensor(np.array(0.7, dtype=dtype), requires_grad=True)
     params = net.parameters() + conv.parameters() + [scale]
     for p in params:
@@ -564,7 +587,7 @@ def _adam_model(dtype):
 
     def loss():
         d = dc.sub(dc.mul(net(x), scale), y)
-        c = dc.conv2d(img, conv.weight, conv.bias, padding=1)
+        c = dc.conv2d(img, conv.weights[0], conv.biases[0], padding=1)
         return dc.add(dc.tmean(dc.mul(d, d)), dc.mul(dc.tmean(dc.mul(c, c)), scale))
     return params, loss
 

@@ -1,14 +1,16 @@
 import copy
+import hashlib
 
 import numpy as np
 import pytest
 
+from subflow import cli
 from subflow import losses as ls
 from subflow import metrics as mt
 from subflow import transfer as tr
-from subflow.diffcore import Tensor
+from subflow.diffcore import ConvNet, DenseNet, Tensor, conv_shapes, glorot_uniform, save_params
 from subflow.diffcore.rng import named_stream
-from subflow.encoders import procedural_texture
+from subflow.encoders import FeatureEncoders, procedural_texture
 from subflow.errors import ShapeError
 
 from gradcheck import finite_diff_max_rel_error
@@ -87,20 +89,57 @@ def test_style_loss_missing_tap(session_encoders):
 # -- 2D generator prior -------------------------------------------------------------
 
 def test_decoder2d_from_params_holds_them():
-    fresh = ls.Decoder2D(channels=8, seed=2)
-    assert [p.data.shape for p in fresh.parameters()] == ls.Decoder2D.shapes(8)
+    layers = ls.decoder2d_layers(8)
+    fresh = ConvNet(layers, seed=2)
+    assert [p.data.shape for p in fresh.parameters()] == conv_shapes(layers)
     rng = named_stream(4, "decoder2d-params")
-    arrays = [rng.standard_normal(s).astype(np.float32) for s in ls.Decoder2D.shapes(8)]
-    dec = ls.Decoder2D(channels=8, params=arrays)
+    arrays = [rng.standard_normal(s).astype(np.float32) for s in conv_shapes(layers)]
+    dec = ConvNet(layers, params=arrays)
     assert all(p.data is a and p.requires_grad for p, a in zip(dec.parameters(), arrays))
+
+
+# the PRMS bytes of the seed-0 prior at its Glorot init: w1, b1, w2, b2 of
+# the streams dec2d.c1.w and dec2d.c2.w, the layout train-style reads back
+PRIOR_INIT_SHA256 = "758d9f9db651b0bd2181efc15487bf62157e7b72aeee5cda073c2266da738586"
+
+
+def test_saved_prior_keeps_its_bytes_and_reloads(session_encoders, tmp_path):
+    init = ls.train_decoder2d(session_encoders, corpus=1, steps=0, seed=0, size=16)
+    save_params(tmp_path / "init.prms", init.parameters())
+    assert hashlib.sha256((tmp_path / "init.prms").read_bytes()).hexdigest() == PRIOR_INIT_SHA256
+    # train-style reuses a prior it finds in --out: the same arrays, the same image
+    trained = ls.train_decoder2d(session_encoders, corpus=2, steps=3, seed=0, size=16)
+    save_params(tmp_path / "decoder2d_seed0.prms", trained.parameters())
+    loaded = cli._decoder2d({"seed": 0}, session_encoders, tmp_path)
+    assert [p.data.tobytes() for p in loaded.parameters()] == \
+        [p.data.tobytes() for p in trained.parameters()]
+    content, style = procedural_texture(5, 1, size=16), procedural_texture(5, 2, size=16)
+    stats = session_encoders.tap_stats(style)[ls.GENERATOR_TAP]
+    images = [ls.generator_2d(content, stats, session_encoders, net) for net in (trained, loaded)]
+    assert images[0].tobytes() == images[1].tobytes()
+
+
+def test_conv_stacks_draw_their_named_streams():
+    enc = FeatureEncoders(seed=4)
+    stacks = [(("vgg.b0", "vgg.b1", "vgg.b2", "vgg.b3"), enc.vgg_net),
+              (("clip.r0", "clip.r1"), enc.clip_refine_net),
+              (("dec2d.c1", "dec2d.c2"),
+               ls.train_decoder2d(enc, corpus=1, steps=0, seed=4, size=16)),
+              (("disc.c0", "disc.c1", "disc.c2"), ls.DiscriminatorNet(seed=4))]
+    for names, net in stacks:
+        assert len(net.weights) == len(names)
+        for name, w in zip(names, net.weights):
+            cout, cin, k, _ = w.data.shape
+            want = glorot_uniform(4, f"{name}.w", cin * k * k, cout * k * k, w.data.shape)
+            assert w.data.tobytes() == want.tobytes(), name
 
 
 def test_generator_2d_identity_style_reproduces_content(session_encoders, session_decoder2d):
     content = procedural_texture(31, 0)
     i_g = ls.generator_2d(content, session_encoders.tap_stats(content)[ls.GENERATOR_TAP],
                           session_encoders, session_decoder2d)
-    recon = session_decoder2d.decode(
-        session_encoders.tap_features(content)[ls.GENERATOR_TAP].data)
+    feats = session_encoders.tap_features(content)[ls.GENERATOR_TAP]
+    recon = np.transpose(ls.prior_image(session_decoder2d, feats).data, (1, 2, 0))
     err_gen = float(((i_g - content) ** 2).mean())
     err_rec = float(((recon - content) ** 2).mean())
     assert err_gen <= 1.5 * err_rec + 1e-4
@@ -322,7 +361,7 @@ def test_stylized_objective_gradients_match_finite_differences(session_encoders,
 
     scene = sc.generate_toy_scene("lattice", 4, 2, embed_dim=8)
     cam = sc.look_at_camera((0, -2.5, 1), (0, 0, 0), 30.0, 16, 16)
-    decoder = tr.DecoderNet(8, hidden=(12,), seed=5)
+    decoder = DenseNet(tr.decoder_widths(8, (12,)), "relu", 5, name="decoder")
     embed = tr.initial_embeddings(scene.colors, 8)
     tiles = ras.attribute_weights(scene, cam)
     content = tiles.rgb
@@ -331,7 +370,7 @@ def test_stylized_objective_gradients_match_finite_differences(session_encoders,
     weights = ls.LossWeights()
 
     def loss_fn():
-        colors = decoder.forward(Tensor(embed))
+        colors = dt.sigmoid(decoder(Tensor(embed)))
         i_f = dt.reshape(dt.transpose(dt.tile_matmul(tiles.blocks, 16 * 16, colors)),
                          (3, 16, 16))
         total = ls.content_loss(i_f, content, session_encoders)

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from subflow import rasterizer as ras
 from subflow import scene as sc
 from subflow import transfer as tr
-from subflow.diffcore import Tensor
+from subflow.diffcore import DenseNet, Tensor
+from subflow.diffcore import tensor as dt
 from subflow.diffcore.rng import named_stream
 from subflow.encoders import FeatureEncoders
 from subflow.errors import ShapeError
@@ -158,21 +159,20 @@ def test_distill_requires_cameras(encoders):
 # -- stylize_scene ---------------------------------------------------------------------------
 
 def test_decoder_refuses_rows_of_another_width():
-    decoder = tr.DecoderNet(4, hidden=(8,), seed=0)
+    decoder = DenseNet(tr.decoder_widths(4, (8,)), name="decoder")
     with pytest.raises(ShapeError, match="dim"):
-        decoder.decode(np.zeros((2, 6), dtype=np.float32))
+        tr.decode(decoder, np.zeros((2, 6), dtype=np.float32))
     with pytest.raises(ShapeError, match="rows of dim 4"):     # one vector is not rows
-        decoder.decode(np.zeros(4, dtype=np.float32))
+        tr.decode(decoder, np.zeros(4, dtype=np.float32))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_decode_matches_forward_bits(dtype):
     # scaled rows saturate some float32 colors at 0 and 1; exp overflows to inf at 0
-    decoder = tr.DecoderNet(4, hidden=(8,), seed=0)
+    decoder = DenseNet(tr.decoder_widths(4, (8,)), name="decoder")
     rows = (20.0 * named_stream(2, "decode-rows").standard_normal((37, 4))).astype(dtype)
-    with np.errstate(over="ignore"):
-        want = decoder.forward(Tensor(rows)).data
-        got = decoder.decode(rows)
+    want = dt.sigmoid(decoder(Tensor(rows))).data
+    got = tr.decode(decoder, rows)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
