@@ -24,11 +24,23 @@ from .tensor import Tensor, _finite_or_raise
 # one conv layer: (name, cin, cout, k, stride, padding)
 ConvSpec = tuple[str, int, int, int, int, int]
 
-# name -> (tape op, the same expression on arrays)
-_ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
-    "relu": (T.relu, lambda a: np.maximum(a, 0)),
-    "tanh": (T.tanh, np.tanh),
+# name -> (tape op, the same expression on arrays, the tape's vjp on arrays
+# given the gradient g, the pre-activation z and the activation y)
+_ACTIVATIONS: dict[str, tuple[Callable, Callable, Callable]] = {
+    "relu": (T.relu, lambda a: np.maximum(a, 0), lambda g, z, y: g * (z > 0)),
+    "tanh": (T.tanh, np.tanh, lambda g, z, y: g * (1.0 - y * y)),
 }
+
+
+def _affine(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`h @ w + b`, checked once: a non-finite product makes a non-finite sum,
+    so only a non-finite sum looks for the op the tape would name."""
+    product = h @ w
+    out = product + b
+    if not np.isfinite(out).all():
+        _finite_or_raise(product, "matmul")
+        _finite_or_raise(out, "add")
+    return out
 
 
 def dense_shapes(widths: Sequence[int]) -> list[tuple[int, ...]]:
@@ -45,9 +57,12 @@ class DenseNet:
     file), stand in for the Glorot init.
 
     There are two forwards with the same expressions and the same bits:
-    calling the net records the tape that training backpropagates through,
-    and `infer` evaluates plain arrays for inference. It checks each layer's
-    output finite once and, where that fails, names the op the tape would.
+    calling the net records the tape, and `infer` evaluates plain arrays for
+    inference. There are two backwards too: the tape's `backward`, and
+    `mse_grads`, the mean squared error's loss and gradients in plain arrays,
+    which the flow trainers step with. The plain forms check each layer's
+    output finite once, after the bias add (relu and tanh of finite values
+    are finite), and where that fails name the op the tape would.
     """
 
     def __init__(self, widths: tuple[int, ...], activation: str = "relu", seed: int = 0,
@@ -104,13 +119,7 @@ class DenseNet:
             self._check_rows(rows)
             h = rows
             for i, (w, b) in enumerate(layers):
-                product = h @ w
-                h = product + b
-                # one check per layer: a non-finite product makes a non-finite
-                # sum, and relu and tanh of finite values are finite
-                if not np.isfinite(h).all():
-                    _finite_or_raise(product, "matmul")
-                    _finite_or_raise(h, "add")
+                h = _affine(h, w, b)
                 if i != last:
                     h = act(h)
             return h
@@ -120,6 +129,47 @@ class DenseNet:
         """`self(Tensor(x)).data`, bit for bit, without recording a tape."""
         rows = T.as_tensor(x).data
         return self.evaluator(rows.dtype)(rows)
+
+    def mse_grads(self, x, target) -> tuple[np.ndarray, list[np.ndarray]]:
+        """`loss = dt.mse(self(Tensor(x)), Tensor(target))` as its 0-d data and
+        `loss.backward(self.parameters())`, bit for bit, without recording a
+        tape: the tape's ops in the tape's order. `target` has the outputs'
+        shape (the tape would also take one that broadcasts). The loss's own
+        checks (`sub`, `mul`, `mean`) run only when the loss is not finite."""
+        rows, y = T.as_tensor(x).data, T.as_tensor(target).data
+        self._check_rows(rows)
+        if y.shape != (len(rows), self.weights[-1].data.shape[1]):
+            raise ShapeError(f"mse_grads: target of shape {y.shape} for {len(rows)} rows "
+                             f"of width {self.weights[-1].data.shape[1]}")
+        _, act, act_vjp = _ACTIVATIONS[self.activation]
+        last = len(self.weights) - 1
+        inputs, pre = [], []            # each layer's input and pre-activation
+        h = rows
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            inputs.append(h)
+            h = _affine(h, w.data, b.data)
+            if i != last:
+                pre.append(h)
+                h = act(h)
+        d = h - y
+        sq = d * d
+        loss = np.asarray(sq.mean())
+        if not np.isfinite(loss):
+            _finite_or_raise(d, "sub")
+            _finite_or_raise(sq, "mul")
+            _finite_or_raise(loss, "mean")
+        g = np.ones_like(loss) / d.size         # the mean's vjp, broadcast below
+        g = g * d + g * d                       # mul's two vjps, summed; sub passes g
+        grads = []
+        for i in range(last, -1, -1):
+            grads += [g.sum(axis=0), inputs[i].T @ g]      # bias, then weight
+            if i:
+                g = act_vjp(g @ self.weights[i].data.T, pre[i - 1], inputs[i])
+        grads.reverse()
+        for j, p in enumerate(self.parameters()):
+            grads[j] = grads[j].astype(p.data.dtype)
+            grads[j] += 0.0             # as `backward` makes a leaf's: -0.0 becomes +0.0
+        return loss, grads
 
 
 def conv_shapes(layers: Sequence[ConvSpec]) -> list[tuple[int, ...]]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Optional, Sequence
+
 import numpy as np
 
 from ..errors import ShapeError, StateError
@@ -13,7 +15,10 @@ EPSILON = 1e-8
 
 
 class Adam:
-    """The moments are one flat vector over the parameters, in order. Each
+    """`step` takes one gradient per parameter, in `params` order: the list
+    the tape's `loss.backward(opt.params)` returns, or `DenseNet.mse_grads`'.
+
+    The moments are one flat vector over the parameters, in order. Each
     step updates the concatenated grads and current `.data` at once, with the
     elementwise ops of a per-parameter update in the same order, and rebinds
     every `p.data` to a view of the result: forward closures holding the old
@@ -30,10 +35,10 @@ class Adam:
         self.first_moment = np.zeros(self._bounds[-1], dtype=dtypes.pop())
         self.second_moment = np.zeros_like(self.first_moment)
 
-    def step(self, loss: Tensor) -> None:
-        """Apply one Adam update with the gradients of `loss` that
-        `loss.backward(params)` returns; every parameter needs one."""
-        grads = loss.backward(self.params)
+    def step(self, grads: Sequence[Optional[np.ndarray]]) -> None:
+        """Apply one Adam update with `grads`, one per parameter in `params`
+        order; every parameter needs one (None is what `backward` returns
+        for a leaf its loss does not reach)."""
         if any(g is None for g in grads):
             raise StateError("adam_step: parameter has no gradient")
         self.step_count += 1

@@ -7,9 +7,11 @@ constant operand gets no pair, so its gradient is never formed.
 `backward(wrt)` on a scalar walks the pairs in reverse topological order,
 runs a vjp only where its operand leads to one of the leaves in `wrt`, and
 returns the gradients of those leaves as values; no tensor stores one.
-`Adam.step(loss)` takes the gradients of its own parameters from `backward`.
-A vjp reads operand `.data` when it runs, so a graph backpropagated after an
-optimizer step sees the updated parameters.
+`Adam.step(grads)` takes that list for its own parameters,
+`loss.backward(opt.params)`. A vjp reads operand `.data` when it runs, so a
+graph backpropagated after an optimizer step sees the updated parameters.
+(`DenseNet.mse_grads` is a second backward, off the tape, for the one loss
+the flow trainers fit.)
 
 Forward values are checked finite after every op: NaN/Inf raises
 `NumericsError` instead of propagating silently. Shape violations raise

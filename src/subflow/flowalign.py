@@ -19,13 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .config import _COUNT, _POSITIVE, _STEPS, REQUIRED, read_key_value_file
-from .diffcore import Adam, DenseNet, Tensor, dense_shapes
-from .diffcore import tensor as dt
+from .diffcore import Adam, DenseNet, dense_shapes
 from .diffcore.checkpoint import load_params, save_params
 from .diffcore.rng import named_stream
 from .errors import FormatError, NumericsError, ShapeError
@@ -119,20 +118,30 @@ def _check_paired(a: np.ndarray, b: np.ndarray, op: str) -> None:
         raise ShapeError(f"{op}: paired sets must have equal rows ({len(a)} vs {len(b)})")
 
 
+def _fit(net: DenseNet, lr: float, batches: Iterable[tuple[np.ndarray, np.ndarray]]) -> float:
+    """Adam on `net`'s mean squared error, one step per (rows, target) batch
+    (`DenseNet.mse_grads`, off the tape). Returns the last step's loss (NaN
+    after no step)."""
+    opt = Adam(net.parameters(), lr=lr)
+    loss = np.nan
+    for rows, target in batches:
+        loss, grads = net.mse_grads(rows, target)
+        opt.step(grads)
+    return float(loss)
+
+
 def train_mapping(clip: np.ndarray, vgg: np.ndarray, cfg: FlowConfig) -> DenseNet:
     """Fit the baseline domain map, a ReLU `DenseNet`, by Adam on mean
     squared error over paired (M, d) rows."""
     _check_paired(clip, vgg, "train_mapping")
     net = DenseNet(mapping_widths(clip.shape[1], cfg.mapping_hidden, vgg.shape[1]), "relu",
                    cfg.seed, name="mapping")
-    opt = Adam(net.parameters(), lr=cfg.learning_rate)
     g = named_stream(cfg.seed, "mapping.batches")
     x_all = clip.astype(np.float32)
     y_all = vgg.astype(np.float32)
     m = len(clip)
-    for _ in range(cfg.mapping_steps):
-        idx = g.integers(0, m, size=min(cfg.batch_size, m))
-        opt.step(dt.mse(net(Tensor(x_all[idx])), Tensor(y_all[idx])))
+    draws = (g.integers(0, m, size=min(cfg.batch_size, m)) for _ in range(cfg.mapping_steps))
+    _fit(net, cfg.learning_rate, ((x_all[idx], y_all[idx]) for idx in draws))
     return net
 
 
@@ -146,21 +155,19 @@ def train_velocity(start: np.ndarray, target: np.ndarray, cfg: FlowConfig,
         raise ShapeError(f"train_velocity: dims differ ({dim} vs {target.shape[1]})")
     field = DenseNet(velocity_widths(dim, cfg.velocity_hidden), "tanh", cfg.seed + round_index,
                      name=f"velocity.r{round_index}")
-    opt = Adam(field.parameters(), lr=cfg.learning_rate)
     g = named_stream(cfg.seed, f"velocity.batches.r{round_index}")
     x0 = start.astype(np.float64)
     x1 = target.astype(np.float64)
-    drift_all = x1 - x0
+    drift_all = (x1 - x0).astype(np.float32)      # cast, then index: the same bits
     m = len(start)
-    loss = Tensor(float("nan"))           # what no step reports
-    for _ in range(cfg.train_steps):
-        idx = g.integers(0, m, size=min(cfg.batch_size, m))
-        t = g.uniform(0.0, 1.0, size=idx.size)
-        xt = interpolate(x0[idx], x1[idx], t)
-        loss = dt.mse(field(Tensor(velocity_rows(xt.astype(np.float32), t))),
-                      Tensor(drift_all[idx].astype(np.float32)))
-        opt.step(loss)
-    return field, loss.item()
+
+    def batches():
+        for _ in range(cfg.train_steps):
+            idx = g.integers(0, m, size=min(cfg.batch_size, m))
+            t = g.uniform(0.0, 1.0, size=idx.size)
+            xt = interpolate(x0[idx], x1[idx], t)
+            yield velocity_rows(xt.astype(np.float32), t), drift_all[idx]
+    return field, _fit(field, cfg.learning_rate, batches())
 
 
 def euler_integrate(v: Callable[[np.ndarray, float], np.ndarray], x0: np.ndarray,

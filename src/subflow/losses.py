@@ -134,7 +134,9 @@ def train_decoder2d(encoders: FeatureEncoders, corpus: int = 200, steps: int = 2
     g = named_stream(seed, "decoder2d.batches")
     for _ in range(steps):
         i = int(g.integers(0, corpus))
-        opt.step(dt.mse(prior_image(dec, Tensor(feats[i])), Tensor(targets[i])))
+        # no name holds the loss, so its graph is freed before the next step's
+        grads = dt.mse(prior_image(dec, Tensor(feats[i])), Tensor(targets[i])).backward(opt.params)
+        opt.step(grads)
     return dec
 
 
@@ -258,9 +260,9 @@ def train_stylization(scene: GaussianScene, views: Sequence[TileWeights],
             disc_loss, gen_signal = suppression_loss(i_g, i_f, disc)
             row["sup_disc"], row["sup_gen"] = disc_loss.item(), gen_signal.item()
             objective = dt.add(objective, dt.mul(gen_signal, weights.suppression_weight))
-        opt_dec.step(objective)
+        opt_dec.step(objective.backward(opt_dec.params))
         if disc is not None:
-            opt_disc.step(disc_loss)
+            opt_disc.step(disc_loss.backward(opt_disc.params))
         row["total"] = (row["content"] + weights.lambda_style * row["style"]
                         + weights.lambda_obs * row["obs"])
         log.append(row)

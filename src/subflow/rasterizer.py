@@ -380,18 +380,24 @@ def write_weights(path, scene: GaussianScene, cams: Sequence[Camera],
     next is composited. The header records what the weights depend on: the
     scene's N and `geometry_digest`, and the cameras, as their count, size
     and `rig`, the ASCII text that placed them (the CLI's `camera.*` lines).
-    Per camera follow `_camera_parts`."""
+    Per camera follow `_camera_parts`. A file that misses a camera, because
+    compositing failed or the caller stopped early, is removed."""
     h, w = cams[0].height, cams[0].width
     if any((cam.height, cam.width) != (h, w) for cam in cams):
         raise ShapeError("a weights file holds cameras of one resolution")
     with open(path, "wb") as fh:
-        binfile.put(fh, [WEIGHTS_MAGIC, (WEIGHTS_VERSION, scene.count, len(cams), h, w),
-                         geometry_digest(scene), (len(rig),), rig.encode("ascii")])
-        for cam in cams:
-            weights = attribute_weights(scene, cam)
-            binfile.put(fh, _camera_parts(weights, w))
-            yield weights
-            del weights
+        try:
+            binfile.put(fh, [WEIGHTS_MAGIC, (WEIGHTS_VERSION, scene.count, len(cams), h, w),
+                             geometry_digest(scene), (len(rig),), rig.encode("ascii")])
+            for cam in cams:
+                weights = attribute_weights(scene, cam)
+                binfile.put(fh, _camera_parts(weights, w))
+                yield weights
+                del weights
+        except BaseException:       # GeneratorExit too: the caller stopped early
+            fh.close()
+            Path(path).unlink()
+            raise
 
 
 class WeightsFile(binfile.Reader):

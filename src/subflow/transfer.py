@@ -168,7 +168,7 @@ def distill_embeddings(scene: GaussianScene, views: Iterable[TileWeights],
             if np.isnan(proj_first):
                 proj_first = loss_b.item()
             proj_last = loss_b.item()
-        opt.step(loss)
+        opt.step(loss.backward(opt.params))
 
     final_embed = embed.data.copy()
     recon_mse = float(((decode(decoder, final_embed) - scene.colors) ** 2).mean())

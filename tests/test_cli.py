@@ -311,6 +311,21 @@ def test_train_flow_feat_flags_must_pair(pipeline_artifacts, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("poisoned, op", [("clip", "matmul"), ("vgg", "mul")])
+def test_train_flow_numeric_failure_names_the_op(small_cfg, tmp_path, capsys, poisoned, op):
+    # 3e38 is finite, so the FEAT reader takes the rows; the mapping's first
+    # matmul overflows on such clip rows, the squared error on such targets
+    rows = {"clip": np.ones((12, 64)), "vgg": np.ones((12, 64))}
+    rows[poisoned] = np.full((12, 64), 3e38)
+    for tag, domain in enumerate(("clip", "vgg")):
+        (tmp_path / f"{domain}.feat").write_bytes(_feat_bytes(rows[domain], tag))
+    out = tmp_path / "pipe"
+    capsys.readouterr()
+    assert run("train-flow", "--config", small_cfg, "--out", out,
+               "--feat-clip", tmp_path / "clip.feat", "--feat-vgg", tmp_path / "vgg.feat") == 3
+    assert capsys.readouterr().err == f"numeric failure: op '{op}' produced non-finite values\n"
+
+
 def test_numeric_failure_exits_3(pipeline_artifacts, tmp_path):
     # poisoned decoder checkpoint: huge parameters surface as a numerics error
     from subflow.diffcore import load_params, save_params
@@ -1257,3 +1272,5 @@ def test_view_too_large_for_memory_exits_2(small_cfg, tmp_path, capsys, command)
     assert run(command, "--config", path, "--scene", scene, *argv[command]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: ") and err.count("\n") == 1, err
+    if command == "embed":     # compositing failed, so no weights file is left behind
+        assert not (tmp_path / "sd.gscn.twts").exists()

@@ -97,7 +97,7 @@ def test_backward_returns_gradients_and_stores_none():
     assert float(first[0]) == 4.0
     assert np.array_equal(first[0], second[0]) and first[0] is not second[0]
     assert first[1] is None and second[1] is None
-    dc.Adam([x], lr=0.1).step(loss)
+    dc.Adam([x], lr=0.1).step(loss.backward([x]))
     assert not any(hasattr(t, "grad") for t in (x, unreached, loss))
 
 
@@ -145,9 +145,58 @@ def test_dense_infer_names_overflowing_op(activation, layer, weight, bias, x, op
         b.data = np.full_like(b.data, bias if i == layer else 0.0)
     rows = np.full((2, 3), x)
     with np.errstate(over="ignore"):
-        for forward in (net.infer, lambda rows: net(dc.Tensor(rows))):
+        for forward in (net.infer, lambda rows: net(dc.Tensor(rows)),
+                        lambda rows: net.mse_grads(rows, np.zeros((2, 2), rows.dtype))):
             with pytest.raises(NumericsError, match=f"op '{op}'"):
                 forward(rows)
+
+
+def _dense_net(widths, activation, dtype):
+    net = dc.DenseNet(widths, activation, seed=7)
+    return dc.DenseNet(widths, activation, params=[p.data.astype(dtype) for p in net.parameters()])
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("widths", [(5, 7, 3), (5, 7, 6, 3), (5, 7, 6, 1)],
+                         ids=["one-hidden", "two-hidden", "one-column"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", [1, 2, 48])
+def test_mse_grads_equal_the_tape_bits(activation, widths, dtype, rows):
+    # the closed-form step is the tape's `mse` and its `backward`, bit for
+    # bit, dead relu units (zero gradients) at batch 1 and 2 included
+    net = _dense_net(widths, activation, dtype)
+    g = dc.named_stream(rows, "mse-grads")
+    x = (3.0 * g.standard_normal((rows, widths[0]))).astype(dtype)
+    y = g.standard_normal((rows, widths[-1])).astype(dtype)
+    loss = dc.mse(net(dc.Tensor(x)), dc.Tensor(y))
+    want = loss.backward(net.parameters())
+    got_loss, got = net.mse_grads(x, y)
+    assert _same_bits(got_loss, loss.data)
+    assert len(got) == len(want)
+    assert all(_same_bits(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("target", [(2, 2), (2,), (1, 1)])
+def test_mse_grads_refuses_a_target_of_another_shape(target):
+    # the closed form has no step that sums a broadcast difference back to the
+    # outputs' shape, so the target must have that shape
+    net = dc.DenseNet((3, 4, 1), "relu", seed=1)
+    with pytest.raises(ShapeError, match=fr"target of shape \({target[0]},.*for 2 rows of width 1"):
+        net.mse_grads(np.ones((2, 3)), np.ones(target))
+
+
+@pytest.mark.parametrize("target, op", [(3e38, "mul"), (np.inf, "sub"), (1.5e19, "mean")])
+def test_mse_grads_names_the_loss_op(target, op):
+    # a finite output off a 3e38 target squares to inf; an inf target makes
+    # an inf difference; squares near 2e38 sum past float32's range
+    net = dc.DenseNet((3, 4, 2), "relu", seed=1)
+    rows = dc.named_stream(4, "loss-op").standard_normal((2, 3)).astype(np.float32)
+    y = np.full((2, 2), target, dtype=np.float32)
+    with np.errstate(over="ignore"):
+        for step in (lambda: dc.mse(net(dc.Tensor(rows)), dc.Tensor(y)),
+                     lambda: net.mse_grads(rows, y)):
+            with pytest.raises(NumericsError, match=f"^op '{op}' produced non-finite values$"):
+                step()
 
 
 def test_conv_stack_gradients_match_finite_differences():
@@ -197,7 +246,7 @@ def test_conv2d_input_gradient():
 def test_adam_first_step_hand_value():
     p = dc.Tensor(1.0, requires_grad=True)
     opt = dc.Adam([p], lr=0.1)
-    opt.step(dc.mul(p, 1.0))    # gradient 1
+    opt.step(dc.mul(p, 1.0).backward(opt.params))    # gradient 1
     # bias correction at step 1 gives m_hat = g, v_hat = g^2, update = lr * g/(|g|+eps)
     assert float(p.data) == pytest.approx(0.9, abs=1e-6)
 
@@ -205,7 +254,7 @@ def test_adam_first_step_hand_value():
 def test_adam_zero_grad_leaves_params_unchanged():
     p = dc.Tensor([1.0, -2.0], requires_grad=True)
     before = p.data.copy()
-    dc.Adam([p], lr=0.5).step(dc.tsum(dc.mul(p, 0.0)))    # gradient 0
+    dc.Adam([p], lr=0.5).step(dc.tsum(dc.mul(p, 0.0)).backward([p]))    # gradient 0
     assert np.array_equal(p.data, before)
 
 
@@ -213,7 +262,7 @@ def test_adam_step_count_increments():
     p = dc.Tensor(1.0, requires_grad=True)
     opt = dc.Adam([p], lr=0.1)
     for _ in range(2):
-        opt.step(dc.mul(p, 1.0))
+        opt.step(dc.mul(p, 1.0).backward(opt.params))
     assert opt.step_count == 2
 
 
@@ -221,7 +270,7 @@ def test_adam_missing_grad_raises():
     p = dc.Tensor(1.0, requires_grad=True)
     q = dc.Tensor(1.0, requires_grad=True)
     with pytest.raises(StateError, match="grad"):
-        dc.Adam([p, q]).step(dc.mul(p, 2.0))    # the loss does not reach q
+        dc.Adam([p, q]).step(dc.mul(p, 2.0).backward([p, q]))    # the loss does not reach q
 
 
 def test_adam_keeps_no_graph_after_its_step():
@@ -231,7 +280,7 @@ def test_adam_keeps_no_graph_after_its_step():
     opt = dc.Adam([p], lr=0.1)
     loss = dc.tsum(dc.mul(p, p))
     held = weakref.ref(loss.data)
-    opt.step(loss)
+    opt.step(loss.backward(opt.params))
     del loss
     assert held() is None
 
@@ -256,7 +305,7 @@ def test_training_determinism_bit_identical():
         y = dc.named_stream(11, "train-y").standard_normal((8, 2)).astype(np.float32)
         for _ in range(25):
             d = dc.sub(net(dc.Tensor(x)), dc.Tensor(y))
-            opt.step(dc.tmean(dc.mul(d, d)))
+            opt.step(dc.tmean(dc.mul(d, d)).backward(opt.params))
         return [p.data.copy() for p in net.parameters()]
 
     a, b = run(), run()
@@ -602,7 +651,7 @@ def test_adam_matches_reference_bits(dtype):
     ref_params, ref_loss = _adam_model(dtype)
     opt, ref = dc.Adam(params, lr=0.05), _AdamReference(ref_params, lr=0.05)
     for _ in range(25):
-        opt.step(loss())
+        opt.step(loss().backward(opt.params))
         ref.step(ref_loss())
     assert all(_same_bits(p.data, q.data) for p, q in zip(params, ref_params))
     for flat, parts in ((opt.first_moment, ref.first_moment),
@@ -622,13 +671,13 @@ def test_adam_reads_rebound_params():
     ref_params, ref_loss = _adam_model(np.float32)
     opt, ref = dc.Adam(params, lr=0.05), _AdamReference(ref_params, lr=0.05)
     for _ in range(3):
-        opt.step(loss())
+        opt.step(loss().backward(opt.params))
         ref.step(ref_loss())
     rng = dc.named_stream(6, "restore")
     arrays = [rng.standard_normal(p.data.shape).astype(np.float32) for p in params]
     for p, q, a in zip(params, ref_params, arrays):
         p.data, q.data = a.copy(), a.copy()
-    opt.step(loss())
+    opt.step(loss().backward(opt.params))
     ref.step(ref_loss())
     assert all(_same_bits(p.data, q.data) for p, q in zip(params, ref_params))
     assert not any(np.array_equal(p.data, a) for p, a in zip(params, arrays))

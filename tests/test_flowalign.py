@@ -181,8 +181,22 @@ def test_velocity_zero_drift_task():
 
 
 def test_velocity_training_step_is_float32(monkeypatch):
-    # float32 rows and the float32 time embedding keep every op of a
-    # velocity training step, the loss included, in float32
+    # float32 rows and the float32 time embedding keep a velocity training
+    # step in float32: its batch, loss and gradients, and every op of the
+    # same step's forward on the tape, the loss included
+    steps, mse_grads = [], DenseNet.mse_grads
+
+    def stepped(net, rows, target):
+        loss, grads = mse_grads(net, rows, target)
+        steps.append((net, rows, target, loss, grads))
+        return loss, grads
+    monkeypatch.setattr(DenseNet, "mse_grads", stepped)
+    rows = named_stream(12, "f32-step").standard_normal((32, 6))
+    cfg = fa.FlowConfig(train_steps=1, batch_size=16, seed=4)
+    fa.train_velocity(fs(rows), fs(rows + 1.0), cfg)
+    ((net, x, y, loss, grads),) = steps
+    assert all(a.dtype == np.float32 for a in (x, y, loss, *grads))
+
     seen = []
     make = dt._make
 
@@ -190,9 +204,7 @@ def test_velocity_training_step_is_float32(monkeypatch):
         seen.append((op, data.dtype))
         return make(op, data, *pairs)
     monkeypatch.setattr(dt, "_make", recording)
-    rows = named_stream(12, "f32-step").standard_normal((32, 6))
-    cfg = fa.FlowConfig(train_steps=1, batch_size=16, seed=4)
-    fa.train_velocity(fs(rows), fs(rows + 1.0), cfg)
+    dt.mse(net(Tensor(x)), Tensor(y))
     assert len(seen) > 5
     assert all(dtype == np.float32 for _, dtype in seen), seen
 
@@ -235,7 +247,7 @@ def _tape_fit(net, batches, steps, lr):
     for _ in range(steps):
         x, y = batches()
         loss = dt.mse(net(Tensor(x)), Tensor(y))
-        opt.step(loss)
+        opt.step(loss.backward(opt.params))
         last = loss.item()
     return net, last
 

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -101,6 +102,26 @@ def test_decoder2d_from_params_holds_them():
 # the PRMS bytes of the seed-0 prior at its Glorot init: w1, b1, w2, b2 of
 # the streams dec2d.c1.w and dec2d.c2.w, the layout train-style reads back
 PRIOR_INIT_SHA256 = "758d9f9db651b0bd2181efc15487bf62157e7b72aeee5cda073c2266da738586"
+
+
+def test_prior_training_frees_each_step_graph(session_encoders, monkeypatch):
+    # no step's loss, and so no graph of conv activations, is alive while the
+    # next step's forward runs: holding one raised train_desk's peak RSS
+    held, alive = [], []
+    mse, prior = ls.dt.mse, ls.prior_image
+
+    def recorded(a, b):
+        loss = mse(a, b)
+        held.append(weakref.ref(loss.data))
+        return loss
+
+    def counted(net, feats):
+        alive.append(sum(ref() is not None for ref in held))
+        return prior(net, feats)
+    monkeypatch.setattr(ls.dt, "mse", recorded)
+    monkeypatch.setattr(ls, "prior_image", counted)
+    ls.train_decoder2d(session_encoders, corpus=2, steps=3, seed=0, size=16)
+    assert len(held) == 3 and alive == [0, 0, 0]
 
 
 def test_saved_prior_keeps_its_bytes_and_reloads(session_encoders, tmp_path):

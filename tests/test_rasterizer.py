@@ -572,6 +572,26 @@ def test_weights_file_holds_one_camera_at_a_time(tmp_path, monkeypatch):
         list(ras.write_weights(tmp_path / "x.twts", scene, [cams[0], front_camera(32, 16)], ""))
 
 
+def test_weights_file_missing_a_camera_is_removed(monkeypatch, tmp_path):
+    # a file stopped before its last camera would be refused on reading;
+    # neither a failed composite nor a caller that stops early leaves one
+    scene, cams = _weights_views("ring-40")
+    views = ras.write_weights(tmp_path / "early.twts", scene, cams, "")
+    next(views)
+    views.close()
+    assert not (tmp_path / "early.twts").exists()
+    composite = ras.attribute_weights
+
+    def failing(scene, cam):
+        if cam is cams[1]:
+            raise MemoryError("no room for this view")
+        return composite(scene, cam)
+    monkeypatch.setattr(ras, "attribute_weights", failing)
+    with pytest.raises(MemoryError):
+        list(ras.write_weights(tmp_path / "failed.twts", scene, cams, ""))
+    assert not (tmp_path / "failed.twts").exists()
+
+
 def test_geometry_digest_reads_only_geometry():
     scene = sc.generate_toy_scene("textured_slab", 50, 3, embed_dim=8)
     digest = ras.geometry_digest(scene)
