@@ -380,8 +380,9 @@ def write_weights(path, scene: GaussianScene, cams: Sequence[Camera],
     next is composited. The header records what the weights depend on: the
     scene's N and `geometry_digest`, and the cameras, as their count, size
     and `rig`, the ASCII text that placed them (the CLI's `camera.*` lines).
-    Per camera follow `_camera_parts`. A file that misses a camera, because
-    compositing failed or the caller stopped early, is removed."""
+    Per camera follow `_camera_parts`. Unless the caller runs the generator
+    to its end, the file is removed: a failed composite or a caller that
+    stops leaves no file that misses a camera."""
     h, w = cams[0].height, cams[0].width
     if any((cam.height, cam.width) != (h, w) for cam in cams):
         raise ShapeError("a weights file holds cameras of one resolution")
