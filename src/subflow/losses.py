@@ -221,7 +221,8 @@ def train_stylization(scene: GaussianScene, views: Sequence[TileWeights],
     separation loss. A skipped term logs 0, and `decoder2d` (None when
     `weights.uses_prior` is false) renders the 2D prior only for the terms
     that read it. Each row's `total` is content + lambda_style*style +
-    lambda_obs*obs.
+    lambda_obs*obs. Each step runs in `_style_step`, so its graph is freed
+    when the step returns, before the next step's forward.
     Returns (decoder, one dict per step keyed by `LOG_COLUMNS`).
     """
     h, w = views[0].rgb.shape[:2]
@@ -243,27 +244,40 @@ def train_stylization(scene: GaussianScene, views: Sequence[TileWeights],
     log = []
 
     for step in range(steps):
-        blocks, content_rgb, i_g = cam_data[int(g.integers(0, len(cam_data)))]
-        colors = dt.sigmoid(decoder(moved))                   # (N, 3)
-        i_f = dt.reshape(dt.transpose(dt.tile_matmul(blocks, h * w, colors)), (3, h, w))
-
-        c_loss = content_loss(i_f, content_rgb, encoders)
-        s_loss = style_loss(i_f, ref_tap_stats, encoders)
-        row = {"step": step, "content": c_loss.item(), "style": s_loss.item(), "obs": 0.0,
-               "sup_disc": 0.0, "sup_gen": 0.0}
-        objective = dt.add(c_loss, dt.mul(s_loss, weights.lambda_style))
-        if weights.lambda_obs > 0:
-            o_loss = observation_loss(i_g, i_f, encoders)
-            row["obs"] = o_loss.item()
-            objective = dt.add(objective, dt.mul(o_loss, weights.lambda_obs))
-        if disc is not None:
-            disc_loss, gen_signal = suppression_loss(i_g, i_f, disc)
-            row["sup_disc"], row["sup_gen"] = disc_loss.item(), gen_signal.item()
-            objective = dt.add(objective, dt.mul(gen_signal, weights.suppression_weight))
-        opt_dec.step(objective.backward(opt_dec.params))
-        if disc is not None:
-            opt_disc.step(disc_loss.backward(opt_disc.params))
-        row["total"] = (row["content"] + weights.lambda_style * row["style"]
-                        + weights.lambda_obs * row["obs"])
-        log.append(row)
+        view = cam_data[int(g.integers(0, len(cam_data)))]
+        log.append(_style_step(step, view, moved, ref_tap_stats, encoders, weights,
+                               decoder, opt_dec, disc, opt_disc))
     return decoder, log
+
+
+def _style_step(step: int, view, moved: Tensor, ref_tap_stats, encoders: FeatureEncoders,
+                weights: LossWeights, decoder: DenseNet, opt_dec: Adam,
+                disc: DiscriminatorNet | None, opt_disc: Adam | None) -> dict:
+    """One `train_stylization` step on `view` = (blocks, content_rgb, i_g):
+    the decoder's update, then the discriminator's when there is one.
+    Returns the step's log row. Only this frame holds the step's graph, so
+    the graph is freed when the step returns."""
+    blocks, content_rgb, i_g = view
+    h, w = content_rgb.shape[:2]
+    colors = dt.sigmoid(decoder(moved))                   # (N, 3)
+    i_f = dt.reshape(dt.transpose(dt.tile_matmul(blocks, h * w, colors)), (3, h, w))
+
+    c_loss = content_loss(i_f, content_rgb, encoders)
+    s_loss = style_loss(i_f, ref_tap_stats, encoders)
+    row = {"step": step, "content": c_loss.item(), "style": s_loss.item(), "obs": 0.0,
+           "sup_disc": 0.0, "sup_gen": 0.0}
+    objective = dt.add(c_loss, dt.mul(s_loss, weights.lambda_style))
+    if weights.lambda_obs > 0:
+        o_loss = observation_loss(i_g, i_f, encoders)
+        row["obs"] = o_loss.item()
+        objective = dt.add(objective, dt.mul(o_loss, weights.lambda_obs))
+    if disc is not None:
+        disc_loss, gen_signal = suppression_loss(i_g, i_f, disc)
+        row["sup_disc"], row["sup_gen"] = disc_loss.item(), gen_signal.item()
+        objective = dt.add(objective, dt.mul(gen_signal, weights.suppression_weight))
+    opt_dec.step(objective.backward(opt_dec.params))
+    if disc is not None:
+        opt_disc.step(disc_loss.backward(opt_disc.params))
+    row["total"] = (row["content"] + weights.lambda_style * row["style"]
+                    + weights.lambda_obs * row["obs"])
+    return row

@@ -8,8 +8,9 @@ imported before this package, so setting the variable here would be too
 late). The package calls it on import. Where no setter is found, nothing is
 set.
 
-The allocator decides the speed of a training step. Each step builds a graph
-of large buffers and frees it before the next; under glibc's defaults those
+The allocator decides the speed of a training step. Each step builds large
+buffers (a tape trainer's step, its graph) and every trainer frees them when
+the step returns, before the next step's forward; under glibc's defaults those
 buffers went back to the OS and were faulted in again every step, and a
 training loop ran 1.3x as long. `set_allocator_policy` keeps them on the
 heap: no mmap below `MMAP_THRESHOLD` and no trim below `TRIM_THRESHOLD`.

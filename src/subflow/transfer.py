@@ -158,17 +158,13 @@ def distill_embeddings(scene: GaussianScene, views: Iterable[TileWeights],
     opt = Adam([embed] + decoder.parameters(), lr=lr)
     g = named_stream(seed, "distill.cams")
     proj_first = proj_last = float("nan")
-    for step in range(steps):
+    for _ in range(steps):
         pick = cam_data[int(g.integers(0, len(cam_data)))]
-        loss = dt.mse(dt.sigmoid(decoder(embed)), colors_t)
-        if pick is not None:
-            blocks, target = pick
-            loss_b = dt.mse(dt.tile_matmul(blocks, target.data.shape[0], embed), target)
-            loss = dt.add(loss, dt.mul(loss_b, PROJECTION_WEIGHT))
+        proj_loss = _distill_step(pick, embed, decoder, colors_t, opt)
+        if proj_loss is not None:
             if np.isnan(proj_first):
-                proj_first = loss_b.item()
-            proj_last = loss_b.item()
-        opt.step(loss.backward(opt.params))
+                proj_first = proj_loss
+            proj_last = proj_loss
 
     final_embed = embed.data.copy()
     recon_mse = float(((decode(decoder, final_embed) - scene.colors) ** 2).mean())
@@ -176,6 +172,23 @@ def distill_embeddings(scene: GaussianScene, views: Iterable[TileWeights],
                            projection_mse_first=proj_first,
                            projection_mse_last=proj_last)
     return scene.with_embeddings(final_embed), decoder, report
+
+
+def _distill_step(pick, embed: Tensor, decoder: DenseNet, colors_t: Tensor,
+                  opt: Adam) -> float | None:
+    """One `distill_embeddings` step: reconstruction, plus the projection
+    term when the drawn camera's `pick` = (blocks, target) is not None.
+    Returns that projection loss, or None. Only this frame holds the step's
+    graph, so the graph is freed when the step returns."""
+    loss = dt.mse(dt.sigmoid(decoder(embed)), colors_t)
+    proj_loss = None
+    if pick is not None:
+        blocks, target = pick
+        loss_b = dt.mse(dt.tile_matmul(blocks, target.data.shape[0], embed), target)
+        loss = dt.add(loss, dt.mul(loss_b, PROJECTION_WEIGHT))
+        proj_loss = loss_b.item()
+    opt.step(loss.backward(opt.params))
+    return proj_loss
 
 
 def stylize_scene(scene: GaussianScene, style: StyleStats,

@@ -1,4 +1,5 @@
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -66,3 +67,30 @@ def slab_run(session_encoders):
         "pipe": pipe, "flow_reports": flow_reports,
         "style_img": style_img, "style_stats": style_stats,
     }
+
+
+@pytest.fixture
+def step_graphs(monkeypatch):
+    """`watch(owner, name)` -> (held, alive). From then on each loss that runs
+    `Tensor.backward` is held by a weak reference to the vjp of its last op,
+    which lives as long as the loss's tape (a tensor has no weakref slot, and
+    its data may be a numpy scalar, which has none either), and each call of
+    `owner.name`, a step's first forward call, appends how many are alive."""
+    from subflow.diffcore import Tensor
+    held, alive = [], []
+    backward = Tensor.backward
+
+    def recorded(loss, wrt):
+        held.append(weakref.ref(loss._vjps[0][1]))
+        return backward(loss, wrt)
+
+    def watch(owner, name):
+        forward = getattr(owner, name)
+
+        def counted(*args):
+            alive.append(sum(ref() is not None for ref in held))
+            return forward(*args)
+        monkeypatch.setattr(Tensor, "backward", recorded)
+        monkeypatch.setattr(owner, name, counted)
+        return held, alive
+    return watch

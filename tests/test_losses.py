@@ -1,6 +1,5 @@
 import copy
 import hashlib
-import weakref
 
 import numpy as np
 import pytest
@@ -104,22 +103,10 @@ def test_decoder2d_from_params_holds_them():
 PRIOR_INIT_SHA256 = "758d9f9db651b0bd2181efc15487bf62157e7b72aeee5cda073c2266da738586"
 
 
-def test_prior_training_frees_each_step_graph(session_encoders, monkeypatch):
+def test_prior_training_frees_each_step_graph(session_encoders, step_graphs):
     # no step's loss, and so no graph of conv activations, is alive while the
     # next step's forward runs: holding one raised train_desk's peak RSS
-    held, alive = [], []
-    mse, prior = ls.dt.mse, ls.prior_image
-
-    def recorded(a, b):
-        loss = mse(a, b)
-        held.append(weakref.ref(loss.data))
-        return loss
-
-    def counted(net, feats):
-        alive.append(sum(ref() is not None for ref in held))
-        return prior(net, feats)
-    monkeypatch.setattr(ls.dt, "mse", recorded)
-    monkeypatch.setattr(ls, "prior_image", counted)
+    held, alive = step_graphs(ls, "prior_image")
     ls.train_decoder2d(session_encoders, corpus=2, steps=3, seed=0, size=16)
     assert len(held) == 3 and alive == [0, 0, 0]
 
@@ -315,6 +302,20 @@ def test_train_stylization_log_csv_layout(slab_run, session_encoders, session_de
     lines = mt.write_csv(tmp_path / "train_log.csv", ls.LOG_COLUMNS, rows).strip().splitlines()
     assert lines[0] == "step,content,style,obs,sup_disc,sup_gen,total"
     assert len(lines) == 4
+
+
+def test_style_training_frees_each_step_graph(slab_run, session_encoders, session_decoder2d,
+                                              step_graphs):
+    # the decoder's objective and the discriminator's loss of step k, and with
+    # them the render and every encoder and discriminator graph, are freed
+    # before step k+1's decoder forward: holding them raised train_wide's peak RSS
+    held, alive = step_graphs(DenseNet, "__call__")
+    weights = ls.LossWeights(lambda_obs=0.5, suppression_weight=0.05)
+    ls.train_stylization(
+        slab_run["distilled"], slab_run["views"], slab_run["style_img"], slab_run["style_stats"],
+        copy.deepcopy(slab_run["decoder0"]), session_encoders, weights, steps=3,
+        decoder2d=session_decoder2d, seed=3)
+    assert len(held) == 6 and alive == [0, 0, 0]
 
 
 def _style_log(slab_run, encoders, decoder2d, weights):

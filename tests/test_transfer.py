@@ -150,6 +150,17 @@ def test_distill_camera_that_sees_nothing_has_no_projection_term(encoders):
     assert np.isfinite(mixed.projection_mse_last)
 
 
+def test_distill_frees_each_step_graph(encoders, step_graphs):
+    # step k's loss, with its tile_matmul and decoder graph, is freed before
+    # step k+1's decoder forward
+    scene = sc.generate_toy_scene("lattice", 27, 5, embed_dim=8)
+    cams = [sc.look_at_camera((0, -4, 1), (0, 0, 0), 50.0, 32, 32)]
+    held, alive = step_graphs(DenseNet, "__call__")
+    _, _, report = tr.distill_embeddings(scene, _views(scene, cams), encoders, steps=3, seed=2)
+    assert np.isfinite(report.projection_mse_last)
+    assert len(held) == 3 and alive == [0, 0, 0]
+
+
 def test_distill_requires_cameras(encoders):
     scene = sc.generate_toy_scene("lattice", 8, 1, embed_dim=8)
     with pytest.raises(ShapeError):
